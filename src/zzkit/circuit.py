@@ -10,7 +10,7 @@ with junction participations.  All energies are stored as E/h in Hz.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -253,15 +253,7 @@ class KerrParams:
         return self.mode_freqs_hz.shape[0]
 
     def replace(self, **kw):
-        data = {
-            "mode_freqs_hz": self.mode_freqs_hz,
-            "self_kerr_hz": self.self_kerr_hz,
-            "cross_kerr_hz": self.cross_kerr_hz,
-            "exchange_g_hz": self.exchange_g_hz,
-            "bare_cross_kerr_chi_hz": self.bare_cross_kerr_chi_hz,
-        }
-        data.update(kw)
-        return KerrParams(**data)
+        return replace(self, **kw)
 
 
 def kerr_from_foster(modes, participation):

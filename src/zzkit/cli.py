@@ -2,9 +2,9 @@
 
 Subcommands: zz-sweep, blockade, flux-spectroscopy, optimize, foster-fit,
 ramsey.  Every command reads a JSON config (--config), writes CSV/JSON data
-for external plotting (--out) and is deterministic given its config and seed;
-sweep points are evaluated in parallel when --threads > 1 but results are
-always written in grid order, so reruns are byte identical.
+for external plotting (--out) and is deterministic given its config and seed,
+so reruns are byte identical.  --threads is accepted for compatibility and
+has no effect.
 
 Exit codes: 0 success, 2 config error, 3 no feasible optimizer result,
 4 numeric failure.
@@ -13,12 +13,11 @@ Exit codes: 0 success, 2 config error, 3 no feasible optimizer result,
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import io as zio
-from .circuit import Coupling, transmon_spectrum
+from .circuit import Coupling, KerrParams, transmon_spectrum
 from .dynamics import (
     DissipationSpec,
     TwoQubitSystem,
@@ -46,11 +45,11 @@ from .optimize import (
     optimize,
 )
 from .spectrum import (
-    avoided_crossing_j,
     build_hamiltonian,
     diagonalize_and_label,
-    kerr_at_flux,
     pauli_decomposition,
+    refine_crossing,
+    single_excitation_pair,
     zeta_exact,
     zeta_perturbative,
     zeta_resonant,
@@ -89,13 +88,6 @@ def _grid(cfg, key, context):
     return grid
 
 
-def _parallel_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------- zz-sweep
 
 def _sweep_system(cfg, context):
@@ -121,7 +113,7 @@ def _sweep_system(cfg, context):
             Coupling.fixed(inline["g_hz"]))
 
 
-def cmd_zz_sweep(cfg, out, threads=1):
+def cmd_zz_sweep(cfg, out):
     zio._check_keys(cfg, ["fixture", "circuit", "inline", "delta_hz",
                           "levels_per_mode", "max_total_excitation",
                           "series_order", "spectrum_json"],
@@ -132,13 +124,14 @@ def cmd_zz_sweep(cfg, out, threads=1):
     max_exc = cfg.get("max_total_excitation", 4)
     order = int(cfg.get("series_order", 4))
 
-    def point(delta):
+    def kerr(delta):
         omega2 = omega1 - delta
-        g = coupling.g_at(omega1, omega2)
-        from .circuit import KerrParams
-        params = KerrParams(np.array([omega1, omega2]),
-                            np.array([alpha1, alpha2]),
-                            np.zeros((2, 2)), exchange_g_hz=g)
+        return KerrParams(np.array([omega1, omega2]), np.array([alpha1, alpha2]),
+                          np.zeros((2, 2)), exchange_g_hz=coupling.g_at(omega1, omega2))
+
+    def point(delta):
+        params = kerr(delta)
+        g = params.exchange_g_hz
         row = {"delta_hz": delta, "zeta_exact_hz": None,
                "zeta_perturbative_hz": None, "zeta_series_hz": None,
                "ambiguous_flag": "0"}
@@ -162,17 +155,11 @@ def cmd_zz_sweep(cfg, out, threads=1):
             pass
         return row
 
-    rows = _parallel_map(point, list(deltas), threads)
-    zio.write_zz_sweep_csv(out, rows)
+    zio.write_zz_sweep_csv(out, [point(delta) for delta in deltas])
     zio.read_zz_sweep_csv(out)   # schema self-test
 
     if cfg.get("spectrum_json"):
-        delta0 = deltas[0]
-        omega2 = omega1 - delta0
-        from .circuit import KerrParams
-        params = KerrParams(np.array([omega1, omega2]), np.array([alpha1, alpha2]),
-                            np.zeros((2, 2)),
-                            exchange_g_hz=coupling.g_at(omega1, omega2))
+        params = kerr(deltas[0])
         spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
         try:
             decomp = pauli_decomposition(spec, params.exchange_g_hz)
@@ -195,7 +182,20 @@ def _blockade_system(cfg, context):
     return TwoQubitSystem(cfg["omega1_hz"], cfg["omega2_hz"], cfg["zeta_hz"]), None
 
 
-def cmd_blockade(cfg, out, threads=1):
+def _blockade_row(system, protocol, dissipation, readout, delay, length):
+    """Run one protocol; final excited populations, measured through readout if given."""
+    result = run_blockade_protocol(system, protocol, dissipation)
+    p1 = float(result.p_excited(1)[-1])
+    p2 = float(result.p_excited(2)[-1])
+    row = {"delay_s": delay, "pulse_len_s": length, "p1_e": p1, "p2_e": p2}
+    if readout is not None:
+        m1, m2 = readout
+        row["p1_e_measured"] = float((np.array([1 - p1, p1]) @ m1)[1])
+        row["p2_e_measured"] = float((np.array([1 - p2, p2]) @ m2)[1])
+    return row
+
+
+def cmd_blockade(cfg, out):
     zio._check_keys(cfg, ["fixture", "omega1_hz", "omega2_hz", "zeta_hz",
                           "pulse_lengths_s", "delays_s", "shape", "frame",
                           "carrier_convention", "dissipation", "readout_matrix",
@@ -206,17 +206,10 @@ def cmd_blockade(cfg, out, threads=1):
 
     if "protocol" in cfg:
         # explicit protocol file: run the single sequence as written
-        protocol, dissipation, matrix = zio.load_protocol_file(cfg["protocol"])
-        result = run_blockade_protocol(system, protocol, dissipation)
-        p1 = float(result.p_excited(1)[-1])
-        p2 = float(result.p_excited(2)[-1])
-        row = {"delay_s": protocol.delay_s,
-               "pulse_len_s": max(p.duration_s for p in protocol.pulses),
-               "p1_e": p1, "p2_e": p2}
-        if matrix is not None:
-            row["p1_e_measured"] = float((np.array([1 - p1, p1]) @ matrix)[1])
-            row["p2_e_measured"] = float((np.array([1 - p2, p2]) @ matrix)[1])
-        zio.write_blockade_csv(out, [row], with_measured=matrix is not None)
+        protocol, dissipation, readout = zio.load_protocol_file(cfg["protocol"])
+        row = _blockade_row(system, protocol, dissipation, readout, protocol.delay_s,
+                            max(p.duration_s for p in protocol.pulses))
+        zio.write_blockade_csv(out, [row], with_measured=readout is not None)
         zio.read_blockade_csv(out)
         return EXIT_OK
     lengths = [float(x) for x in cfg.get("pulse_lengths_s", [200e-9])]
@@ -233,32 +226,18 @@ def cmd_blockade(cfg, out, threads=1):
         zio._check_keys(d, ["t1_s", "t2_s"], "blockade:dissipation")
         dissipation = DissipationSpec(tuple(d["t1_s"]),
                                       tuple(d["t2_s"]) if "t2_s" in d else None)
-    matrix = np.asarray(cfg["readout_matrix"], dtype=float) if "readout_matrix" in cfg else None
+    readout = (zio.readout_matrices(cfg["readout_matrix"], "blockade")
+               if "readout_matrix" in cfg else None)
 
-    def point(item):
-        delay, length = item
-        protocol = make_blockade_protocol(system, length, delay, shape=shape,
-                                          frame=frame, carrier_convention=convention,
-                                          gaussian_sigma_s=sigma,
-                                          readout_pad_s=readout_pad)
-        result = run_blockade_protocol(system, protocol, dissipation)
-        p1 = float(result.p_excited(1)[-1])
-        p2 = float(result.p_excited(2)[-1])
-        row = {"delay_s": delay, "pulse_len_s": length, "p1_e": p1, "p2_e": p2}
-        if matrix is not None:
-            if matrix.shape == (2, 2):
-                m1 = m2 = matrix
-            elif matrix.shape == (2, 2, 2):
-                m1, m2 = matrix
-            else:
-                raise ConfigError("readout_matrix must be 2x2 or a pair of 2x2")
-            row["p1_e_measured"] = float((np.array([1 - p1, p1]) @ m1)[1])
-            row["p2_e_measured"] = float((np.array([1 - p2, p2]) @ m2)[1])
-        return row
-
-    items = [(d, ln) for d in delays for ln in lengths]
-    rows = _parallel_map(point, items, threads)
-    zio.write_blockade_csv(out, rows, with_measured=matrix is not None)
+    rows = []
+    for delay in delays:
+        for length in lengths:
+            protocol = make_blockade_protocol(system, length, delay, shape=shape,
+                                              frame=frame, carrier_convention=convention,
+                                              gaussian_sigma_s=sigma,
+                                              readout_pad_s=readout_pad)
+            rows.append(_blockade_row(system, protocol, dissipation, readout, delay, length))
+    zio.write_blockade_csv(out, rows, with_measured=readout is not None)
     zio.read_blockade_csv(out)
 
     if "spectral" in cfg:
@@ -280,7 +259,7 @@ def cmd_blockade(cfg, out, threads=1):
 
 # ------------------------------------------------------- flux spectroscopy
 
-def cmd_flux_spectroscopy(cfg, out, threads=1):
+def cmd_flux_spectroscopy(cfg, out):
     zio._check_keys(cfg, ["fixture", "flux_phi0", "q1_flux_phi0", "summary_json"],
                     "flux-spectroscopy")
     if "fixture" not in cfg:
@@ -294,21 +273,20 @@ def cmd_flux_spectroscopy(cfg, out, threads=1):
     coupling = fx.coupling()
     omega1 = transmon_spectrum(q1).omega01_hz
 
-    def point(flux):
-        params = kerr_at_flux(q1, q2, coupling, flux2_phi0=flux)
-        spec = diagonalize_and_label(build_hamiltonian(params, (3, 3), None))
-        lo, hi = spec.single_excitation_energies()
-        return {"flux_phi0": flux, "omega1_bare_hz": params.mode_freqs_hz[0],
-                "omega2_bare_hz": params.mode_freqs_hz[1],
-                "dressed_lower_hz": lo, "dressed_upper_hz": hi}
-
-    rows = _parallel_map(point, list(fluxes), threads)
+    rows, gaps = [], []
+    for flux in fluxes:
+        params, lo, hi = single_excitation_pair(q1, q2, coupling, flux)
+        rows.append({"flux_phi0": flux, "omega1_bare_hz": params.mode_freqs_hz[0],
+                     "omega2_bare_hz": params.mode_freqs_hz[1],
+                     "dressed_lower_hz": lo, "dressed_upper_hz": hi})
+        gaps.append(hi - lo)
     zio.write_flux_csv(out, rows)
     zio.read_flux_csv(out)
 
     summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(omega1)}
     try:
-        j, flux_min = avoided_crossing_j(q1, q2, coupling, fluxes)
+        # the rows' own gaps: the grid is solved once
+        j, flux_min = refine_crossing(q1, q2, coupling, fluxes, gaps)
         summary.update({"two_j_hz": 2.0 * float(j), "flux_at_min_phi0": float(flux_min)})
     except ZZKitError as exc:
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,
@@ -368,7 +346,7 @@ def _problem_from_config(cfg, seed_override=None):
     raise ConfigError(f"optimize: unknown kind {kind!r}")
 
 
-def cmd_optimize(cfg, out, threads=1, seed_override=None):
+def cmd_optimize(cfg, out, seed_override=None):
     problem, evaluator = _problem_from_config(cfg, seed_override)
     best, history = optimize(problem, evaluator)
     payload = {
@@ -413,7 +391,7 @@ def cmd_foster_fit(samples_csv, n_poles, out):
 
 # ------------------------------------------------------------------ ramsey
 
-def cmd_ramsey(cfg, out, threads=1):
+def cmd_ramsey(cfg, out):
     zio._check_keys(cfg, ["fixture", "omega1_hz", "omega2_hz", "zeta_hz",
                           "free_time_s", "drive_offset_hz"], "ramsey")
     system, _ = _blockade_system(cfg, "ramsey")
@@ -440,7 +418,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output path", default="zzkit_out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("zz-sweep", "blockade", "flux-spectroscopy", "optimize", "ramsey"):
         sub.add_parser(name)
@@ -458,15 +437,15 @@ def main(argv=None):
             return cmd_foster_fit(args.samples_csv, args.n_poles, args.out)
         cfg = _load_config(args.config)
         if args.command == "zz-sweep":
-            return cmd_zz_sweep(cfg, args.out, args.threads)
+            return cmd_zz_sweep(cfg, args.out)
         if args.command == "blockade":
-            return cmd_blockade(cfg, args.out, args.threads)
+            return cmd_blockade(cfg, args.out)
         if args.command == "flux-spectroscopy":
-            return cmd_flux_spectroscopy(cfg, args.out, args.threads)
+            return cmd_flux_spectroscopy(cfg, args.out)
         if args.command == "optimize":
-            return cmd_optimize(cfg, args.out, args.threads, args.seed)
+            return cmd_optimize(cfg, args.out, args.seed)
         if args.command == "ramsey":
-            return cmd_ramsey(cfg, args.out, args.threads)
+            return cmd_ramsey(cfg, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ E_CHARGE = 1.602176634e-19      # C
 H_PLANCK = 6.62607015e-34       # J s
 HBAR = H_PLANCK / (2 * np.pi)   # J s
 PHI0 = H_PLANCK / (2 * E_CHARGE)          # flux quantum h / 2e, Wb
-PHI0_REDUCED = HBAR / (2 * E_CHARGE)      # reduced flux quantum hbar / 2e, Wb
 
 
 def charging_energy_hz(c_farads):
@@ -21,16 +20,6 @@ def charging_energy_hz(c_farads):
 def capacitance_from_ec(ec_hz):
     """Invert charging_energy_hz: node capacitance giving E_C / h = ec_hz."""
     return E_CHARGE**2 / (2.0 * ec_hz * H_PLANCK)
-
-
-def josephson_energy_hz(l_henries):
-    """E_J / h for a linear Josephson inductance L_J = (hbar/2e)^2 / E_J."""
-    return PHI0_REDUCED**2 / (l_henries * H_PLANCK)
-
-
-def josephson_inductance(ej_hz):
-    """Linear inductance of a junction with Josephson energy E_J / h = ej_hz."""
-    return PHI0_REDUCED**2 / (ej_hz * H_PLANCK)
 
 
 def phase_zpf_from_impedance(z_ohms):

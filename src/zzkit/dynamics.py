@@ -16,7 +16,7 @@ evolution uses an adaptive Runge-Kutta integrator split at every pulse edge
 evolution use the exact exponential of the static Liouvillian.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -120,16 +120,7 @@ class PulseSpec:
         return self.amplitude_hz * s * np.sqrt(2 * np.pi) * erf(half / (s * np.sqrt(2)))
 
     def shift(self, dt):
-        return _replace_pulse(self, start_time_s=self.start_time_s + dt)
-
-
-def _replace_pulse(p, **kw):
-    data = dict(shape=p.shape, amplitude_hz=p.amplitude_hz, duration_s=p.duration_s,
-                carrier_hz=p.carrier_hz, phase_rad=p.phase_rad,
-                start_time_s=p.start_time_s, gaussian_sigma_s=p.gaussian_sigma_s,
-                target_qubit=p.target_qubit)
-    data.update(kw)
-    return PulseSpec(**data)
+        return replace(self, start_time_s=self.start_time_s + dt)
 
 
 def calibrated_pulse(shape, duration_s, carrier_hz, rotation_cycles=0.5,
@@ -142,7 +133,7 @@ def calibrated_pulse(shape, duration_s, carrier_hz, rotation_cycles=0.5,
     """
     probe = PulseSpec(shape, 1.0, duration_s, carrier_hz, phase_rad, start_time_s,
                       gaussian_sigma_s, target_qubit)
-    return _replace_pulse(probe, amplitude_hz=rotation_cycles / probe.area())
+    return replace(probe, amplitude_hz=rotation_cycles / probe.area())
 
 
 def pi_pulse(shape, duration_s, carrier_hz, **kw):
@@ -396,10 +387,6 @@ class SimulationResult:
         if qubit == 1:
             return self.populations[(1, 0)] + self.populations[(1, 1)]
         return self.populations[(0, 1)] + self.populations[(1, 1)]
-
-    def at_time(self, t):
-        k = int(np.argmin(np.abs(self.times_s - t)))
-        return {lab: float(p[k]) for lab, p in self.populations.items()}
 
 
 def _segments(t0, t1, breakpoints):
@@ -776,16 +763,16 @@ def apply_readout_matrix(populations, fidelity_matrix):
     m = np.asarray(fidelity_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or p.shape != (m.shape[0],):
         raise ValueError("populations and fidelity matrix shapes disagree")
-    if np.any(m < -1e-12) or np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
-        raise StochasticityError("fidelity matrix rows must be probabilities summing to 1")
+    check_row_stochastic(m)
     out = p @ m
     return out / out.sum()
 
 
-def readout_matrix_for_qubit(result, qubit, fidelity_matrix):
-    """Measured excited-state population of one qubit through a 2x2 confusion matrix."""
-    pe = result.p_excited(qubit)
-    pe = np.atleast_1d(pe)
-    out = np.array([apply_readout_matrix(np.array([1.0 - x, x]), fidelity_matrix)[1]
-                    for x in pe])
-    return out if out.size > 1 else float(out[0])
+def check_row_stochastic(fidelity_matrix):
+    """Raise StochasticityError unless every row (last axis) is a probability vector.
+
+    NaN entries fail the check.
+    """
+    m = np.asarray(fidelity_matrix, dtype=float)
+    if not (np.all(m >= -1e-12) and np.all(np.abs(m.sum(axis=-1) - 1.0) <= 1e-9)):
+        raise StochasticityError("fidelity matrix rows must be probabilities summing to 1")

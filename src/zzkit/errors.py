@@ -33,10 +33,6 @@ class TruncationError(ZZKitError):
     """Requested Hilbert-space truncation is too small to be meaningful."""
 
 
-class DegenerateLabelError(ZZKitError):
-    """Two bare labels claim the same eigenstate even under optimal assignment."""
-
-
 class AmbiguousLabelError(ZZKitError):
     """A bare-state label has squared overlap at or below 1/2 with its eigenstate."""
 

@@ -20,7 +20,8 @@ from .circuit import (
     TransmonSpec,
     effective_josephson_energy,
 )
-from .errors import ConfigError
+from .dynamics import DissipationSpec, ProtocolSpec, PulseSpec, check_row_stochastic
+from .errors import ConfigError, StochasticityError
 
 ZZ_SWEEP_HEADER = ["delta_hz", "zeta_exact_hz", "zeta_perturbative_hz",
                    "zeta_series_hz", "ambiguous_flag"]
@@ -113,10 +114,8 @@ def load_circuit_file(path):
 def load_protocol_file(path):
     """Parse a pulse-protocol JSON: frame, pulses, delay, dissipation, readout.
 
-    Returns (ProtocolSpec, DissipationSpec or None, readout matrix or None).
+    Returns (ProtocolSpec, DissipationSpec or None, readout_matrices pair or None).
     """
-    from .dynamics import DissipationSpec, ProtocolSpec, PulseSpec
-
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -157,9 +156,30 @@ def load_protocol_file(path):
                 tuple(d["t2_s"]) if "t2_s" in d else None)
         except ValueError as exc:
             raise ConfigError(f"{path}: dissipation: {exc}") from exc
-    matrix = np.asarray(raw["readout_matrix"], dtype=float) \
-        if "readout_matrix" in raw else None
-    return protocol, dissipation, matrix
+    readout = readout_matrices(raw["readout_matrix"], path) if "readout_matrix" in raw else None
+    return protocol, dissipation, readout
+
+
+def readout_matrices(raw, context):
+    """Validate a readout_matrix entry: (matrix for qubit 1, matrix for qubit 2).
+
+    Accepts one 2x2 confusion matrix shared by both qubits or a pair of 2x2
+    matrices; every row must be a probability vector.
+    """
+    try:
+        m = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: readout_matrix: {exc}") from exc
+    if m.shape == (2, 2):
+        m = np.stack([m, m])
+    if m.shape != (2, 2, 2):
+        raise ConfigError(
+            f"{context}: readout_matrix must be 2x2 or a pair of 2x2, got shape {m.shape}")
+    try:
+        check_row_stochastic(m)
+    except StochasticityError as exc:
+        raise ConfigError(f"{context}: readout_matrix: {exc}") from exc
+    return m[0], m[1]
 
 
 def load_admittance_csv(path):

@@ -74,8 +74,9 @@ class OptimizationProblem:
 
     variables maps names from VARIABLE_ORDER to (low, high) bounds; names not
     listed are pinned by `fixed`.  n_exc caps the total excitation number of
-    the diagnostic Hamiltonian.  objective "abs" maximizes |zeta|, "signed"
-    maximizes zeta itself.
+    the diagnostic Hamiltonian; for n_exc >= 2 it sets only the problem size,
+    not zeta (see build_hamiltonian).  objective "abs" maximizes |zeta|,
+    "signed" maximizes zeta itself.
     """
 
     variables: tuple                       # ((name, low, high), ...)

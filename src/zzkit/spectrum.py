@@ -6,8 +6,8 @@ The truncated Hamiltonian of two exchange-coupled Kerr modes is
         + g (a1^dag a2 + a1 a2^dag),
 
 diagonal in the product Fock basis except for the excitation-conserving
-flip-flop term.  Dressed eigenstates are tagged by the bare label they
-overlap most with; the ZZ strength is then
+flip-flop term.  Dressed eigenstates are matched to bare labels by the
+optimal assignment of squared overlaps; the ZZ strength is then
 
     zeta = E_11 - E_10 - E_01 + E_00,
 
@@ -23,7 +23,6 @@ from scipy.optimize import linear_sum_assignment
 from .circuit import KerrParams, transmon_spectrum
 from .errors import (
     AmbiguousLabelError,
-    DegenerateLabelError,
     DomainError,
     NoCrossingError,
     PoleError,
@@ -60,6 +59,12 @@ def build_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
     cross-Kerr -chi n1 n2 (participation-derived chi_12 plus any explicit bare
     term); the off-diagonal carries the flip-flop elements
     <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
+
+    The flip-flop term conserves N = n1 + n2, and zeta needs only the blocks
+    with N <= 2.  Once each mode keeps at least 3 levels and
+    max_total_excitation is at least 2 (or None), larger truncations leave
+    zeta unchanged up to rounding (barring exact degeneracies between
+    blocks); they set only the problem size and what a spectrum dump lists.
     """
     if params.n_modes != 2:
         raise ValueError("build_hamiltonian expects exactly two modes")
@@ -114,43 +119,22 @@ class LabeledSpectrum:
 def diagonalize_and_label(ham):
     """Diagonalize and assign each bare label to a distinct eigenstate.
 
-    Assignment is greedy on descending squared overlap; if that leaves any
-    label with overlap <= 1/2 the globally optimal (Hungarian) assignment is
-    used instead.  Labels whose final overlap is still <= 1/2 are flagged
-    ambiguous rather than rejected, so near-resonant spectra stay usable.
+    Labeling is the optimal assignment: the label-to-eigenstate matching that
+    maximizes the summed squared overlap (Kuhn's Hungarian method, via
+    scipy's linear_sum_assignment).  Every row and column of |U|^2 sums to 1,
+    so a label with overlap above 1/2 always gets the eigenstate it overlaps
+    most with.  Labels whose final overlap is <= 1/2 are flagged ambiguous
+    rather than rejected, so near-resonant spectra stay usable.
     """
     evals, evecs = np.linalg.eigh(ham.matrix)
     labels = ham.basis_labels
-    n = len(labels)
-    if evecs.shape[1] < n:
-        raise DegenerateLabelError("fewer eigenvectors than bare labels")
     overlap = np.abs(evecs) ** 2        # overlap[i, k] = |<label_i|evec_k>|^2
-
-    def greedy():
-        order = np.dstack(np.unravel_index(np.argsort(-overlap, axis=None), overlap.shape))[0]
-        lab_done, vec_done, pick = set(), set(), {}
-        for i, k in order:
-            if i in lab_done or k in vec_done:
-                continue
-            pick[i] = k
-            lab_done.add(i)
-            vec_done.add(k)
-            if len(pick) == n:
-                break
-        return pick
-
-    pick = greedy()
-    if min(overlap[i, k] for i, k in pick.items()) <= AMBIGUITY_THRESHOLD:
-        rows, cols = linear_sum_assignment(-overlap)
-        optimal = dict(zip(rows.tolist(), cols.tolist()))
-        if len(set(optimal.values())) < n:
-            raise DegenerateLabelError("optimal assignment is not injective")
-        pick = optimal
+    rows, cols = linear_sum_assignment(-overlap)
 
     number = np.array([i + j for i, j in labels], dtype=float)
-    total_exc = number @ np.abs(evecs) ** 2
+    total_exc = number @ overlap
     energies, overlaps, vectors, ambiguous = {}, {}, {}, []
-    for i, k in pick.items():
+    for i, k in zip(rows.tolist(), cols.tolist()):
         lab = labels[i]
         energies[lab] = float(evals[k])
         overlaps[lab] = float(overlap[i, k])
@@ -168,12 +152,8 @@ def diagonalize_and_label(ham):
     )
 
 
-def zeta_exact(spectrum):
-    """Signed ZZ strength E_11 - E_10 - E_01 + E_00 from the labeled spectrum.
-
-    Raises AmbiguousLabelError near resonance; callers should then fall back
-    to zeta_resonant (the symmetric/antisymmetric convention).
-    """
+def _computational_energies(spectrum):
+    """(E_00, E_01, E_10, E_11); AmbiguousLabelError if one is missing or ambiguous."""
     for lab in COMPUTATIONAL_LABELS:
         if lab not in spectrum.energies:
             raise AmbiguousLabelError(f"label {lab} missing from spectrum")
@@ -181,8 +161,17 @@ def zeta_exact(spectrum):
             raise AmbiguousLabelError(
                 f"label {lab} is ambiguous (overlap {spectrum.overlaps[lab]:.3f})"
             )
-    e = spectrum.energies
-    return e[(1, 1)] - e[(1, 0)] - e[(0, 1)] + e[(0, 0)]
+    return tuple(spectrum.energies[lab] for lab in COMPUTATIONAL_LABELS)
+
+
+def zeta_exact(spectrum):
+    """Signed ZZ strength E_11 - E_10 - E_01 + E_00 from the labeled spectrum.
+
+    Raises AmbiguousLabelError near resonance; callers should then fall back
+    to zeta_resonant (the symmetric/antisymmetric convention).
+    """
+    e00, e01, e10, e11 = _computational_energies(spectrum)
+    return e11 - e10 - e01 + e00
 
 
 def zeta_resonant(spectrum):
@@ -305,13 +294,7 @@ def pauli_decomposition(spectrum, j_dressed_hz=0.0):
     and beta_2 = beta_3 = J/2 from the supplied dressed exchange rate.
     zeta = 4 beta_5 holds by construction.
     """
-    for lab in COMPUTATIONAL_LABELS:
-        if lab not in spectrum.energies:
-            raise AmbiguousLabelError(f"label {lab} missing from spectrum")
-        if lab in spectrum.ambiguous:
-            raise AmbiguousLabelError(f"label {lab} is ambiguous")
-    e = spectrum.energies
-    e00, e01, e10, e11 = e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)]
+    e00, e01, e10, e11 = _computational_energies(spectrum)
     b0 = (e00 + e01 + e10 + e11) / 4.0
     b1 = (e00 - e01 + e10 - e11) / 4.0
     b4 = (e00 + e01 - e10 - e11) / 4.0
@@ -348,25 +331,44 @@ def kerr_at_flux(q1, q2, coupling, flux1_phi0=None, flux2_phi0=None):
     )
 
 
-def _single_excitation_gap(q1, q2, coupling, flux2, levels=(3, 3)):
-    params = kerr_at_flux(q1, q2, coupling, flux2_phi0=flux2)
-    spec = diagonalize_and_label(build_hamiltonian(params, levels, None))
-    ep, em = spec.single_excitation_energies()
-    return float(abs(em - ep))
+def single_excitation_pair(q1, q2, coupling, flux2_phi0):
+    """(KerrParams, lower, upper): the dressed single-excitation pair in Hz.
+
+    Qubit 1 stays at its own bias and qubit 2 sits at flux2_phi0; each mode
+    keeps three levels.
+    """
+    params = kerr_at_flux(q1, q2, coupling, flux2_phi0=flux2_phi0)
+    spec = diagonalize_and_label(build_hamiltonian(params, (3, 3), None))
+    lower, upper = spec.single_excitation_energies()
+    return params, lower, upper
 
 
 def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
     """Half the minimum single-excitation splitting and the flux where it occurs.
 
     Scans the qubit-2 flux over flux_sweep with qubit 1 fixed at its own bias,
-    then refines the grid minimum by successive parabolic interpolation of the
-    squared gap (exact for a locally quadratic detuning).  Raises
+    then refines the grid minimum with refine_crossing.  Raises
     NoCrossingError when the minimum sits at an endpoint of the sweep.
     """
     fluxes = np.asarray(flux_sweep, dtype=float)
     if fluxes.size < 3:
         raise ValueError("flux sweep needs at least 3 points")
-    gaps = np.array([_single_excitation_gap(q1, q2, coupling, f) for f in fluxes])
+    gaps = []
+    for flux in fluxes:
+        _, lower, upper = single_excitation_pair(q1, q2, coupling, flux)
+        gaps.append(upper - lower)
+    return refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations)
+
+
+def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
+    """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
+
+    gaps[k] is the splitting at fluxes[k].  The grid minimum is refined by
+    successive parabolic interpolation of the squared gap (exact for a
+    locally quadratic detuning).  Raises NoCrossingError when the minimum
+    sits at an endpoint of the scan.
+    """
+    gaps = np.asarray(gaps, dtype=float)
     k = int(np.argmin(gaps))
     if k == 0 or k == len(fluxes) - 1:
         raise NoCrossingError("gap is monotone over the sweep (no bracketed minimum)")
@@ -382,7 +384,8 @@ def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
         x_new = x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
         if not (min(xs) <= x_new <= max(xs)) or any(np.isclose(x_new, x) for x in xs):
             break
-        y_new = _single_excitation_gap(q1, q2, coupling, x_new) ** 2
+        _, lower, upper = single_excitation_pair(q1, q2, coupling, x_new)
+        y_new = (upper - lower) ** 2
         triple = sorted(zip(xs + [x_new], ys + [y_new]))
         # keep the best point and its nearest bracketing neighbours
         ybest = min(t[1] for t in triple)

@@ -41,10 +41,7 @@ class RationalFit:
 
     def evaluate(self, omegas_rad_s):
         s = 1j * np.asarray(omegas_rad_s, dtype=float)
-        out = np.full(s.shape, self.direct_term, dtype=complex)
-        for p, r in zip(self.poles, self.residues):
-            out = out + r / (s - p)
-        return out
+        return _model(s, self.poles, self.residues, self.direct_term)
 
 
 def _pair_index(poles):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zzkit import FosterMode
+from zzkit import FosterMode, avoided_crossing_j
 from zzkit.circuit import foster_impedance
 from zzkit.cli import main
 from zzkit.errors import ConfigError
@@ -97,12 +97,25 @@ class TestZZSweepCommand:
         mags = [abs(r["zeta_exact_hz"]) for r in rows]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
-    def test_reruns_byte_identical(self, tmp_path):
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        cfg = self.config(tmp_path)
-        main(["--config", cfg, "--out", out1, "zz-sweep"])
-        main(["--config", cfg, "--out", out2, "--threads", "4", "zz-sweep"])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+    def test_reruns_byte_identical(self, tmp_path, capsys):
+        # --threads has no effect: files and stdout match the default run
+        runs = [
+            ("zz-sweep", "4", self.config(tmp_path)),
+            ("blockade", "2", write_json(tmp_path / "blockade.json", {
+                "fixture": "chip1", "pulse_lengths_s": [60e-9, 100e-9],
+                "delays_s": [-80e-9, 80e-9],
+                "readout_matrix": [[0.95, 0.05], [0.10, 0.90]]})),
+            ("flux-spectroscopy", "2", write_json(tmp_path / "flux.json", {
+                "fixture": "chip1",
+                "flux_phi0": {"start": -0.2, "stop": -0.01, "num": 21}})),
+        ]
+        for command, threads, cfg in runs:
+            out1, out2 = str(tmp_path / f"{command}-a.csv"), str(tmp_path / f"{command}-b.csv")
+            assert main(["--config", cfg, "--out", out1, command]) == 0
+            stdout1 = capsys.readouterr().out
+            assert main(["--config", cfg, "--out", out2, "--threads", threads, command]) == 0
+            assert capsys.readouterr().out == stdout1
+            assert open(out1, "rb").read() == open(out2, "rb").read(), command
 
     def test_zero_coupling_inline(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -183,6 +196,43 @@ class TestBlockadeCommand:
         assert row["p1_e_measured"] == pytest.approx(
             (1 - row["p1_e"]) * 0.05 + row["p1_e"] * 0.90, abs=1e-9)
 
+    def test_grid_readout_matrix_validated(self, tmp_path, capsys):
+        # a non-stochastic or misshapen matrix is refused before any simulation
+        out = tmp_path / "b.csv"
+        for matrix in ([[2, -1], [0, 1]], [[0.9, 0.1]], [[0.9, 0.1], [0.2, "x"]],
+                       [[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.2], [0.2, 0.8]]]):
+            cfg = write_json(tmp_path / "cfg.json", {
+                "fixture": "chip1", "pulse_lengths_s": [100e-9],
+                "delays_s": [-80e-9], "readout_matrix": matrix})
+            assert main(["--config", cfg, "--out", str(out), "blockade"]) == 2
+            assert "readout_matrix" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_protocol_readout_matrix_validated(self, tmp_path, capsys):
+        protocol = {
+            "frame": "rotating",
+            "pulses": [{"shape": "truncated_cosine", "amplitude_hz": 1.0 / 100e-9,
+                        "duration_s": 100e-9, "carrier_hz": 6.307e9}],
+        }
+        ppath = tmp_path / "protocol.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "zeta_hz": 19e6, "omega1_hz": 6.307e9, "omega2_hz": 4.498e9,
+            "protocol": str(ppath)})
+        out = tmp_path / "b.csv"
+        for matrix in ([[2, -1], [0, 1]], [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]]):
+            ppath.write_text(json.dumps(dict(protocol, readout_matrix=matrix)))
+            assert main(["--config", cfg, "--out", str(out), "blockade"]) == 2
+            assert "readout_matrix" in capsys.readouterr().err
+            assert not out.exists()
+        # a pair of matrices applies one per qubit
+        pair = [[[0.95, 0.05], [0.10, 0.90]], [[1.0, 0.0], [0.0, 1.0]]]
+        ppath.write_text(json.dumps(dict(protocol, readout_matrix=pair)))
+        assert main(["--config", cfg, "--out", str(out), "blockade"]) == 0
+        row, = read_blockade_csv(str(out))
+        assert row["p1_e_measured"] == pytest.approx(
+            (1 - row["p1_e"]) * 0.05 + row["p1_e"] * 0.90, abs=1e-12)
+        assert row["p2_e_measured"] == pytest.approx(row["p2_e"], abs=1e-12)
+
     def test_protocol_file_unknown_key_rejected(self, tmp_path):
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps({"pulses": [], "frames": "lab"}))
@@ -240,6 +290,25 @@ class TestFluxSpectroscopyCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["two_j_hz"] == pytest.approx(491e6, rel=0.05)
         assert summary["flux_at_min_phi0"] == pytest.approx(-0.1, abs=0.02)
+
+    def test_summary_equals_avoided_crossing_j(self, tmp_path, chip1):
+        # the command refines the gaps of the rows it wrote; the library call
+        # scans the grid itself, and both give the same numbers exactly
+        summary_path = tmp_path / "summary.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "fixture": "chip1",
+            "flux_phi0": {"start": -0.2, "stop": -0.01, "num": 21},
+            "summary_json": str(summary_path),
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "flux.csv"),
+                     "flux-spectroscopy"]) == 0
+        summary = json.loads(summary_path.read_text())
+        q1f, q2f = chip1.qubits
+        j, flux_min = avoided_crossing_j(q1f.transmon(float(q1f.default_flux_phi0)),
+                                         q2f.transmon(), chip1.coupling(),
+                                         np.linspace(-0.2, -0.01, 21))
+        assert summary["two_j_hz"] == 2.0 * float(j)
+        assert summary["flux_at_min_phi0"] == flux_min
 
     def test_far_detuned_spectator_nearly_bare(self, tmp_path, chip1):
         # parking Q1 at its upper sweet-spot (9.2 GHz) leaves Q2 dressed only

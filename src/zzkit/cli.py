@@ -78,14 +78,26 @@ def _grid(cfg, key, context):
     spec = cfg.get(key)
     if spec is None:
         raise ConfigError(f"{context}: missing grid {key!r}")
-    if isinstance(spec, list):
-        grid = np.asarray(spec, dtype=float)
-    else:
-        zio._check_keys(spec, ["start", "stop", "num"], f"{context}:{key}")
-        grid = np.linspace(spec["start"], spec["stop"], int(spec["num"]))
+    try:
+        if isinstance(spec, list):
+            grid = np.asarray(spec, dtype=float)
+        else:
+            zio._check_keys(spec, ["start", "stop", "num"], f"{context}:{key}")
+            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {key} must be a list of numbers or numeric "
+                          f"start, stop and integer num ({type(exc).__name__}: {exc})") from exc
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigError(f"{context}: {key} must be monotone with >= 2 points")
     return grid
+
+
+def _config_int(value, context, field):
+    """int(value), or a ConfigError naming the field when the value is not a number."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}: {field} must be an integer, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------- zz-sweep
@@ -120,9 +132,14 @@ def cmd_zz_sweep(cfg, out):
                     "zz-sweep")
     omega1, alpha1, alpha2, coupling = _sweep_system(cfg, "zz-sweep")
     deltas = _grid(cfg, "delta_hz", "zz-sweep")
-    levels = tuple(cfg.get("levels_per_mode", (4, 4)))
+    levels = cfg.get("levels_per_mode", (4, 4))
+    if not isinstance(levels, (list, tuple)) or len(levels) != 2:
+        raise ConfigError(f"zz-sweep: levels_per_mode must hold two integers, got {levels!r}")
+    levels = tuple(_config_int(n, "zz-sweep", "levels_per_mode") for n in levels)
     max_exc = cfg.get("max_total_excitation", 4)
-    order = int(cfg.get("series_order", 4))
+    if max_exc is not None:
+        max_exc = _config_int(max_exc, "zz-sweep", "max_total_excitation")
+    order = _config_int(cfg.get("series_order", 4), "zz-sweep", "series_order")
 
     def kerr(delta):
         omega2 = omega1 - delta
@@ -271,11 +288,11 @@ def cmd_flux_spectroscopy(cfg, out):
     q1 = q1f.transmon(q1_flux)
     q2 = q2f.transmon()
     coupling = fx.coupling()
-    omega1 = transmon_spectrum(q1).omega01_hz
+    s1 = transmon_spectrum(q1)
 
     rows, gaps = [], []
     for flux in fluxes:
-        params, lo, hi = single_excitation_pair(q1, q2, coupling, flux)
+        params, lo, hi = single_excitation_pair(s1, q2, coupling, flux)
         rows.append({"flux_phi0": flux, "omega1_bare_hz": params.mode_freqs_hz[0],
                      "omega2_bare_hz": params.mode_freqs_hz[1],
                      "dressed_lower_hz": lo, "dressed_upper_hz": hi})
@@ -283,10 +300,10 @@ def cmd_flux_spectroscopy(cfg, out):
     zio.write_flux_csv(out, rows)
     zio.read_flux_csv(out)
 
-    summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(omega1)}
+    summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(s1.omega01_hz)}
     try:
         # the rows' own gaps: the grid is solved once
-        j, flux_min = refine_crossing(q1, q2, coupling, fluxes, gaps)
+        j, flux_min = refine_crossing(s1, q2, coupling, fluxes, gaps)
         summary.update({"two_j_hz": 2.0 * float(j), "flux_at_min_phi0": float(flux_min)})
     except ZZKitError as exc:
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,

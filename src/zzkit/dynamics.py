@@ -10,10 +10,14 @@ its two neighbor-in-ground transition frequencies, the ZZ strength zeta
 Drives enter the lab frame as Omega_i(t) sin(2 pi f_d t + phi) sigma_y; in
 the frame co-rotating with the carriers the rotating-wave approximation turns
 them into Omega_i(t)/2 on the transverse axis, and driving each qubit at its
-dressed transition leaves exactly zeta |11><11| plus the drives.  Closed
-evolution uses an adaptive Runge-Kutta integrator split at every pulse edge
-(so isolated pulses are never stepped over); drive-free stretches of open
-evolution use the exact exponential of the static Liouvillian.
+dressed transition leaves exactly zeta |11><11| plus the drives.
+
+Closed and open evolution share one propagation core, which integrates
+dy/dt = G(H(t)) y with y = psi and G(h) = -i h, or y = vec(rho) and G the
+Lindblad generator.  It splits the time axis at every pulse edge (so isolated
+pulses are never stepped over), propagates drive-free segments with exact
+exponentials of the static generator and integrates driven ones with an
+adaptive Runge-Kutta (DOP853) method.
 """
 
 from dataclasses import dataclass, replace
@@ -119,9 +123,6 @@ class PulseSpec:
         s, half = self.gaussian_sigma_s, 0.5 * self.duration_s
         return self.amplitude_hz * s * np.sqrt(2 * np.pi) * erf(half / (s * np.sqrt(2)))
 
-    def shift(self, dt):
-        return replace(self, start_time_s=self.start_time_s + dt)
-
 
 def calibrated_pulse(shape, duration_s, carrier_hz, rotation_cycles=0.5,
                      target_qubit=1, start_time_s=0.0, phase_rad=0.0,
@@ -196,16 +197,6 @@ class TwoQubitSystem:
         w1_0, _, w2_0, _ = conditional_frequencies(decomp)
         return cls(abs(w1_0), abs(w2_0), decomp.zeta_hz,
                    decomp.beta_hz[2], decomp.beta_hz[3])
-
-    @classmethod
-    def from_labeled_spectrum(cls, spectrum, j_hz=0.0):
-        e = spectrum.energies
-        return cls(
-            e[(1, 0)] - e[(0, 0)],
-            e[(0, 1)] - e[(0, 0)],
-            e[(1, 1)] - e[(1, 0)] - e[(0, 1)] + e[(0, 0)],
-            j_hz / 2.0, j_hz / 2.0,
-        )
 
     def energies(self):
         return np.array([0.0, self.omega2_hz, self.omega1_hz,
@@ -394,66 +385,70 @@ def _segments(t0, t1, breakpoints):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _integrate_closed_segment(ham, psi, a, b, grid_pts, rtol, atol):
-    def rhs(t, y):
-        return (-1j * (ham.matrix(t) @ y.view(complex))).view(float)
+def _check_grid(grid_s):
+    grid = np.asarray(grid_s, dtype=float)
+    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid_s must be strictly increasing")
+    return grid
 
-    kw = dict(rtol=rtol, atol=atol, method="DOP853", dense_output=bool(len(grid_pts)))
-    if ham.max_step_s and not ham.is_static_on(a, b):
-        kw["max_step"] = ham.max_step_s
-    elif not ham.is_static_on(a, b):
-        kw["max_step"] = max((b - a) / 8.0, 1e-15)
-    sol = solve_ivp(rhs, (a, b), psi.view(float), **kw)
-    if not sol.success:
-        raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
-    samples = [sol.sol(t).view(complex).copy() for t in grid_pts] if len(grid_pts) else []
-    return sol.y[:, -1].view(complex).copy(), samples
+
+def _propagate(ham, generator, y0, grid, rtol, atol):
+    """States y(t) on grid for dy/dt = generator(H(t)) y with y(grid[0]) = y0.
+
+    The time axis is split at every envelope edge so that isolated pulses are
+    always sampled.  A segment where the Hamiltonian is static is propagated
+    with exact exponentials of its generator, one stacked expm over the grid
+    offsets inside it and its end; a driven segment is integrated by DOP853
+    with at most ham.max_step_s (or an eighth of the segment) per step.
+    """
+    def rhs(t, v):
+        return (generator(ham.matrix(t)) @ v.view(complex)).view(float)
+
+    y = np.ascontiguousarray(y0)     # solve_ivp sees it through a float view
+    out = np.empty((len(grid), len(y0)), dtype=complex)
+    out[0] = y0
+    for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
+        mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
+        if ham.is_static_on(a, b):
+            g = generator(ham.matrix(0.5 * (a + b)))
+            offsets = np.append(grid[mask], b) - a
+            states = expm(g[None] * offsets[:, None, None]) @ y
+            out[mask], y = states[:-1], states[-1]
+            continue
+        sol = solve_ivp(rhs, (a, b), y.view(float), method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=bool(mask.any()),
+                        max_step=ham.max_step_s or max((b - a) / 8.0, 1e-15))
+        if not sol.success:
+            raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
+        for k in np.nonzero(mask)[0]:
+            out[k] = sol.sol(grid[k]).view(complex)
+        y = sol.y[:, -1].view(complex).copy()
+    return out
+
+
+def _closed_generator(h):
+    return -1j * h
 
 
 def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
                        keep_states=False):
     """Integrate the Schrodinger equation on [grid[0], grid[-1]].
 
-    The time axis is split at every envelope edge so that isolated pulses are
-    always sampled; drive-free segments are propagated with the exact matrix
-    exponential when the Hamiltonian is static there.  A norm drift beyond
-    1e-6 triggers one retry with 100x tighter tolerances before raising
-    StiffnessError.
+    Propagation runs through the shared segment loop with generator -i H.
+    A norm drift beyond 1e-6 triggers one retry with 100x tighter tolerances
+    before raising StiffnessError.
     """
-    grid = np.asarray(grid_s, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid_s must be strictly increasing")
+    grid = _check_grid(grid_s)
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-
-    def run(rt, at):
-        psi = psi0.copy()
-        out = np.empty((len(grid), ham.dim), dtype=complex)
-        out[0] = psi0
-        for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
-            mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
-            inside = grid[mask]
-            idx = np.nonzero(mask)[0]
-            if ham.is_static_on(a, b):
-                evals, evecs = np.linalg.eigh(ham.matrix(0.5 * (a + b)))
-                coeff = evecs.conj().T @ psi
-                for k, t in zip(idx, inside):
-                    out[k] = evecs @ (np.exp(-1j * evals * (t - a)) * coeff)
-                psi = evecs @ (np.exp(-1j * evals * (b - a)) * coeff)
-            else:
-                psi, samples = _integrate_closed_segment(ham, psi, a, b, inside, rt, at)
-                for k, s in zip(idx, samples):
-                    out[k] = s
-        return psi, out
-
-    psi_end, states = run(rtol, atol)
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    if drift > NORM_DRIFT_TOL:
-        psi_end, states = run(rtol * 1e-2, atol * 1e-2)
+    for scale in (1.0, 1e-2):
+        states = _propagate(ham, _closed_generator, psi0, grid, rtol * scale, atol * scale)
         drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-        if drift > NORM_DRIFT_TOL:
-            raise StiffnessError(f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
+        if drift <= NORM_DRIFT_TOL:
+            break
+    else:
+        raise StiffnessError(f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
     pops = {lab: np.abs(states[:, k]) ** 2 for k, lab in enumerate(BASIS_LABELS)}
     return SimulationResult(grid, pops, states if keep_states else None, drift)
 
@@ -474,14 +469,14 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
                     atol=ATOL_DEFAULT, keep_states=False):
     """Master-equation evolution with per-qubit relaxation and pure dephasing.
 
-    Uses the same pulse-edge segmentation as the closed solver; on drive-free
-    segments the propagator is the exact exponential of the static Liouvillian,
-    which makes microsecond-scale free decays cheap.  Trace is monitored to
-    1e-6 and the state is checked for negative eigenvalues below -1e-8.
+    Propagates vec(rho) through the shared segment loop with the Liouvillian
+    generator D - i(H x I - I x H^T), the dissipator D built once per call;
+    drive-free segments therefore use the exact exponential of the static
+    Liouvillian, which makes microsecond-scale free decays cheap.  Trace is
+    monitored to 1e-6 and the state is checked for negative eigenvalues
+    below -1e-8.
     """
-    grid = np.asarray(grid_s, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid_s must be strictly increasing")
+    grid = _check_grid(grid_s)
     rho0 = np.asarray(rho0, dtype=complex)
     n = ham.dim
     if rho0.shape != (n, n):
@@ -489,46 +484,17 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.min(np.linalg.eigvalsh(rho0)) < -1e-9:
         raise ValueError("rho0 must be a unit-trace positive-semidefinite matrix")
     c_ops = dissipation.collapse_operators() if dissipation is not None else []
+    dissipator = _liouvillian(np.zeros((n, n)), c_ops)
 
-    def rhs(t, y):
-        rho = y.view(complex).reshape(n, n)
-        h = ham.matrix(t)
-        drho = -1j * (h @ rho - rho @ h)
-        for c in c_ops:
-            cd = c.conj().T
-            drho += c @ rho @ cd - 0.5 * (cd @ c @ rho + rho @ cd @ c)
-        return drho.reshape(-1).view(float)
+    def generator(h):
+        return dissipator + _liouvillian(h, ())
 
-    rho = rho0.copy()
-    out = np.empty((len(grid), n, n), dtype=complex)
-    out[0] = rho0
-    for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
-        mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
-        inside, idx = grid[mask], np.nonzero(mask)[0]
-        if ham.is_static_on(a, b):
-            lv = _liouvillian(ham.matrix(0.5 * (a + b)), c_ops)
-            vec = rho.reshape(-1)
-            for k, t in zip(idx, inside):
-                out[k] = (expm(lv * (t - a)) @ vec).reshape(n, n)
-            rho = (expm(lv * (b - a)) @ vec).reshape(n, n)
-        else:
-            kw = dict(rtol=rtol, atol=atol, method="DOP853", dense_output=bool(len(inside)))
-            if ham.max_step_s:
-                kw["max_step"] = ham.max_step_s
-            else:
-                kw["max_step"] = max((b - a) / 8.0, 1e-15)
-            sol = solve_ivp(rhs, (a, b), rho.reshape(-1).view(float), **kw)
-            if not sol.success:
-                raise StiffnessError(f"master equation failed on [{a:.3e}, {b:.3e}]")
-            for k, t in zip(idx, inside):
-                out[k] = sol.sol(t).view(complex).reshape(n, n)
-            rho = sol.y[:, -1].view(complex).reshape(n, n).copy()
-
+    out = _propagate(ham, generator, rho0.reshape(-1), grid, rtol, atol).reshape(-1, n, n)
     traces = np.einsum("tii->t", out).real
     drift = float(np.max(np.abs(traces - 1.0)))
     if drift > NORM_DRIFT_TOL:
         raise StiffnessError(f"trace drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
-    min_eig = float(min(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))) for r in out))
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().transpose(0, 2, 1)))))
     if min_eig < -1e-8:
         raise PositivityError(f"density matrix eigenvalue dropped to {min_eig:.2e}")
     pops = {lab: out[:, k, k].real for k, lab in enumerate(BASIS_LABELS)}
@@ -633,22 +599,28 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):
 
 
 def _fit_fringe(times, signal, min_contrast=0.1):
-    """Frequency of a cosine fringe: FFT seed plus nonlinear refinement."""
+    """Frequency of a cosine fringe: FFT seed plus nonlinear refinement.
+
+    The frequency and phase seeds come from the peak of a 16x zero-padded
+    FFT: an unpadded bin is 1/T wide, and a seed that far off (with phase 0)
+    can lead the fit into a neighbouring local minimum on short records.
+    """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
     dt = times[1] - times[0]
     centered = signal - np.mean(signal)
-    spec = np.abs(np.fft.rfft(centered))
-    freqs = np.fft.rfftfreq(len(times), dt)
-    k = int(np.argmax(spec[1:]) + 1)
-    f0 = freqs[k]
+    n_fft = 16 * len(times)
+    spec = np.fft.rfft(centered, n_fft)
+    k = int(np.argmax(np.abs(spec[1:])) + 1)
+    f0 = np.fft.rfftfreq(n_fft, dt)[k]
+    phi0 = float(np.angle(spec[k])) - TWO_PI * f0 * times[0]
 
     def model(t, a, f, phi, c):
         return a * np.cos(TWO_PI * f * t + phi) + c
 
     a0 = float(np.max(np.abs(centered))) or 0.5
     try:
-        popt, _ = curve_fit(model, times, signal, p0=[a0, f0, 0.0, float(np.mean(signal))],
+        popt, _ = curve_fit(model, times, signal, p0=[a0, f0, phi0, float(np.mean(signal))],
                             maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"fringe fit did not converge: {exc}") from exc

@@ -322,22 +322,27 @@ def kerr_at_flux(q1, q2, coupling, flux1_phi0=None, flux2_phi0=None):
     """KerrParams for two transmon specs at given fluxes with the supplied coupling."""
     s1 = transmon_spectrum(q1 if flux1_phi0 is None else q1.at_flux(flux1_phi0))
     s2 = transmon_spectrum(q2 if flux2_phi0 is None else q2.at_flux(flux2_phi0))
-    g = coupling.g_at(s1.omega01_hz, s2.omega01_hz)
+    return _kerr_from_spectra(s1, s2, coupling)
+
+
+def _kerr_from_spectra(s1, s2, coupling):
     return KerrParams(
         mode_freqs_hz=np.array([s1.omega01_hz, s2.omega01_hz]),
         self_kerr_hz=np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
         cross_kerr_hz=np.zeros((2, 2)),
-        exchange_g_hz=g,
+        exchange_g_hz=coupling.g_at(s1.omega01_hz, s2.omega01_hz),
     )
 
 
-def single_excitation_pair(q1, q2, coupling, flux2_phi0):
+def single_excitation_pair(q1_spectrum, q2, coupling, flux2_phi0):
     """(KerrParams, lower, upper): the dressed single-excitation pair in Hz.
 
-    Qubit 1 stays at its own bias and qubit 2 sits at flux2_phi0; each mode
-    keeps three levels.
+    q1_spectrum is qubit 1's TransmonSpectrum at its own bias; qubit 1 does
+    not move in a flux scan, so callers solve it once per scan.  Qubit 2 sits
+    at flux2_phi0, and each mode keeps three levels.
     """
-    params = kerr_at_flux(q1, q2, coupling, flux2_phi0=flux2_phi0)
+    s2 = transmon_spectrum(q2.at_flux(flux2_phi0))
+    params = _kerr_from_spectra(q1_spectrum, s2, coupling)
     spec = diagonalize_and_label(build_hamiltonian(params, (3, 3), None))
     lower, upper = spec.single_excitation_energies()
     return params, lower, upper
@@ -353,20 +358,22 @@ def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
     fluxes = np.asarray(flux_sweep, dtype=float)
     if fluxes.size < 3:
         raise ValueError("flux sweep needs at least 3 points")
+    s1 = transmon_spectrum(q1)
     gaps = []
     for flux in fluxes:
-        _, lower, upper = single_excitation_pair(q1, q2, coupling, flux)
+        _, lower, upper = single_excitation_pair(s1, q2, coupling, flux)
         gaps.append(upper - lower)
-    return refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations)
+    return refine_crossing(s1, q2, coupling, fluxes, gaps, refine_iterations)
 
 
-def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
+def refine_crossing(q1_spectrum, q2, coupling, fluxes, gaps, refine_iterations=40):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
-    gaps[k] is the splitting at fluxes[k].  The grid minimum is refined by
-    successive parabolic interpolation of the squared gap (exact for a
-    locally quadratic detuning).  Raises NoCrossingError when the minimum
-    sits at an endpoint of the scan.
+    gaps[k] is the splitting at fluxes[k], and q1_spectrum is qubit 1's
+    TransmonSpectrum as in single_excitation_pair.  The grid minimum is
+    refined by successive parabolic interpolation of the squared gap (exact
+    for a locally quadratic detuning).  Raises NoCrossingError when the
+    minimum sits at an endpoint of the scan.
     """
     gaps = np.asarray(gaps, dtype=float)
     k = int(np.argmin(gaps))
@@ -384,7 +391,7 @@ def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
         x_new = x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
         if not (min(xs) <= x_new <= max(xs)) or any(np.isclose(x_new, x) for x in xs):
             break
-        _, lower, upper = single_excitation_pair(q1, q2, coupling, x_new)
+        _, lower, upper = single_excitation_pair(q1_spectrum, q2, coupling, x_new)
         y_new = (upper - lower) ** 2
         triple = sorted(zip(xs + [x_new], ys + [y_new]))
         # keep the best point and its nearest bracketing neighbours

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from zzkit import (
     DissipationSpec,
@@ -30,6 +30,25 @@ from zzkit.dynamics import (
 from zzkit.errors import ResolutionError, StochasticityError, UnsupportedError
 
 SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
+
+
+def master_equation_reference(ham, rho0, c_ops, grid):
+    """drho/dt = -i[H, rho] + sum_c (c rho c^+ - {c^+ c, rho}/2), one DOP853 run."""
+    n = ham.dim
+
+    def rhs(t, y):
+        rho = y.view(complex).reshape(n, n)
+        h = ham.matrix(t)
+        drho = -1j * (h @ rho - rho @ h)
+        for c in c_ops:
+            cd = c.conj().T
+            drho += c @ rho @ cd - 0.5 * (cd @ c @ rho + rho @ cd @ c)
+        return drho.reshape(-1).view(float)
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), rho0.reshape(-1).view(float), method="DOP853",
+                    t_eval=grid, rtol=1e-11, atol=1e-13)
+    assert sol.success
+    return np.ascontiguousarray(sol.y.T).view(complex).reshape(-1, n, n)
 
 
 def ground_state():
@@ -189,6 +208,20 @@ class TestEvolveLindblad:
         np.testing.assert_allclose(coh, 0.5 * np.exp(-grid / t2), rtol=1e-6)
         np.testing.assert_allclose(res.p_excited(1), 0.5, atol=1e-9)
 
+    def test_driven_dissipative_matches_master_equation(self):
+        # truncated-cosine pi pulse with finite T1 and T2, against the
+        # commutator-plus-dissipator master equation integrated directly
+        p = pi_pulse("truncated_cosine", 60e-9, SYSTEM.omega1_hz, target_qubit=1)
+        ham = rotating_frame_transform(SYSTEM, (p,))
+        diss = DissipationSpec((1e-6, 2e-6), (0.8e-6, 1.5e-6))
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+        grid = np.linspace(0, 80e-9, 9)
+        res = evolve_lindblad(ham, rho0, diss, grid, keep_states=True)
+        want = master_equation_reference(ham, rho0, diss.collapse_operators(), grid)
+        np.testing.assert_allclose(res.states, want, atol=1e-8)
+        assert res.p_excited(1)[-1] < 0.99     # the dissipation is visible
+
     def test_t2_bound_enforced(self):
         with pytest.raises(ValueError):
             DissipationSpec((1e-6, 1e-6), (3e-6, 1e-6))
@@ -288,10 +321,19 @@ class TestConditionalRamsey:
         f1 = run_conditional_ramsey(system, 1, grid)
         assert f1 == pytest.approx(f0, rel=1e-9)
 
-    def test_fringe_at_drive_detuning(self):
-        grid = np.linspace(0, 1e-6, 2001)
-        f0 = run_conditional_ramsey(SYSTEM, 0, grid, drive_offset_hz=12e6)
-        assert f0 == pytest.approx(12e6, rel=1e-3)
+    # SYSTEM is chip1's blockade point; the 33.5 MHz windows of 401 points are
+    # short records whose unpadded-FFT seed used to land on a wrong fringe
+    @pytest.mark.parametrize("window_s,n_points,offset_hz,spectator", [
+        (1e-6, 2001, 12e6, 0),
+        (0.4e-6, 401, 33.5e6, 0),
+        (0.5e-6, 401, 33.5e6, 1),
+        (0.9e-6, 401, 33.5e6, 1),
+        (1.8e-6, 401, 33.5e6, 0),
+    ])
+    def test_fringe_at_drive_detuning(self, window_s, n_points, offset_hz, spectator):
+        grid = np.linspace(0, window_s, n_points)
+        f = run_conditional_ramsey(SYSTEM, spectator, grid, drive_offset_hz=offset_hz)
+        assert f == pytest.approx(offset_hz + spectator * SYSTEM.zeta_hz, rel=1e-3)
 
     def test_beta_table_model_fringe_difference(self, chip1):
         system = TwoQubitSystem.from_pauli_decomposition(chip1.beta)

@@ -128,10 +128,17 @@ class TestZZSweepCommand:
             assert r["zeta_exact_hz"] == 0.0
             assert r["zeta_perturbative_hz"] == 0.0
 
-    def test_config_error_exit_code(self, tmp_path):
-        bad = write_json(tmp_path / "cfg.json", {"fixture": "chip1"})
+    @pytest.mark.parametrize("extra,field", [
+        ({}, "delta_hz"),
+        ({"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": "x"}}, "delta_hz"),
+        ({"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": 7}, "levels_per_mode": 5},
+         "levels_per_mode"),
+    ], ids=["missing-grid", "num-not-integer", "levels-not-pair"])
+    def test_config_error_exit_code(self, tmp_path, capsys, extra, field):
+        bad = write_json(tmp_path / "cfg.json", {"fixture": "chip1", **extra})
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
                      "zz-sweep"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         bad = write_json(tmp_path / "cfg.json", {

@@ -19,7 +19,6 @@ import numpy as np
 from . import io as zio
 from .circuit import Coupling, KerrParams, transmon_spectrum
 from .dynamics import (
-    DissipationSpec,
     TwoQubitSystem,
     make_blockade_protocol,
     pi_pulse,
@@ -98,6 +97,24 @@ def _config_int(value, context, field):
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}: {field} must be an integer, got {value!r}") from exc
+
+
+def _config_float(value, context, field):
+    """float(value), or a ConfigError naming the field unless it is a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {field} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"{context}: {field} must be finite, got {value!r}")
+    return number
+
+
+def _config_floats(values, context, field):
+    """A list of finite numbers, or a ConfigError naming the field."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{context}: {field} must be a list of numbers, got {values!r}")
+    return [_config_float(v, context, field) for v in values]
 
 
 # ---------------------------------------------------------------- zz-sweep
@@ -229,31 +246,35 @@ def cmd_blockade(cfg, out):
         zio.write_blockade_csv(out, [row], with_measured=readout is not None)
         zio.read_blockade_csv(out)
         return EXIT_OK
-    lengths = [float(x) for x in cfg.get("pulse_lengths_s", [200e-9])]
-    delays = [float(x) for x in cfg["delays_s"]] if "delays_s" in cfg else [100e-9]
+    lengths = _config_floats(cfg.get("pulse_lengths_s", [200e-9]), "blockade", "pulse_lengths_s")
+    if any(length <= 0 for length in lengths):
+        raise ConfigError(f"blockade: pulse_lengths_s must be positive, got {lengths}")
+    delays = _config_floats(cfg.get("delays_s", [100e-9]), "blockade", "delays_s")
     shape = cfg.get("shape", "truncated_cosine")
     frame = cfg.get("frame", "rotating")
     convention = cfg.get("carrier_convention", "dressed")
     sigma = cfg.get("gaussian_sigma_s")
-    readout_pad = float(cfg.get("readout_pad_s", 0.0))
+    if sigma is not None:
+        sigma = _config_float(sigma, "blockade", "gaussian_sigma_s")
+    readout_pad = _config_float(cfg.get("readout_pad_s", 0.0), "blockade", "readout_pad_s")
+    if readout_pad < 0:
+        raise ConfigError(f"blockade: readout_pad_s must be non-negative, got {readout_pad}")
 
-    dissipation = None
-    if "dissipation" in cfg:
-        d = cfg["dissipation"]
-        zio._check_keys(d, ["t1_s", "t2_s"], "blockade:dissipation")
-        dissipation = DissipationSpec(tuple(d["t1_s"]),
-                                      tuple(d["t2_s"]) if "t2_s" in d else None)
+    dissipation = (zio._dissipation_spec(cfg["dissipation"], "blockade")
+                   if "dissipation" in cfg else None)
     readout = (zio.readout_matrices(cfg["readout_matrix"], "blockade")
                if "readout_matrix" in cfg else None)
+    try:
+        # every protocol is built, and so checked, before any is simulated
+        points = [(delay, length, make_blockade_protocol(
+            system, length, delay, shape=shape, frame=frame, carrier_convention=convention,
+            gaussian_sigma_s=sigma, readout_pad_s=readout_pad))
+            for delay in delays for length in lengths]
+    except ValueError as exc:
+        raise ConfigError(f"blockade: {exc}") from exc
 
-    rows = []
-    for delay in delays:
-        for length in lengths:
-            protocol = make_blockade_protocol(system, length, delay, shape=shape,
-                                              frame=frame, carrier_convention=convention,
-                                              gaussian_sigma_s=sigma,
-                                              readout_pad_s=readout_pad)
-            rows.append(_blockade_row(system, protocol, dissipation, readout, delay, length))
+    rows = [_blockade_row(system, protocol, dissipation, readout, delay, length)
+            for delay, length, protocol in points]
     zio.write_blockade_csv(out, rows, with_measured=readout is not None)
     zio.read_blockade_csv(out)
 

@@ -15,16 +15,20 @@ dressed transition leaves exactly zeta |11><11| plus the drives.
 Closed and open evolution share one propagation core, which integrates
 dy/dt = G(H(t)) y with y = psi and G(h) = -i h, or y = vec(rho) and G the
 Lindblad generator.  It splits the time axis at every pulse edge (so isolated
-pulses are never stepped over), propagates drive-free segments with exact
-exponentials of the static generator and integrates driven ones with an
-adaptive Runge-Kutta (DOP853) method.
+pulses are never stepped over) and propagates drive-free segments with exact
+exponentials of the static generator.  Driven segments take one of two
+integrators, chosen by the Hamiltonian: one that sets max_step_s must resolve
+an oscillation (the lab-frame carriers, or the rotating-frame exchange term at
+a nonzero difference frequency) and runs fixed fourth-order Magnus steps,
+built and exponentiated in stacked blocks; a smooth one is integrated by
+adaptive Runge-Kutta (DOP853).  A Hamiltonian's func therefore accepts a
+scalar time or an array of times, returning the matching stack of matrices.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from .errors import (
@@ -63,6 +67,9 @@ RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 NORM_DRIFT_TOL = 1e-6
 STEPS_PER_CARRIER_PERIOD = 40
+_MAGNUS_BLOCK = 512               # Magnus steps built and exponentiated together
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0   # Gauss-Legendre on [0, 1]
+_MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,11 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in ("rectangular", "truncated_cosine", "gaussian"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
+        for name in ("amplitude_hz", "duration_s", "carrier_hz", "phase_rad",
+                     "start_time_s", "gaussian_sigma_s"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.amplitude_hz < 0:
@@ -149,11 +161,11 @@ class DissipationSpec:
     t2_s: tuple = None
 
     def __post_init__(self):
-        if len(self.t1_s) != 2 or any(t <= 0 for t in self.t1_s):
+        if len(self.t1_s) != 2 or not all(t > 0 for t in self.t1_s):
             raise ValueError("t1_s must hold two positive times")
         if self.t2_s is not None:
-            if len(self.t2_s) != 2:
-                raise ValueError("t2_s must hold two times")
+            if len(self.t2_s) != 2 or not all(t is None or t > 0 for t in self.t2_s):
+                raise ValueError("t2_s must hold two positive times or nulls")
             for t2, t1 in zip(self.t2_s, self.t1_s):
                 if t2 is not None and t2 > 2 * t1 + 1e-30:
                     raise ValueError("t2 must not exceed 2 t1")
@@ -244,22 +256,23 @@ def _pulse_terms(pulses):
 def lab_hamiltonian(system, pulses):
     """Full lab-frame Hamiltonian: static part plus sin-carrier sigma_y drives.
 
-    Each evaluation is Hermitian by construction; the solver is told to take
-    at least STEPS_PER_CARRIER_PERIOD steps per carrier period.
+    Each evaluation is Hermitian by construction.  max_step_s resolves the
+    fastest carrier with STEPS_PER_CARRIER_PERIOD steps per period, which
+    puts driven segments on the fixed-step Magnus integrator.
     """
     h0 = TWO_PI * system.static_lab_matrix()
-    ops = {1: SY1, 2: SY2}
+    drives = [(p, SY1 if p.target_qubit == 1 else SY2) for p in pulses]
     edges, intervals = _pulse_terms(pulses)
     carriers = [p.carrier_hz for p in pulses] or [system.omega1_hz]
 
     def func(t):
-        h = h0.copy()
-        for p in pulses:
+        stacked = np.ndim(t) > 0
+        h = np.tile(h0, np.shape(t) + (1, 1))
+        for p, op in drives:
             amp = p.envelope(t)
-            if amp:
-                h = h + (TWO_PI * amp
-                         * np.sin(TWO_PI * p.carrier_hz * t + p.phase_rad)
-                         * ops[p.target_qubit])
+            if stacked or amp:       # a scalar call skips the drives that are off
+                coefficient = TWO_PI * amp * np.sin(TWO_PI * p.carrier_hz * t + p.phase_rad)
+                h = h + np.multiply.outer(coefficient, op)
         return h
 
     return TimeDependentHamiltonian(
@@ -305,26 +318,26 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
     diag = TWO_PI * np.diag(
         e - f1 * np.diag(N1).real - f2 * np.diag(N2).real).astype(complex)
     edges, intervals = _pulse_terms(pulses)
-    ops = {}
+    drives = []
     for p in pulses:
-        sm = SM1 if p.target_qubit == 1 else SM2
         # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.) in this frame
-        ops[id(p)] = sm * np.exp(1j * p.phase_rad)
+        term = 0.5 * np.exp(1j * p.phase_rad) * (SM1 if p.target_qubit == 1 else SM2)
+        drives.append((p, TWO_PI * (term + term.conj().T)))
 
     jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
     exchange_on = include_exchange and abs(jpm) > 0
     delta_d = f1 - f2
 
     def func(t):
-        h = diag.copy()
-        for p in pulses:
+        stacked = np.ndim(t) > 0
+        h = np.tile(diag, np.shape(t) + (1, 1))
+        for p, op in drives:
             amp = p.envelope(t)
-            if amp:
-                term = 0.5 * amp * ops[id(p)]
-                h = h + TWO_PI * (term + term.conj().T)
+            if stacked or amp:       # a scalar call skips the drives that are off
+                h = h + np.multiply.outer(amp, op)
         if exchange_on:
-            term = jpm * np.exp(1j * TWO_PI * delta_d * t) * FLIP_FLOP
-            h = h + TWO_PI * (term + term.conj().T)
+            c = TWO_PI * (jpm * np.exp(1j * TWO_PI * delta_d * t))
+            h = h + np.multiply.outer(c, FLIP_FLOP) + np.multiply.outer(c.conj(), FLIP_FLOP.T)
         return h
 
     return TimeDependentHamiltonian(
@@ -357,6 +370,8 @@ class ProtocolSpec:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if self.frame not in ("lab", "rotating", "blockade_effective"):
             raise ValueError(f"unknown frame {self.frame!r}")
+        if not (np.isfinite(self.total_time_s) and np.isfinite(self.delay_s)):
+            raise ValueError("total_time_s and delay_s must be finite")
         ro = self.readout_times_s
         ro = (self.total_time_s,) if ro is None else tuple(ro)
         for t in ro:
@@ -392,14 +407,89 @@ def _check_grid(grid_s):
     return grid
 
 
+# Pade [13/13] coefficients, and the largest 1-norm at which that approximant
+# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_THETA = 5.371920351148152
+
+
+def _expm(a):
+    """Matrix exponential of a stack of square matrices (scaling and squaring).
+
+    Every matrix is scaled by the power of two that brings the largest 1-norm
+    in the stack under _PADE13_THETA, so one [13/13] Pade approximant per
+    matrix is exact to rounding.  It runs as stacked numpy products and one
+    stacked solve: scipy.linalg.expm loops over a stack one matrix at a time,
+    and the threaded LAPACK solve it calls for each can take milliseconds on a
+    4x4 matrix when the other cores are busy.
+    """
+    norm = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
+    squarings = int(np.ceil(np.log2(norm / _PADE13_THETA))) if norm > _PADE13_THETA else 0
+    a = a / 2.0 ** squarings
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _magnus_segment(ham, generator, y, a, times, b):
+    """Fixed-step fourth-order Magnus propagation of y over [a, b].
+
+    Returns the states at times (sorted, inside (a, b]) and at b.  Every time
+    is a step edge, and each interval between edges is cut into equal steps of
+    at most ham.max_step_s.  A step of width h, with generators G1 and G2 at
+    its two Gauss-Legendre nodes, is exp(h/2 (G1 + G2) + sqrt(3)/12 h^2
+    [G2, G1]) (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)).
+    Steps are laid out, evaluated through one call of ham.matrix, exponentiated
+    with one stacked _expm and applied in order _MAGNUS_BLOCK at a time, so
+    memory stays flat however long the segment is.
+    """
+    knots = np.unique(np.concatenate(([a], times, [b])))
+    counts = np.ceil(np.diff(knots) / ham.max_step_s).astype(int)
+    widths = np.diff(knots) / counts
+    ends = np.cumsum(counts)
+    states = []
+    for first in range(0, ends[-1], _MAGNUS_BLOCK):
+        step = np.arange(first, min(first + _MAGNUS_BLOCK, ends[-1]))
+        j = np.searchsorted(ends, step, side="right")
+        h = widths[j]
+        left = knots[j] + (step - ends[j] + counts[j]) * h
+        g = generator(ham.matrix((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
+        g1, g2 = g[0::2], g[1::2]
+        h = h[:, None, None]
+        omega = 0.5 * h * (g1 + g2) + _MAGNUS_COMMUTATOR * h ** 2 * (g2 @ g1 - g1 @ g2)
+        for u, at_edge in zip(_expm(omega), np.isin(step + 1, ends)):
+            y = u @ y
+            if at_edge:
+                states.append(y)
+    return states[:len(times)], y
+
+
 def _propagate(ham, generator, y0, grid, rtol, atol):
     """States y(t) on grid for dy/dt = generator(H(t)) y with y(grid[0]) = y0.
 
     The time axis is split at every envelope edge so that isolated pulses are
     always sampled.  A segment where the Hamiltonian is static is propagated
     with exact exponentials of its generator, one stacked expm over the grid
-    offsets inside it and its end; a driven segment is integrated by DOP853
-    with at most ham.max_step_s (or an eighth of the segment) per step.
+    offsets inside it and its end.  A driven segment of a Hamiltonian that
+    sets max_step_s has an oscillation to resolve and runs fixed Magnus steps
+    of at most that size (_magnus_segment), which cost one matrix exponential
+    each however fast the phase turns; any other driven segment is smooth and
+    is integrated by DOP853, whose adaptive steps follow the envelope with an
+    eighth of the segment as the largest step.  rtol and atol steer DOP853
+    only.
     """
     def rhs(t, v):
         return (generator(ham.matrix(t)) @ v.view(complex)).view(float)
@@ -412,12 +502,15 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
         if ham.is_static_on(a, b):
             g = generator(ham.matrix(0.5 * (a + b)))
             offsets = np.append(grid[mask], b) - a
-            states = expm(g[None] * offsets[:, None, None]) @ y
+            states = _expm(g[None] * offsets[:, None, None]) @ y
             out[mask], y = states[:-1], states[-1]
             continue
+        if ham.max_step_s:
+            states, y = _magnus_segment(ham, generator, y, a, grid[mask], b)
+            out[mask] = states
+            continue
         sol = solve_ivp(rhs, (a, b), y.view(float), method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=bool(mask.any()),
-                        max_step=ham.max_step_s or max((b - a) / 8.0, 1e-15))
+                        dense_output=bool(mask.any()), max_step=max((b - a) / 8.0, 1e-15))
         if not sol.success:
             raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
         for k in np.nonzero(mask)[0]:
@@ -436,7 +529,7 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
 
     Propagation runs through the shared segment loop with generator -i H.
     A norm drift beyond 1e-6 triggers one retry with 100x tighter tolerances
-    before raising StiffnessError.
+    (they steer the DOP853 segments) before raising StiffnessError.
     """
     grid = _check_grid(grid_s)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -453,15 +546,25 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
     return SimulationResult(grid, pops, states if keep_states else None, drift)
 
 
+def _kron(a, b):
+    """Kronecker product over the last two axes, broadcast over the leading ones."""
+    n, m = a.shape[-1], b.shape[-1]
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*stack, n * m, n * m)
+
+
 def _liouvillian(h_angular, c_ops):
-    """Vectorized Lindblad generator for drho/dt = L rho (row-major flattening)."""
-    n = h_angular.shape[0]
+    """Vectorized Lindblad generator for drho/dt = L rho (row-major flattening).
+
+    h_angular may be a stack of Hamiltonians; the result is the matching stack.
+    """
+    n = h_angular.shape[-1]
     ident = np.eye(n)
-    lv = -1j * (np.kron(h_angular, ident) - np.kron(ident, h_angular.T))
+    lv = -1j * (_kron(h_angular, ident) - _kron(ident, np.swapaxes(h_angular, -1, -2)))
     for c in c_ops:
         cd_c = c.conj().T @ c
-        lv += (np.kron(c, c.conj())
-               - 0.5 * (np.kron(cd_c, ident) + np.kron(ident, cd_c.T)))
+        lv += (_kron(c, c.conj())
+               - 0.5 * (_kron(cd_c, ident) + _kron(ident, cd_c.T)))
     return lv
 
 
@@ -519,7 +622,7 @@ def make_blockade_protocol(system, pulse_length_s, delay_s,
         f1 = system.conditional_transition(1, True)
         f2 = system.conditional_transition(2, True)
     else:
-        raise ValueError(f"unknown carrier convention {carrier_convention!r}")
+        raise ValueError(f"unknown carrier_convention {carrier_convention!r}")
     t1 = max(delay_s, 0.0)
     t2 = max(-delay_s, 0.0)
     p1 = pi_pulse(shape, pulse_length_s, f1, target_qubit=1, start_time_s=t1,
@@ -638,7 +741,7 @@ def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
         (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
     h = ham.matrix(0.5 * pulse_length_s)   # rectangular drive: static during pulse
-    return expm(-1j * h * pulse_length_s)
+    return _expm(-1j * h * pulse_length_s)
 
 
 def run_conditional_ramsey(system, spectator_state, free_time_grid_s,

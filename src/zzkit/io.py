@@ -135,7 +135,7 @@ def load_protocol_file(path):
                 _require(p, "duration_s", ctx), _require(p, "carrier_hz", ctx),
                 p.get("phase_rad", 0.0), p.get("start_time_s", 0.0),
                 p.get("gaussian_sigma_s"), p.get("target_qubit", 1)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     total = raw.get("total_time_s",
                     max(p.end_time_s for p in pulses) + 2e-9 if pulses else 0.0)
@@ -144,20 +144,36 @@ def load_protocol_file(path):
                                 raw.get("delay_s", 0.0),
                                 tuple(raw["readout_times_s"])
                                 if "readout_times_s" in raw else None)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    dissipation = None
-    if "dissipation" in raw:
-        d = raw["dissipation"]
-        _check_keys(d, ["t1_s", "t2_s"], f"{path}: dissipation")
-        try:
-            dissipation = DissipationSpec(
-                tuple(_require(d, "t1_s", f"{path}: dissipation")),
-                tuple(d["t2_s"]) if "t2_s" in d else None)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: dissipation: {exc}") from exc
+    dissipation = _dissipation_spec(raw["dissipation"], path) if "dissipation" in raw else None
     readout = readout_matrices(raw["readout_matrix"], path) if "readout_matrix" in raw else None
     return protocol, dissipation, readout
+
+
+def _dissipation_spec(raw, context):
+    """DissipationSpec from {"t1_s": [t1, t1], "t2_s": [t2 or null, t2 or null]}.
+
+    t2_s is optional.  Anything else is a ConfigError naming the field.
+    """
+    context = f"{context}: dissipation"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be an object with t1_s and optional t2_s")
+    _check_keys(raw, ["t1_s", "t2_s"], context)
+    _require(raw, "t1_s", context)
+
+    def pair(key, nullable):
+        value = raw[key]
+        if not (isinstance(value, list) and len(value) == 2 and all(
+                isinstance(t, (int, float)) or (nullable and t is None) for t in value)):
+            raise ConfigError(f"{context}: {key} must be a pair of times, got {value!r}")
+        return tuple(value)
+
+    try:
+        return DissipationSpec(pair("t1_s", False),
+                               pair("t2_s", True) if raw.get("t2_s") is not None else None)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def readout_matrices(raw, context):

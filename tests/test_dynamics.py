@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
+
+from zzkit import dynamics
 
 from zzkit import (
     DissipationSpec,
@@ -19,10 +24,12 @@ from zzkit import (
     run_echo_conditional_phase,
 )
 from zzkit.dynamics import (
+    BASIS_LABELS,
     P11,
     SX1,
     SX2,
     TWO_PI,
+    _expm,
     _fit_fringe,
     build_protocol_hamiltonian,
     rotate_sigma_y,
@@ -30,6 +37,9 @@ from zzkit.dynamics import (
 from zzkit.errors import ResolutionError, StochasticityError, UnsupportedError
 
 SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
+# device-scale XX+YY exchange, far from and close to the qubits' resonance
+EXCHANGE = TwoQubitSystem(7.0e9, 4.5e9, 19e6, jxx_hz=8.05e6, jyy_hz=1.69e6)
+NEAR_EXCHANGE = replace(EXCHANGE, omega1_hz=4.52e9)
 
 
 def master_equation_reference(ham, rho0, c_ops, grid):
@@ -49,6 +59,24 @@ def master_equation_reference(ham, rho0, c_ops, grid):
                     t_eval=grid, rtol=1e-11, atol=1e-13)
     assert sol.success
     return np.ascontiguousarray(sol.y.T).view(complex).reshape(-1, n, n)
+
+
+def schrodinger_reference(ham, psi0, grid):
+    """dpsi/dt = -i H(t) psi, one DOP853 run on scalar calls of ham.matrix."""
+    def rhs(t, y):
+        return (-1j * (ham.matrix(t) @ y.view(complex))).view(float)
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), psi0.view(float), method="DOP853",
+                    t_eval=grid, rtol=1e-11, atol=1e-13)
+    assert sol.success
+    return np.ascontiguousarray(sol.y.T).view(complex)
+
+
+def populations(states):
+    """Basis populations, one row per time, of state vectors or density matrices."""
+    if states.ndim == 3:
+        return np.einsum("tii->ti", states).real
+    return np.abs(states) ** 2
 
 
 def ground_state():
@@ -82,6 +110,15 @@ class TestPulses:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             PulseSpec("square", 1e6, 1e-9, 6e9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["amplitude_hz", "duration_s", "carrier_hz",
+                                       "phase_rad", "start_time_s", "gaussian_sigma_s"])
+    def test_non_finite_field_rejected(self, field, value):
+        good = {"shape": "gaussian", "amplitude_hz": 1e6, "duration_s": 20e-9,
+                "carrier_hz": 5e9, "gaussian_sigma_s": 5e-9}
+        with pytest.raises(ValueError, match=field):
+            PulseSpec(**{**good, field: value})
 
 
 class TestHamiltonians:
@@ -136,6 +173,21 @@ class TestHamiltonians:
         amp2 = prot.pulses[1].envelope(t)
         want = TWO_PI * (SYSTEM.zeta_hz * P11 + amp1 / 2 * SX1 + amp2 / 2 * SX2)
         np.testing.assert_allclose(ham.matrix(t), want, atol=1e-6)
+
+    @pytest.mark.parametrize("system,frame", [
+        (SYSTEM, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
+        (SYSTEM, "blockade_effective"),
+    ], ids=["lab", "rotating", "exchange", "blockade-effective"])
+    def test_func_on_times_stacks_scalar_calls(self, system, frame):
+        prot = make_blockade_protocol(system, 40e-9, 20e-9, frame=frame)
+        ham = build_protocol_hamiltonian(system, prot)
+        # before, inside, across and after the pulses
+        times = np.linspace(-5e-9, prot.total_time_s + 5e-9, 37)
+        want = np.array([ham.func(t) for t in times])
+        got = ham.func(times)
+        assert got.shape == (len(times), 4, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+        assert ham.func(times[-2:]).shape == (2, 4, 4)     # no drive on
 
     def test_rwa_off_unsupported_in_rotating_frame(self):
         with pytest.raises(UnsupportedError):
@@ -222,9 +274,80 @@ class TestEvolveLindblad:
         np.testing.assert_allclose(res.states, want, atol=1e-8)
         assert res.p_excited(1)[-1] < 0.99     # the dissipation is visible
 
+    def test_open_lab_point_matches_master_equation(self):
+        # carrier-resolved Magnus steps on the Liouvillian, with finite T1 and T2
+        prot = make_blockade_protocol(SYSTEM, 4e-9, 1e-9, frame="lab")
+        ham = build_protocol_hamiltonian(SYSTEM, prot)
+        diss = DissipationSpec((1e-6, 2e-6), (0.8e-6, 1.5e-6))
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+        grid = np.linspace(0, prot.total_time_s, 8)
+        res = evolve_lindblad(ham, rho0, diss, grid, keep_states=True)
+        want = master_equation_reference(ham, rho0, diss.collapse_operators(), grid)
+        np.testing.assert_allclose(populations(res.states), populations(want), atol=2e-6)
+        closed = evolve_schrodinger(ham, ground_state(), grid)
+        assert abs(closed.p_excited(1)[-1] - res.p_excited(1)[-1]) > 1e-4   # T1 shows
+
     def test_t2_bound_enforced(self):
         with pytest.raises(ValueError):
             DissipationSpec((1e-6, 1e-6), (3e-6, 1e-6))
+
+
+class TestCarrierResolvedSegments:
+    """Fixed Magnus steps on segments with an oscillation to resolve, against DOP853."""
+
+    @pytest.mark.parametrize("system,length,delay,frame", [
+        (SYSTEM, 4e-9, 0.0, "lab"),
+        (SYSTEM, 16e-9, 10e-9, "lab"),
+        (EXCHANGE, 100e-9, 60e-9, "rotating"),
+        (NEAR_EXCHANGE, 100e-9, 60e-9, "rotating"),
+    ], ids=["lab-4ns", "lab-16ns", "exchange-far-detuned", "exchange-20MHz"])
+    def test_matches_direct_integration(self, system, length, delay, frame):
+        prot = make_blockade_protocol(system, length, delay, frame=frame)
+        ham = build_protocol_hamiltonian(system, prot)
+        assert ham.max_step_s is not None
+        grid = np.linspace(0, prot.total_time_s, 9)
+        res = evolve_schrodinger(ham, ground_state(), grid, keep_states=True)
+        want = schrodinger_reference(ham, ground_state(), grid)
+        np.testing.assert_allclose(populations(res.states), populations(want), atol=2e-6)
+
+    def test_stacked_exponential_matches_scipy(self):
+        # 1-norms from 1e-3 to 1e3: no squaring up to ~5.4, many beyond
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 16, 16)) + 1j * rng.normal(size=(40, 16, 16))
+        a *= np.logspace(-3, 3, 40)[:, None, None] / np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+        for stack in (a[:20], a[20:], a[20:, :4, :4] - a[20:, :4, :4].conj().transpose(0, 2, 1)):
+            want = np.array([expm(m) for m in stack])
+            got = _expm(stack)
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            np.testing.assert_allclose(got / scale, want / scale, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("frame,dissipation", [
+        ("lab", None), ("rotating", None),
+        ("rotating", DissipationSpec((1e-6, 2e-6), (0.8e-6, 1.5e-6))),
+    ], ids=["lab", "rotating", "lindblad"])
+    def test_counting_func_sees_the_run(self, monkeypatch, frame, dissipation):
+        # a wrapper swapped in for func, as a profiler counting H evaluations
+        # does, is called and leaves the populations as they are
+        prot = make_blockade_protocol(SYSTEM, 4e-9 if frame == "lab" else 40e-9, 2e-9,
+                                      frame=frame)
+        plain = run_blockade_protocol(SYSTEM, prot, dissipation, n_grid=5)
+        calls = []
+        build = dynamics.build_protocol_hamiltonian
+
+        def counting_build(*args, **kwargs):
+            ham = build(*args, **kwargs)
+
+            def counted(t):
+                calls.append(t)
+                return ham.func(t)
+            return replace(ham, func=counted)
+
+        monkeypatch.setattr(dynamics, "build_protocol_hamiltonian", counting_build)
+        counted = run_blockade_protocol(SYSTEM, prot, dissipation, n_grid=5)
+        assert calls
+        for lab in BASIS_LABELS:
+            np.testing.assert_array_equal(counted.populations[lab], plain.populations[lab])
 
 
 class TestBlockadeProtocol:

@@ -128,16 +128,31 @@ class TestZZSweepCommand:
             assert r["zeta_exact_hz"] == 0.0
             assert r["zeta_perturbative_hz"] == 0.0
 
-    @pytest.mark.parametrize("extra,field", [
-        ({}, "delta_hz"),
-        ({"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": "x"}}, "delta_hz"),
-        ({"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": 7}, "levels_per_mode": 5},
-         "levels_per_mode"),
-    ], ids=["missing-grid", "num-not-integer", "levels-not-pair"])
-    def test_config_error_exit_code(self, tmp_path, capsys, extra, field):
+    @pytest.mark.parametrize("command,extra,field", [
+        ("zz-sweep", {}, "delta_hz"),
+        ("zz-sweep", {"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": "x"}}, "delta_hz"),
+        ("zz-sweep", {"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": 7},
+                      "levels_per_mode": 5}, "levels_per_mode"),
+        ("blockade", {"pulse_lengths_s": ["x"]}, "pulse_lengths_s"),
+        ("blockade", {"pulse_lengths_s": [float("nan")]}, "pulse_lengths_s"),
+        ("blockade", {"pulse_lengths_s": [-20e-9]}, "pulse_lengths_s"),
+        ("blockade", {"delays_s": [float("inf")]}, "delays_s"),
+        ("blockade", {"dissipation": {"t1_s": 5}}, "t1_s"),
+        ("blockade", {"dissipation": {"t1_s": [-1e-6, 1e-6]}}, "t1_s"),
+        ("blockade", {"dissipation": {"t1_s": [float("nan"), 1e-6]}}, "t1_s"),
+        ("blockade", {"readout_pad_s": "x"}, "readout_pad_s"),
+        ("blockade", {"readout_pad_s": -1e-9}, "readout_pad_s"),
+        ("blockade", {"frame": "sideways"}, "frame"),
+        ("blockade", {"shape": "square"}, "shape"),
+        ("blockade", {"carrier_convention": "mirrored"}, "carrier_convention"),
+    ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
+            "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
+            "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
+            "unknown-shape", "unknown-carrier-convention"])
+    def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         bad = write_json(tmp_path / "cfg.json", {"fixture": "chip1", **extra})
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
-                     "zz-sweep"]) == 2
+                     command]) == 2
         assert field in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code(self, tmp_path):
@@ -248,6 +263,26 @@ class TestBlockadeCommand:
             "protocol": str(ppath)})
         assert main(["--config", cfg, "--out", str(tmp_path / "b.csv"),
                      "blockade"]) == 2
+
+    @pytest.mark.parametrize("change,field", [
+        ({"total_time_s": float("inf")}, "total_time_s"),
+        ({"pulses": [{"shape": "rectangular", "amplitude_hz": float("nan"),
+                      "duration_s": 10e-9, "carrier_hz": 6.307e9}]}, "amplitude_hz"),
+        ({"pulses": [{"shape": "rectangular", "amplitude_hz": "x",
+                      "duration_s": 10e-9, "carrier_hz": 6.307e9}]}, "pulses[0]"),
+        ({"dissipation": {"t1_s": [8e-6, 8e-6], "t2_s": [float("nan"), 1e-6]}}, "t2_s"),
+    ], ids=["total-time-infinite", "amplitude-nan", "amplitude-not-number", "t2-nan"])
+    def test_protocol_file_bad_value_is_config_error(self, tmp_path, capsys, change, field):
+        protocol = {"frame": "rotating",
+                    "pulses": [{"shape": "rectangular", "amplitude_hz": 50e6,
+                                "duration_s": 10e-9, "carrier_hz": 6.307e9}]}
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps({**protocol, **change}))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "zeta_hz": 19e6, "omega1_hz": 6.307e9, "omega2_hz": 4.498e9,
+            "protocol": str(ppath)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "b.csv"), "blockade"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_circuit_file_drives_zz_sweep(self, tmp_path):
         circuit = {

@@ -213,7 +213,8 @@ def _blockade_system(cfg, context):
     for k in ("omega1_hz", "omega2_hz", "zeta_hz"):
         if k not in cfg:
             raise ConfigError(f"{context}: need fixture or explicit {k!r}")
-    return TwoQubitSystem(cfg["omega1_hz"], cfg["omega2_hz"], cfg["zeta_hz"]), None
+    return TwoQubitSystem(*(_config_float(cfg[k], context, k)
+                            for k in ("omega1_hz", "omega2_hz", "zeta_hz"))), None
 
 
 def _blockade_row(system, protocol, dissipation, readout, delay, length):
@@ -435,6 +436,8 @@ def cmd_ramsey(cfg, out):
     system, _ = _blockade_system(cfg, "ramsey")
     grid = _grid(cfg, "free_time_s", "ramsey")
     offset = cfg.get("drive_offset_hz")
+    if offset is not None:
+        offset = _config_float(offset, "ramsey", "drive_offset_hz")
     rows = []
     for state in (0, 1):
         fringe = run_conditional_ramsey(system, state, grid, drive_offset_hz=offset)

@@ -6,7 +6,6 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from zzkit import dynamics
-
 from zzkit import (
     DissipationSpec,
     PulseSpec,

@@ -145,10 +145,12 @@ class TestZZSweepCommand:
         ("blockade", {"frame": "sideways"}, "frame"),
         ("blockade", {"shape": "square"}, "shape"),
         ("blockade", {"carrier_convention": "mirrored"}, "carrier_convention"),
+        ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 101},
+                    "drive_offset_hz": "x"}, "drive_offset_hz"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
-            "unknown-shape", "unknown-carrier-convention"])
+            "unknown-shape", "unknown-carrier-convention", "ramsey-offset-not-number"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         bad = write_json(tmp_path / "cfg.json", {"fixture": "chip1", **extra})
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
@@ -217,6 +219,16 @@ class TestBlockadeCommand:
         assert row["p2_e"] > 0.9
         assert row["p1_e_measured"] == pytest.approx(
             (1 - row["p1_e"]) * 0.05 + row["p1_e"] * 0.90, abs=1e-9)
+
+    @pytest.mark.parametrize("system,field", [
+        ({"omega1_hz": "x", "omega2_hz": 4.498e9, "zeta_hz": 19e6}, "omega1_hz"),
+        ({"omega1_hz": 6.307e9, "omega2_hz": 4.498e9, "zeta_hz": float("nan")}, "zeta_hz"),
+    ], ids=["omega-not-number", "zeta-nan"])
+    def test_explicit_system_is_validated(self, tmp_path, capsys, system, field):
+        cfg = write_json(tmp_path / "cfg.json", {
+            **system, "pulse_lengths_s": [20e-9], "delays_s": [0.0]})
+        assert main(["--config", cfg, "--out", str(tmp_path / "b.csv"), "blockade"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_grid_readout_matrix_validated(self, tmp_path, capsys):
         # a non-stochastic or misshapen matrix is refused before any simulation

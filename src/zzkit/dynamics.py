@@ -23,12 +23,16 @@ a nonzero difference frequency) and runs fixed fourth-order Magnus steps,
 built and exponentiated in stacked blocks; a smooth one is integrated by
 adaptive Runge-Kutta (DOP853).  A Hamiltonian's func therefore accepts a
 scalar time or an array of times, returning the matching stack of matrices.
+max_step_s resolves the fastest frequency of the Hamiltonian, and the Magnus
+steps have no error control of their own: at the default tolerances their
+populations are good to about 1e-6, and a tighter rtol shortens them.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from .errors import (
@@ -112,18 +116,24 @@ class PulseSpec:
         return self.start_time_s + self.duration_s
 
     def envelope(self, t):
-        """Instantaneous Rabi rate in Hz; accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
-        tau = t - self.start_time_s
-        inside = (tau >= 0.0) & (tau <= self.duration_s)
+        """Instantaneous Rabi rate in Hz; accepts scalars or arrays.
+
+        A scalar t runs on plain floats: a solver calls this once per stage,
+        and 0-d array operations would cost several times the arithmetic.
+        """
+        scalar = np.ndim(t) == 0
+        tau = (float(t) if scalar else np.asarray(t, dtype=float)) - self.start_time_s
+        if scalar and not 0.0 <= tau <= self.duration_s:
+            return 0.0
         if self.shape == "rectangular":
-            shape = np.ones_like(tau)
+            shape = 1.0
         elif self.shape == "truncated_cosine":
             shape = 0.5 * (1.0 - np.cos(TWO_PI * tau / self.duration_s))
         else:
             shape = np.exp(-0.5 * ((tau - 0.5 * self.duration_s) / self.gaussian_sigma_s) ** 2)
-        out = np.where(inside, self.amplitude_hz * shape, 0.0)
-        return out if out.ndim else float(out)
+        if scalar:
+            return float(self.amplitude_hz * shape)
+        return np.where((tau >= 0.0) & (tau <= self.duration_s), self.amplitude_hz * shape, 0.0)
 
     def area(self):
         """Envelope area in cycles (integral of the Hz Rabi rate over time)."""
@@ -234,7 +244,7 @@ class TimeDependentHamiltonian:
     breakpoints: tuple          # times where the envelope support changes
     active_intervals: tuple     # (start, end) windows in which drives are on
     always_time_dependent: bool = False
-    max_step_s: float = None
+    max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
 
     def matrix(self, t):
         return self.func(t)
@@ -340,11 +350,15 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
             h = h + np.multiply.outer(c, FLIP_FLOP) + np.multiply.outer(c.conj(), FLIP_FLOP.T)
         return h
 
+    # fixed steps must resolve the fastest frequency in this frame: the exchange
+    # rotation, the frame detunings and zeta, the exchange and the drives
+    rate_hz = max(abs(delta_d), np.abs(diag).max() / TWO_PI, abs(jpm),
+                  sum(p.amplitude_hz for p in pulses))
     return TimeDependentHamiltonian(
         func, 4, edges, intervals,
         always_time_dependent=exchange_on and abs(delta_d) > 0,
         max_step_s=None if not exchange_on or delta_d == 0
-        else 1.0 / (STEPS_PER_CARRIER_PERIOD * abs(delta_d)),
+        else 1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz),
     )
 
 
@@ -407,57 +421,20 @@ def _check_grid(grid_s):
     return grid
 
 
-# Pade [13/13] coefficients, and the largest 1-norm at which that approximant
-# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005))
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_PADE13_THETA = 5.371920351148152
-
-
-def _expm(a):
-    """Matrix exponential of a stack of square matrices (scaling and squaring).
-
-    Every matrix is scaled by the power of two that brings the largest 1-norm
-    in the stack under _PADE13_THETA, so one [13/13] Pade approximant per
-    matrix is exact to rounding.  It runs as stacked numpy products and one
-    stacked solve: scipy.linalg.expm loops over a stack one matrix at a time,
-    and the threaded LAPACK solve it calls for each can take milliseconds on a
-    4x4 matrix when the other cores are busy.
-    """
-    norm = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
-    squarings = int(np.ceil(np.log2(norm / _PADE13_THETA))) if norm > _PADE13_THETA else 0
-    a = a / 2.0 ** squarings
-    b = _PADE13
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
-
-
-def _magnus_segment(ham, generator, y, a, times, b):
+def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     """Fixed-step fourth-order Magnus propagation of y over [a, b].
 
     Returns the states at times (sorted, inside (a, b]) and at b.  Every time
     is a step edge, and each interval between edges is cut into equal steps of
-    at most ham.max_step_s.  A step of width h, with generators G1 and G2 at
+    at most max_step_s.  A step of width h, with generators G1 and G2 at
     its two Gauss-Legendre nodes, is exp(h/2 (G1 + G2) + sqrt(3)/12 h^2
     [G2, G1]) (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)).
     Steps are laid out, evaluated through one call of ham.matrix, exponentiated
-    with one stacked _expm and applied in order _MAGNUS_BLOCK at a time, so
+    with one stacked expm and applied in order _MAGNUS_BLOCK at a time, so
     memory stays flat however long the segment is.
     """
     knots = np.unique(np.concatenate(([a], times, [b])))
-    counts = np.ceil(np.diff(knots) / ham.max_step_s).astype(int)
+    counts = np.ceil(np.diff(knots) / max_step_s).astype(int)
     widths = np.diff(knots) / counts
     ends = np.cumsum(counts)
     states = []
@@ -470,7 +447,7 @@ def _magnus_segment(ham, generator, y, a, times, b):
         g1, g2 = g[0::2], g[1::2]
         h = h[:, None, None]
         omega = 0.5 * h * (g1 + g2) + _MAGNUS_COMMUTATOR * h ** 2 * (g2 @ g1 - g1 @ g2)
-        for u, at_edge in zip(_expm(omega), np.isin(step + 1, ends)):
+        for u, at_edge in zip(expm(omega), np.isin(step + 1, ends)):
             y = u @ y
             if at_edge:
                 states.append(y)
@@ -485,11 +462,13 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     with exact exponentials of its generator, one stacked expm over the grid
     offsets inside it and its end.  A driven segment of a Hamiltonian that
     sets max_step_s has an oscillation to resolve and runs fixed Magnus steps
-    of at most that size (_magnus_segment), which cost one matrix exponential
-    each however fast the phase turns; any other driven segment is smooth and
-    is integrated by DOP853, whose adaptive steps follow the envelope with an
-    eighth of the segment as the largest step.  rtol and atol steer DOP853
-    only.
+    (_magnus_segment), which cost one matrix exponential each however fast the
+    phase turns; any other driven segment is smooth and is integrated by
+    DOP853, whose adaptive steps follow the envelope with an eighth of the
+    segment as the largest step.  rtol and atol steer DOP853.  The Magnus
+    steps have no error control: at RTOL_DEFAULT they are max_step_s long, and
+    a tighter rtol shortens them by (rtol / RTOL_DEFAULT)^(1/4), so that their
+    global error, of order h^4, falls in proportion to rtol.
     """
     def rhs(t, v):
         return (generator(ham.matrix(t)) @ v.view(complex)).view(float)
@@ -502,11 +481,13 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
         if ham.is_static_on(a, b):
             g = generator(ham.matrix(0.5 * (a + b)))
             offsets = np.append(grid[mask], b) - a
-            states = _expm(g[None] * offsets[:, None, None]) @ y
+            states = expm(g[None] * offsets[:, None, None]) @ y
             out[mask], y = states[:-1], states[-1]
             continue
         if ham.max_step_s:
-            states, y = _magnus_segment(ham, generator, y, a, grid[mask], b)
+            tighter = max(rtol, 100 * np.finfo(float).eps) / RTOL_DEFAULT   # solve_ivp's floor
+            step_s = ham.max_step_s * min(1.0, tighter) ** 0.25
+            states, y = _magnus_segment(ham, generator, y, a, grid[mask], b, step_s)
             out[mask] = states
             continue
         sol = solve_ivp(rhs, (a, b), y.view(float), method="DOP853", rtol=rtol, atol=atol,
@@ -528,8 +509,9 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
     """Integrate the Schrodinger equation on [grid[0], grid[-1]].
 
     Propagation runs through the shared segment loop with generator -i H.
-    A norm drift beyond 1e-6 triggers one retry with 100x tighter tolerances
-    (they steer the DOP853 segments) before raising StiffnessError.
+    rtol and atol steer the DOP853 segments and shorten the fixed Magnus
+    steps (see _propagate).  A norm drift beyond 1e-6 triggers one retry with
+    100x tighter tolerances before raising StiffnessError.
     """
     grid = _check_grid(grid_s)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -575,9 +557,10 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
     Propagates vec(rho) through the shared segment loop with the Liouvillian
     generator D - i(H x I - I x H^T), the dissipator D built once per call;
     drive-free segments therefore use the exact exponential of the static
-    Liouvillian, which makes microsecond-scale free decays cheap.  Trace is
-    monitored to 1e-6 and the state is checked for negative eigenvalues
-    below -1e-8.
+    Liouvillian, which makes microsecond-scale free decays cheap.  rtol and
+    atol steer the DOP853 segments and shorten the fixed Magnus steps (see
+    _propagate).  Trace is monitored to 1e-6 and the state is checked for
+    negative eigenvalues below -1e-8.
     """
     grid = _check_grid(grid_s)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -650,7 +633,11 @@ def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
 
     Closed-system propagation unless a DissipationSpec is given.  Populations
     are basis-state probabilities; SimulationResult.p_excited(q) reduces them
-    per qubit.  The final grid point is the readout instant.
+    per qubit.  The final grid point is the readout instant.  rtol and atol
+    steer the adaptive DOP853 segments.  Lab-frame runs and rotating-frame
+    runs with a detuned exchange term take fixed Magnus steps instead, good
+    to about 1e-6 in population at the defaults; there a tighter rtol only
+    shortens the steps, cutting the error in proportion.
     """
     ham = build_protocol_hamiltonian(system, protocol, include_exchange)
     grid = np.unique(np.concatenate([
@@ -741,7 +728,7 @@ def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
         (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
     h = ham.matrix(0.5 * pulse_length_s)   # rectangular drive: static during pulse
-    return _expm(-1j * h * pulse_length_s)
+    return expm(-1j * h * pulse_length_s)
 
 
 def run_conditional_ramsey(system, spectator_state, free_time_grid_s,

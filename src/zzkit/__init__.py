@@ -21,6 +21,7 @@ from .circuit import (
     effective_josephson_energy,
     kerr_from_foster,
     participation_from_foster,
+    transmon_levels,
     transmon_spectrum,
     two_transmon_kerr,
 )
@@ -50,6 +51,7 @@ from .optimize import (
     DEParams,
     OptimizationProblem,
     evaluate_candidate,
+    evaluate_population,
     optimize,
 )
 from .spectrum import (
@@ -60,6 +62,7 @@ from .spectrum import (
     build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
+    dressed_blocks,
     kerr_at_flux,
     pauli_decomposition,
     schrieffer_wolff_shifts,

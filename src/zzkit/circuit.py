@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import mathieu_a, mathieu_b
 
 from .constants import capacitance_from_ec, phase_zpf_from_impedance
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 TRANSMON_RATIO_WARN = 20.0      # warn below this E_J/E_C
 PARTICIPATION_WARN = 0.5        # phi_zpf above this is no longer weakly anharmonic
@@ -59,50 +59,65 @@ def effective_josephson_energy(squid):
 
 @dataclass(frozen=True)
 class TransmonSpec:
-    """A flux-tunable transmon: SQUID plus charging energy and truncation settings."""
+    """A flux-tunable transmon: SQUID plus charging energy."""
 
     squid: SquidSpec
     ec_hz: float
-    n_levels: int = 4
-    charge_basis_cutoff: int = 30
 
     def __post_init__(self):
         if self.ec_hz <= 0:
             raise ValueError("ec_hz must be positive")
-        if self.n_levels < 3:
-            raise ValueError("n_levels must be >= 3 (smallest truncation showing ZZ)")
-        if self.charge_basis_cutoff < 1:
-            raise ValueError("charge_basis_cutoff must be positive")
 
     def at_flux(self, flux_phi0):
-        return TransmonSpec(self.squid.at_flux(flux_phi0), self.ec_hz,
-                            self.n_levels, self.charge_basis_cutoff)
+        return TransmonSpec(self.squid.at_flux(flux_phi0), self.ec_hz)
 
 
 @dataclass(frozen=True)
 class TransmonSpectrum:
     omega01_hz: float
     anharmonicity_hz: float
-    levels_hz: np.ndarray    # lowest n_levels eigenenergies, ground state at 0
+    levels_hz: np.ndarray    # levels 0, 1, 2 relative to the ground state: 0, omega01, omega02
 
 
-def _charge_basis_levels(ej, ec, n_levels, cutoff):
-    """Lowest eigenvalues of 4 E_C n^2 - E_J cos(phi) in the charge basis (ng = 0)."""
-    n = np.arange(-cutoff, cutoff + 1, dtype=float)
-    diag = 4.0 * ec * n**2
-    off = -0.5 * ej * np.ones(2 * cutoff)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))[0]
-    return vals
+def transmon_levels(ej_hz, ec_hz):
+    """(omega01, omega12 - omega01) of 4 E_C n^2 - E_J cos(phi) at ng = 0, in Hz.
 
-
-def transmon_spectrum(spec, max_cutoff=400):
-    """Diagonalize the transmon in the charge basis at the spec's flux bias.
-
-    The cutoff is escalated until the lowest n_levels eigenvalues move by less
-    than 1 kHz when the cutoff grows by 5; failing that up to max_cutoff raises
-    ConvergenceError.  Returns omega01, the anharmonicity (omega12 - omega01,
-    negative for transmons) and the level energies relative to the ground state.
+    This is Mathieu's equation with q = -E_J/(2 E_C); the lowest three levels
+    are E_C times the characteristic values a_0, b_2, a_2 (Koch et al., PRA 76,
+    042319 (2007), eq. 2.7), in that fixed order and never sorted (scipy's
+    mathieu_b(4, q), not needed, is wrong at isolated q).  Broadcasts; no checks.
     """
+    ec = np.asarray(ec_hz, dtype=float)
+    q = -np.asarray(ej_hz, dtype=float) / (2.0 * ec)
+    e0 = _characteristic(mathieu_a, 0, q)
+    omega01 = ec * (_characteristic(mathieu_b, 2, q) - e0)
+    omega02 = ec * (_characteristic(mathieu_a, 2, q) - e0)
+    return omega01, (omega02 - omega01) - omega01
+
+
+def _characteristic(func, order, q):
+    """scipy's func(order, q), mended where it is NaN (SciPy 1.17: a_0 at up to
+    40 % of q near E_J/E_C = 1335, b_2 at 1641.15) by linear interpolation from
+    the nearest finite values at q (1 - d_lo) and q (1 + d_hi), d = 1e-9 2^k;
+    the error d_lo d_hi q^2 |a''| / 2 is far below rounding for d ~ 1e-8.
+    """
+    v = func(order, q)
+    if np.isfinite(v).all():
+        return v
+    v = np.array(v)
+    bad = ~np.isfinite(v)
+    d = 1e-9 * 2.0 ** np.arange(20)
+    qb = np.broadcast_to(q, v.shape)[bad][:, None]
+    lo, hi = func(order, qb * (1 - d)), func(order, qb * (1 + d))
+    i, j = np.argmax(np.isfinite(lo), axis=1), np.argmax(np.isfinite(hi), axis=1)
+    v[bad] = (lo[range(len(qb)), i] * d[j] + hi[range(len(qb)), j] * d[i]) / (d[i] + d[j])
+    if not np.isfinite(v).all():
+        raise ValueError(f"no finite Mathieu characteristic value near q = {q}")
+    return v
+
+
+def transmon_spectrum(spec):
+    """omega01, anharmonicity and levels 0, 1, 2 at the spec's flux bias (transmon_levels)."""
     ej = effective_josephson_energy(spec.squid)
     ratio = ej / spec.ec_hz
     if ratio < 1:
@@ -112,22 +127,8 @@ def transmon_spectrum(spec, max_cutoff=400):
             f"E_J/E_C = {ratio:.1f} < {TRANSMON_RATIO_WARN:g}: outside the transmon regime",
             stacklevel=2,
         )
-    cutoff = spec.charge_basis_cutoff
-    while True:
-        vals = _charge_basis_levels(ej, spec.ec_hz, spec.n_levels, cutoff)
-        check = _charge_basis_levels(ej, spec.ec_hz, spec.n_levels, cutoff + 5)
-        if np.max(np.abs(vals - check)) < 1e3:
-            break
-        if cutoff >= max_cutoff:
-            raise ConvergenceError(
-                f"charge-basis eigenvalues not stable at cutoff {cutoff} "
-                f"(max {max_cutoff})"
-            )
-        cutoff = min(2 * cutoff, max_cutoff)
-    levels = check - check[0]
-    omega01 = levels[1]
-    anharm = (levels[2] - levels[1]) - levels[1]
-    return TransmonSpectrum(omega01, anharm, levels)
+    omega01, anharm = map(float, transmon_levels(ej, spec.ec_hz))
+    return TransmonSpectrum(omega01, anharm, np.array([0.0, omega01, 2 * omega01 + anharm]))
 
 
 def transmon_omega01_asymptotic(ej_hz, ec_hz):
@@ -317,10 +318,8 @@ class Coupling:
 def two_transmon_kerr(q1, q2, coupling_capacitance, shunt_caps):
     """Kerr parameters of two capacitively coupled transmons.
 
-    Frequencies and anharmonicities come from charge-basis diagonalization of
-    each qubit; the exchange rate follows the two-node capacitive reduction
-    with total node capacitances C_shunt,i + C12.  The coupling is kept to
-    bilinear (charge-charge) order, so no bare cross-Kerr term is generated:
+    The exchange rate follows the two-node capacitive reduction with total
+    node capacitances C_shunt,i + C12, kept to bilinear (charge-charge) order:
     quartic terms live entirely in the local junction cosines.
     """
     c12 = float(coupling_capacitance)
@@ -333,14 +332,15 @@ def two_transmon_kerr(q1, q2, coupling_capacitance, shunt_caps):
             "two-node reduction is only approximate",
             stacklevel=2,
         )
-    s1 = transmon_spectrum(q1)
-    s2 = transmon_spectrum(q2)
-    csig1, csig2 = cs1 + c12, cs2 + c12
-    g = c12 / (2.0 * np.sqrt(csig1 * csig2)) * np.sqrt(s1.omega01_hz * s2.omega01_hz)
+    coupling = Coupling(c12_farads=c12, csigma_farads=(cs1 + c12, cs2 + c12))
+    return kerr_from_spectra(transmon_spectrum(q1), transmon_spectrum(q2), coupling)
+
+
+def kerr_from_spectra(s1, s2, coupling):
+    """KerrParams of two transmons from their spectra; bilinear coupling adds no cross-Kerr."""
     return KerrParams(
         mode_freqs_hz=np.array([s1.omega01_hz, s2.omega01_hz]),
         self_kerr_hz=np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
         cross_kerr_hz=np.zeros((2, 2)),
-        exchange_g_hz=g,
-        bare_cross_kerr_chi_hz=0.0,
+        exchange_g_hz=coupling.g_at(s1.omega01_hz, s2.omega01_hz),
     )

@@ -36,22 +36,22 @@ from .errors import (
 )
 from .fixtures import load_fixture
 from .optimize import (
+    VARIABLE_ORDER,
     Candidate,
     ConstraintSet,
     DEParams,
     OptimizationProblem,
-    evaluate_candidate,
+    evaluate_population,
     optimize,
 )
 from .spectrum import (
     build_hamiltonian,
     diagonalize_and_label,
+    dressed_blocks,
     pauli_decomposition,
     refine_crossing,
-    single_excitation_pair,
-    zeta_exact,
+    single_excitation_scan,
     zeta_perturbative,
-    zeta_resonant,
     zeta_series_high_detuning,
 )
 
@@ -92,11 +92,14 @@ def _grid(cfg, key, context):
 
 
 def _config_int(value, context, field):
-    """int(value), or a ConfigError naming the field when the value is not a number."""
+    """int(value), or a ConfigError naming the field unless the value is a whole number."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}: {field} must be an integer, got {value!r}") from exc
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{context}: {field} must be an integer, got {value!r}")
+    return number
 
 
 def _config_float(value, context, field):
@@ -158,42 +161,36 @@ def cmd_zz_sweep(cfg, out):
         max_exc = _config_int(max_exc, "zz-sweep", "max_total_excitation")
     order = _config_int(cfg.get("series_order", 4), "zz-sweep", "series_order")
 
-    def kerr(delta):
-        omega2 = omega1 - delta
-        return KerrParams(np.array([omega1, omega2]), np.array([alpha1, alpha2]),
-                          np.zeros((2, 2)), exchange_g_hz=coupling.g_at(omega1, omega2))
-
-    def point(delta):
-        params = kerr(delta)
-        g = params.exchange_g_hz
-        row = {"delta_hz": delta, "zeta_exact_hz": None,
-               "zeta_perturbative_hz": None, "zeta_series_hz": None,
-               "ambiguous_flag": "0"}
-        try:
-            spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
-            try:
-                row["zeta_exact_hz"] = zeta_exact(spec)
-            except AmbiguousLabelError:
-                row["zeta_exact_hz"] = zeta_resonant(spec)
-                row["ambiguous_flag"] = "1"
-        except ZZKitError as exc:
+    omega2 = omega1 - deltas
+    g = np.broadcast_to(coupling.g_at(omega1, omega2), deltas.shape)
+    rows = [{"delta_hz": delta, "zeta_exact_hz": None, "zeta_perturbative_hz": None,
+             "zeta_series_hz": None, "ambiguous_flag": "0"} for delta in deltas]
+    try:
+        zetas, _, ambiguous = dressed_blocks(omega1, omega2, alpha1, alpha2, g, 0.0, levels,
+                                             max_exc)
+        for row, zeta, flag in zip(rows, zetas.tolist(), ambiguous.any(axis=1)):
+            # on flagged rows the value equals zeta_resonant's (E_10 + E_01 = E_+ + E_-)
+            row["zeta_exact_hz"], row["ambiguous_flag"] = zeta, "1" if flag else "0"
+    except ZZKitError as exc:
+        for row in rows:
             row["ambiguous_flag"] = f"error:{type(exc).__name__}"
+    for row, delta, g_k in zip(rows, deltas, g):
         try:
-            row["zeta_perturbative_hz"] = zeta_perturbative(g, delta, alpha1, alpha2)
+            row["zeta_perturbative_hz"] = zeta_perturbative(g_k, delta, alpha1, alpha2)
         except (PoleError, ZeroDivisionError):
             pass
         try:
             row["zeta_series_hz"] = zeta_series_high_detuning(
-                g, delta, alpha1, alpha2, order=order)
+                g_k, delta, alpha1, alpha2, order=order)
         except DomainError:
             pass
-        return row
 
-    zio.write_zz_sweep_csv(out, [point(delta) for delta in deltas])
+    zio.write_zz_sweep_csv(out, rows)
     zio.read_zz_sweep_csv(out)   # schema self-test
 
     if cfg.get("spectrum_json"):
-        params = kerr(deltas[0])
+        params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
+                            np.zeros((2, 2)), exchange_g_hz=g[0])
         spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
         try:
             decomp = pauli_decomposition(spec, params.exchange_g_hz)
@@ -305,27 +302,25 @@ def cmd_flux_spectroscopy(cfg, out):
         raise ConfigError("flux-spectroscopy: needs a fixture with flux-tunable qubits")
     fx = load_fixture(cfg["fixture"])
     q1f, q2f = fx.qubits
-    q1_flux = float(cfg.get("q1_flux_phi0", q1f.default_flux_phi0))
+    q1_flux = _config_float(cfg.get("q1_flux_phi0", q1f.default_flux_phi0),
+                            "flux-spectroscopy", "q1_flux_phi0")
     fluxes = _grid(cfg, "flux_phi0", "flux-spectroscopy")
     q1 = q1f.transmon(q1_flux)
     q2 = q2f.transmon()
     coupling = fx.coupling()
     s1 = transmon_spectrum(q1)
 
-    rows, gaps = [], []
-    for flux in fluxes:
-        params, lo, hi = single_excitation_pair(s1, q2, coupling, flux)
-        rows.append({"flux_phi0": flux, "omega1_bare_hz": params.mode_freqs_hz[0],
-                     "omega2_bare_hz": params.mode_freqs_hz[1],
-                     "dressed_lower_hz": lo, "dressed_upper_hz": hi})
-        gaps.append(hi - lo)
+    omega2, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
+    rows = [{"flux_phi0": flux, "omega1_bare_hz": s1.omega01_hz, "omega2_bare_hz": w2,
+             "dressed_lower_hz": lo, "dressed_upper_hz": hi}
+            for flux, w2, (lo, hi) in zip(fluxes, omega2.tolist(), pairs.tolist())]
     zio.write_flux_csv(out, rows)
     zio.read_flux_csv(out)
 
     summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(s1.omega01_hz)}
     try:
         # the rows' own gaps: the grid is solved once
-        j, flux_min = refine_crossing(s1, q2, coupling, fluxes, gaps)
+        j, flux_min = refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
         summary.update({"two_j_hz": 2.0 * float(j), "flux_at_min_phi0": float(flux_min)})
     except ZZKitError as exc:
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,
@@ -338,51 +333,67 @@ def cmd_flux_spectroscopy(cfg, out):
 
 # ---------------------------------------------------------------- optimize
 
-def _rosenbrock_evaluator(x, problem):
-    a, b = x
-    value = -((a - 1.0) ** 2) - 100.0 * (b - a * a) ** 2
-    return Candidate(x, value, True, ())
+def _rosenbrock_evaluator(xs, problem):
+    return [Candidate(x, -((x[0] - 1.0) ** 2) - 100.0 * (x[1] - x[0] * x[0]) ** 2, True, ())
+            for x in xs]
 
 
 def _problem_from_config(cfg, seed_override=None):
     zio._check_keys(cfg, ["kind", "variables", "fixed", "constraints", "de",
                           "n_exc", "objective", "strict_mode"], "optimize")
+    kind = cfg.get("kind", "circuit")
+    if kind not in ("circuit", "rosenbrock"):
+        raise ConfigError(f"optimize: unknown kind {kind!r}")
     variables = []
     for v in cfg.get("variables", []):
-        zio._check_keys(v, ["name", "low", "high"], "optimize:variables")
-        variables.append((v["name"], float(v["low"]), float(v["high"])))
+        context = "optimize:variables"
+        zio._check_keys(v, ["name", "low", "high"], context)
+        if kind == "circuit" and v.get("name") not in VARIABLE_ORDER:
+            raise ConfigError(f"{context}: name must be one of {list(VARIABLE_ORDER)}, "
+                              f"got {v.get('name')!r}")
+        variables.append((v.get("name"), _config_float(v.get("low"), context, "low"),
+                          _config_float(v.get("high"), context, "high")))
     cons_cfg = cfg.get("constraints", {})
+    context = "optimize:constraints"
     zio._check_keys(cons_cfg, ["freq_band_hz", "min_abs_anharmonicity_hz",
-                               "min_ej_ec_ratio", "max_j_over_delta"],
-                    "optimize:constraints")
-    cons_kwargs = {}
+                               "min_ej_ec_ratio", "max_j_over_delta"], context)
+    cons_kwargs = {k: _config_float(cons_cfg[k], context, k) for k in
+                   ("min_abs_anharmonicity_hz", "min_ej_ec_ratio", "max_j_over_delta")
+                   if k in cons_cfg}
     if "freq_band_hz" in cons_cfg:
-        cons_kwargs["freq_band_hz"] = tuple(tuple(b) for b in cons_cfg["freq_band_hz"])
-    for k in ("min_abs_anharmonicity_hz", "min_ej_ec_ratio", "max_j_over_delta"):
-        if k in cons_cfg:
-            cons_kwargs[k] = cons_cfg[k]
+        bands = cons_cfg["freq_band_hz"]
+        if not (isinstance(bands, list) and len(bands) == 2
+                and all(isinstance(b, list) and len(b) == 2 for b in bands)):
+            raise ConfigError(f"{context}: freq_band_hz must hold two [low, high] pairs, "
+                              f"got {bands!r}")
+        cons_kwargs["freq_band_hz"] = tuple(
+            tuple(_config_float(f, context, "freq_band_hz") for f in b) for b in bands)
     de_cfg = cfg.get("de", {})
     zio._check_keys(de_cfg, ["population", "generations", "mutation", "crossover",
                              "seed"], "optimize:de")
     if seed_override is not None:
         de_cfg = dict(de_cfg, seed=seed_override)
-    problem = OptimizationProblem(
-        variables=tuple(variables),
-        constraints=ConstraintSet(**cons_kwargs),
-        de_params=DEParams(**de_cfg),
-        n_exc=int(cfg.get("n_exc", 4)),
-        fixed=tuple(cfg.get("fixed", {}).items()),
-        objective=cfg.get("objective", "abs"),
-        strict_mode=bool(cfg.get("strict_mode", False)),
-    )
-    kind = cfg.get("kind", "circuit")
+    de_kwargs = {k: value if value is None else (
+        _config_float if k in ("mutation", "crossover") else _config_int)(value, "optimize:de", k)
+        for k, value in de_cfg.items()}
+    try:
+        problem = OptimizationProblem(
+            variables=tuple(variables),
+            constraints=ConstraintSet(**cons_kwargs),
+            de_params=DEParams(**de_kwargs),
+            n_exc=_config_int(cfg.get("n_exc", 4), "optimize", "n_exc"),
+            fixed=tuple((name, _config_float(value, "optimize:fixed", name))
+                        for name, value in cfg.get("fixed", {}).items()),
+            objective=cfg.get("objective", "abs"),
+            strict_mode=bool(cfg.get("strict_mode", False)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"optimize: {exc}") from exc
     if kind == "circuit":
-        return problem, evaluate_candidate
-    if kind == "rosenbrock":
-        if problem.dimension != 2:
-            raise ConfigError("optimize: rosenbrock smoke test needs 2 variables")
-        return problem, _rosenbrock_evaluator
-    raise ConfigError(f"optimize: unknown kind {kind!r}")
+        return problem, evaluate_population
+    if problem.dimension != 2:
+        raise ConfigError("optimize: rosenbrock smoke test needs 2 variables")
+    return problem, _rosenbrock_evaluator
 
 
 def cmd_optimize(cfg, out, seed_override=None):

@@ -213,6 +213,12 @@ class TwoQubitSystem:
     jxx_hz: float = 0.0
     jyy_hz: float = 0.0
 
+    def __post_init__(self):
+        for name in ("omega1_hz", "omega2_hz", "zeta_hz", "jxx_hz", "jyy_hz"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
     @classmethod
     def from_pauli_decomposition(cls, decomp):
         """Transition data from a beta decomposition (sign convention agnostic)."""
@@ -421,6 +427,16 @@ def _check_grid(grid_s):
     return grid
 
 
+def _expm_anti_hermitian(omega):
+    """exp(omega) for a stack of anti-Hermitian matrices, from one stacked eigh.
+
+    i omega is Hermitian with eigenpairs (lam, V), so exp(omega) =
+    V diag(exp(-i lam)) V^dagger.
+    """
+    lam, v = np.linalg.eigh(1j * omega)
+    return (v * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     """Fixed-step fourth-order Magnus propagation of y over [a, b].
 
@@ -430,9 +446,12 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     its two Gauss-Legendre nodes, is exp(h/2 (G1 + G2) + sqrt(3)/12 h^2
     [G2, G1]) (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)).
     Steps are laid out, evaluated through one call of ham.matrix, exponentiated
-    with one stacked expm and applied in order _MAGNUS_BLOCK at a time, so
-    memory stays flat however long the segment is.
+    together and applied in order _MAGNUS_BLOCK at a time, so memory stays
+    flat however long the segment is.  Closed-system steps are anti-Hermitian
+    and are exponentiated through one stacked eigh (_expm_anti_hermitian);
+    Lindblad steps through scipy's expm.
     """
+    exponential = _expm_anti_hermitian if generator is _closed_generator else expm
     knots = np.unique(np.concatenate(([a], times, [b])))
     counts = np.ceil(np.diff(knots) / max_step_s).astype(int)
     widths = np.diff(knots) / counts
@@ -447,7 +466,7 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
         g1, g2 = g[0::2], g[1::2]
         h = h[:, None, None]
         omega = 0.5 * h * (g1 + g2) + _MAGNUS_COMMUTATOR * h ** 2 * (g2 @ g1 - g1 @ g2)
-        for u, at_edge in zip(expm(omega), np.isin(step + 1, ends)):
+        for u, at_edge in zip(exponential(omega), np.isin(step + 1, ends)):
             y = u @ y
             if at_edge:
                 states.append(y)

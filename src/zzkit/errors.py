@@ -9,10 +9,6 @@ class ZZKitError(Exception):
     """Base class for all zzkit errors."""
 
 
-class ConvergenceError(ZZKitError):
-    """Charge-basis diagonalization did not stabilize at the maximum cutoff."""
-
-
 class FitDivergedError(ZZKitError):
     """Vector-fit pole relocation failed to reduce the residual."""
 

@@ -4,7 +4,7 @@ Fixture files record measured device parameters together with a provenance
 note for every numeric field: "paper-table" and "paper-text" values are taken
 verbatim from the device characterization, "back-solved" values (junction
 energies, charging energies, asymmetries, the effective coupling capacitance)
-are inverted from those so that charge-basis diagonalization reproduces the
+are inverted from those so that the transmon spectrum reproduces the
 recorded sweet-spot frequencies and anharmonicities exactly.
 
 The effective coupling capacitance is chosen so that the capacitive coupling
@@ -39,10 +39,9 @@ class QubitFixture:
     t2_echo_s: float
     provenance: dict
 
-    def transmon(self, flux_phi0=None, n_levels=4):
+    def transmon(self, flux_phi0=None):
         flux = self.default_flux_phi0 if flux_phi0 is None else flux_phi0
-        return TransmonSpec(SquidSpec(self.ej_sum_hz, self.asymmetry_d, flux),
-                            self.ec_hz, n_levels=n_levels)
+        return TransmonSpec(SquidSpec(self.ej_sum_hz, self.asymmetry_d, flux), self.ec_hz)
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,21 @@ Selection is feasibility-first: a feasible trial beats an infeasible
 incumbent, feasible candidates compete on the objective with ties accepted,
 and two infeasible candidates compete on total constraint violation so an
 all-infeasible population can still move toward feasibility.  The literal
-accept-only-feasible-improvements rule is available as strict_mode.  Great
-care is taken to keep runs reproducible: every candidate index owns a
-seed-derived RNG stream, so serial and parallel evaluation give identical
-populations.
+accept-only-feasible-improvements rule is available as strict_mode.
+
+A population evaluator (evaluate_population by default) scores each
+generation's trials in one call, as stacked arrays.  Every candidate index
+owns a seed-derived RNG stream, so a run is reproducible from its seed.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import SquidSpec, TransmonSpec, two_transmon_kerr
+from .circuit import Coupling, transmon_levels
 from .constants import charging_energy_hz
-from .errors import NoFeasibleCandidateError, ZZKitError
-from .spectrum import build_hamiltonian, diagonalize_and_label, zeta_exact
+from .errors import NoFeasibleCandidateError
+from .spectrum import dressed_blocks
 
 VARIABLE_ORDER = ("ej1_hz", "ej2_hz", "c1_farads", "c2_farads", "c12_farads")
 
@@ -62,6 +62,8 @@ class DEParams:
     def __post_init__(self):
         if self.population is not None and self.population < 4:
             raise ValueError("population must be >= 4 (mutation needs 3 partners)")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         if not 0 < self.mutation < 2:
             raise ValueError("mutation factor must lie in (0, 2)")
         if not 0 <= self.crossover <= 1:
@@ -74,9 +76,9 @@ class OptimizationProblem:
 
     variables maps names from VARIABLE_ORDER to (low, high) bounds; names not
     listed are pinned by `fixed`.  n_exc caps the total excitation number of
-    the diagnostic Hamiltonian; for n_exc >= 2 it sets only the problem size,
-    not zeta (see build_hamiltonian).  objective "abs" maximizes |zeta|,
-    "signed" maximizes zeta itself.
+    the diagnostic Hamiltonian and must be at least 2, the excitation number
+    of |11>; above that it does not change zeta (see dressed_blocks).
+    objective "abs" maximizes |zeta|, "signed" maximizes zeta itself.
     """
 
     variables: tuple                       # ((name, low, high), ...)
@@ -97,6 +99,8 @@ class OptimizationProblem:
                 raise ValueError(f"bad bounds for {name}: ({lo}, {hi})")
         if self.objective not in ("abs", "signed"):
             raise ValueError("objective must be 'abs' or 'signed'")
+        if self.n_exc < 2:
+            raise ValueError(f"n_exc must be >= 2 (|11> has two excitations), got {self.n_exc}")
 
     @property
     def names(self):
@@ -110,13 +114,10 @@ class OptimizationProblem:
     def dimension(self):
         return len(self.variables)
 
-    def population_size(self):
-        n = self.de_params.population
-        return n if n is not None else max(15 * self.dimension, 4)
-
     def decode(self, x):
+        """Name -> value of every variable; a (K, dim) stack gives (K,) columns."""
         values = dict(self.fixed)
-        values.update(zip(self.names, np.asarray(x, dtype=float)))
+        values.update(zip(self.names, np.asarray(x, dtype=float).T))
         return values
 
 
@@ -143,56 +144,60 @@ def _objective(problem, cand):
     return abs(cand.zeta_hz) if problem.objective == "abs" else cand.zeta_hz
 
 
-def evaluate_candidate(x, problem):
-    """Build the circuit at x, extract zeta, and score constraints C1-C5.
+def evaluate_population(xs, problem):
+    """Build the circuits of a (K, dim) stack of design points and score C1-C5.
 
-    Evaluation failures (diagonalization trouble, labeling degeneracies) mark
-    the candidate infeasible with an 'evaluation_error' violation instead of
-    aborting the run.
+    Transmons (Mathieu levels) and N <= 2 spectral blocks are solved as stacked
+    arrays.  A point with an unphysical circuit (a non-positive capacitance or
+    energy, E_J/E_C < 1) or ambiguous computational labels is infeasible with
+    one 'evaluation_error' violation.  Returns one Candidate per row.
     """
-    values = problem.decode(x)
+    xs = np.asarray(xs, dtype=float)
+    values = problem.decode(xs)
     missing = [n for n in VARIABLE_ORDER if n not in values]
     if missing:
         raise ValueError(f"problem does not determine variables: {missing}")
-    cons = problem.constraints
-    violations = []
-    try:
-        c1, c2, c12 = values["c1_farads"], values["c2_farads"], values["c12_farads"]
-        ec1 = charging_energy_hz(c1 + c12)
-        ec2 = charging_energy_hz(c2 + c12)
-        q1 = TransmonSpec(SquidSpec(values["ej1_hz"]), ec1)
-        q2 = TransmonSpec(SquidSpec(values["ej2_hz"]), ec2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = two_transmon_kerr(q1, q2, c12, (c1, c2))
-        levels = min(problem.n_exc + 1, 6)
-        spec = diagonalize_and_label(
-            build_hamiltonian(params, (levels, levels), problem.n_exc))
-        zeta = zeta_exact(spec)
+    v = {n: np.broadcast_to(values[n], xs.shape[:1]) for n in VARIABLE_ORDER}
+    c12 = v["c12_farads"]
+    csig = np.stack([v["c1_farads"] + c12, v["c2_farads"] + c12])
+    ej = np.stack([v["ej1_hz"], v["ej2_hz"]])
+    w, alpha = np.full((2, 2, len(xs)), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):    # in rows that fail `ok`
+        ec = charging_energy_hz(csig)
+        ratio = ej / ec
+        ok = ((c12 >= 0) & (v["c1_farads"] > 0) & (v["c2_farads"] > 0)
+              & np.all((ec > 0) & (ratio >= 1), axis=0))
+        w[:, ok], alpha[:, ok] = transmon_levels(ej[:, ok], ec[:, ok])
+        g = Coupling(c12_farads=c12, csigma_farads=tuple(csig)).g_at(w[0], w[1])
+        delta = np.abs(w[0] - w[1])
+        j_over_delta = np.where(delta == 0, np.inf, g / delta)
+    zeta, error = np.full(len(xs), np.nan), np.where(ok, None, "ValueError")
+    if ok.any():
+        n = min(problem.n_exc + 1, 6)
+        zeta[ok], _, ambiguous = dressed_blocks(*w[:, ok], *alpha[:, ok], g[ok], 0.0, (n, n),
+                                                problem.n_exc)
+        error[np.flatnonzero(ok)[ambiguous.any(axis=1)]] = "AmbiguousLabelError"
 
-        w = params.mode_freqs_hz
-        alpha = params.self_kerr_hz
-        for i, (lo, hi) in enumerate(cons.freq_band_hz):
-            violations.append((f"C1_q{i + 1}_freq_band",
-                               max(lo - w[i], w[i] - hi)))
-        for i in range(2):
-            violations.append((f"C2_q{i + 1}_anharmonicity",
-                               cons.min_abs_anharmonicity_hz - abs(alpha[i])))
-        for name, lo, hi in problem.variables:
-            if name.startswith("c"):
-                v = values[name]
-                violations.append((f"C3_{name}", max(lo - v, v - hi)))
-        ratios = (values["ej1_hz"] / ec1, values["ej2_hz"] / ec2)
-        for i, r in enumerate(ratios):
-            violations.append((f"C4_q{i + 1}_ej_ec", cons.min_ej_ec_ratio - r))
-        delta = abs(w[0] - w[1])
-        j_over_delta = np.inf if delta == 0 else params.exchange_g_hz / delta
-        violations.append(("C5_j_over_delta", j_over_delta - cons.max_j_over_delta))
-    except (ZZKitError, ValueError) as exc:
-        violations.append((f"evaluation_error:{type(exc).__name__}", 1.0))
-        return Candidate(x, None, False, tuple(violations))
-    feasible = all(s <= 0 for _, s in violations)
-    return Candidate(x, float(zeta), feasible, tuple(violations))
+    cons = problem.constraints
+    slacks = {f"C1_q{i + 1}_freq_band": np.maximum(lo - w[i], w[i] - hi)
+              for i, (lo, hi) in enumerate(cons.freq_band_hz)}
+    slacks.update({f"C2_q{i + 1}_anharmonicity": cons.min_abs_anharmonicity_hz
+                   - np.abs(alpha[i]) for i in range(2)})
+    slacks.update({f"C3_{name}": np.maximum(lo - v[name], v[name] - hi)
+                   for name, lo, hi in problem.variables if name.startswith("c")})
+    slacks.update({f"C4_q{i + 1}_ej_ec": cons.min_ej_ec_ratio - ratio[i] for i in range(2)})
+    slacks["C5_j_over_delta"] = j_over_delta - cons.max_j_over_delta
+    candidates = []
+    for x, err, z, row in zip(xs, error, zeta.tolist(), np.array(list(slacks.values())).T.tolist()):
+        candidates.append(
+            Candidate(x, None, False, ((f"evaluation_error:{err}", 1.0),)) if err
+            else Candidate(x, z, all(s <= 0 for s in row), tuple(zip(slacks, row))))
+    return candidates
+
+
+def evaluate_candidate(x, problem):
+    """One design point through evaluate_population."""
+    return evaluate_population(np.asarray(x, dtype=float)[None], problem)[0]
 
 
 def _reflect(x, lo, hi):
@@ -206,17 +211,11 @@ def _reflect(x, lo, hi):
 
 
 def _accepts(problem, trial, incumbent):
-    if problem.strict_mode:
-        return trial.feasible and (
-            not incumbent.feasible
-            or _objective(problem, trial) >= _objective(problem, incumbent))
-    if trial.feasible and not incumbent.feasible:
-        return True
-    if trial.feasible and incumbent.feasible:
+    if trial.feasible != incumbent.feasible:
+        return trial.feasible
+    if trial.feasible:
         return _objective(problem, trial) >= _objective(problem, incumbent)
-    if not trial.feasible and not incumbent.feasible:
-        return trial.total_violation <= incumbent.total_violation
-    return False
+    return not problem.strict_mode and trial.total_violation <= incumbent.total_violation
 
 
 @dataclass(frozen=True)
@@ -234,55 +233,46 @@ def optimize(problem, evaluator=None, callback=None):
     and the feasible count.  Raises NoFeasibleCandidateError if no feasible
     point was ever seen.  Deterministic for a given (problem, seed): every
     candidate index draws from its own seed-spawned RNG stream.
+
+    evaluator(xs, problem) scores a whole population: xs is the (n_pop, dim)
+    stack of the initial points or of one generation's trials, and it
+    returns one Candidate per row, in row order.  The default is
+    evaluate_population.
     """
     if evaluator is None:
-        evaluator = evaluate_candidate
-    bounds = problem.bounds
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    n_pop = problem.population_size()
+        evaluator = evaluate_population
+    lo, hi = problem.bounds.T
+    n_pop = problem.de_params.population or max(15 * problem.dimension, 4)
     dim = problem.dimension
-    master = np.random.default_rng(problem.de_params.seed)
-    streams = master.spawn(n_pop + 1)
-    init_rng = streams[-1]
-
-    pop_x = lo + init_rng.random((n_pop, dim)) * (hi - lo)
-    population = [evaluator(x, problem) for x in pop_x]
+    streams = np.random.default_rng(problem.de_params.seed).spawn(n_pop + 1)
+    population = list(evaluator(lo + streams[-1].random((n_pop, dim)) * (hi - lo), problem))
 
     def best_of(cands):
-        feas = [c for c in cands if c.feasible]
-        if not feas:
-            return None
-        return max(feas, key=lambda c: _objective(problem, c))
+        return max((c for c in cands if c.feasible), key=lambda c: _objective(problem, c),
+                   default=None)
 
     history = []
     best = best_of(population)
+    f, cr = problem.de_params.mutation, problem.de_params.crossover
+    partners = [[i for i in range(n_pop) if i != k] for k in range(n_pop)]
     for gen in range(problem.de_params.generations):
-        f = problem.de_params.mutation
-        cr = problem.de_params.crossover
-        trials = []
+        # each index draws its partners and crossover mask from its own stream
+        picks, cross = np.empty((n_pop, 3), dtype=int), np.empty((n_pop, dim), dtype=bool)
         for k in range(n_pop):
             rng = streams[k]
-            choices = [i for i in range(n_pop) if i != k]
-            r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-            mutant = population[r1].x + f * (population[r2].x - population[r3].x)
-            mutant = _reflect(mutant, lo, hi)
-            cross = rng.random(dim) < cr
-            cross[rng.integers(dim)] = True
-            trial = np.where(cross, mutant, population[k].x)
-            trials.append(trial)
-        evaluated = [evaluator(t, problem) for t in trials]
-        for k, cand in enumerate(evaluated):
+            picks[k] = rng.choice(partners[k], size=3, replace=False)
+            cross[k] = rng.random(dim) < cr
+            cross[k, rng.integers(dim)] = True
+        xs = np.array([c.x for c in population])
+        r1, r2, r3 = picks.T
+        trials = np.where(cross, _reflect(xs[r1] + f * (xs[r2] - xs[r3]), lo, hi), xs)
+        for k, cand in enumerate(evaluator(trials, problem)):
             if _accepts(problem, cand, population[k]):
                 population[k] = cand
-        gen_best = best_of(population)
-        if gen_best is not None and (
-                best is None or _objective(problem, gen_best) > _objective(problem, best)):
-            best = gen_best
-        record = GenerationRecord(
-            gen,
-            _objective(problem, best) if best is not None else float("nan"),
-            sum(1 for c in population if c.feasible),
-        )
+        # the running best changes only for a strictly better generation best
+        best = best_of([c for c in (best, best_of(population)) if c is not None])
+        record = GenerationRecord(gen, float("nan") if best is None else _objective(problem, best),
+                                  sum(1 for c in population if c.feasible))
         history.append(record)
         if callback is not None:
             callback(record, population)

@@ -13,14 +13,19 @@ optimal assignment of squared overlaps; the ZZ strength is then
 
 and its perturbative counterparts (second-order elimination of |20>, |02>
 and the high-detuning series) are provided for cross-validation.
+
+N = n1 + n2 is conserved and zeta needs only the blocks N <= 2: dressed_blocks
+solves just those, stacked over sweeps, flux scans and optimizer populations;
+the dense build_hamiltonian/diagonalize_and_label pair serves spectrum dumps.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize_scalar
 
-from .circuit import KerrParams, transmon_spectrum
+from .circuit import kerr_from_spectra, transmon_spectrum
 from .errors import (
     AmbiguousLabelError,
     DomainError,
@@ -52,46 +57,40 @@ class TruncatedHamiltonian:
             raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
+def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
+    """H on the product states `labels`, stacked over the parameters' shape: mode
+    energies, self-Kerr and total cross-Kerr -chi n1 n2 on the diagonal, and
+    the flip-flop elements <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
+    """
+    index = {lab: k for k, lab in enumerate(labels)}
+    h = np.zeros(np.shape(w1) + (len(labels), len(labels)))
+    for (i, j), k in index.items():
+        h[..., k, k] = (w1 * i + w2 * j + 0.5 * a1 * i * (i - 1) + 0.5 * a2 * j * (j - 1)
+                        - chi * i * j)
+        m = index.get((i + 1, j - 1))
+        if m is not None:
+            h[..., m, k] = h[..., k, m] = g * np.sqrt((i + 1) * j)
+    return h
+
+
 def build_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
-    """Assemble the truncated two-mode Kerr + exchange Hamiltonian.
+    """Assemble the truncated two-mode Kerr + exchange Hamiltonian (see _kerr_matrices).
 
-    The diagonal carries the mode energies, self-Kerr terms and the total
-    cross-Kerr -chi n1 n2 (participation-derived chi_12 plus any explicit bare
-    term); the off-diagonal carries the flip-flop elements
-    <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
-
-    The flip-flop term conserves N = n1 + n2, and zeta needs only the blocks
-    with N <= 2.  Once each mode keeps at least 3 levels and
-    max_total_excitation is at least 2 (or None), larger truncations leave
-    zeta unchanged up to rounding (barring exact degeneracies between
-    blocks); they set only the problem size and what a spectrum dump lists.
+    chi is the participation-derived chi_12 plus any explicit bare term.  With
+    >= 3 levels per mode and max_total_excitation >= 2 (or None), larger
+    truncations leave zeta unchanged up to rounding (barring exact degeneracies
+    between blocks) and set only the size of the problem and of a dump.
     """
     if params.n_modes != 2:
         raise ValueError("build_hamiltonian expects exactly two modes")
     n1max, n2max = levels_per_mode
     if n1max < 2 or n2max < 2:
         raise TruncationError("need at least two levels per mode")
-    w1, w2 = params.mode_freqs_hz
-    a1, a2 = params.self_kerr_hz
     chi = params.cross_kerr_hz[0, 1] + params.bare_cross_kerr_chi_hz
-    g = params.exchange_g_hz
-
-    labels = tuple(
-        (i, j)
-        for i in range(n1max)
-        for j in range(n2max)
-        if max_total_excitation is None or i + j <= max_total_excitation
-    )
-    index = {lab: k for k, lab in enumerate(labels)}
-    h = np.zeros((len(labels), len(labels)))
-    for (i, j), k in index.items():
-        h[k, k] = (w1 * i + w2 * j
-                   + 0.5 * a1 * i * (i - 1) + 0.5 * a2 * j * (j - 1)
-                   - chi * i * j)
-        if j >= 1 and (i + 1, j - 1) in index:
-            m = index[(i + 1, j - 1)]
-            h[m, k] += g * np.sqrt((i + 1) * j)
-            h[k, m] += g * np.sqrt((i + 1) * j)
+    labels = tuple((i, j) for i in range(n1max) for j in range(n2max)
+                   if max_total_excitation is None or i + j <= max_total_excitation)
+    h = _kerr_matrices(labels, *params.mode_freqs_hz, *params.self_kerr_hz, chi,
+                       params.exchange_g_hz)
     return TruncatedHamiltonian(h, labels, tuple(levels_per_mode), max_total_excitation)
 
 
@@ -132,7 +131,6 @@ def diagonalize_and_label(ham):
     rows, cols = linear_sum_assignment(-overlap)
 
     number = np.array([i + j for i, j in labels], dtype=float)
-    total_exc = number @ overlap
     energies, overlaps, vectors, ambiguous = {}, {}, {}, []
     for i, k in zip(rows.tolist(), cols.tolist()):
         lab = labels[i]
@@ -141,15 +139,55 @@ def diagonalize_and_label(ham):
         vectors[lab] = evecs[:, k]
         if overlap[i, k] <= AMBIGUITY_THRESHOLD + 1e-9:
             ambiguous.append(lab)
-    return LabeledSpectrum(
-        energies=energies,
-        overlaps=overlaps,
-        eigenvectors=vectors,
-        ambiguous=frozenset(ambiguous),
-        basis_labels=labels,
-        all_eigenvalues=evals,
-        total_excitation=total_exc,
-    )
+    return LabeledSpectrum(energies, overlaps, vectors, frozenset(ambiguous), labels, evals,
+                           total_excitation=number @ overlap)
+
+
+def _assign(blocks):
+    """Eigenvalues of a (K, n, n) stack, and each basis label's energy and overlap.
+
+    The assignment maximizes the summed squared overlap, as in
+    diagonalize_and_label; with n <= 3, every permutation is scored at once.
+    """
+    evals, evecs = np.linalg.eigh(blocks)
+    overlap = np.abs(evecs) ** 2                      # (K, label, eigenstate)
+    n = blocks.shape[-1]
+    perms = np.array(list(itertools.permutations(range(n))))
+    cols = perms[np.argmax(overlap[:, np.arange(n), perms].sum(-1), axis=1)]
+    return (evals, np.take_along_axis(evals, cols, axis=1),
+            np.take_along_axis(overlap, cols[..., None], axis=2)[..., 0])
+
+
+def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
+                   max_total_excitation=None):
+    """Labeled N <= 2 spectra of K two-mode systems: (zeta, pairs, ambiguous).
+
+    zeta (K,) is E_11 - E_10 - E_01 + E_00, pairs (K, 2) the one-excitation
+    eigenvalues ascending, and ambiguous (K, 3) flags the labels (0, 1),
+    (1, 0), (1, 1) at or below 1/2 overlap.  Parameters are those of
+    build_hamiltonian (chi the total cross-Kerr), broadcast together.  The
+    N = 1 block holds (0, 1), (1, 0), the N = 2 block those of (0, 2), (1, 1),
+    (2, 0) that levels_per_mode keeps, and E_00 = 0.  One stacked eigh per
+    block size and labeling inside each block agree with diagonalize_and_label
+    at the same truncation, barring exact degeneracies between blocks; with
+    ambiguous one-excitation labels zeta equals zeta_resonant.  Raises
+    TruncationError below two levels per mode, and AmbiguousLabelError when
+    max_total_excitation drops a computational label.
+    """
+    if min(levels_per_mode) < 2:
+        raise TruncationError("need at least two levels per mode")
+    cap = 2 if max_total_excitation is None else max_total_excitation
+    if cap < 2:
+        raise AmbiguousLabelError(f"label {(0, 1) if cap < 1 else (1, 1)} missing from spectrum")
+    params = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (w1, w2, a1, a2, chi, g)))
+    labels = [[(i, n - i) for i in range(n + 1)
+               if i < levels_per_mode[0] and n - i < levels_per_mode[1]] for n in (1, 2)]
+    pair, e1, o1 = _assign(_kerr_matrices(labels[0], *params))
+    _, e2, o2 = _assign(_kerr_matrices(labels[1], *params))
+    k11 = labels[1].index((1, 1))
+    ambiguous = np.stack([o1[:, 0], o1[:, 1], o2[:, k11]], -1) <= AMBIGUITY_THRESHOLD + 1e-9
+    return e2[:, k11] - e1[:, 1] - e1[:, 0], pair, ambiguous
 
 
 def _computational_energies(spectrum):
@@ -322,30 +360,21 @@ def kerr_at_flux(q1, q2, coupling, flux1_phi0=None, flux2_phi0=None):
     """KerrParams for two transmon specs at given fluxes with the supplied coupling."""
     s1 = transmon_spectrum(q1 if flux1_phi0 is None else q1.at_flux(flux1_phi0))
     s2 = transmon_spectrum(q2 if flux2_phi0 is None else q2.at_flux(flux2_phi0))
-    return _kerr_from_spectra(s1, s2, coupling)
+    return kerr_from_spectra(s1, s2, coupling)
 
 
-def _kerr_from_spectra(s1, s2, coupling):
-    return KerrParams(
-        mode_freqs_hz=np.array([s1.omega01_hz, s2.omega01_hz]),
-        self_kerr_hz=np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
-        cross_kerr_hz=np.zeros((2, 2)),
-        exchange_g_hz=coupling.g_at(s1.omega01_hz, s2.omega01_hz),
-    )
+def single_excitation_scan(q1_spectrum, q2, coupling, fluxes):
+    """Qubit 2's bare frequencies and the dressed one-excitation pairs over a flux grid.
 
-
-def single_excitation_pair(q1_spectrum, q2, coupling, flux2_phi0):
-    """(KerrParams, lower, upper): the dressed single-excitation pair in Hz.
-
-    q1_spectrum is qubit 1's TransmonSpectrum at its own bias; qubit 1 does
-    not move in a flux scan, so callers solve it once per scan.  Qubit 2 sits
-    at flux2_phi0, and each mode keeps three levels.
+    q1_spectrum is qubit 1's TransmonSpectrum, solved once per scan; qubit 2
+    sits at each of fluxes.  Returns omega2 (K,) and ascending pairs (K, 2).
     """
-    s2 = transmon_spectrum(q2.at_flux(flux2_phi0))
-    params = _kerr_from_spectra(q1_spectrum, s2, coupling)
-    spec = diagonalize_and_label(build_hamiltonian(params, (3, 3), None))
-    lower, upper = spec.single_excitation_energies()
-    return params, lower, upper
+    s2 = [transmon_spectrum(q2.at_flux(flux)) for flux in fluxes]
+    w1 = q1_spectrum.omega01_hz
+    w2 = np.array([s.omega01_hz for s in s2])
+    _, pairs, _ = dressed_blocks(w1, w2, q1_spectrum.anharmonicity_hz,
+                                 [s.anharmonicity_hz for s in s2], coupling.g_at(w1, w2))
+    return w2, pairs
 
 
 def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
@@ -359,49 +388,29 @@ def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
     if fluxes.size < 3:
         raise ValueError("flux sweep needs at least 3 points")
     s1 = transmon_spectrum(q1)
-    gaps = []
-    for flux in fluxes:
-        _, lower, upper = single_excitation_pair(s1, q2, coupling, flux)
-        gaps.append(upper - lower)
-    return refine_crossing(s1, q2, coupling, fluxes, gaps, refine_iterations)
+    _, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
+    return refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0],
+                           refine_iterations)
 
 
 def refine_crossing(q1_spectrum, q2, coupling, fluxes, gaps, refine_iterations=40):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
-    gaps[k] is the splitting at fluxes[k], and q1_spectrum is qubit 1's
-    TransmonSpectrum as in single_excitation_pair.  The grid minimum is
-    refined by successive parabolic interpolation of the squared gap (exact
-    for a locally quadratic detuning).  Raises NoCrossingError when the
-    minimum sits at an endpoint of the scan.
+    gaps[k] is the splitting at fluxes[k], and q1_spectrum is as in
+    single_excitation_scan.  Bounded Brent iteration minimizes the squared gap
+    between the grid minimum's neighbours in at most refine_iterations solves.
+    Raises NoCrossingError when the minimum sits at an endpoint of the scan.
     """
-    gaps = np.asarray(gaps, dtype=float)
     k = int(np.argmin(gaps))
     if k == 0 or k == len(fluxes) - 1:
         raise NoCrossingError("gap is monotone over the sweep (no bracketed minimum)")
 
-    # successive parabolic interpolation on gap^2 over the bracketing triple
-    xs = [fluxes[k - 1], fluxes[k], fluxes[k + 1]]
-    ys = [gaps[k - 1] ** 2, gaps[k] ** 2, gaps[k + 1] ** 2]
-    for _ in range(refine_iterations):
-        (x0, x1, x2), (y0, y1, y2) = xs, ys
-        denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if denom == 0:
-            break
-        x_new = x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
-        if not (min(xs) <= x_new <= max(xs)) or any(np.isclose(x_new, x) for x in xs):
-            break
-        _, lower, upper = single_excitation_pair(q1_spectrum, q2, coupling, x_new)
-        y_new = (upper - lower) ** 2
-        triple = sorted(zip(xs + [x_new], ys + [y_new]))
-        # keep the best point and its nearest bracketing neighbours
-        ybest = min(t[1] for t in triple)
-        kbest = [t[1] for t in triple].index(ybest)
-        kbest = min(max(kbest, 1), len(triple) - 2)
-        xs = [triple[kbest - 1][0], triple[kbest][0], triple[kbest + 1][0]]
-        ys = [triple[kbest - 1][1], triple[kbest][1], triple[kbest + 1][1]]
-        if abs(xs[2] - xs[0]) < 1e-12:
-            break
-    flux_min = xs[int(np.argmin(ys))]
-    gap_min = np.sqrt(min(ys))
-    return 0.5 * gap_min, float(flux_min)
+    def gap_squared(flux):
+        (lower, upper), = single_excitation_scan(q1_spectrum, q2, coupling, [flux])[1]
+        return (upper - lower) ** 2
+
+    best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",
+                           options={"xatol": 1e-11, "maxiter": refine_iterations})
+    if best.fun > gaps[k] ** 2:
+        return 0.5 * float(gaps[k]), float(fluxes[k])
+    return 0.5 * float(np.sqrt(best.fun)), float(best.x)

@@ -21,8 +21,8 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def make_transmon(ej_hz, ec_hz, d=0.0, flux=0.0, n_levels=4):
-    return TransmonSpec(SquidSpec(ej_hz, d, flux), ec_hz, n_levels=n_levels)
+def make_transmon(ej_hz, ec_hz, d=0.0, flux=0.0):
+    return TransmonSpec(SquidSpec(ej_hz, d, flux), ec_hz)
 
 
 @pytest.fixture(autouse=True)

@@ -266,13 +266,17 @@ def test_criterion_12_optimizer_soundness():
     problem = OptimizationProblem((("g_hz", 0.0, g_hi),),
                                   de_params=DEParams(population=20,
                                                      generations=60, seed=3))
-    best, history = optimize(problem, zeta_of_g)
+
+    def population(score):
+        return lambda xs, problem: [score(x, problem) for x in xs]
+
+    best, history = optimize(problem, population(zeta_of_g))
     bests = [h.best_zeta_hz for h in history]
     monotone = all(b >= a for a, b in zip(bests, bests[1:]))
     in_bounds = all(0.0 - 1e-9 <= g <= g_hi + 1e-9 for g in seen)
     boundary = abs(best.x[0] - g_hi) <= g_hi / 200
 
-    best2, history2 = optimize(problem, zeta_of_g)
+    best2, history2 = optimize(problem, population(zeta_of_g))
     reproducible = np.array_equal(best.x, best2.x) and \
         [h.best_zeta_hz for h in history] == [h.best_zeta_hz for h in history2]
 
@@ -283,7 +287,7 @@ def test_criterion_12_optimizer_soundness():
     rosen_problem = OptimizationProblem(
         (("a", -2.0, 2.0), ("b", -1.0, 3.0)),
         de_params=DEParams(seed=11), objective="signed")
-    rbest, _ = optimize(rosen_problem, rosen)
+    rbest, _ = optimize(rosen_problem, population(rosen))
     rosen_ok = max(abs(rbest.x[0] - 1.0), abs(rbest.x[1] - 1.0)) <= 1e-3
 
     ok = monotone and in_bounds and boundary and reproducible and rosen_ok

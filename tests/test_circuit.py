@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from zzkit import (
@@ -9,18 +10,26 @@ from zzkit import (
     JunctionParticipation,
     KerrParams,
     SquidSpec,
-    TransmonSpec,
     effective_josephson_energy,
     kerr_from_foster,
     participation_from_foster,
     transmon_spectrum,
     two_transmon_kerr,
 )
-from zzkit.circuit import transmon_omega01_asymptotic
+from zzkit.circuit import transmon_levels, transmon_omega01_asymptotic
 from zzkit.constants import capacitance_from_ec
-from zzkit.errors import ConvergenceError, DimensionMismatchError
+from zzkit.errors import DimensionMismatchError
 
 from conftest import make_transmon
+
+
+def charge_basis_levels(ej_hz, ec_hz, cutoff=200):
+    """Oracle: omega01 and omega02 of 4 E_C n^2 - E_J cos(phi) at ng = 0 from a
+    tridiagonal eigensolve in the charge basis, |n| <= cutoff."""
+    n = np.arange(-cutoff, cutoff + 1, dtype=float)
+    vals = eigh_tridiagonal(4.0 * ec_hz * n**2, -0.5 * ej_hz * np.ones(2 * cutoff),
+                            select="i", select_range=(0, 2))[0]
+    return vals[1] - vals[0], vals[2] - vals[0]
 
 
 class TestEffectiveJosephsonEnergy:
@@ -104,14 +113,12 @@ class TestTransmonSpectrum:
         w_asym = transmon_omega01_asymptotic(15e9, 0.3e9)
         assert abs(s.omega01_hz - w_asym) / s.omega01_hz < 0.02
 
-    def test_levels_nondecreasing_and_cutoff_stable(self):
-        spec = make_transmon(20e9, 0.3e9, n_levels=5)
-        s = transmon_spectrum(spec)
+    def test_levels_increasing(self):
+        s = transmon_spectrum(make_transmon(20e9, 0.3e9))
+        assert s.levels_hz.shape == (3,) and s.levels_hz[0] == 0.0
         assert np.all(np.diff(s.levels_hz) > 0)
-        bigger = TransmonSpec(spec.squid, spec.ec_hz, n_levels=5,
-                              charge_basis_cutoff=spec.charge_basis_cutoff + 5)
-        s2 = transmon_spectrum(bigger)
-        assert np.max(np.abs(s.levels_hz - s2.levels_hz)) < 1e3
+        assert s.levels_hz[2] - 2 * s.levels_hz[1] == pytest.approx(s.anharmonicity_hz,
+                                                                    rel=1e-12)
 
     def test_sweet_spot_extrema(self):
         # omega01 is flux-stationary at zero and half flux
@@ -127,18 +134,56 @@ class TestTransmonSpectrum:
         mid2 = transmon_spectrum(spec.at_flux(0.25 - h)).omega01_hz
         assert abs(mid - mid2) / 2 > 1e3   # generic point is not stationary
 
-    def test_convergence_error_at_max_cutoff(self):
-        spec = TransmonSpec(SquidSpec(400e9), 0.2e9, charge_basis_cutoff=3)
-        with pytest.raises(ConvergenceError):
-            transmon_spectrum(spec, max_cutoff=3)
-
     def test_warns_outside_transmon_regime(self):
         with pytest.warns(UserWarning, match="transmon regime"):
             transmon_spectrum(make_transmon(3e9, 0.3e9))
 
-    def test_n_levels_floor(self):
-        with pytest.raises(ValueError):
-            make_transmon(15e9, 0.3e9, n_levels=2)
+    def test_not_a_transmon_below_unit_ratio(self):
+        with pytest.raises(ValueError, match="not a transmon"):
+            transmon_spectrum(make_transmon(0.2e9, 0.3e9))
+
+
+class TestMathieuLevels:
+    # ratios where scipy's characteristic values misbehave: with SciPy 1.17,
+    # mathieu_b(4, q), which transmon_levels does not use, is off level 3 near
+    # E_J/E_C = 74.73-74.76, a_0 is NaN at scattered points of 1334.5-1335.3
+    # and b_2 at 1641.1494; 34.9 and 1692-1933 (wrong b_4, and levels that
+    # sorting a_0..b_4 would swap) were reported with another version.
+    RATIOS = np.concatenate([np.geomspace(1.0, 2000.0, 300), [34.9, 74.7, 74.8, 1641.1494],
+                             np.linspace(74.72, 74.77, 11), np.linspace(1334.4, 1335.4, 101),
+                             np.linspace(1692.0, 1933.0, 25)])
+
+    def test_matches_charge_basis_solve(self):
+        ec = 0.25e9
+        omega01, alpha = transmon_levels(self.RATIOS * ec, ec)
+        for ratio, w01, a in zip(self.RATIOS, omega01, alpha):
+            want01, want02 = charge_basis_levels(ratio * ec, ec)
+            assert abs(w01 - want01) <= 2e-11 * want01, ratio
+            assert abs(2 * w01 + a - want02) <= 2e-11 * want02, ratio
+
+    def test_scipy_nan_points_are_mended(self):
+        # SciPy 1.17 returns NaN for a_0 at q = -667.445 and for b_2 at q = -820.5747
+        ratios = np.array([1334.89, 1641.1494])
+        omega01, alpha = transmon_levels(ratios, 1.0)
+        assert np.isfinite(omega01).all() and np.isfinite(alpha).all()
+        assert transmon_levels(ratios[0], 1.0) == (omega01[0], alpha[0])
+
+    def test_transmon_spectrum_uses_the_effective_josephson_energy(self):
+        spec = make_transmon(36.65e9, 0.309e9, d=0.48, flux=0.37)
+        s = transmon_spectrum(spec)
+        want01, want02 = charge_basis_levels(effective_josephson_energy(spec.squid),
+                                             spec.ec_hz)
+        assert s.omega01_hz == pytest.approx(want01, rel=2e-11)
+        assert s.levels_hz[2] == pytest.approx(want02, rel=2e-11)
+
+    def test_broadcasts_like_scalar_calls(self):
+        ej = np.array([[12e9, 20e9], [30e9, 35e9]])
+        ec = np.array([0.2e9, 0.3e9])
+        omega01, alpha = transmon_levels(ej, ec)
+        assert omega01.shape == alpha.shape == (2, 2)
+        for idx in np.ndindex(ej.shape):
+            one = transmon_levels(ej[idx], ec[idx[1]])
+            assert (omega01[idx], alpha[idx]) == (one[0], one[1])
 
 
 class TestKerrFromFoster:

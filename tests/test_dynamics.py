@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from zzkit import dynamics
 from zzkit import (
@@ -306,6 +307,17 @@ class TestEvolveLindblad:
 class TestCarrierResolvedSegments:
     """Fixed Magnus steps on segments with an oscillation to resolve, against DOP853."""
 
+    def test_anti_hermitian_exponential_matches_expm(self, rng):
+        # closed-system Magnus steps: a 512-stack of anti-Hermitian 4x4 step
+        # exponents at the lab frame's scale (a few radians per step)
+        a = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
+        omega = 0.5 * (a - np.swapaxes(a.conj(), -1, -2))
+        got = dynamics._expm_anti_hermitian(omega)
+        want = expm(omega)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        eye = np.broadcast_to(np.eye(4), got.shape)
+        assert np.max(np.abs(got @ np.swapaxes(got.conj(), -1, -2) - eye)) <= 1e-13
+
     @pytest.mark.parametrize("system,length,delay,frame", [
         (SYSTEM, 4e-9, 0.0, "lab"),
         (SYSTEM, 16e-9, 10e-9, "lab"),
@@ -538,3 +550,14 @@ class TestSystemConstruction:
         assert e[3] - e[2] - e[1] + e[0] == pytest.approx(SYSTEM.zeta_hz)
         assert SYSTEM.conditional_transition(1, True) - \
             SYSTEM.conditional_transition(1, False) == pytest.approx(SYSTEM.zeta_hz)
+
+    def test_nan_zeta_rejected(self):
+        with pytest.raises(ValueError, match="zeta_hz"):
+            TwoQubitSystem(6.3e9, 4.5e9, np.nan)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["omega1_hz", "omega2_hz", "zeta_hz", "jxx_hz",
+                                       "jyy_hz"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(EXCHANGE, **{field: value})

@@ -3,10 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from zzkit import FosterMode, avoided_crossing_j
+from zzkit import (
+    FosterMode,
+    KerrParams,
+    avoided_crossing_j,
+    build_hamiltonian,
+    diagonalize_and_label,
+    transmon_spectrum,
+    zeta_exact,
+    zeta_resonant,
+)
 from zzkit.circuit import foster_impedance
 from zzkit.cli import main
-from zzkit.errors import ConfigError
+from zzkit.errors import AmbiguousLabelError, ConfigError
 from zzkit.io import (
     load_admittance_csv,
     load_circuit_file,
@@ -21,6 +30,24 @@ from zzkit.io import (
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+DESIGN_VARIABLES = [{"name": "ej1_hz", "low": 12e9, "high": 35e9},
+                    {"name": "ej2_hz", "low": 12e9, "high": 35e9},
+                    {"name": "c1_farads", "low": 45e-15, "high": 90e-15},
+                    {"name": "c2_farads", "low": 45e-15, "high": 90e-15},
+                    {"name": "c12_farads", "low": 0.5e-15, "high": 8e-15}]
+# a valid design problem; the optimize cases of test_config_error_exit_code
+# replace one of its keys
+DESIGN_CONFIG = {"variables": DESIGN_VARIABLES,
+                 "constraints": {"freq_band_hz": [[1e9, 20e9], [1e9, 20e9]],
+                                 "min_abs_anharmonicity_hz": 1e6, "max_j_over_delta": 10.0},
+                 "de": {"population": 6, "generations": 2, "seed": 0},
+                 "n_exc": 4}
+
+
+def with_variable(index, **change):
+    return [dict(v, **change) if k == index else v for k, v in enumerate(DESIGN_VARIABLES)]
 
 
 class TestCircuitFile:
@@ -147,15 +174,76 @@ class TestZZSweepCommand:
         ("blockade", {"carrier_convention": "mirrored"}, "carrier_convention"),
         ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 101},
                     "drive_offset_hz": "x"}, "drive_offset_hz"),
+        ("optimize", {"variables": with_variable(0, low="x")}, "low"),
+        ("optimize", {"variables": with_variable(2, high=float("nan"))}, "high"),
+        ("optimize", {"variables": with_variable(1, name="foo")}, "name"),
+        ("optimize", {"de": {"population": "x"}}, "population"),
+        ("optimize", {"de": {"population": 6.5}}, "population"),
+        ("optimize", {"de": {"seed": "x"}}, "seed"),
+        ("optimize", {"de": {"generations": -1}}, "generations"),
+        ("optimize", {"n_exc": "x"}, "n_exc"),
+        ("optimize", {"n_exc": 1}, "n_exc"),
+        ("optimize", {"constraints": {"freq_band_hz": "x"}}, "freq_band_hz"),
+        ("optimize", {"constraints": {"min_abs_anharmonicity_hz": "x"}},
+         "min_abs_anharmonicity_hz"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
-            "unknown-shape", "unknown-carrier-convention", "ramsey-offset-not-number"])
+            "unknown-shape", "unknown-carrier-convention", "ramsey-offset-not-number",
+            "optimize-low-not-number", "optimize-high-nan", "optimize-unknown-variable",
+            "optimize-population-not-number", "optimize-population-not-integer",
+            "optimize-seed-not-number", "optimize-negative-generations",
+            "optimize-n-exc-not-number", "optimize-n-exc-below-two",
+            "optimize-band-not-pairs", "optimize-anharmonicity-not-number"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
-        bad = write_json(tmp_path / "cfg.json", {"fixture": "chip1", **extra})
+        base = DESIGN_CONFIG if command == "optimize" else {"fixture": "chip1"}
+        bad = write_json(tmp_path / "cfg.json", {**base, **extra})
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
                      command]) == 2
         assert field in capsys.readouterr().err
+
+    def test_design_config_base_is_valid(self, tmp_path):
+        # the optimize error cases above differ from this config in one key
+        cfg = write_json(tmp_path / "cfg.json", DESIGN_CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "d.json"), "optimize"]) == 0
+
+    def test_exact_column_and_flag_match_dense_spectrum(self, tmp_path, chip1):
+        # through resonance and the |alpha1| pole: the block core's zeta and
+        # flag against build_hamiltonian + diagonalize_and_label at the same
+        # truncation
+        s1 = transmon_spectrum(chip1.qubits[0].transmon())
+        alpha2 = chip1.qubits[1].alpha_hz
+        deltas = np.linspace(-0.6e9, 0.8e9, 57)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "fixture": "chip1", "delta_hz": deltas.tolist(), "levels_per_mode": [3, 4],
+            "max_total_excitation": 3})
+        out = str(tmp_path / "zz.csv")
+        assert main(["--config", cfg, "--out", out, "zz-sweep"]) == 0
+        rows = read_zz_sweep_csv(out)
+        flags = []
+        for row, delta in zip(rows, deltas):
+            w2 = s1.omega01_hz - delta
+            params = KerrParams(np.array([s1.omega01_hz, w2]),
+                                np.array([s1.anharmonicity_hz, alpha2]), np.zeros((2, 2)),
+                                exchange_g_hz=chip1.g_at(s1.omega01_hz, w2))
+            spec = diagonalize_and_label(build_hamiltonian(params, (3, 4), 3))
+            try:
+                zeta, flag = zeta_exact(spec), "0"
+            except AmbiguousLabelError:
+                zeta, flag = zeta_resonant(spec), "1"
+            assert row["ambiguous_flag"] == flag
+            assert row["zeta_exact_hz"] == pytest.approx(zeta, rel=1e-10, abs=1e-4)
+            flags.append(flag)
+        assert "1" in flags and "0" in flags
+
+    def test_truncation_without_11_flags_every_row(self, tmp_path):
+        cfg = self.config(tmp_path, max_total_excitation=1)
+        out = str(tmp_path / "zz.csv")
+        assert main(["--config", cfg, "--out", out, "zz-sweep"]) == 0
+        rows = read_zz_sweep_csv(out)
+        assert all(r["ambiguous_flag"] == "error:AmbiguousLabelError" for r in rows)
+        assert all(r["zeta_exact_hz"] is None and r["zeta_perturbative_hz"] is not None
+                   for r in rows)
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         bad = write_json(tmp_path / "cfg.json", {

@@ -13,7 +13,11 @@ from zzkit import (
     optimize,
     zeta_exact,
 )
-from zzkit.errors import NoFeasibleCandidateError
+from zzkit.constants import charging_energy_hz
+from zzkit.errors import AmbiguousLabelError, NoFeasibleCandidateError
+from zzkit.optimize import evaluate_population
+
+from test_circuit import charge_basis_levels
 
 CHIP1_LIKE = (
     ("ej1_hz", 10e9, 40e9),
@@ -24,12 +28,57 @@ CHIP1_LIKE = (
 )
 
 
+def per_row(score):
+    """A population evaluator from a scorer of one design point."""
+    return lambda xs, problem: [score(x, problem) for x in xs]
+
+
 def zeta_objective_1d(x, problem):
     """zeta of a fixed two-mode system as a function of the exchange rate alone."""
     params = KerrParams(np.array([6.27e9, 4.27e9]), np.array([-351e6, -312e6]),
                         np.zeros((2, 2)), exchange_g_hz=float(x[0]))
     spec = diagonalize_and_label(build_hamiltonian(params, (4, 4), 4))
     return Candidate(x, zeta_exact(spec), True, ())
+
+
+def dense_candidate(x, problem):
+    """Oracle scorer: charge-basis transmon levels and the dense labeled spectrum.
+
+    The same circuit reduction and constraints C1-C5 as evaluate_population,
+    one design point at a time, with each transmon from a tridiagonal
+    charge-basis solve and zeta from build_hamiltonian, diagonalize_and_label
+    and zeta_exact at the problem's n_exc truncation.
+    """
+    v = problem.decode(x)
+    cons = problem.constraints
+    c1, c2, c12 = v["c1_farads"], v["c2_farads"], v["c12_farads"]
+    ec = (charging_energy_hz(c1 + c12), charging_energy_hz(c2 + c12))
+    ej = (v["ej1_hz"], v["ej2_hz"])
+    if min(ej[0] / ec[0], ej[1] / ec[1]) < 1:
+        return Candidate(x, None, False, (("evaluation_error:ValueError", 1.0),))
+    levels = [charge_basis_levels(ej[i], ec[i]) for i in range(2)]
+    w = np.array([lv[0] for lv in levels])
+    alpha = np.array([(lv[1] - lv[0]) - lv[0] for lv in levels])
+    g = c12 / (2.0 * np.sqrt((c1 + c12) * (c2 + c12))) * np.sqrt(w[0] * w[1])
+    n = min(problem.n_exc + 1, 6)
+    spec = diagonalize_and_label(build_hamiltonian(
+        KerrParams(w, alpha, np.zeros((2, 2)), exchange_g_hz=g), (n, n), problem.n_exc))
+    try:
+        zeta = zeta_exact(spec)
+    except AmbiguousLabelError:
+        return Candidate(x, None, False, (("evaluation_error:AmbiguousLabelError", 1.0),))
+    violations = [(f"C1_q{i + 1}_freq_band", max(lo - w[i], w[i] - hi))
+                  for i, (lo, hi) in enumerate(cons.freq_band_hz)]
+    violations += [(f"C2_q{i + 1}_anharmonicity", cons.min_abs_anharmonicity_hz - abs(alpha[i]))
+                   for i in range(2)]
+    violations += [(f"C3_{name}", max(lo - v[name], v[name] - hi))
+                   for name, lo, hi in problem.variables if name.startswith("c")]
+    violations += [(f"C4_q{i + 1}_ej_ec", cons.min_ej_ec_ratio - ej[i] / ec[i])
+                   for i in range(2)]
+    delta = abs(w[0] - w[1])
+    violations.append(("C5_j_over_delta",
+                       (np.inf if delta == 0 else g / delta) - cons.max_j_over_delta))
+    return Candidate(x, zeta, all(s <= 0 for _, s in violations), tuple(violations))
 
 
 class TestEvaluateCandidate:
@@ -75,6 +124,39 @@ class TestEvaluateCandidate:
         spec = diagonalize_and_label(build_hamiltonian(params, (5, 5), 4))
         assert cand.zeta_hz == pytest.approx(zeta_exact(spec), rel=0.10)
 
+    def test_matches_dense_charge_basis_oracle(self, rng):
+        problem = OptimizationProblem(CHIP1_LIKE, ConstraintSet(max_j_over_delta=0.3), n_exc=4)
+        bounds = problem.bounds
+        xs = bounds[:, 0] + rng.random((60, 5)) * (bounds[:, 1] - bounds[:, 0])
+        xs[0] = [10e9, 10e9, 90e-15, 90e-15, 1e-15]      # degenerate qubits: ambiguous labels
+        xs[1] = [0.1e9, 30e9, 90e-15, 50e-15, 1e-15]     # E_J/E_C < 1
+        got = evaluate_population(xs, problem)
+        assert len(got) == len(xs)
+        for cand, x in zip(got, xs):
+            want = dense_candidate(x, problem)
+            assert cand.feasible == want.feasible
+            assert [n for n, _ in cand.violations] == [n for n, _ in want.violations]
+            np.testing.assert_allclose([s for _, s in cand.violations],
+                                       [s for _, s in want.violations], rtol=1e-9, atol=1e-3)
+            if want.zeta_hz is None:
+                assert cand.zeta_hz is None
+            else:
+                assert cand.zeta_hz == pytest.approx(want.zeta_hz, rel=1e-10, abs=1e-4)
+        assert sum(c.feasible for c in got) > 0
+        assert got[0].violations == (("evaluation_error:AmbiguousLabelError", 1.0),)
+        assert got[1].violations == (("evaluation_error:ValueError", 1.0),)
+
+    def test_single_point_is_a_population_row(self):
+        problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
+        xs = np.array([[20e9, 18e9, 60e-15, 65e-15, 5e-15], [25e9, 15e9, 70e-15, 55e-15, 3e-15]])
+        for x, cand in zip(xs, evaluate_population(xs, problem)):
+            one = evaluate_candidate(x, problem)
+            assert (one.zeta_hz, one.violations) == (cand.zeta_hz, cand.violations)
+
+    def test_n_exc_below_two_rejected(self):
+        with pytest.raises(ValueError, match="n_exc"):
+            OptimizationProblem(CHIP1_LIKE, n_exc=1)
+
     def test_deterministic(self):
         problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
         x = np.array([20e9, 18e9, 60e-15, 65e-15, 5e-15])
@@ -92,7 +174,7 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("g_hz", 0.0, g_hi),),
             de_params=DEParams(population=20, generations=60, seed=3))
-        best, history = optimize(problem, zeta_objective_1d)
+        best, history = optimize(problem, per_row(zeta_objective_1d))
         scan = [abs(zeta_objective_1d(np.array([g]), problem).zeta_hz)
                 for g in np.linspace(0, g_hi, 201)]
         assert np.argmax(scan) == 200
@@ -102,7 +184,7 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("g_hz", 50e6, 50e6),),
             de_params=DEParams(population=6, generations=1, seed=0))
-        best, history = optimize(problem, zeta_objective_1d)
+        best, history = optimize(problem, per_row(zeta_objective_1d))
         assert best.x[0] == 50e6
         assert len(history) == 1
 
@@ -114,7 +196,7 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("a", -2.0, 2.0), ("b", -1.0, 3.0)),
             de_params=DEParams(seed=11), objective="signed")
-        best, history = optimize(problem, rosen)
+        best, history = optimize(problem, per_row(rosen))
         assert best.x[0] == pytest.approx(1.0, abs=1e-3)
         assert best.x[1] == pytest.approx(1.0, abs=1e-3)
 
@@ -128,7 +210,7 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("g_hz", 10e6, 120e6),),
             de_params=DEParams(population=12, generations=30, seed=5))
-        best, history = optimize(problem, recording)
+        best, history = optimize(problem, per_row(recording))
         bests = [h.best_zeta_hz for h in history]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         lo, hi = 10e6, 120e6
@@ -138,8 +220,8 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("g_hz", 0.0, 100e6),),
             de_params=DEParams(population=10, generations=20, seed=42))
-        b1, h1 = optimize(problem, zeta_objective_1d)
-        b2, h2 = optimize(problem, zeta_objective_1d)
+        b1, h1 = optimize(problem, per_row(zeta_objective_1d))
+        b2, h2 = optimize(problem, per_row(zeta_objective_1d))
         assert np.array_equal(b1.x, b2.x)
         assert [r.best_zeta_hz for r in h1] == [r.best_zeta_hz for r in h2]
 
@@ -170,8 +252,43 @@ class TestOptimize:
             (("g_hz", 0.0, 100e6),),
             de_params=DEParams(population=10, generations=25, seed=9),
             strict_mode=True)
-        best, history = optimize(problem, zeta_objective_1d)
+        best, history = optimize(problem, per_row(zeta_objective_1d))
         assert best.x[0] == pytest.approx(100e6, rel=0.02)
+
+    def test_population_evaluator_sees_each_generation_once(self):
+        calls = []
+
+        def population(xs, problem):
+            calls.append(np.array(xs))
+            return [zeta_objective_1d(x, problem) for x in xs]
+
+        problem = OptimizationProblem(
+            (("g_hz", 0.0, 100e6),),
+            de_params=DEParams(population=7, generations=5, seed=4))
+        best, _ = optimize(problem, population)
+        assert [c.shape for c in calls] == [(7, 1)] * 6
+        again, _ = optimize(problem, per_row(zeta_objective_1d))
+        assert np.array_equal(best.x, again.x)
+
+    def test_negative_generations_rejected(self):
+        with pytest.raises(ValueError, match="generations"):
+            DEParams(generations=-1)
+
+    def test_de_run_matches_dense_charge_basis_oracle(self):
+        # the default stacked evaluator against the per-point dense oracle:
+        # the same accepted trials, so the same best point and feasible counts
+        problem = OptimizationProblem(
+            CHIP1_LIKE,
+            ConstraintSet(freq_band_hz=((5.5e9, 7.0e9), (4.0e9, 5.2e9)),
+                          min_abs_anharmonicity_hz=200e6, min_ej_ec_ratio=25.0,
+                          max_j_over_delta=0.25),
+            de_params=DEParams(population=10, generations=12, seed=23), n_exc=4)
+        best, history = optimize(problem)
+        dense_best, dense_history = optimize(problem, per_row(dense_candidate))
+        assert [h.n_feasible for h in history] == [h.n_feasible for h in dense_history]
+        assert history[-1].n_feasible > 0
+        assert np.array_equal(best.x, dense_best.x)
+        assert best.zeta_hz == pytest.approx(dense_best.zeta_hz, rel=1e-10)
 
     def test_infeasible_population_recovers_with_deb_rules(self):
         # start infeasible everywhere; total-violation comparison must pull the
@@ -185,6 +302,6 @@ class TestOptimize:
         problem = OptimizationProblem(
             (("g_hz", 0.0, 100e6),),
             de_params=DEParams(population=10, generations=40, seed=2))
-        best, history = optimize(problem, gated)
+        best, history = optimize(problem, per_row(gated))
         assert best.feasible
         assert history[-1].n_feasible > 0

@@ -11,12 +11,14 @@ from zzkit import (
     build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
+    kerr_at_flux,
     pauli_decomposition,
     schrieffer_wolff_shifts,
     zeta_exact,
     zeta_perturbative,
     zeta_resonant,
     zeta_series_high_detuning,
+    transmon_spectrum,
 )
 from zzkit.errors import (
     AmbiguousLabelError,
@@ -25,6 +27,7 @@ from zzkit.errors import (
     PoleError,
     TruncationError,
 )
+from zzkit.spectrum import dressed_blocks, single_excitation_scan
 
 from conftest import make_transmon
 
@@ -131,6 +134,72 @@ class TestZetaExact:
         z33 = zeta_exact(labeled(kerr(g=g), (3, 3), None))
         z55 = zeta_exact(labeled(kerr(g=g), (5, 5), None))
         assert abs(z33 - z55) / abs(z55) < 1e-3
+
+
+class TestDressedBlocks:
+    """The stacked N <= 2 block core against the dense labeled spectrum."""
+
+    W1, A1, A2 = 6.27e9, -351e6, -312e6
+    # through both sides of resonance (delta = 0) and the |alpha1| pole, with
+    # both points hit exactly
+    DELTAS = np.concatenate([np.linspace(-1.2e9, 2.2e9, 341), [0.0, 351e6, -312e6]])
+
+    def dense(self, delta, g, levels, cap, chi=0.0):
+        spec = labeled(kerr(w1=self.W1, w2=self.W1 - delta, a1=self.A1, a2=self.A2,
+                            g=g, chi=chi), levels, cap)
+        try:
+            zeta = zeta_exact(spec)
+        except AmbiguousLabelError:
+            zeta = zeta_resonant(spec)
+        flags = [lab in spec.ambiguous for lab in ((0, 1), (1, 0), (1, 1))]
+        return zeta, flags, spec.single_excitation_energies()
+
+    @pytest.mark.parametrize("levels,cap", [((4, 4), 4), ((3, 3), None), ((5, 5), 3),
+                                            ((6, 6), None), ((2, 3), 2), ((2, 2), None)])
+    def test_matches_dense_labeling(self, levels, cap):
+        g = 0.02 * np.sqrt(self.W1 * (self.W1 - self.DELTAS))
+        zetas, pairs, ambiguous = dressed_blocks(self.W1, self.W1 - self.DELTAS, self.A1,
+                                                 self.A2, g, 0.0, levels, cap)
+        assert zetas.shape == self.DELTAS.shape
+        for k, delta in enumerate(self.DELTAS):
+            zeta, flags, pair = self.dense(delta, g[k], levels, cap)
+            assert zetas[k] == pytest.approx(zeta, rel=1e-10, abs=1e-4), delta
+            assert list(ambiguous[k]) == flags, delta
+            np.testing.assert_allclose(pairs[k], pair, rtol=1e-14)
+        # the resonance flags both one-excitation labels; where |11> meets |20>
+        # (near the pole) or |02>, (1, 1) is flagged too, unless the truncation
+        # keeps neither
+        assert ambiguous[-3, :2].all()
+        assert ambiguous[:, 2].any() == (levels != (2, 2))
+
+    def test_cross_kerr_and_scalar_broadcast(self):
+        zeta, flags, _ = self.dense(1.3e9, 0.21e9, (4, 4), 4, chi=3e6)
+        zetas, pairs, ambiguous = dressed_blocks(self.W1, self.W1 - 1.3e9, self.A1, self.A2,
+                                                 0.21e9, 3e6)
+        assert zetas.shape == (1,) and pairs.shape == (1, 2)
+        assert zetas[0] == pytest.approx(zeta, rel=1e-10)
+        assert list(ambiguous[0]) == flags
+
+    def test_truncation_errors_match_dense(self):
+        with pytest.raises(TruncationError):
+            dressed_blocks(self.W1, 4.27e9, self.A1, self.A2, 0.1e9, 0.0, (1, 3))
+        for cap in (0, 1):
+            with pytest.raises(AmbiguousLabelError):
+                zeta_exact(labeled(kerr(), (4, 4), cap))
+            with pytest.raises(AmbiguousLabelError, match="missing"):
+                dressed_blocks(self.W1, 4.27e9, self.A1, self.A2, 0.1e9, 0.0, (4, 4), cap)
+
+    def test_flux_scan_pairs_match_dense(self, chip1):
+        q1 = chip1.qubits[0].transmon(0.5)
+        q2 = chip1.qubits[1].transmon()
+        fluxes = np.linspace(-0.2, -0.01, 9)
+        s1 = transmon_spectrum(q1)
+        omega2, pairs = single_excitation_scan(s1, q2, chip1.coupling(), fluxes)
+        for flux, w2, pair in zip(fluxes, omega2, pairs):
+            params = kerr_at_flux(q1, q2, chip1.coupling(), flux2_phi0=flux)
+            assert w2 == params.mode_freqs_hz[1]
+            want = labeled(params, (3, 3), None).single_excitation_energies()
+            np.testing.assert_allclose(pair, want, rtol=1e-14)
 
 
 class TestZetaPerturbative:

@@ -40,6 +40,7 @@ from .dynamics import (
     pi_pulse,
     pulse_spectral_power,
     rotating_frame_transform,
+    run_blockade_grid,
     run_blockade_protocol,
     run_conditional_ramsey,
     run_echo_conditional_phase,

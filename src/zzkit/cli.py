@@ -23,6 +23,7 @@ from .dynamics import (
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
+    run_blockade_grid,
     run_blockade_protocol,
     run_conditional_ramsey,
 )
@@ -113,6 +114,20 @@ def _config_float(value, context, field):
     return number
 
 
+def _config_object(value, context, field):
+    """value if it is a JSON object, or a ConfigError naming the field."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: {field} must be an object, got {value!r}")
+    return value
+
+
+def _config_path(value, context, field):
+    """value if it is a path string, or a ConfigError naming the field."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: {field} must be a path string, got {value!r}")
+    return value
+
+
 def _config_floats(values, context, field):
     """A list of finite numbers, or a ConfigError naming the field."""
     if not isinstance(values, list):
@@ -137,12 +152,13 @@ def _sweep_system(cfg, context):
     inline = cfg.get("inline")
     if inline is None:
         raise ConfigError(f"{context}: need one of 'fixture', 'circuit' or 'inline'")
-    zio._check_keys(inline, ["omega1_hz", "alpha1_hz", "alpha2_hz", "g_hz"], context)
-    for k in ("omega1_hz", "alpha1_hz", "alpha2_hz", "g_hz"):
+    keys = ["omega1_hz", "alpha1_hz", "alpha2_hz", "g_hz"]
+    zio._check_keys(_config_object(inline, context, "inline"), keys, context)
+    for k in keys:
         if k not in inline:
             raise ConfigError(f"{context}: inline parameters need {k!r}")
-    return (inline["omega1_hz"], inline["alpha1_hz"], inline["alpha2_hz"],
-            Coupling.fixed(inline["g_hz"]))
+    omega1, alpha1, alpha2, g = (_config_float(inline[k], f"{context}:inline", k) for k in keys)
+    return omega1, alpha1, alpha2, Coupling.fixed(g)
 
 
 def cmd_zz_sweep(cfg, out):
@@ -150,6 +166,9 @@ def cmd_zz_sweep(cfg, out):
                           "levels_per_mode", "max_total_excitation",
                           "series_order", "spectrum_json"],
                     "zz-sweep")
+    spectrum_json = cfg.get("spectrum_json")
+    if spectrum_json is not None:
+        _config_path(spectrum_json, "zz-sweep", "spectrum_json")
     omega1, alpha1, alpha2, coupling = _sweep_system(cfg, "zz-sweep")
     deltas = _grid(cfg, "delta_hz", "zz-sweep")
     levels = cfg.get("levels_per_mode", (4, 4))
@@ -188,7 +207,7 @@ def cmd_zz_sweep(cfg, out):
     zio.write_zz_sweep_csv(out, rows)
     zio.read_zz_sweep_csv(out)   # schema self-test
 
-    if cfg.get("spectrum_json"):
+    if spectrum_json:
         params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
                             np.zeros((2, 2)), exchange_g_hz=g[0])
         spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
@@ -196,7 +215,7 @@ def cmd_zz_sweep(cfg, out):
             decomp = pauli_decomposition(spec, params.exchange_g_hz)
         except AmbiguousLabelError:
             decomp = None
-        zio.write_json(cfg["spectrum_json"], zio.spectrum_dump(spec, decomp))
+        zio.write_json(spectrum_json, zio.spectrum_dump(spec, decomp))
     return EXIT_OK
 
 
@@ -214,17 +233,26 @@ def _blockade_system(cfg, context):
                             for k in ("omega1_hz", "omega2_hz", "zeta_hz"))), None
 
 
-def _blockade_row(system, protocol, dissipation, readout, delay, length):
-    """Run one protocol; final excited populations, measured through readout if given."""
-    result = run_blockade_protocol(system, protocol, dissipation)
-    p1 = float(result.p_excited(1)[-1])
-    p2 = float(result.p_excited(2)[-1])
+def _blockade_row(delay, length, p1, p2, readout):
+    """One CSV row: final excited populations, measured through readout if given."""
     row = {"delay_s": delay, "pulse_len_s": length, "p1_e": p1, "p2_e": p2}
     if readout is not None:
         m1, m2 = readout
         row["p1_e_measured"] = float((np.array([1 - p1, p1]) @ m1)[1])
         row["p2_e_measured"] = float((np.array([1 - p2, p2]) @ m2)[1])
     return row
+
+
+def _spectral_config(cfg, system, out):
+    """(offset_hz, window_hz, out path) of the blockade command's spectral block."""
+    context = "blockade:spectral"
+    sp = _config_object(cfg["spectral"], "blockade", "spectral")
+    zio._check_keys(sp, ["offset_hz", "window_hz", "out"], context)
+    offset = _config_float(sp.get("offset_hz", abs(system.zeta_hz)), context, "offset_hz")
+    window = _config_float(zio._require(sp, "window_hz", context), context, "window_hz")
+    if window <= 0:
+        raise ConfigError(f"{context}: window_hz must be positive, got {window}")
+    return offset, window, _config_path(sp.get("out", str(out) + ".spectral.csv"), context, "out")
 
 
 def cmd_blockade(cfg, out):
@@ -239,8 +267,10 @@ def cmd_blockade(cfg, out):
     if "protocol" in cfg:
         # explicit protocol file: run the single sequence as written
         protocol, dissipation, readout = zio.load_protocol_file(cfg["protocol"])
-        row = _blockade_row(system, protocol, dissipation, readout, protocol.delay_s,
-                            max(p.duration_s for p in protocol.pulses))
+        result = run_blockade_protocol(system, protocol, dissipation)
+        row = _blockade_row(protocol.delay_s, max(p.duration_s for p in protocol.pulses),
+                            float(result.p_excited(1)[-1]), float(result.p_excited(2)[-1]),
+                            readout)
         zio.write_blockade_csv(out, [row], with_measured=readout is not None)
         zio.read_blockade_csv(out)
         return EXIT_OK
@@ -262,6 +292,7 @@ def cmd_blockade(cfg, out):
                    if "dissipation" in cfg else None)
     readout = (zio.readout_matrices(cfg["readout_matrix"], "blockade")
                if "readout_matrix" in cfg else None)
+    spectral = _spectral_config(cfg, system, out) if "spectral" in cfg else None
     try:
         # every protocol is built, and so checked, before any is simulated
         points = [(delay, length, make_blockade_protocol(
@@ -271,23 +302,22 @@ def cmd_blockade(cfg, out):
     except ValueError as exc:
         raise ConfigError(f"blockade: {exc}") from exc
 
-    rows = [_blockade_row(system, protocol, dissipation, readout, delay, length)
-            for delay, length, protocol in points]
+    rows = []
+    if points:
+        result = run_blockade_grid(system, [protocol for *_, protocol in points], dissipation)
+        rows = [_blockade_row(delay, length, p1, p2, readout) for (delay, length, _), p1, p2
+                in zip(points, result.p_excited(1).tolist(), result.p_excited(2).tolist())]
     zio.write_blockade_csv(out, rows, with_measured=readout is not None)
     zio.read_blockade_csv(out)
 
-    if "spectral" in cfg:
-        sp = cfg["spectral"]
-        zio._check_keys(sp, ["offset_hz", "window_hz", "out"], "blockade:spectral")
-        offset = float(sp.get("offset_hz", abs(system.zeta_hz)))
-        window = float(sp["window_hz"])
+    if spectral is not None:
+        offset, window, spath = spectral
         srows = []
         for ln in lengths:
             pulse = pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
                              gaussian_sigma_s=sigma)
             srows.append({"pulse_len_s": ln,
                           "spectral_fraction": pulse_spectral_power(pulse, offset, window)})
-        spath = sp.get("out", str(out) + ".spectral.csv")
         zio.write_spectral_csv(spath, srows)
         zio.read_spectral_csv(spath)
     return EXIT_OK
@@ -300,6 +330,9 @@ def cmd_flux_spectroscopy(cfg, out):
                     "flux-spectroscopy")
     if "fixture" not in cfg:
         raise ConfigError("flux-spectroscopy: needs a fixture with flux-tunable qubits")
+    summary_json = cfg.get("summary_json")
+    if summary_json is not None:
+        _config_path(summary_json, "flux-spectroscopy", "summary_json")
     fx = load_fixture(cfg["fixture"])
     q1f, q2f = fx.qubits
     q1_flux = _config_float(cfg.get("q1_flux_phi0", q1f.default_flux_phi0),
@@ -326,8 +359,8 @@ def cmd_flux_spectroscopy(cfg, out):
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,
                         "error": f"{type(exc).__name__}: {exc}"})
     print(json.dumps(summary, sort_keys=True))
-    if cfg.get("summary_json"):
-        zio.write_json(cfg["summary_json"], summary)
+    if summary_json:
+        zio.write_json(summary_json, summary)
     return EXIT_OK
 
 
@@ -383,7 +416,8 @@ def _problem_from_config(cfg, seed_override=None):
             de_params=DEParams(**de_kwargs),
             n_exc=_config_int(cfg.get("n_exc", 4), "optimize", "n_exc"),
             fixed=tuple((name, _config_float(value, "optimize:fixed", name))
-                        for name, value in cfg.get("fixed", {}).items()),
+                        for name, value in _config_object(cfg.get("fixed", {}), "optimize",
+                                                          "fixed").items()),
             objective=cfg.get("objective", "abs"),
             strict_mode=bool(cfg.get("strict_mode", False)),
         )

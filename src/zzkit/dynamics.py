@@ -26,8 +26,14 @@ scalar time or an array of times, returning the matching stack of matrices.
 max_step_s resolves the fastest frequency of the Hamiltonian, and the Magnus
 steps have no error control of their own: at the default tolerances their
 populations are good to about 1e-6, and a tighter rtol shortens them.
+
+The core propagates one state or a stack of K states at once.  A stacked
+Hamiltonian (build_protocol_hamiltonian of K protocols) returns one matrix
+per state, and run_blockade_grid propagates every point of a blockade grid
+that way, in one pass over the union of their pulse edges.
 """
 
+import gc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,9 +77,22 @@ RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 NORM_DRIFT_TOL = 1e-6
 STEPS_PER_CARRIER_PERIOD = 40
-_MAGNUS_BLOCK = 512               # Magnus steps built and exponentiated together
+_MAGNUS_BLOCK = 512               # Magnus step matrices built and exponentiated together
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0   # Gauss-Legendre on [0, 1]
 _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
+
+
+def _pulse_shape(shape, tau, duration_s, sigma_s):
+    """Unit-peak envelope tau seconds into a pulse, support not checked.
+
+    The one envelope formula: PulseSpec.envelope applies it to one pulse and
+    _drive_stack to every pulse of a stacked grid.
+    """
+    if shape == "rectangular":
+        return 1.0
+    if shape == "truncated_cosine":
+        return 0.5 * (1.0 - np.cos(TWO_PI * tau / duration_s))
+    return np.exp(-0.5 * ((tau - 0.5 * duration_s) / sigma_s) ** 2)
 
 
 @dataclass(frozen=True)
@@ -125,12 +144,7 @@ class PulseSpec:
         tau = (float(t) if scalar else np.asarray(t, dtype=float)) - self.start_time_s
         if scalar and not 0.0 <= tau <= self.duration_s:
             return 0.0
-        if self.shape == "rectangular":
-            shape = 1.0
-        elif self.shape == "truncated_cosine":
-            shape = 0.5 * (1.0 - np.cos(TWO_PI * tau / self.duration_s))
-        else:
-            shape = np.exp(-0.5 * ((tau - 0.5 * self.duration_s) / self.gaussian_sigma_s) ** 2)
+        shape = _pulse_shape(self.shape, tau, self.duration_s, self.gaussian_sigma_s)
         if scalar:
             return float(self.amplitude_hz * shape)
         return np.where((tau >= 0.0) & (tau <= self.duration_s), self.amplitude_hz * shape, 0.0)
@@ -261,12 +275,74 @@ class TimeDependentHamiltonian:
         return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in self.active_intervals)
 
 
-def _pulse_terms(pulses):
-    edges, intervals = [], []
-    for p in pulses:
-        edges.extend([p.start_time_s, p.end_time_s])
-        intervals.append((p.start_time_s, p.end_time_s))
-    return tuple(sorted(set(edges))), tuple(intervals)
+def _pulse_field(rows, name):
+    return np.array([[getattr(p, name) for p in row] for row in rows], dtype=float)
+
+
+def _drive_stack(rows, operator):
+    """What a stacked Hamiltonian needs of K rows (protocols) of J pulses each.
+
+    Returns (envelope, ops, edges, intervals).  envelope(t) is the (..., K, J)
+    stack of Rabi rates in Hz at a scalar or an array t, every pulse through
+    PulseSpec's formula (_pulse_shape), evaluated once per shape over all the
+    pulses that have it; ops holds the (K, J, 16) flattened drive operators
+    operator(p); edges and intervals are the union of all pulse edges and
+    supports.
+    """
+    rows = [tuple(row) for row in rows]
+    if not rows or len({len(row) for row in rows}) > 1:
+        raise ValueError("a stack needs one or more protocols with equally many pulses")
+    amplitude, start, duration = (_pulse_field(rows, name) for name in
+                                  ("amplitude_hz", "start_time_s", "duration_s"))
+    sigma = np.array([[np.nan if p.gaussian_sigma_s is None else p.gaussian_sigma_s
+                       for p in row] for row in rows], dtype=float)
+    shapes = np.array([[p.shape for p in row] for row in rows], dtype=object)
+    kinds = [(kind, shapes == kind) for kind in sorted(set(shapes.ravel()))]
+    ops = np.array([[operator(p).ravel() for p in row] for row in rows],
+                   dtype=complex).reshape(shapes.shape + (16,))
+    intervals = sorted({(p.start_time_s, p.end_time_s) for row in rows for p in row})
+
+    def envelope(t):
+        tau = np.asarray(t, dtype=float)[..., None, None] - start
+        if len(kinds) == 1:
+            shape = _pulse_shape(kinds[0][0], tau, duration, sigma)
+        else:
+            shape = np.zeros(tau.shape)
+            for kind, m in kinds:
+                shape[..., m] = _pulse_shape(kind, tau[..., m], duration[m], sigma[m])
+        return np.where((tau >= 0.0) & (tau <= duration), amplitude * shape, 0.0)
+
+    return envelope, ops, tuple(sorted({e for iv in intervals for e in iv})), tuple(intervals)
+
+
+def _drive_sum(coefficients, ops):
+    """sum_j c[..., k, j] ops[k, j], as (..., K, 4, 4)."""
+    return (coefficients[..., None, :] @ ops).reshape(coefficients.shape[:-1] + (4, 4))
+
+
+def _unstacked(ham):
+    """The Hamiltonian of a one-protocol stack, with the stack axis dropped."""
+    stacked = ham.func
+    return replace(ham, func=lambda t: stacked(t)[..., 0, :, :])
+
+
+def _lab_stack(system, rows):
+    envelope, ops, edges, intervals = _drive_stack(
+        rows, lambda p: TWO_PI * (SY1 if p.target_qubit == 1 else SY2))
+    h0 = TWO_PI * system.static_lab_matrix()
+    carrier_hz = _pulse_field(rows, "carrier_hz")
+    carrier = TWO_PI * carrier_hz
+    phase = _pulse_field(rows, "phase_rad")
+    fastest_hz = carrier_hz.max() if carrier_hz.size else system.omega1_hz
+
+    def func(t):
+        t = np.asarray(t, dtype=float)
+        return h0 + _drive_sum(envelope(t) * np.sin(carrier * t[..., None, None] + phase), ops)
+
+    return TimeDependentHamiltonian(
+        func, 4, edges, intervals,
+        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz),
+    )
 
 
 def lab_hamiltonian(system, pulses):
@@ -276,24 +352,60 @@ def lab_hamiltonian(system, pulses):
     fastest carrier with STEPS_PER_CARRIER_PERIOD steps per period, which
     puts driven segments on the fixed-step Magnus integrator.
     """
-    h0 = TWO_PI * system.static_lab_matrix()
-    drives = [(p, SY1 if p.target_qubit == 1 else SY2) for p in pulses]
-    edges, intervals = _pulse_terms(pulses)
-    carriers = [p.carrier_hz for p in pulses] or [system.omega1_hz]
+    return _unstacked(_lab_stack(system, [pulses]))
+
+
+def _carrier_frame(system, pulses):
+    """Each qubit's frame: the carrier of its pulses, or its own transition when undriven."""
+    f = [None, None]
+    for p in pulses:
+        q = p.target_qubit - 1
+        if f[q] is not None and not np.isclose(f[q], p.carrier_hz):
+            raise UnsupportedError(
+                "pulses on one qubit carry different carriers; "
+                "pass frame_freqs_hz explicitly"
+            )
+        f[q] = p.carrier_hz
+    return (f[0] if f[0] is not None else system.omega1_hz,
+            f[1] if f[1] is not None else system.omega2_hz)
+
+
+def _rotating_drive(p):
+    # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.) in this frame
+    term = 0.5 * np.exp(1j * p.phase_rad) * (SM1 if p.target_qubit == 1 else SM2)
+    return TWO_PI * (term + term.conj().T)
+
+
+def _rotating_stack(system, rows, frame_freqs_hz=None, include_exchange=True):
+    envelope, ops, edges, intervals = _drive_stack(rows, _rotating_drive)
+    frames = np.array([_carrier_frame(system, row) if frame_freqs_hz is None
+                       else frame_freqs_hz for row in rows], dtype=float)
+    f1, f2 = frames[:, 0], frames[:, 1]
+    levels = system.energies() - f1[:, None] * np.diag(N1).real - f2[:, None] * np.diag(N2).real
+    diag = np.zeros((len(rows), 4, 4), dtype=complex)
+    diag[:, range(4), range(4)] = TWO_PI * levels
+
+    jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
+    exchange_on = include_exchange and abs(jpm) > 0
+    delta_d = f1 - f2
 
     def func(t):
-        stacked = np.ndim(t) > 0
-        h = np.tile(h0, np.shape(t) + (1, 1))
-        for p, op in drives:
-            amp = p.envelope(t)
-            if stacked or amp:       # a scalar call skips the drives that are off
-                coefficient = TWO_PI * amp * np.sin(TWO_PI * p.carrier_hz * t + p.phase_rad)
-                h = h + np.multiply.outer(coefficient, op)
+        t = np.asarray(t, dtype=float)
+        h = diag + _drive_sum(envelope(t), ops)
+        if exchange_on:
+            c = TWO_PI * (jpm * np.exp(1j * TWO_PI * delta_d * t[..., None]))[..., None, None]
+            h = h + c * FLIP_FLOP + c.conj() * FLIP_FLOP.T
         return h
 
+    # fixed steps must resolve the fastest frequency in this frame: the exchange
+    # rotation, the frame detunings and zeta, the exchange and the drives
+    exchange_turns = exchange_on and bool(np.any(delta_d != 0))
+    rate_hz = max(np.abs(delta_d).max(), np.abs(levels).max(), abs(jpm),
+                  _pulse_field(rows, "amplitude_hz").sum(axis=1).max())
     return TimeDependentHamiltonian(
         func, 4, edges, intervals,
-        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * max(carriers)),
+        always_time_dependent=exchange_turns,
+        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None,
     )
 
 
@@ -314,58 +426,7 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
     """
     if not rwa:
         raise UnsupportedError("rwa=False requires lab-frame integration")
-    if frame_freqs_hz is None:
-        f = [None, None]
-        for p in pulses:
-            q = p.target_qubit - 1
-            if f[q] is not None and not np.isclose(f[q], p.carrier_hz):
-                raise UnsupportedError(
-                    "pulses on one qubit carry different carriers; "
-                    "pass frame_freqs_hz explicitly"
-                )
-            f[q] = p.carrier_hz
-        frame_freqs_hz = (
-            f[0] if f[0] is not None else system.omega1_hz,
-            f[1] if f[1] is not None else system.omega2_hz,
-        )
-    f1, f2 = frame_freqs_hz
-
-    e = system.energies()
-    diag = TWO_PI * np.diag(
-        e - f1 * np.diag(N1).real - f2 * np.diag(N2).real).astype(complex)
-    edges, intervals = _pulse_terms(pulses)
-    drives = []
-    for p in pulses:
-        # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.) in this frame
-        term = 0.5 * np.exp(1j * p.phase_rad) * (SM1 if p.target_qubit == 1 else SM2)
-        drives.append((p, TWO_PI * (term + term.conj().T)))
-
-    jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
-    exchange_on = include_exchange and abs(jpm) > 0
-    delta_d = f1 - f2
-
-    def func(t):
-        stacked = np.ndim(t) > 0
-        h = np.tile(diag, np.shape(t) + (1, 1))
-        for p, op in drives:
-            amp = p.envelope(t)
-            if stacked or amp:       # a scalar call skips the drives that are off
-                h = h + np.multiply.outer(amp, op)
-        if exchange_on:
-            c = TWO_PI * (jpm * np.exp(1j * TWO_PI * delta_d * t))
-            h = h + np.multiply.outer(c, FLIP_FLOP) + np.multiply.outer(c.conj(), FLIP_FLOP.T)
-        return h
-
-    # fixed steps must resolve the fastest frequency in this frame: the exchange
-    # rotation, the frame detunings and zeta, the exchange and the drives
-    rate_hz = max(abs(delta_d), np.abs(diag).max() / TWO_PI, abs(jpm),
-                  sum(p.amplitude_hz for p in pulses))
-    return TimeDependentHamiltonian(
-        func, 4, edges, intervals,
-        always_time_dependent=exchange_on and abs(delta_d) > 0,
-        max_step_s=None if not exchange_on or delta_d == 0
-        else 1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz),
-    )
+    return _unstacked(_rotating_stack(system, [pulses], frame_freqs_hz, include_exchange))
 
 
 def rotate_sigma_y(gamma_rad):
@@ -437,6 +498,28 @@ def _expm_anti_hermitian(omega):
     return (v * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+def _act(u, y):
+    """u y for matrices u (..., d, d) and states y (..., d), broadcast over the stacks."""
+    return (u @ y[..., None])[..., 0]
+
+
+@dataclass(frozen=True)
+class _Generator:
+    """The right-hand side dy/dt = G(h) y of closed or open evolution.
+
+    matrix(h) is the stack of generators G(h), which the Magnus steps and the
+    exact exponentials take; apply(h, y) is G(h) y, which DOP853 takes and
+    which need not build G; exponential exponentiates Magnus step exponents.
+    """
+
+    matrix: object
+    apply: object
+    exponential: object
+
+
+_SCHRODINGER = _Generator(lambda h: -1j * h, lambda h, y: -1j * _act(h, y), _expm_anti_hermitian)
+
+
 def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     """Fixed-step fourth-order Magnus propagation of y over [a, b].
 
@@ -446,81 +529,96 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     its two Gauss-Legendre nodes, is exp(h/2 (G1 + G2) + sqrt(3)/12 h^2
     [G2, G1]) (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)).
     Steps are laid out, evaluated through one call of ham.matrix, exponentiated
-    together and applied in order _MAGNUS_BLOCK at a time, so memory stays
+    together and applied in order, _MAGNUS_BLOCK matrices at a time (so a
+    stack of K states takes _MAGNUS_BLOCK / K steps a block), and memory stays
     flat however long the segment is.  Closed-system steps are anti-Hermitian
     and are exponentiated through one stacked eigh (_expm_anti_hermitian);
     Lindblad steps through scipy's expm.
     """
-    exponential = _expm_anti_hermitian if generator is _closed_generator else expm
     knots = np.unique(np.concatenate(([a], times, [b])))
     counts = np.ceil(np.diff(knots) / max_step_s).astype(int)
     widths = np.diff(knots) / counts
     ends = np.cumsum(counts)
+    block = max(1, _MAGNUS_BLOCK * y.shape[-1] // y.size)
     states = []
-    for first in range(0, ends[-1], _MAGNUS_BLOCK):
-        step = np.arange(first, min(first + _MAGNUS_BLOCK, ends[-1]))
+    for first in range(0, ends[-1], block):
+        step = np.arange(first, min(first + block, ends[-1]))
         j = np.searchsorted(ends, step, side="right")
         h = widths[j]
         left = knots[j] + (step - ends[j] + counts[j]) * h
-        g = generator(ham.matrix((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
+        g = generator.matrix(ham.matrix((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
         g1, g2 = g[0::2], g[1::2]
-        h = h[:, None, None]
+        h = h.reshape((-1,) + (1,) * (g.ndim - 1))
         omega = 0.5 * h * (g1 + g2) + _MAGNUS_COMMUTATOR * h ** 2 * (g2 @ g1 - g1 @ g2)
-        for u, at_edge in zip(exponential(omega), np.isin(step + 1, ends)):
-            y = u @ y
+        for u, at_edge in zip(generator.exponential(omega), np.isin(step + 1, ends)):
+            y = _act(u, y)
             if at_edge:
                 states.append(y)
     return states[:len(times)], y
 
 
 def _propagate(ham, generator, y0, grid, rtol, atol):
-    """States y(t) on grid for dy/dt = generator(H(t)) y with y(grid[0]) = y0.
+    """States y(t) on grid for dy/dt = G(H(t)) y with y(grid[0]) = y0.
 
-    The time axis is split at every envelope edge so that isolated pulses are
-    always sampled.  A segment where the Hamiltonian is static is propagated
-    with exact exponentials of its generator, one stacked expm over the grid
+    y0 is one state or a stack of them, propagated together: ham.matrix then
+    returns one matrix per state (the stacked Hamiltonian of
+    build_protocol_hamiltonian), and out[i] is the stack at grid[i].  The time
+    axis is split at every envelope edge so that isolated pulses are always
+    sampled.  A segment where the Hamiltonian is static is propagated with
+    exact exponentials of its generator, one stacked expm over the grid
     offsets inside it and its end.  A driven segment of a Hamiltonian that
     sets max_step_s has an oscillation to resolve and runs fixed Magnus steps
     (_magnus_segment), which cost one matrix exponential each however fast the
     phase turns; any other driven segment is smooth and is integrated by
     DOP853, whose adaptive steps follow the envelope with an eighth of the
-    segment as the largest step.  rtol and atol steer DOP853.  The Magnus
-    steps have no error control: at RTOL_DEFAULT they are max_step_s long, and
-    a tighter rtol shortens them by (rtol / RTOL_DEFAULT)^(1/4), so that their
-    global error, of order h^4, falls in proportion to rtol.
+    segment as the largest step.  A grid time at a segment's end takes the
+    state there; only the times inside a DOP853 segment are read from its
+    dense output.  rtol and atol steer DOP853.  The Magnus steps have no error
+    control: at RTOL_DEFAULT they are max_step_s long, and a tighter rtol
+    shortens them by (rtol / RTOL_DEFAULT)^(1/4), so that their global error,
+    of order h^4, falls in proportion to rtol.
     """
-    def rhs(t, v):
-        return (generator(ham.matrix(t)) @ v.view(complex)).view(float)
+    shape = y0.shape
 
-    y = np.ascontiguousarray(y0)     # solve_ivp sees it through a float view
-    out = np.empty((len(grid), len(y0)), dtype=complex)
+    def rhs(t, v):
+        y = v.view(complex).reshape(shape)
+        return generator.apply(ham.matrix(t), y).reshape(-1).view(float)
+
+    y = np.array(y0, dtype=complex)
+    out = np.empty((len(grid),) + shape, dtype=complex)
     out[0] = y0
     for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
         mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
         if ham.is_static_on(a, b):
-            g = generator(ham.matrix(0.5 * (a + b)))
+            g = generator.matrix(ham.matrix(0.5 * (a + b)))
             offsets = np.append(grid[mask], b) - a
-            states = expm(g[None] * offsets[:, None, None]) @ y
+            states = _act(expm(g * offsets.reshape((-1,) + (1,) * g.ndim)), y)
             out[mask], y = states[:-1], states[-1]
             continue
         if ham.max_step_s:
             tighter = max(rtol, 100 * np.finfo(float).eps) / RTOL_DEFAULT   # solve_ivp's floor
             step_s = ham.max_step_s * min(1.0, tighter) ** 0.25
             states, y = _magnus_segment(ham, generator, y, a, grid[mask], b, step_s)
-            out[mask] = states
+            if states:
+                out[mask] = states
             continue
-        sol = solve_ivp(rhs, (a, b), y.view(float), method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=bool(mask.any()), max_step=max((b - a) / 8.0, 1e-15))
+        inside = mask & (grid < b - 1e-18)
+        # solve_ivp sees the state through a float view
+        sol = solve_ivp(rhs, (a, b), np.ascontiguousarray(y).reshape(-1).view(float),
+                        method="DOP853", rtol=rtol, atol=atol, dense_output=bool(inside.any()),
+                        max_step=max((b - a) / 8.0, 1e-15))
         if not sol.success:
             raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
-        for k in np.nonzero(mask)[0]:
-            out[k] = sol.sol(grid[k]).view(complex)
-        y = sol.y[:, -1].view(complex).copy()
+        if inside.any():
+            dense = np.ascontiguousarray(sol.sol(grid[inside]).T)
+            out[inside] = dense.view(complex).reshape((-1,) + shape)
+        y = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(shape)
+        out[mask & ~inside] = y
+        # a scipy solver is a reference cycle (its fun wrapper closes over it),
+        # so its stage arrays, 16 x the stacked state, would pile up segment
+        # after segment until the cycle collector ran: collect them now
+        gc.collect(1)
     return out
-
-
-def _closed_generator(h):
-    return -1j * h
 
 
 def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
@@ -528,22 +626,25 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
     """Integrate the Schrodinger equation on [grid[0], grid[-1]].
 
     Propagation runs through the shared segment loop with generator -i H.
-    rtol and atol steer the DOP853 segments and shorten the fixed Magnus
-    steps (see _propagate).  A norm drift beyond 1e-6 triggers one retry with
-    100x tighter tolerances before raising StiffnessError.
+    psi0 is one state, or a (K, 4) stack propagated together under a stacked
+    Hamiltonian; populations and states then hold the stack axis after the
+    time axis.  rtol and atol steer the DOP853 segments and shorten the fixed
+    Magnus steps (see _propagate).  A norm drift beyond 1e-6 in any state
+    triggers one retry with 100x tighter tolerances before raising
+    StiffnessError.
     """
     grid = _check_grid(grid_s)
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
         raise ValueError("psi0 must be normalized")
     for scale in (1.0, 1e-2):
-        states = _propagate(ham, _closed_generator, psi0, grid, rtol * scale, atol * scale)
-        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+        states = _propagate(ham, _SCHRODINGER, psi0, grid, rtol * scale, atol * scale)
+        drift = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
         if drift <= NORM_DRIFT_TOL:
             break
     else:
         raise StiffnessError(f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
-    pops = {lab: np.abs(states[:, k]) ** 2 for k, lab in enumerate(BASIS_LABELS)}
+    pops = {lab: np.abs(states[..., k]) ** 2 for k, lab in enumerate(BASIS_LABELS)}
     return SimulationResult(grid, pops, states if keep_states else None, drift)
 
 
@@ -569,40 +670,63 @@ def _liouvillian(h_angular, c_ops):
     return lv
 
 
+def _lindblad_generator(dissipation, n):
+    """The Liouvillian D - i(H x I - I x H^T) on vec(rho), the dissipator D built once.
+
+    Its right-hand side needs no superoperator of H: it applies
+    -i(H rho - rho H) as n x n matrix products and D as one precomputed
+    matrix.  Only the Magnus steps and the exact exponentials build the full
+    generator.
+    """
+    c_ops = dissipation.collapse_operators() if dissipation is not None else []
+    dissipator = _liouvillian(np.zeros((n, n)), c_ops)
+    dissipator_t = np.ascontiguousarray(dissipator.T)
+
+    def apply(h, y):
+        rho = y.reshape(y.shape[:-1] + (n, n))
+        return (-1j * (h @ rho - rho @ h)).reshape(y.shape) + y @ dissipator_t
+
+    return _Generator(lambda h: dissipator + _liouvillian(h, ()), apply, expm)
+
+
+def _density_drift(states):
+    """Largest trace drift of a stack of density matrices, checked with their positivity."""
+    drift = float(np.max(np.abs(np.einsum("...ii->...", states).real - 1.0)))
+    if drift > NORM_DRIFT_TOL:
+        raise StiffnessError(f"trace drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
+    hermitian = 0.5 * (states + np.swapaxes(states.conj(), -1, -2))
+    min_eig = float(np.min(np.linalg.eigvalsh(hermitian)))
+    if min_eig < -1e-8:
+        raise PositivityError(f"density matrix eigenvalue dropped to {min_eig:.2e}")
+    return drift
+
+
 def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
                     atol=ATOL_DEFAULT, keep_states=False):
     """Master-equation evolution with per-qubit relaxation and pure dephasing.
 
     Propagates vec(rho) through the shared segment loop with the Liouvillian
-    generator D - i(H x I - I x H^T), the dissipator D built once per call;
-    drive-free segments therefore use the exact exponential of the static
-    Liouvillian, which makes microsecond-scale free decays cheap.  rtol and
-    atol steer the DOP853 segments and shorten the fixed Magnus steps (see
-    _propagate).  Trace is monitored to 1e-6 and the state is checked for
-    negative eigenvalues below -1e-8.
+    generator (_lindblad_generator); drive-free segments therefore use the
+    exact exponential of the static Liouvillian, which makes
+    microsecond-scale free decays cheap.  rho0 is one density matrix, or a
+    (K, 4, 4) stack propagated together under a stacked Hamiltonian.  rtol
+    and atol steer the DOP853 segments and shorten the fixed Magnus steps
+    (see _propagate).  Trace is monitored to 1e-6 and every state is checked
+    for negative eigenvalues below -1e-8.
     """
     grid = _check_grid(grid_s)
     rho0 = np.asarray(rho0, dtype=complex)
     n = ham.dim
-    if rho0.shape != (n, n):
+    if rho0.shape[-2:] != (n, n):
         raise ValueError(f"rho0 must be {n}x{n}")
-    if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.min(np.linalg.eigvalsh(rho0)) < -1e-9:
+    if (np.any(np.abs(np.einsum("...ii->...", rho0).real - 1.0) > 1e-9)
+            or np.min(np.linalg.eigvalsh(rho0)) < -1e-9):
         raise ValueError("rho0 must be a unit-trace positive-semidefinite matrix")
-    c_ops = dissipation.collapse_operators() if dissipation is not None else []
-    dissipator = _liouvillian(np.zeros((n, n)), c_ops)
-
-    def generator(h):
-        return dissipator + _liouvillian(h, ())
-
-    out = _propagate(ham, generator, rho0.reshape(-1), grid, rtol, atol).reshape(-1, n, n)
-    traces = np.einsum("tii->t", out).real
-    drift = float(np.max(np.abs(traces - 1.0)))
-    if drift > NORM_DRIFT_TOL:
-        raise StiffnessError(f"trace drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}")
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().transpose(0, 2, 1)))))
-    if min_eig < -1e-8:
-        raise PositivityError(f"density matrix eigenvalue dropped to {min_eig:.2e}")
-    pops = {lab: out[:, k, k].real for k, lab in enumerate(BASIS_LABELS)}
+    vec0 = rho0.reshape(rho0.shape[:-2] + (n * n,))
+    out = _propagate(ham, _lindblad_generator(dissipation, n), vec0, grid, rtol, atol)
+    out = out.reshape((len(grid),) + rho0.shape)
+    drift = _density_drift(out)
+    pops = {lab: out[..., k, k].real for k, lab in enumerate(BASIS_LABELS)}
     return SimulationResult(grid, pops, out if keep_states else None, drift)
 
 
@@ -636,14 +760,29 @@ def make_blockade_protocol(system, pulse_length_s, delay_s,
 
 
 def build_protocol_hamiltonian(system, protocol, include_exchange=True):
-    if protocol.frame == "lab":
-        return lab_hamiltonian(system, protocol.pulses)
-    if protocol.frame == "blockade_effective":
-        freqs = (system.omega1_hz, system.omega2_hz)
-        return rotating_frame_transform(system, protocol.pulses, freqs,
-                                        include_exchange=False)
-    return rotating_frame_transform(system, protocol.pulses,
-                                    include_exchange=include_exchange)
+    """The Hamiltonian of a ProtocolSpec in its frame, or the stack of a sequence of them.
+
+    A sequence of K protocols, in one frame and with equally many pulses,
+    gives one Hamiltonian whose func returns the (..., K, 4, 4) stack of
+    their matrices: every protocol keeps its own pulse clock and carriers,
+    all envelopes are evaluated together, and the breakpoints are the union
+    of all pulse edges.
+    """
+    stacked = not isinstance(protocol, ProtocolSpec)
+    protocols = tuple(protocol) if stacked else (protocol,)
+    frames = {p.frame for p in protocols}
+    if len(frames) != 1:
+        raise ValueError("a stack needs one or more protocols in one frame")
+    frame, = frames
+    rows = [p.pulses for p in protocols]
+    if frame == "lab":
+        ham = _lab_stack(system, rows)
+    elif frame == "blockade_effective":
+        ham = _rotating_stack(system, rows, (system.omega1_hz, system.omega2_hz),
+                              include_exchange=False)
+    else:
+        ham = _rotating_stack(system, rows, include_exchange=include_exchange)
+    return ham if stacked else _unstacked(ham)
 
 
 def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
@@ -670,6 +809,61 @@ def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     return evolve_lindblad(ham, rho0, dissipation, grid, rtol=rtol, atol=atol)
+
+
+def run_blockade_grid(system, protocols, dissipation=None):
+    """Populations of every protocol of a grid at its readout, from one stacked propagation.
+
+    The K protocols (the (delay, length) points of a blockade map: one frame,
+    equally many pulses) are propagated as one (K, 4) state, or (K, 16) with
+    a DissipationSpec, under the stacked Hamiltonian of
+    build_protocol_hamiltonian, by one evolve_schrodinger or evolve_lindblad
+    call: the time axis is split at the union of all pulse edges, and the
+    norm-drift retry, or the trace and positivity checks, cover every point's
+    states.  Each point is read at a segment boundary, never interpolated.
+    Where the Hamiltonian is static after a point's last pulse edge (it is
+    not always_time_dependent), the point is read at that edge and taken over
+    the rest of its time (pad and readout pad) by one exact exponential;
+    otherwise its readout instant becomes a boundary.  The readout instant is
+    the protocol's total_time_s, the last grid time of run_blockade_protocol,
+    which stays the per-point path and agrees with this one to the
+    integrator's default tolerance (1e-9 on DOP853 segments).  Returns a
+    SimulationResult with the readout instants as times_s and one population
+    per point.
+    """
+    protocols = tuple(protocols)
+    ham = build_protocol_hamiltonian(system, protocols)
+    readout = np.array([p.total_time_s for p in protocols], dtype=float)
+    stop = readout
+    if not ham.always_time_dependent:
+        last_edge = [max((q.end_time_s for q in p.pulses), default=0.0) for p in protocols]
+        stop = np.minimum(last_edge, readout)
+    ham = replace(ham, breakpoints=tuple(sorted({*ham.breakpoints, *stop.tolist()})))
+    grid = np.unique(np.append(stop, 0.0))
+    points = (np.searchsorted(grid, stop), np.arange(len(protocols)))
+    if dissipation is None:
+        psi0 = np.zeros((len(protocols), 4), dtype=complex)
+        psi0[:, 0] = 1.0
+        result = evolve_schrodinger(ham, psi0, grid, keep_states=True)
+        generator, y = _SCHRODINGER, result.states[points]
+    else:
+        rho0 = np.zeros((len(protocols), 4, 4), dtype=complex)
+        rho0[:, 0, 0] = 1.0
+        result = evolve_lindblad(ham, rho0, dissipation, grid, keep_states=True)
+        generator, y = _lindblad_generator(dissipation, 4), result.states[points].reshape(-1, 16)
+    tail = readout - stop
+    if tail.any():
+        # past every pulse edge, each point's Hamiltonian is the static one of its tail
+        h = ham.matrix(max(ham.breakpoints) + tail.max())
+        y = _act(expm(generator.matrix(h) * tail[:, None, None]), y)
+    if dissipation is None:
+        pops = np.abs(y) ** 2
+    else:
+        rho = y.reshape(-1, 4, 4)
+        _density_drift(rho)
+        pops = np.einsum("kii->ki", rho).real
+    return SimulationResult(readout, {lab: pops[:, k] for k, lab in enumerate(BASIS_LABELS)},
+                            norm_drift=result.norm_drift)
 
 
 def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):

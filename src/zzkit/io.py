@@ -123,9 +123,15 @@ def load_protocol_file(path):
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     _check_keys(raw, ["frame", "pulses", "delay_s", "total_time_s",
                       "readout_times_s", "dissipation", "readout_matrix"], path)
+    raw_pulses = _require(raw, "pulses", path)
+    if not isinstance(raw_pulses, list) or not raw_pulses:
+        raise ConfigError(f"{path}: pulses must be a non-empty list of pulse objects, "
+                          f"got {raw_pulses!r}")
     pulses = []
-    for k, p in enumerate(_require(raw, "pulses", path)):
+    for k, p in enumerate(raw_pulses):
         ctx = f"{path}: pulses[{k}]"
+        if not isinstance(p, dict):
+            raise ConfigError(f"{ctx} must be an object, got {p!r}")
         _check_keys(p, ["shape", "amplitude_hz", "duration_s", "carrier_hz",
                         "phase_rad", "start_time_s", "gaussian_sigma_s",
                         "target_qubit"], ctx)
@@ -137,8 +143,7 @@ def load_protocol_file(path):
                 p.get("gaussian_sigma_s"), p.get("target_qubit", 1)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
-    total = raw.get("total_time_s",
-                    max(p.end_time_s for p in pulses) + 2e-9 if pulses else 0.0)
+    total = raw.get("total_time_s", max(p.end_time_s for p in pulses) + 2e-9)
     try:
         protocol = ProtocolSpec(tuple(pulses), total, raw.get("frame", "rotating"),
                                 raw.get("delay_s", 0.0),

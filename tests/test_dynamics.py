@@ -18,6 +18,7 @@ from zzkit import (
     pi_pulse,
     pulse_spectral_power,
     rotating_frame_transform,
+    run_blockade_grid,
     run_blockade_protocol,
     run_conditional_ramsey,
     run_echo_conditional_phase,
@@ -32,7 +33,7 @@ from zzkit.dynamics import (
     build_protocol_hamiltonian,
     rotate_sigma_y,
 )
-from zzkit.errors import ResolutionError, StochasticityError, UnsupportedError
+from zzkit.errors import ResolutionError, StiffnessError, StochasticityError, UnsupportedError
 
 SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
 # device-scale XX+YY exchange, far from and close to the qubits' resonance
@@ -376,6 +377,135 @@ class TestCarrierResolvedSegments:
         assert calls
         for lab in BASIS_LABELS:
             np.testing.assert_array_equal(counted.populations[lab], plain.populations[lab])
+
+
+def grid_protocols(system, delays, lengths, **kw):
+    return [make_blockade_protocol(system, length, delay, **kw)
+            for delay in delays for length in lengths]
+
+
+def readout_populations(result):
+    """(K, 4) basis populations of a grid result, one row per point."""
+    return np.array([result.populations[lab] for lab in BASIS_LABELS]).T
+
+
+def per_point_populations(system, protocols, dissipation=None):
+    """The oracle: run_blockade_protocol on each point, read at its last grid time."""
+    return np.array([[r.populations[lab][-1] for lab in BASIS_LABELS] for r in
+                     (run_blockade_protocol(system, p, dissipation) for p in protocols)])
+
+
+CHIP1_DISSIPATION = DissipationSpec((7.8e-6, 8.8e-6), (5.0e-6, 1.1e-6))
+
+
+class TestStackedHamiltonian:
+    @pytest.mark.parametrize("system,frame", [
+        (SYSTEM, "lab"), (SYSTEM, "rotating"), (NEAR_EXCHANGE, "rotating"),
+        (SYSTEM, "blockade_effective"),
+    ], ids=["lab", "rotating", "exchange", "blockade-effective"])
+    def test_stack_matches_each_protocol(self, system, frame):
+        prots = grid_protocols(system, (-30e-9, 0.0, 20e-9), (16e-9, 40e-9), frame=frame)
+        stacked = build_protocol_hamiltonian(system, prots)
+        singles = [build_protocol_hamiltonian(system, p) for p in prots]
+        times = np.linspace(-5e-9, max(p.total_time_s for p in prots) + 5e-9, 29)
+        want = np.stack([h.func(times) for h in singles], axis=1)
+        np.testing.assert_allclose(stacked.func(times), want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+        np.testing.assert_allclose(stacked.func(times[7]), want[7], rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+        assert set(stacked.breakpoints) == {e for h in singles for e in h.breakpoints}
+        steps = [h.max_step_s for h in singles]
+        assert stacked.max_step_s == (None if None in steps else min(steps))
+
+    def test_mixed_shapes_share_the_pulse_formula(self):
+        shapes = [pi_pulse("gaussian", 40e-9, SYSTEM.omega1_hz, gaussian_sigma_s=8e-9),
+                  pi_pulse("rectangular", 30e-9, SYSTEM.omega1_hz, start_time_s=5e-9),
+                  pi_pulse("truncated_cosine", 20e-9, SYSTEM.omega1_hz)]
+        prots = [dynamics.ProtocolSpec((p,), 50e-9) for p in shapes]
+        stacked = build_protocol_hamiltonian(SYSTEM, prots)
+        times = np.linspace(0.0, 50e-9, 23)
+        for k, p in enumerate(shapes):
+            np.testing.assert_array_equal(stacked.func(times)[:, k, 2, 0].real,
+                                          TWO_PI * 0.5 * p.envelope(times))
+
+    def test_mixed_frames_and_pulse_counts_rejected(self):
+        prots = [make_blockade_protocol(SYSTEM, 20e-9, 0.0, frame=frame)
+                 for frame in ("lab", "rotating")]
+        with pytest.raises(ValueError):
+            build_protocol_hamiltonian(SYSTEM, prots)
+        one_pulse = dynamics.ProtocolSpec(prots[1].pulses[:1], prots[1].total_time_s)
+        with pytest.raises(ValueError):
+            build_protocol_hamiltonian(SYSTEM, [prots[1], one_pulse])
+        with pytest.raises(ValueError):
+            build_protocol_hamiltonian(SYSTEM, [])
+
+    def test_matrix_free_lindblad_rhs(self, monkeypatch, rng):
+        # the DOP853 right-hand side equals the Liouvillian product and builds
+        # no superoperator of H
+        prots = grid_protocols(SYSTEM, (-20e-9, 10e-9), (30e-9,))
+        h = build_protocol_hamiltonian(SYSTEM, prots).func(25e-9)
+        generator = dynamics._lindblad_generator(CHIP1_DISSIPATION, 4)
+        y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        want = dynamics._act(generator.matrix(h), y)
+
+        def no_superoperator(*args):
+            raise AssertionError("superoperator built in the right-hand side")
+        monkeypatch.setattr(dynamics, "_kron", no_superoperator)
+        monkeypatch.setattr(dynamics, "_liouvillian", no_superoperator)
+        np.testing.assert_allclose(generator.apply(h, y), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+class TestBlockadeGrid:
+    """One stacked propagation per grid, against run_blockade_protocol per point."""
+
+    def test_closed_grid_matches_per_point(self):
+        prots = grid_protocols(SYSTEM, np.linspace(-100e-9, 100e-9, 7), (30e-9, 100e-9, 160e-9))
+        got = readout_populations(run_blockade_grid(SYSTEM, prots))
+        np.testing.assert_allclose(got, per_point_populations(SYSTEM, prots), rtol=0, atol=1e-9)
+
+    def test_lindblad_grid_matches_per_point(self):
+        prots = grid_protocols(SYSTEM, (-60e-9, 0.0, 60e-9), (40e-9, 120e-9),
+                               readout_pad_s=200e-9)
+        result = run_blockade_grid(SYSTEM, prots, CHIP1_DISSIPATION)
+        want = per_point_populations(SYSTEM, prots, CHIP1_DISSIPATION)
+        np.testing.assert_allclose(readout_populations(result), want, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(result.times_s, [p.total_time_s for p in prots])
+
+    @pytest.mark.parametrize("system,delays,lengths,frame", [
+        (SYSTEM, (-1e-9, 2e-9), (4e-9,), "lab"),
+        (NEAR_EXCHANGE, (-40e-9, 60e-9), (60e-9, 100e-9), "rotating"),
+    ], ids=["lab", "exchange-20MHz"])
+    def test_carrier_resolved_grid_matches_direct_integration(self, system, delays, lengths,
+                                                              frame):
+        prots = grid_protocols(system, delays, lengths, frame=frame)
+        ham = build_protocol_hamiltonian(system, prots)
+        assert ham.max_step_s is not None
+        got = readout_populations(run_blockade_grid(system, prots))
+        for k, prot in enumerate(prots):
+            want = schrodinger_reference(build_protocol_hamiltonian(system, prot),
+                                         ground_state(), np.array([0.0, prot.total_time_s]))
+            np.testing.assert_allclose(got[k], populations(want)[-1], rtol=0, atol=2e-6)
+
+    @pytest.mark.parametrize("delays,lengths,dissipation", [
+        ((0.0,), (20e-9, 40e-9), None),
+        ((0.0, 20e-9), (20e-9,), CHIP1_DISSIPATION),
+        ((0.0,), (20e-9,), None),
+        ((0.0,), (20e-9,), CHIP1_DISSIPATION),
+    ], ids=["shared-edges", "shared-edges-lindblad", "one-point", "one-point-lindblad"])
+    def test_shared_edges_and_one_point(self, delays, lengths, dissipation):
+        prots = grid_protocols(SYSTEM, delays, lengths, readout_pad_s=10e-9)
+        got = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
+        want = per_point_populations(SYSTEM, prots, dissipation)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_norm_drift_raises_like_the_per_point_path(self, monkeypatch):
+        prots = grid_protocols(SYSTEM, (-20e-9, 20e-9), (30e-9,))
+        monkeypatch.setattr(dynamics, "NORM_DRIFT_TOL", 0.0)
+        with pytest.raises(StiffnessError):
+            run_blockade_protocol(SYSTEM, prots[0])
+        with pytest.raises(StiffnessError):
+            run_blockade_grid(SYSTEM, prots)
 
 
 class TestBlockadeProtocol:

@@ -15,6 +15,13 @@ from zzkit import (
 )
 from zzkit.circuit import foster_impedance
 from zzkit.cli import main
+from zzkit.dynamics import (
+    DissipationSpec,
+    TwoQubitSystem,
+    make_blockade_protocol,
+    run_blockade_protocol,
+)
+from zzkit.fixtures import load_fixture
 from zzkit.errors import AmbiguousLabelError, ConfigError
 from zzkit.io import (
     load_admittance_csv,
@@ -25,6 +32,11 @@ from zzkit.io import (
     read_zz_sweep_csv,
     write_admittance_csv,
 )
+
+
+# a valid zz-sweep system and grid, for the inline cases of test_config_error_exit_code
+INLINE = {"omega1_hz": 6.27e9, "alpha1_hz": -351e6, "alpha2_hz": -312e6, "g_hz": 5e6}
+DELTAS = {"start": 0.8e9, "stop": 2.0e9, "num": 5}
 
 
 def write_json(path, payload):
@@ -172,6 +184,17 @@ class TestZZSweepCommand:
         ("blockade", {"frame": "sideways"}, "frame"),
         ("blockade", {"shape": "square"}, "shape"),
         ("blockade", {"carrier_convention": "mirrored"}, "carrier_convention"),
+        ("blockade", {"spectral": {"window_hz": "x"}}, "window_hz"),
+        ("blockade", {"spectral": {}}, "window_hz"),
+        ("blockade", {"spectral": {"window_hz": -1e6}}, "window_hz"),
+        ("blockade", {"spectral": 5}, "spectral"),
+        ("blockade", {"spectral": {"window_hz": 10e6, "offset_hz": float("nan")}}, "offset_hz"),
+        ("blockade", {"spectral": {"window_hz": 10e6, "out": 5}}, "out"),
+        ("zz-sweep", {"inline": {**INLINE, "omega1_hz": "x"}, "delta_hz": DELTAS}, "omega1_hz"),
+        ("zz-sweep", {"inline": {**INLINE, "g_hz": float("nan")}, "delta_hz": DELTAS}, "g_hz"),
+        ("zz-sweep", {"delta_hz": DELTAS, "spectrum_json": 7}, "spectrum_json"),
+        ("flux-spectroscopy", {"flux_phi0": {"start": -0.1, "stop": -0.07, "num": 5},
+                               "summary_json": 5}, "summary_json"),
         ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 101},
                     "drive_offset_hz": "x"}, "drive_offset_hz"),
         ("optimize", {"variables": with_variable(0, low="x")}, "low"),
@@ -186,17 +209,23 @@ class TestZZSweepCommand:
         ("optimize", {"constraints": {"freq_band_hz": "x"}}, "freq_band_hz"),
         ("optimize", {"constraints": {"min_abs_anharmonicity_hz": "x"}},
          "min_abs_anharmonicity_hz"),
+        ("optimize", {"fixed": [1, 2]}, "fixed"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
-            "unknown-shape", "unknown-carrier-convention", "ramsey-offset-not-number",
+            "unknown-shape", "unknown-carrier-convention", "window-not-number",
+            "window-missing", "window-negative", "spectral-not-object", "spectral-offset-nan",
+            "spectral-out-not-path", "inline-omega-not-number", "inline-g-nan",
+            "spectrum-json-not-path", "summary-json-not-path", "ramsey-offset-not-number",
             "optimize-low-not-number", "optimize-high-nan", "optimize-unknown-variable",
             "optimize-population-not-number", "optimize-population-not-integer",
             "optimize-seed-not-number", "optimize-negative-generations",
             "optimize-n-exc-not-number", "optimize-n-exc-below-two",
-            "optimize-band-not-pairs", "optimize-anharmonicity-not-number"])
+            "optimize-band-not-pairs", "optimize-anharmonicity-not-number",
+            "optimize-fixed-not-object"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
-        base = DESIGN_CONFIG if command == "optimize" else {"fixture": "chip1"}
+        base = (DESIGN_CONFIG if command == "optimize"
+                else {} if "inline" in extra else {"fixture": "chip1"})
         bad = write_json(tmp_path / "cfg.json", {**base, **extra})
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
                      command]) == 2
@@ -278,6 +307,51 @@ class TestBlockadeCommand:
         lo = min(r["p1_e_measured"] for r in rows)
         assert hi == pytest.approx(0.90, abs=0.02)
         assert lo == pytest.approx(0.05, abs=0.02)
+
+    @pytest.mark.parametrize("extra,with_measured,tol", [
+        ({"readout_matrix": [[0.97, 0.03], [0.07, 0.93]], "spectral": {"window_hz": 10e6}},
+         True, 1e-9),
+        ({"dissipation": {"t1_s": [7.8e-6, 8.8e-6], "t2_s": [5.0e-6, 1.1e-6]},
+          "readout_pad_s": 10e-9}, False, 1e-9),
+        ({"pulse_lengths_s": [4e-9], "frame": "lab"}, False, 2e-6),
+    ], ids=["closed-spectral", "lindblad-pad", "lab"])
+    def test_one_point_grids_match_the_protocol_run(self, tmp_path, extra, with_measured, tol):
+        # the benchmark's warm-up shapes: one point at delay 0, through main();
+        # the lab point's Magnus steps are laid out on other knots than the
+        # protocol run's, and agree with it to their accuracy
+        cfg = {"fixture": "chip1", "pulse_lengths_s": [20e-9], "delays_s": [0.0], **extra}
+        out = tmp_path / "b.csv"
+        assert main(["--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out),
+                     "blockade"]) == 0
+        header = "delay_s,pulse_len_s,p1_e,p2_e" + (
+            ",p1_e_measured,p2_e_measured" if with_measured else "")
+        assert out.read_text().splitlines()[0] == header
+        row, = read_blockade_csv(str(out))
+        bp = load_fixture("chip1").blockade_point
+        system = TwoQubitSystem(bp["omega1_hz"], bp["omega2_hz"], bp["zeta_hz"])
+        protocol = make_blockade_protocol(system, cfg["pulse_lengths_s"][0], 0.0,
+                                          frame=cfg.get("frame", "rotating"),
+                                          readout_pad_s=cfg.get("readout_pad_s", 0.0))
+        dissipation = DissipationSpec((7.8e-6, 8.8e-6), (5.0e-6, 1.1e-6)) \
+            if "dissipation" in cfg else None
+        want = run_blockade_protocol(system, protocol, dissipation)
+        assert (row["delay_s"], row["pulse_len_s"]) == (0.0, cfg["pulse_lengths_s"][0])
+        assert row["p1_e"] == pytest.approx(want.p_excited(1)[-1], abs=tol)
+        assert row["p2_e"] == pytest.approx(want.p_excited(2)[-1], abs=tol)
+        if "spectral" in cfg:
+            assert (tmp_path / "b.csv.spectral.csv").read_text().splitlines()[0] == \
+                "pulse_len_s,spectral_fraction"
+
+    def test_grid_rows_keep_their_order(self, tmp_path):
+        # delays outer, lengths inner, as the grid is written in the config
+        delays, lengths = [60e-9, -40e-9, 0.0], [30e-9, 20e-9]
+        cfg = write_json(tmp_path / "cfg.json", {
+            "fixture": "chip1", "pulse_lengths_s": lengths, "delays_s": delays})
+        out = str(tmp_path / "b.csv")
+        assert main(["--config", cfg, "--out", out, "blockade"]) == 0
+        rows = read_blockade_csv(out)
+        assert [(r["delay_s"], r["pulse_len_s"]) for r in rows] == \
+            [(d, ln) for d in delays for ln in lengths]
 
     def test_protocol_file_single_run(self, tmp_path):
         # hand-written protocol: pi pulse on qubit 2 then a blocked pulse on 1
@@ -371,7 +445,11 @@ class TestBlockadeCommand:
         ({"pulses": [{"shape": "rectangular", "amplitude_hz": "x",
                       "duration_s": 10e-9, "carrier_hz": 6.307e9}]}, "pulses[0]"),
         ({"dissipation": {"t1_s": [8e-6, 8e-6], "t2_s": [float("nan"), 1e-6]}}, "t2_s"),
-    ], ids=["total-time-infinite", "amplitude-nan", "amplitude-not-number", "t2-nan"])
+        ({"pulses": []}, "pulses"),
+        ({"pulses": 5}, "pulses"),
+        ({"pulses": [5]}, "pulses[0]"),
+    ], ids=["total-time-infinite", "amplitude-nan", "amplitude-not-number", "t2-nan",
+            "no-pulses", "pulses-not-list", "pulse-not-object"])
     def test_protocol_file_bad_value_is_config_error(self, tmp_path, capsys, change, field):
         protocol = {"frame": "rotating",
                     "pulses": [{"shape": "rectangular", "amplitude_hz": 50e6,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 no feasible optimizer result,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,7 +223,12 @@ def cmd_zz_sweep(cfg, out):
 # ---------------------------------------------------------------- blockade
 
 def _blockade_system(cfg, context):
+    """The system of a fixture's blockade point, or of explicit omega1, omega2 and zeta."""
     if "fixture" in cfg:
+        for k in ("omega1_hz", "omega2_hz", "zeta_hz"):
+            if k in cfg:
+                raise ConfigError(f"{context}: give either fixture or explicit system fields, "
+                                  f"not both (got fixture and {k!r})")
         fx = load_fixture(cfg["fixture"])
         bp = fx.blockade_point
         return TwoQubitSystem(bp["omega1_hz"], bp["omega2_hz"], bp["zeta_hz"]), fx
@@ -480,6 +486,9 @@ def cmd_ramsey(cfg, out):
                           "free_time_s", "drive_offset_hz"], "ramsey")
     system, _ = _blockade_system(cfg, "ramsey")
     grid = _grid(cfg, "free_time_s", "ramsey")
+    if grid.size < 4:
+        raise ConfigError(f"ramsey: free_time_s needs >= 4 points for the fringe fit, "
+                          f"got {grid.size}")
     offset = cfg.get("drive_offset_hz")
     if offset is not None:
         offset = _config_float(offset, "ramsey", "drive_offset_hz")
@@ -515,9 +524,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process: building costs far more than parsing."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "foster-fit":
             return cmd_foster_fit(args.samples_csv, args.n_poles, args.out)

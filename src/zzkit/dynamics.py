@@ -14,14 +14,14 @@ dressed transition leaves exactly zeta |11><11| plus the drives.
 
 Closed and open evolution share one propagation core, which integrates
 dy/dt = G(H(t)) y with y = psi and G(h) = -i h, or y = vec(rho) and G the
-Lindblad generator.  It splits the time axis at every pulse edge (so isolated
-pulses are never stepped over) and propagates drive-free segments with exact
-exponentials of the static generator.  Driven segments take one of two
-integrators, chosen by the Hamiltonian: one that sets max_step_s must resolve
-an oscillation (the lab-frame carriers, or the rotating-frame exchange term at
-a nonzero difference frequency) and runs fixed fourth-order Magnus steps,
-built and exponentiated in stacked blocks; a smooth one is integrated by
-adaptive Runge-Kutta (DOP853).  A Hamiltonian's func therefore accepts a
+Lindblad generator.  It splits the time axis at every pulse edge and gaussian
+peak (so no pulse is ever stepped over) and propagates drive-free segments
+with exact exponentials of the static generator.  Driven segments take one of
+two integrators, chosen by the Hamiltonian: one that sets max_step_s must
+resolve an oscillation (the lab-frame carriers, or the rotating-frame exchange
+term at a nonzero difference frequency) and runs fixed fourth-order Magnus
+steps, built and exponentiated in stacked blocks; a smooth one is integrated
+by adaptive Runge-Kutta (DOP853).  A Hamiltonian's func therefore accepts a
 scalar time or an array of times, returning the matching stack of matrices.
 max_step_s resolves the fastest frequency of the Hamiltonian, and the Magnus
 steps have no error control of their own: at the default tolerances their
@@ -30,7 +30,9 @@ populations are good to about 1e-6, and a tighter rtol shortens them.
 The core propagates one state or a stack of K states at once.  A stacked
 Hamiltonian (build_protocol_hamiltonian of K protocols) returns one matrix
 per state, and run_blockade_grid propagates every point of a blockade grid
-that way, in one pass over the union of their pulse edges.
+that way, in one pass over the union of their pulse edges.  DOP853 sizes its
+steps by its own error estimate alone, with tolerances scaled by 1/sqrt(K)
+so that every state of a stack is held to the bound it would get alone.
 """
 
 import gc
@@ -261,7 +263,7 @@ class TimeDependentHamiltonian:
 
     func: object                # t -> (dim, dim) complex ndarray in rad/s
     dim: int
-    breakpoints: tuple          # times where the envelope support changes
+    breakpoints: tuple          # envelope support edges and gaussian peaks
     active_intervals: tuple     # (start, end) windows in which drives are on
     always_time_dependent: bool = False
     max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
@@ -286,8 +288,12 @@ def _drive_stack(rows, operator):
     stack of Rabi rates in Hz at a scalar or an array t, every pulse through
     PulseSpec's formula (_pulse_shape), evaluated once per shape over all the
     pulses that have it; ops holds the (K, J, 16) flattened drive operators
-    operator(p); edges and intervals are the union of all pulse edges and
-    supports.
+    operator(p); edges is the union of all pulse edges and gaussian peaks,
+    intervals that of all supports.  A gaussian far narrower than its window
+    leaves the state at rest at the window's start, where DOP853's first step
+    can span the whole segment and miss the pulse; with its peak an edge, the
+    peak closes one segment and opens the next, and every step sequence
+    samples both ends of its segment.
     """
     rows = [tuple(row) for row in rows]
     if not rows or len({len(row) for row in rows}) > 1:
@@ -301,6 +307,9 @@ def _drive_stack(rows, operator):
     ops = np.array([[operator(p).ravel() for p in row] for row in rows],
                    dtype=complex).reshape(shapes.shape + (16,))
     intervals = sorted({(p.start_time_s, p.end_time_s) for row in rows for p in row})
+    edges = {e for iv in intervals for e in iv}
+    edges |= {p.start_time_s + 0.5 * p.duration_s for row in rows for p in row
+              if p.shape == "gaussian"}
 
     def envelope(t):
         tau = np.asarray(t, dtype=float)[..., None, None] - start
@@ -312,7 +321,7 @@ def _drive_stack(rows, operator):
                 shape[..., m] = _pulse_shape(kind, tau[..., m], duration[m], sigma[m])
         return np.where((tau >= 0.0) & (tau <= duration), amplitude * shape, 0.0)
 
-    return envelope, ops, tuple(sorted({e for iv in intervals for e in iv})), tuple(intervals)
+    return envelope, ops, tuple(sorted(edges)), tuple(intervals)
 
 
 def _drive_sum(coefficients, ops):
@@ -563,22 +572,27 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     y0 is one state or a stack of them, propagated together: ham.matrix then
     returns one matrix per state (the stacked Hamiltonian of
     build_protocol_hamiltonian), and out[i] is the stack at grid[i].  The time
-    axis is split at every envelope edge so that isolated pulses are always
-    sampled.  A segment where the Hamiltonian is static is propagated with
-    exact exponentials of its generator, one stacked expm over the grid
-    offsets inside it and its end.  A driven segment of a Hamiltonian that
-    sets max_step_s has an oscillation to resolve and runs fixed Magnus steps
-    (_magnus_segment), which cost one matrix exponential each however fast the
-    phase turns; any other driven segment is smooth and is integrated by
-    DOP853, whose adaptive steps follow the envelope with an eighth of the
-    segment as the largest step.  A grid time at a segment's end takes the
-    state there; only the times inside a DOP853 segment are read from its
-    dense output.  rtol and atol steer DOP853.  The Magnus steps have no error
-    control: at RTOL_DEFAULT they are max_step_s long, and a tighter rtol
-    shortens them by (rtol / RTOL_DEFAULT)^(1/4), so that their global error,
-    of order h^4, falls in proportion to rtol.
+    axis is split at every breakpoint (envelope edges and gaussian peaks) so
+    that every pulse is sampled.  A segment where the Hamiltonian is static
+    is propagated with exact exponentials of its generator, one stacked expm
+    over the grid offsets inside it and its end.  A driven segment of a
+    Hamiltonian that sets max_step_s has an oscillation to resolve and runs
+    fixed Magnus steps (_magnus_segment), which cost one matrix exponential
+    each however fast the phase turns; any other driven segment is smooth and
+    is integrated by DOP853, whose steps are sized by its embedded error
+    estimate alone, with no step cap.  A grid time at a segment's end takes
+    the state there; only the times inside a DOP853 segment are read from its
+    dense output.  rtol and atol steer DOP853, scaled by 1/sqrt(K) for a stack
+    of K states: scipy's error norm is the RMS over every real component of
+    the stack, which dilutes one state's error by sqrt(K), and the scaling
+    holds each state to the bound it would get alone (K = 1 for one state).
+    The Magnus steps have no error control: at RTOL_DEFAULT they are
+    max_step_s long, and a tighter rtol shortens them by
+    (rtol / RTOL_DEFAULT)^(1/4), so that their global error, of order h^4,
+    falls in proportion to rtol.
     """
     shape = y0.shape
+    per_state = 1.0 / np.sqrt(np.prod(shape[:-1]))     # DOP853 tolerance scale, see above
 
     def rhs(t, v):
         y = v.view(complex).reshape(shape)
@@ -605,8 +619,8 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
         inside = mask & (grid < b - 1e-18)
         # solve_ivp sees the state through a float view
         sol = solve_ivp(rhs, (a, b), np.ascontiguousarray(y).reshape(-1).view(float),
-                        method="DOP853", rtol=rtol, atol=atol, dense_output=bool(inside.any()),
-                        max_step=max((b - a) / 8.0, 1e-15))
+                        method="DOP853", rtol=rtol * per_state, atol=atol * per_state,
+                        dense_output=bool(inside.any()))
         if not sol.success:
             raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
         if inside.any():
@@ -766,7 +780,7 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
     gives one Hamiltonian whose func returns the (..., K, 4, 4) stack of
     their matrices: every protocol keeps its own pulse clock and carriers,
     all envelopes are evaluated together, and the breakpoints are the union
-    of all pulse edges.
+    of all pulse edges and gaussian peaks.
     """
     stacked = not isinstance(protocol, ProtocolSpec)
     protocols = tuple(protocol) if stacked else (protocol,)
@@ -826,10 +840,12 @@ def run_blockade_grid(system, protocols, dissipation=None):
     the rest of its time (pad and readout pad) by one exact exponential;
     otherwise its readout instant becomes a boundary.  The readout instant is
     the protocol's total_time_s, the last grid time of run_blockade_protocol,
-    which stays the per-point path and agrees with this one to the
-    integrator's default tolerance (1e-9 on DOP853 segments).  Returns a
-    SimulationResult with the readout instants as times_s and one population
-    per point.
+    which stays the per-point path.  The stacked DOP853 solve holds every
+    point to the tolerance a single point's solve gets (see _propagate), so
+    each point agrees with run_blockade_protocol to the integrator's default
+    tolerance (1e-9 on DOP853 segments), however many points the grid has.
+    Returns a SimulationResult with the readout instants as times_s and one
+    population per point.
     """
     protocols = tuple(protocols)
     ham = build_protocol_hamiltonian(system, protocols)
@@ -904,15 +920,20 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):
 def _fit_fringe(times, signal, min_contrast=0.1):
     """Frequency of a cosine fringe: FFT seed plus nonlinear refinement.
 
-    The frequency and phase seeds come from the peak of a 16x zero-padded
-    FFT: an unpadded bin is 1/T wide, and a seed that far off (with phase 0)
-    can lead the fit into a neighbouring local minimum on short records.
+    The frequency and phase seeds come from the peak of an FFT zero-padded to
+    the first power of two at or above 16 times the record: an unpadded bin
+    is 1/T wide, and a seed that far off (with phase 0) can lead the fit into
+    a neighbouring local minimum on short records, while a power-of-two
+    length keeps the transform fast whatever the record's length.  The
+    four-parameter fit needs at least four samples.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    if len(times) < 4:
+        raise FitError(f"a fringe fit needs at least 4 samples, got {len(times)}")
     dt = times[1] - times[0]
     centered = signal - np.mean(signal)
-    n_fft = 16 * len(times)
+    n_fft = 1 << (16 * len(times) - 1).bit_length()
     spec = np.fft.rfft(centered, n_fft)
     k = int(np.argmax(np.abs(spec[1:])) + 1)
     f0 = np.fft.rfftfreq(n_fft, dt)[k]

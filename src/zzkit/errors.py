@@ -58,7 +58,7 @@ class ResolutionError(ZZKitError):
 
 
 class FitError(ZZKitError):
-    """Fringe fit failed (contrast too low or no oscillation found)."""
+    """Fringe fit failed (too few samples, contrast too low or no oscillation found)."""
 
 
 class StochasticityError(ZZKitError):

@@ -33,7 +33,13 @@ from zzkit.dynamics import (
     build_protocol_hamiltonian,
     rotate_sigma_y,
 )
-from zzkit.errors import ResolutionError, StiffnessError, StochasticityError, UnsupportedError
+from zzkit.errors import (
+    FitError,
+    ResolutionError,
+    StiffnessError,
+    StochasticityError,
+    UnsupportedError,
+)
 
 SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
 # device-scale XX+YY exchange, far from and close to the qubits' resonance
@@ -62,13 +68,13 @@ def master_equation_reference(ham, rho0, c_ops, grid):
     return np.ascontiguousarray(sol.y.T).view(complex).reshape(-1, n, n)
 
 
-def schrodinger_reference(ham, psi0, grid):
+def schrodinger_reference(ham, psi0, grid, max_step=np.inf):
     """dpsi/dt = -i H(t) psi, one DOP853 run on scalar calls of ham.matrix."""
     def rhs(t, y):
         return (-1j * (ham.matrix(t) @ y.view(complex))).view(float)
 
     sol = solve_ivp(rhs, (grid[0], grid[-1]), psi0.view(float), method="DOP853",
-                    t_eval=grid, rtol=1e-11, atol=1e-13)
+                    t_eval=grid, rtol=1e-11, atol=1e-13, max_step=max_step)
     assert sol.success
     return np.ascontiguousarray(sol.y.T).view(complex)
 
@@ -389,13 +395,20 @@ def readout_populations(result):
     return np.array([result.populations[lab] for lab in BASIS_LABELS]).T
 
 
-def per_point_populations(system, protocols, dissipation=None):
+def per_point_populations(system, protocols, dissipation=None, **kw):
     """The oracle: run_blockade_protocol on each point, read at its last grid time."""
     return np.array([[r.populations[lab][-1] for lab in BASIS_LABELS] for r in
-                     (run_blockade_protocol(system, p, dissipation) for p in protocols)])
+                     (run_blockade_protocol(system, p, dissipation, **kw)
+                      for p in protocols)])
 
 
 CHIP1_DISSIPATION = DissipationSpec((7.8e-6, 8.8e-6), (5.0e-6, 1.1e-6))
+# the closed (13 x 4) and Lindblad (5 x 4) blockade grids of zzbench's seed 11, in ns
+BENCH_DELAYS = (-98.035, -84.658, -66.999, -48.642, -35.091, -17.091, 1.293, 16.634, 32.71,
+                48.429, 65.905, 82.034, 98.899)
+BENCH_LENGTHS = (30.715, 59.626, 100.557, 157.901)
+BENCH_OPEN_DELAYS = (-59.402, -30.549, 1.812, 29.777, 61.419)
+BENCH_OPEN_LENGTHS = (39.078, 79.005, 118.435, 162.775)
 
 
 class TestStackedHamiltonian:
@@ -499,13 +512,50 @@ class TestBlockadeGrid:
         want = per_point_populations(SYSTEM, prots, dissipation)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("delays,lengths,dissipation,readout_pad_s", [
+        (BENCH_DELAYS, BENCH_LENGTHS, None, 0.0),
+        (BENCH_OPEN_DELAYS, BENCH_OPEN_LENGTHS, CHIP1_DISSIPATION, 200e-9),
+    ], ids=["closed-52", "lindblad-20"])
+    def test_every_point_of_a_stack_keeps_one_point_tolerance(self, delays, lengths,
+                                                               dissipation, readout_pad_s):
+        # DOP853's RMS error norm over K stacked states dilutes one point's
+        # error by sqrt(K); the scaled tolerances hold each point to what the
+        # per-point path reaches alone, here against a far tighter per-point run
+        prots = grid_protocols(SYSTEM, 1e-9 * np.array(delays), 1e-9 * np.array(lengths),
+                               readout_pad_s=readout_pad_s)
+        got = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
+        want = per_point_populations(SYSTEM, prots, dissipation, n_grid=2, rtol=1e-12,
+                                     atol=1e-15)
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-10)
+
+    @pytest.mark.parametrize("sigma_fraction", [100, 1000])
+    def test_narrow_gaussian_is_never_stepped_over(self, sigma_fraction):
+        # a gaussian far narrower than its window leaves the state at rest at
+        # the window's start, and DOP853's first step there would span the
+        # whole segment; the breakpoint at each gaussian peak puts the pulse
+        # at a segment end, where every step sequence samples it
+        length = 40e-9
+        sigma = length / sigma_fraction
+        prots = grid_protocols(SYSTEM, (0.0, 1e-9, 30e-9), (length,), shape="gaussian",
+                               gaussian_sigma_s=sigma)
+        got = readout_populations(run_blockade_grid(SYSTEM, prots))
+        for k, prot in enumerate(prots):
+            ham = build_protocol_hamiltonian(SYSTEM, prot)
+            want = populations(schrodinger_reference(ham, ground_state(),
+                                                     np.array([0.0, prot.total_time_s]),
+                                                     max_step=sigma))[-1]
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(per_point_populations(SYSTEM, [prot])[0], want,
+                                       rtol=0, atol=1e-9)
+
     def test_norm_drift_raises_like_the_per_point_path(self, monkeypatch):
         prots = grid_protocols(SYSTEM, (-20e-9, 20e-9), (30e-9,))
         monkeypatch.setattr(dynamics, "NORM_DRIFT_TOL", 0.0)
-        with pytest.raises(StiffnessError):
-            run_blockade_protocol(SYSTEM, prots[0])
-        with pytest.raises(StiffnessError):
-            run_blockade_grid(SYSTEM, prots)
+        for dissipation in (None, CHIP1_DISSIPATION):
+            with pytest.raises(StiffnessError):
+                run_blockade_protocol(SYSTEM, prots[0], dissipation)
+            with pytest.raises(StiffnessError):
+                run_blockade_grid(SYSTEM, prots, dissipation)
 
 
 class TestBlockadeProtocol:
@@ -615,6 +665,12 @@ class TestConditionalRamsey:
         grid = np.linspace(0, window_s, n_points)
         f = run_conditional_ramsey(SYSTEM, spectator, grid, drive_offset_hz=offset_hz)
         assert f == pytest.approx(offset_hz + spectator * SYSTEM.zeta_hz, rel=1e-3)
+
+    @pytest.mark.parametrize("n_points", [2, 3])
+    def test_fit_needs_four_samples(self, n_points):
+        grid = np.linspace(0, 1e-6, n_points)
+        with pytest.raises(FitError, match="at least 4 samples"):
+            _fit_fringe(grid, np.cos(TWO_PI * 3e6 * grid))
 
     def test_beta_table_model_fringe_difference(self, chip1):
         system = TwoQubitSystem.from_pauli_decomposition(chip1.beta)

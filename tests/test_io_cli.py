@@ -197,6 +197,10 @@ class TestZZSweepCommand:
                                "summary_json": 5}, "summary_json"),
         ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 101},
                     "drive_offset_hz": "x"}, "drive_offset_hz"),
+        ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 3}}, "free_time_s"),
+        ("ramsey", {"free_time_s": {"start": 0.0, "stop": 1e-6, "num": 101},
+                    "zeta_hz": 50e6}, "zeta_hz"),
+        ("blockade", {"zeta_hz": 50e6}, "zeta_hz"),
         ("optimize", {"variables": with_variable(0, low="x")}, "low"),
         ("optimize", {"variables": with_variable(2, high=float("nan"))}, "high"),
         ("optimize", {"variables": with_variable(1, name="foo")}, "name"),
@@ -217,6 +221,7 @@ class TestZZSweepCommand:
             "window-missing", "window-negative", "spectral-not-object", "spectral-offset-nan",
             "spectral-out-not-path", "inline-omega-not-number", "inline-g-nan",
             "spectrum-json-not-path", "summary-json-not-path", "ramsey-offset-not-number",
+            "ramsey-three-points", "ramsey-fixture-and-zeta", "blockade-fixture-and-zeta",
             "optimize-low-not-number", "optimize-high-nan", "optimize-unknown-variable",
             "optimize-population-not-number", "optimize-population-not-integer",
             "optimize-seed-not-number", "optimize-negative-generations",
@@ -630,3 +635,20 @@ class TestRamseyCommand:
         rows = read_ramsey_csv(out)
         diff = abs(rows[1]["fringe_hz"] - rows[0]["fringe_hz"])
         assert diff == pytest.approx(15.25e6, rel=1e-3)
+
+    def test_main_runs_again_after_a_rejected_argv(self, tmp_path, capsys):
+        # main() builds its parser once per process: a parse that argparse
+        # rejects must leave it whole for the next command
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "x.csv"), "no-such-command"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = write_json(tmp_path / "cfg.json", {
+            "zeta_hz": 15.25e6, "omega1_hz": 6.307e9, "omega2_hz": 4.498e9,
+            "free_time_s": {"start": 0.0, "stop": 1e-6, "num": 1001}})
+        out = str(tmp_path / "ramsey.csv")
+        assert main(["--config", cfg, "--out", out, "ramsey"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["zeta_model_hz"] == 15.25e6
+        assert summary["zeta_inferred_hz"] == pytest.approx(15.25e6, rel=1e-3)
+        assert [r["spectator_state"] for r in read_ramsey_csv(out)] == [0, 1]

@@ -12,27 +12,26 @@ the frame co-rotating with the carriers the rotating-wave approximation turns
 them into Omega_i(t)/2 on the transverse axis, and driving each qubit at its
 dressed transition leaves exactly zeta |11><11| plus the drives.
 
-Closed and open evolution share one propagation core, which integrates
-dy/dt = G(H(t)) y with y = psi and G(h) = -i h, or y = vec(rho) and G the
-Lindblad generator.  It splits the time axis at every pulse edge and gaussian
-peak (so no pulse is ever stepped over) and propagates drive-free segments
-with exact exponentials of the static generator.  Driven segments take one of
-two integrators, chosen by the Hamiltonian: one that sets max_step_s must
-resolve an oscillation (the lab-frame carriers, or the rotating-frame exchange
-term at a nonzero difference frequency) and runs fixed fourth-order Magnus
-steps, built and exponentiated in stacked blocks; a smooth one is integrated
-by adaptive Runge-Kutta (DOP853).  A Hamiltonian's func therefore accepts a
-scalar time or an array of times, returning the matching stack of matrices.
-max_step_s resolves the fastest frequency of the Hamiltonian, and the Magnus
-steps have no error control of their own: at the default tolerances their
-populations are good to about 1e-6, and a tighter rtol shortens them.
+A Hamiltonian is real coefficients over one fixed basis of Hermitian
+operators, H(t) = sum_m c_m(t) O_m: a static part with coefficient 1, then
+in the rotating frame N1 and N2 (carrying the frame detunings), each qubit's
+two transverse axes (Omega cos phi, Omega sin phi) and the two Hermitian
+parts of the exchange term, in the lab frame sigma_y on each qubit.  Its
+func maps a scalar time or an array of times to the matching stack of
+coefficients.  The K protocols of a stack (build_protocol_hamiltonian) share
+the basis and differ only in their coefficients.
 
-The core propagates one state or a stack of K states at once.  A stacked
-Hamiltonian (build_protocol_hamiltonian of K protocols) returns one matrix
-per state, and run_blockade_grid propagates every point of a blockade grid
-that way, in one pass over the union of their pulse edges.  DOP853 sizes its
-steps by its own error estimate alone, with tolerances scaled by 1/sqrt(K)
-so that every state of a stack is held to the bound it would get alone.
+Closed and open evolution share one propagation core for dy/dt = G(t) y.
+Its generator basis (-i O_m, or the superoperators of -i[O_m, .] with the
+dissipator) is built once, so a right-hand side is one matrix product over
+the whole stack.  It splits the time axis at every pulse edge and gaussian
+peak (so no pulse is ever stepped over) and propagates drive-free segments
+with exact exponentials.  A driven segment of a Hamiltonian that sets
+max_step_s (lab-frame carriers, a rotating-frame exchange term at a nonzero
+difference frequency) runs fixed fourth-order Magnus steps, good to about
+1e-6 in population at the default tolerances; a smooth one runs DOP853, its
+tolerances scaled by 1/sqrt(K) so that each of K stacked states is held to
+the bound it would get alone.
 """
 
 import gc
@@ -74,6 +73,14 @@ FLIP_FLOP = np.zeros((4, 4), dtype=complex)
 FLIP_FLOP[2, 1] = 1.0              # |10><01|
 DOUBLE_FLIP = np.zeros((4, 4), dtype=complex)
 DOUBLE_FLIP[3, 0] = 1.0            # |11><00|
+
+# each frame's operators after its static part, in rad/s per Hz of coefficient;
+# the RWA image of sin(w t + phi) sigma_y is (1/2)(e^{i phi} s- + h.c.)
+_N1_LEVELS, _N2_LEVELS = np.diag(N1).real, np.diag(N2).real
+_LAB_DRIVES = TWO_PI * np.array([SY1, SY2])
+_ROTATING_OPERATORS = TWO_PI * np.array(
+    [N1, N2] + [0.5 * (sm + sm.T) for sm in (SM1, SM2)] + [0.5j * (sm - sm.T) for sm in (SM1, SM2)]
+    + [FLIP_FLOP + FLIP_FLOP.T, 1j * (FLIP_FLOP - FLIP_FLOP.T)])
 
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
@@ -259,17 +266,21 @@ class TwoQubitSystem:
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """Hamiltonian callable (angular units) plus the bookkeeping the solver needs."""
+    """H(t) = sum_m c_m(t) O_m in rad/s, plus the bookkeeping the solver needs."""
 
-    func: object                # t -> (dim, dim) complex ndarray in rad/s
-    dim: int
+    func: object                # t -> (..., M) real c_m (c_0 = 1), (..., K, M) for a stack
+    operators: np.ndarray       # (M, dim, dim) Hermitian O_m, in rad/s per unit coefficient
     breakpoints: tuple          # envelope support edges and gaussian peaks
     active_intervals: tuple     # (start, end) windows in which drives are on
     always_time_dependent: bool = False
     max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
 
+    @property
+    def dim(self):
+        return self.operators.shape[-1]
+
     def matrix(self, t):
-        return self.func(t)
+        return _combine(self.func(t), self.operators)
 
     def is_static_on(self, a, b):
         if self.always_time_dependent:
@@ -277,42 +288,45 @@ class TimeDependentHamiltonian:
         return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in self.active_intervals)
 
 
-def _pulse_field(rows, name):
-    return np.array([[getattr(p, name) for p in row] for row in rows], dtype=float)
+def _combine(c, matrices):
+    """sum_m c[..., m] matrices[m] for real c, as one real matrix product over all of c."""
+    flat = matrices.reshape(len(matrices), -1).view(float)
+    return (c.reshape(-1, len(matrices)) @ flat).view(complex).reshape(
+        c.shape[:-1] + matrices.shape[1:])
 
 
-def _drive_stack(rows, operator):
-    """What a stacked Hamiltonian needs of K rows (protocols) of J pulses each.
+def _pulse_stack(rows, stacked):
+    """(field, envelope, edges, intervals) of K rows (protocols) of J pulses each.
 
-    Returns (envelope, ops, edges, intervals).  envelope(t) is the (..., K, J)
-    stack of Rabi rates in Hz at a scalar or an array t, every pulse through
-    PulseSpec's formula (_pulse_shape), evaluated once per shape over all the
-    pulses that have it; ops holds the (K, J, 16) flattened drive operators
-    operator(p); edges is the union of all pulse edges and gaussian peaks,
-    intervals that of all supports.  A gaussian far narrower than its window
-    leaves the state at rest at the window's start, where DOP853's first step
-    can span the whole segment and miss the pulse; with its peak an edge, the
-    peak closes one segment and opens the next, and every step sequence
-    samples both ends of its segment.
+    field(name) is the (K, J) array of a PulseSpec field, (J,) for one row
+    when stacked is false, and envelope(t) the matching (..., K, J) or
+    (..., J) Rabi rates in Hz at a float ndarray t, through PulseSpec's
+    formula (_pulse_shape) once per shape.  edges holds all pulse edges and
+    gaussian peaks: a gaussian far narrower than its window leaves the state
+    at rest at the window's start, where DOP853's first step can span the
+    whole segment, and with its peak an edge every step sequence samples it.
     """
     rows = [tuple(row) for row in rows]
     if not rows or len({len(row) for row in rows}) > 1:
         raise ValueError("a stack needs one or more protocols with equally many pulses")
-    amplitude, start, duration = (_pulse_field(rows, name) for name in
-                                  ("amplitude_hz", "start_time_s", "duration_s"))
-    sigma = np.array([[np.nan if p.gaussian_sigma_s is None else p.gaussian_sigma_s
-                       for p in row] for row in rows], dtype=float)
-    shapes = np.array([[p.shape for p in row] for row in rows], dtype=object)
+
+    def field(name, dtype=float):
+        # a missing gaussian_sigma_s becomes NaN
+        values = np.array([[getattr(p, name) for p in row] for row in rows], dtype=dtype)
+        return values if stacked else values[0]
+
+    amplitude, start, duration, sigma = (field(name) for name in (
+        "amplitude_hz", "start_time_s", "duration_s", "gaussian_sigma_s"))
+    shapes = field("shape", object)
     kinds = [(kind, shapes == kind) for kind in sorted(set(shapes.ravel()))]
-    ops = np.array([[operator(p).ravel() for p in row] for row in rows],
-                   dtype=complex).reshape(shapes.shape + (16,))
     intervals = sorted({(p.start_time_s, p.end_time_s) for row in rows for p in row})
     edges = {e for iv in intervals for e in iv}
     edges |= {p.start_time_s + 0.5 * p.duration_s for row in rows for p in row
               if p.shape == "gaussian"}
+    per_pulse = (...,) + (None,) * start.ndim     # t against the (K, J) or (J,) fields
 
     def envelope(t):
-        tau = np.asarray(t, dtype=float)[..., None, None] - start
+        tau = t[per_pulse] - start
         if len(kinds) == 1:
             shape = _pulse_shape(kinds[0][0], tau, duration, sigma)
         else:
@@ -321,35 +335,43 @@ def _drive_stack(rows, operator):
                 shape[..., m] = _pulse_shape(kind, tau[..., m], duration[m], sigma[m])
         return np.where((tau >= 0.0) & (tau <= duration), amplitude * shape, 0.0)
 
-    return envelope, ops, tuple(sorted(edges)), tuple(intervals)
+    return field, envelope, tuple(sorted(edges)), tuple(intervals)
 
 
-def _drive_sum(coefficients, ops):
-    """sum_j c[..., k, j] ops[k, j], as (..., K, 4, 4)."""
-    return (coefficients[..., None, :] @ ops).reshape(coefficients.shape[:-1] + (4, 4))
+def _used(operators, static, weights, always=()):
+    """Drop the operators no point reaches (static (..., M) and pulse weights (..., J, M) zero)."""
+    used = static.reshape(-1, len(operators)).any(0) | weights.reshape(-1, len(operators)).any(0)
+    used[list(always)] = True
+    return operators[used], static[..., used], weights[..., used]
 
 
-def _unstacked(ham):
-    """The Hamiltonian of a one-protocol stack, with the stack axis dropped."""
-    stacked = ham.func
-    return replace(ham, func=lambda t: stacked(t)[..., 0, :, :])
+def _contract(drive, weights):
+    """sum_j drive[..., k, j] weights[k, j], one product per point over all times (axis 0)."""
+    if drive.ndim == weights.ndim:
+        return np.swapaxes(np.swapaxes(drive, 0, -2) @ weights, 0, -2)
+    return (drive[..., None, :] @ weights)[..., 0, :]
 
 
-def _lab_stack(system, rows):
-    envelope, ops, edges, intervals = _drive_stack(
-        rows, lambda p: TWO_PI * (SY1 if p.target_qubit == 1 else SY2))
-    h0 = TWO_PI * system.static_lab_matrix()
-    carrier_hz = _pulse_field(rows, "carrier_hz")
+def _lab_stack(system, rows, stacked):
+    # sigma_y on each qubit carries the sum of its pulses' Omega(t) sin(2 pi f t + phi)
+    field, envelope, edges, intervals = _pulse_stack(rows, stacked)
+    on = field("target_qubit", int)[..., None] == (1, 2)
+    operators, static, weights = _used(
+        np.concatenate([TWO_PI * system.static_lab_matrix()[None], _LAB_DRIVES]),
+        np.broadcast_to([1.0, 0.0, 0.0], on.shape[:-2] + (3,)),
+        np.concatenate([np.zeros(on.shape[:-1] + (1,)), on], axis=-1))
+    carrier_hz, phase = field("carrier_hz"), field("phase_rad")
     carrier = TWO_PI * carrier_hz
-    phase = _pulse_field(rows, "phase_rad")
     fastest_hz = carrier_hz.max() if carrier_hz.size else system.omega1_hz
+    per_pulse = (...,) + (None,) * carrier.ndim
 
     def func(t):
         t = np.asarray(t, dtype=float)
-        return h0 + _drive_sum(envelope(t) * np.sin(carrier * t[..., None, None] + phase), ops)
+        drive = envelope(t) * np.sin(carrier * t[per_pulse] + phase)
+        return static + _contract(drive, weights)
 
     return TimeDependentHamiltonian(
-        func, 4, edges, intervals,
+        func, operators, edges, intervals,
         max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz),
     )
 
@@ -361,7 +383,13 @@ def lab_hamiltonian(system, pulses):
     fastest carrier with STEPS_PER_CARRIER_PERIOD steps per period, which
     puts driven segments on the fixed-step Magnus integrator.
     """
-    return _unstacked(_lab_stack(system, [pulses]))
+    return _lab_stack(system, [pulses], stacked=False)
+
+
+def _frame_levels(system, f1_hz, f2_hz):
+    """Levels in Hz in the frame turning at f1 and f2, (K, 4) for K frames."""
+    return (system.energies() - np.multiply.outer(f1_hz, _N1_LEVELS)
+            - np.multiply.outer(f2_hz, _N2_LEVELS))
 
 
 def _carrier_frame(system, pulses):
@@ -379,40 +407,45 @@ def _carrier_frame(system, pulses):
             f[1] if f[1] is not None else system.omega2_hz)
 
 
-def _rotating_drive(p):
-    # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.) in this frame
-    term = 0.5 * np.exp(1j * p.phase_rad) * (SM1 if p.target_qubit == 1 else SM2)
-    return TWO_PI * (term + term.conj().T)
-
-
-def _rotating_stack(system, rows, frame_freqs_hz=None, include_exchange=True):
-    envelope, ops, edges, intervals = _drive_stack(rows, _rotating_drive)
+def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange=True):
+    # the levels in the qubits' own frame, then _ROTATING_OPERATORS (the exchange's two if on)
+    field, envelope, edges, intervals = _pulse_stack(rows, stacked)
     frames = np.array([_carrier_frame(system, row) if frame_freqs_hz is None
                        else frame_freqs_hz for row in rows], dtype=float)
-    f1, f2 = frames[:, 0], frames[:, 1]
-    levels = system.energies() - f1[:, None] * np.diag(N1).real - f2[:, None] * np.diag(N2).real
-    diag = np.zeros((len(rows), 4, 4), dtype=complex)
-    diag[:, range(4), range(4)] = TWO_PI * levels
-
+    f1, f2 = (frames if stacked else frames[0]).T
     jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
     exchange_on = include_exchange and abs(jpm) > 0
     delta_d = f1 - f2
+    m = 9 if exchange_on else 7
+    on = field("target_qubit", int)[..., None] == (1, 2)
+    phase = field("phase_rad")[..., None]
+    static = np.zeros(on.shape[:-2] + (m,))
+    static[..., 0] = 1.0
+    static[..., 1], static[..., 2] = system.omega1_hz - f1, system.omega2_hz - f2
+    weights = np.zeros(on.shape[:-1] + (m,))
+    weights[..., 3:5], weights[..., 5:7] = on * np.cos(phase), on * np.sin(phase)
+    own = TWO_PI * np.diag(_frame_levels(system, system.omega1_hz, system.omega2_hz))
+    operators, static, weights = _used(np.concatenate([own[None], _ROTATING_OPERATORS[:m - 1]]),
+                                       static, weights, always=range(7, m))
+    per_point = (...,) + (None,) * np.ndim(delta_d)
 
     def func(t):
         t = np.asarray(t, dtype=float)
-        h = diag + _drive_sum(envelope(t), ops)
+        c = static + _contract(envelope(t), weights)
         if exchange_on:
-            c = TWO_PI * (jpm * np.exp(1j * TWO_PI * delta_d * t[..., None]))[..., None, None]
-            h = h + c * FLIP_FLOP + c.conj() * FLIP_FLOP.T
-        return h
+            turn = TWO_PI * delta_d * t[per_point]
+            c[..., -2] = jpm * np.cos(turn)
+            c[..., -1] = jpm * np.sin(turn)
+        return c
 
     # fixed steps must resolve the fastest frequency in this frame: the exchange
     # rotation, the frame detunings and zeta, the exchange and the drives
+    levels = _frame_levels(system, f1, f2)
     exchange_turns = exchange_on and bool(np.any(delta_d != 0))
     rate_hz = max(np.abs(delta_d).max(), np.abs(levels).max(), abs(jpm),
-                  _pulse_field(rows, "amplitude_hz").sum(axis=1).max())
+                  field("amplitude_hz").sum(axis=-1).max(initial=0.0))
     return TimeDependentHamiltonian(
-        func, 4, edges, intervals,
+        func, operators, edges, intervals,
         always_time_dependent=exchange_turns,
         max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None,
     )
@@ -435,7 +468,7 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
     """
     if not rwa:
         raise UnsupportedError("rwa=False requires lab-frame integration")
-    return _unstacked(_rotating_stack(system, [pulses], frame_freqs_hz, include_exchange))
+    return _rotating_stack(system, [pulses], False, frame_freqs_hz, include_exchange)
 
 
 def rotate_sigma_y(gamma_rad):
@@ -501,7 +534,7 @@ def _expm_anti_hermitian(omega):
     """exp(omega) for a stack of anti-Hermitian matrices, from one stacked eigh.
 
     i omega is Hermitian with eigenpairs (lam, V), so exp(omega) =
-    V diag(exp(-i lam)) V^dagger.
+    V diag(exp(-i lam)) V^dagger.  Every closed-system exponential takes it.
     """
     lam, v = np.linalg.eigh(1j * omega)
     return (v * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
@@ -512,21 +545,30 @@ def _act(u, y):
     return (u @ y[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
 class _Generator:
-    """The right-hand side dy/dt = G(h) y of closed or open evolution.
+    """dy/dt = sum_m c_m(t) B_m y, the generator basis B_m built once per Hamiltonian.
 
-    matrix(h) is the stack of generators G(h), which the Magnus steps and the
-    exact exponentials take; apply(h, y) is G(h) y, which DOP853 takes and
-    which need not build G; exponential exponentiates Magnus step exponents.
+    matrix(c) = sum_m c_m B_m feeds the Magnus steps and exact exponentials;
+    apply(c, v) is G y for a whole stack in real arithmetic, on the float
+    view v of y that DOP853 integrates.
     """
 
-    matrix: object
-    apply: object
-    exponential: object
+    def __init__(self, basis, exponential):
+        self.basis, self.exponential = basis, exponential
+        # on interleaved (re, im) parts B_m is Re B_m x 1 + Im B_m x [[0, -1], [1, 0]];
+        # stacked holds each one transposed, one under the next
+        real = _kron(basis.real, np.eye(2)) + _kron(basis.imag, np.array([[0., -1.], [1., 0.]]))
+        self.stacked = np.ascontiguousarray(np.swapaxes(real, 1, 2)).reshape(-1, real.shape[-1])
+
+    def matrix(self, c):
+        return _combine(c, self.basis)
+
+    def apply(self, c, v):
+        return (c[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (-1,)) @ self.stacked
 
 
-_SCHRODINGER = _Generator(lambda h: -1j * h, lambda h, y: -1j * _act(h, y), _expm_anti_hermitian)
+def _schrodinger(ham):
+    return _Generator(-1j * ham.operators, _expm_anti_hermitian)
 
 
 def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
@@ -537,12 +579,10 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     at most max_step_s.  A step of width h, with generators G1 and G2 at
     its two Gauss-Legendre nodes, is exp(h/2 (G1 + G2) + sqrt(3)/12 h^2
     [G2, G1]) (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)).
-    Steps are laid out, evaluated through one call of ham.matrix, exponentiated
-    together and applied in order, _MAGNUS_BLOCK matrices at a time (so a
-    stack of K states takes _MAGNUS_BLOCK / K steps a block), and memory stays
-    flat however long the segment is.  Closed-system steps are anti-Hermitian
-    and are exponentiated through one stacked eigh (_expm_anti_hermitian);
-    Lindblad steps through scipy's expm.
+    Steps are laid out, evaluated through one call of ham.func, exponentiated
+    together (generator.exponential) and applied in order, _MAGNUS_BLOCK
+    matrices at a time (so a stack of K states takes _MAGNUS_BLOCK / K steps a
+    block), and memory stays flat however long the segment is.
     """
     knots = np.unique(np.concatenate(([a], times, [b])))
     counts = np.ceil(np.diff(knots) / max_step_s).astype(int)
@@ -555,7 +595,7 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
         j = np.searchsorted(ends, step, side="right")
         h = widths[j]
         left = knots[j] + (step - ends[j] + counts[j]) * h
-        g = generator.matrix(ham.matrix((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
+        g = generator.matrix(ham.func((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
         g1, g2 = g[0::2], g[1::2]
         h = h.reshape((-1,) + (1,) * (g.ndim - 1))
         omega = 0.5 * h * (g1 + g2) + _MAGNUS_COMMUTATOR * h ** 2 * (g2 @ g1 - g1 @ g2)
@@ -567,27 +607,20 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
 
 
 def _propagate(ham, generator, y0, grid, rtol, atol):
-    """States y(t) on grid for dy/dt = G(H(t)) y with y(grid[0]) = y0.
+    """States y(t) on grid for dy/dt = G(t) y with y(grid[0]) = y0.
 
-    y0 is one state or a stack of them, propagated together: ham.matrix then
-    returns one matrix per state (the stacked Hamiltonian of
-    build_protocol_hamiltonian), and out[i] is the stack at grid[i].  The time
-    axis is split at every breakpoint (envelope edges and gaussian peaks) so
-    that every pulse is sampled.  A segment where the Hamiltonian is static
-    is propagated with exact exponentials of its generator, one stacked expm
-    over the grid offsets inside it and its end.  A driven segment of a
-    Hamiltonian that sets max_step_s has an oscillation to resolve and runs
-    fixed Magnus steps (_magnus_segment), which cost one matrix exponential
-    each however fast the phase turns; any other driven segment is smooth and
-    is integrated by DOP853, whose steps are sized by its embedded error
-    estimate alone, with no step cap.  A grid time at a segment's end takes
-    the state there; only the times inside a DOP853 segment are read from its
-    dense output.  rtol and atol steer DOP853, scaled by 1/sqrt(K) for a stack
-    of K states: scipy's error norm is the RMS over every real component of
-    the stack, which dilutes one state's error by sqrt(K), and the scaling
-    holds each state to the bound it would get alone (K = 1 for one state).
-    The Magnus steps have no error control: at RTOL_DEFAULT they are
-    max_step_s long, and a tighter rtol shortens them by
+    G(t) contracts ham.func(t), one call per evaluation, with the generator
+    basis (_schrodinger or _lindblad).  y0 is one state or a stack of them,
+    and out[i] is the state or stack at grid[i].  The time axis is split at
+    every breakpoint.  A static segment takes exact exponentials of its
+    generator, one stack over the grid offsets inside it and its end; a driven
+    one of a Hamiltonian that sets max_step_s takes fixed Magnus steps
+    (_magnus_segment), any other DOP853, its steps sized by its embedded error
+    estimate alone, its inner grid times read from the dense output.  rtol and
+    atol steer DOP853, scaled by 1/sqrt(K) for a stack of K states: scipy's
+    error norm, the RMS over every real component of the stack, dilutes one
+    state's error by sqrt(K).  The Magnus steps have no error control: at
+    RTOL_DEFAULT they are max_step_s long, and a tighter rtol shortens them by
     (rtol / RTOL_DEFAULT)^(1/4), so that their global error, of order h^4,
     falls in proportion to rtol.
     """
@@ -595,8 +628,7 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     per_state = 1.0 / np.sqrt(np.prod(shape[:-1]))     # DOP853 tolerance scale, see above
 
     def rhs(t, v):
-        y = v.view(complex).reshape(shape)
-        return generator.apply(ham.matrix(t), y).reshape(-1).view(float)
+        return generator.apply(ham.func(t), v.reshape(shape[:-1] + (-1,))).reshape(-1)
 
     y = np.array(y0, dtype=complex)
     out = np.empty((len(grid),) + shape, dtype=complex)
@@ -604,9 +636,9 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
         mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
         if ham.is_static_on(a, b):
-            g = generator.matrix(ham.matrix(0.5 * (a + b)))
+            g = generator.matrix(ham.func(0.5 * (a + b)))
             offsets = np.append(grid[mask], b) - a
-            states = _act(expm(g * offsets.reshape((-1,) + (1,) * g.ndim)), y)
+            states = _act(generator.exponential(g * offsets.reshape((-1,) + (1,) * g.ndim)), y)
             out[mask], y = states[:-1], states[-1]
             continue
         if ham.max_step_s:
@@ -652,7 +684,7 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
     if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
         raise ValueError("psi0 must be normalized")
     for scale in (1.0, 1e-2):
-        states = _propagate(ham, _SCHRODINGER, psi0, grid, rtol * scale, atol * scale)
+        states = _propagate(ham, _schrodinger(ham), psi0, grid, rtol * scale, atol * scale)
         drift = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
         if drift <= NORM_DRIFT_TOL:
             break
@@ -669,38 +701,14 @@ def _kron(a, b):
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*stack, n * m, n * m)
 
 
-def _liouvillian(h_angular, c_ops):
-    """Vectorized Lindblad generator for drho/dt = L rho (row-major flattening).
-
-    h_angular may be a stack of Hamiltonians; the result is the matching stack.
-    """
-    n = h_angular.shape[-1]
-    ident = np.eye(n)
-    lv = -1j * (_kron(h_angular, ident) - _kron(ident, np.swapaxes(h_angular, -1, -2)))
-    for c in c_ops:
+def _lindblad(ham, dissipation):
+    """B_m = -i(O_m x I - I x O_m^T) on row-major vec(rho), the dissipator added to B_0."""
+    ops, ident = ham.operators, np.eye(ham.dim)
+    basis = -1j * (_kron(ops, ident) - _kron(ident, np.swapaxes(ops, -1, -2)))
+    for c in dissipation.collapse_operators() if dissipation is not None else ():
         cd_c = c.conj().T @ c
-        lv += (_kron(c, c.conj())
-               - 0.5 * (_kron(cd_c, ident) + _kron(ident, cd_c.T)))
-    return lv
-
-
-def _lindblad_generator(dissipation, n):
-    """The Liouvillian D - i(H x I - I x H^T) on vec(rho), the dissipator D built once.
-
-    Its right-hand side needs no superoperator of H: it applies
-    -i(H rho - rho H) as n x n matrix products and D as one precomputed
-    matrix.  Only the Magnus steps and the exact exponentials build the full
-    generator.
-    """
-    c_ops = dissipation.collapse_operators() if dissipation is not None else []
-    dissipator = _liouvillian(np.zeros((n, n)), c_ops)
-    dissipator_t = np.ascontiguousarray(dissipator.T)
-
-    def apply(h, y):
-        rho = y.reshape(y.shape[:-1] + (n, n))
-        return (-1j * (h @ rho - rho @ h)).reshape(y.shape) + y @ dissipator_t
-
-    return _Generator(lambda h: dissipator + _liouvillian(h, ()), apply, expm)
+        basis[0] += _kron(c, c.conj()) - 0.5 * (_kron(cd_c, ident) + _kron(ident, cd_c.T))
+    return _Generator(basis, expm)
 
 
 def _density_drift(states):
@@ -720,13 +728,12 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
     """Master-equation evolution with per-qubit relaxation and pure dephasing.
 
     Propagates vec(rho) through the shared segment loop with the Liouvillian
-    generator (_lindblad_generator); drive-free segments therefore use the
-    exact exponential of the static Liouvillian, which makes
-    microsecond-scale free decays cheap.  rho0 is one density matrix, or a
-    (K, 4, 4) stack propagated together under a stacked Hamiltonian.  rtol
-    and atol steer the DOP853 segments and shorten the fixed Magnus steps
-    (see _propagate).  Trace is monitored to 1e-6 and every state is checked
-    for negative eigenvalues below -1e-8.
+    generator (_lindblad); drive-free segments therefore use the exact
+    exponential of the static Liouvillian, which makes long free decays cheap.
+    rho0 is one density matrix, or a (K, 4, 4) stack propagated together
+    under a stacked Hamiltonian.  rtol and atol steer the DOP853 segments and
+    shorten the fixed Magnus steps (see _propagate).  Trace is monitored to
+    1e-6 and every state is checked for negative eigenvalues below -1e-8.
     """
     grid = _check_grid(grid_s)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -737,7 +744,7 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
             or np.min(np.linalg.eigvalsh(rho0)) < -1e-9):
         raise ValueError("rho0 must be a unit-trace positive-semidefinite matrix")
     vec0 = rho0.reshape(rho0.shape[:-2] + (n * n,))
-    out = _propagate(ham, _lindblad_generator(dissipation, n), vec0, grid, rtol, atol)
+    out = _propagate(ham, _lindblad(ham, dissipation), vec0, grid, rtol, atol)
     out = out.reshape((len(grid),) + rho0.shape)
     drift = _density_drift(out)
     pops = {lab: out[..., k, k].real for k, lab in enumerate(BASIS_LABELS)}
@@ -777,10 +784,10 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
     """The Hamiltonian of a ProtocolSpec in its frame, or the stack of a sequence of them.
 
     A sequence of K protocols, in one frame and with equally many pulses,
-    gives one Hamiltonian whose func returns the (..., K, 4, 4) stack of
-    their matrices: every protocol keeps its own pulse clock and carriers,
-    all envelopes are evaluated together, and the breakpoints are the union
-    of all pulse edges and gaussian peaks.
+    gives one Hamiltonian whose func returns the (..., K, M) stack of their
+    coefficients over one operator basis: every protocol keeps its own pulse
+    clock, targets, phases and frame, and the breakpoints are the union of
+    all pulse edges and gaussian peaks.
     """
     stacked = not isinstance(protocol, ProtocolSpec)
     protocols = tuple(protocol) if stacked else (protocol,)
@@ -790,13 +797,11 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
     frame, = frames
     rows = [p.pulses for p in protocols]
     if frame == "lab":
-        ham = _lab_stack(system, rows)
-    elif frame == "blockade_effective":
-        ham = _rotating_stack(system, rows, (system.omega1_hz, system.omega2_hz),
-                              include_exchange=False)
-    else:
-        ham = _rotating_stack(system, rows, include_exchange=include_exchange)
-    return ham if stacked else _unstacked(ham)
+        return _lab_stack(system, rows, stacked)
+    if frame == "blockade_effective":
+        return _rotating_stack(system, rows, stacked, (system.omega1_hz, system.omega2_hz),
+                               include_exchange=False)
+    return _rotating_stack(system, rows, stacked, include_exchange=include_exchange)
 
 
 def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
@@ -829,23 +834,17 @@ def run_blockade_grid(system, protocols, dissipation=None):
     """Populations of every protocol of a grid at its readout, from one stacked propagation.
 
     The K protocols (the (delay, length) points of a blockade map: one frame,
-    equally many pulses) are propagated as one (K, 4) state, or (K, 16) with
-    a DissipationSpec, under the stacked Hamiltonian of
-    build_protocol_hamiltonian, by one evolve_schrodinger or evolve_lindblad
-    call: the time axis is split at the union of all pulse edges, and the
-    norm-drift retry, or the trace and positivity checks, cover every point's
-    states.  Each point is read at a segment boundary, never interpolated.
-    Where the Hamiltonian is static after a point's last pulse edge (it is
-    not always_time_dependent), the point is read at that edge and taken over
-    the rest of its time (pad and readout pad) by one exact exponential;
-    otherwise its readout instant becomes a boundary.  The readout instant is
-    the protocol's total_time_s, the last grid time of run_blockade_protocol,
-    which stays the per-point path.  The stacked DOP853 solve holds every
-    point to the tolerance a single point's solve gets (see _propagate), so
-    each point agrees with run_blockade_protocol to the integrator's default
-    tolerance (1e-9 on DOP853 segments), however many points the grid has.
-    Returns a SimulationResult with the readout instants as times_s and one
-    population per point.
+    equally many pulses) are propagated as one (K, 4) state, or (K, 16) with a
+    DissipationSpec, under their stacked Hamiltonian by one evolve_schrodinger
+    or evolve_lindblad call, whose norm-drift retry or trace and positivity
+    checks cover every point.  Each point is read at a segment boundary: where
+    the Hamiltonian is static after a point's last pulse edge (it is not
+    always_time_dependent), at that edge, then taken over the rest of its time
+    by one exact exponential; otherwise at its readout instant, total_time_s,
+    the last grid time of run_blockade_protocol, the per-point path, with which
+    each point agrees to 1e-9 on DOP853 segments however many points the grid
+    has (see _propagate).  Returns a SimulationResult with the readout
+    instants as times_s and one population per point.
     """
     protocols = tuple(protocols)
     ham = build_protocol_hamiltonian(system, protocols)
@@ -861,17 +860,17 @@ def run_blockade_grid(system, protocols, dissipation=None):
         psi0 = np.zeros((len(protocols), 4), dtype=complex)
         psi0[:, 0] = 1.0
         result = evolve_schrodinger(ham, psi0, grid, keep_states=True)
-        generator, y = _SCHRODINGER, result.states[points]
+        generator, y = _schrodinger(ham), result.states[points]
     else:
         rho0 = np.zeros((len(protocols), 4, 4), dtype=complex)
         rho0[:, 0, 0] = 1.0
         result = evolve_lindblad(ham, rho0, dissipation, grid, keep_states=True)
-        generator, y = _lindblad_generator(dissipation, 4), result.states[points].reshape(-1, 16)
+        generator, y = _lindblad(ham, dissipation), result.states[points].reshape(-1, 16)
     tail = readout - stop
     if tail.any():
         # past every pulse edge, each point's Hamiltonian is the static one of its tail
-        h = ham.matrix(max(ham.breakpoints) + tail.max())
-        y = _act(expm(generator.matrix(h) * tail[:, None, None]), y)
+        g = generator.matrix(ham.func(max(ham.breakpoints) + tail.max()))
+        y = _act(generator.exponential(g * tail[:, None, None]), y)
     if dissipation is None:
         pops = np.abs(y) ** 2
     else:
@@ -961,8 +960,8 @@ def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
     ham = rotating_frame_transform(
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
         (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
-    h = ham.matrix(0.5 * pulse_length_s)   # rectangular drive: static during pulse
-    return expm(-1j * h * pulse_length_s)
+    generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
+    return generator.exponential(generator.matrix(ham.func(0.0)) * pulse_length_s)
 
 
 def run_conditional_ramsey(system, spectator_state, free_time_grid_s,
@@ -987,8 +986,7 @@ def run_conditional_ramsey(system, spectator_state, free_time_grid_s,
     psi1 = u_half @ psi0
 
     # free evolution is diagonal in this frame (exchange dropped)
-    energies = system.energies() - f_drive * np.diag(N1).real \
-        - system.omega2_hz * np.diag(N2).real
+    energies = _frame_levels(system, f_drive, system.omega2_hz)
     grid = np.asarray(free_time_grid_s, dtype=float)
     phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
     states = (phases * psi1[None, :]) @ u_half.T
@@ -1015,8 +1013,7 @@ def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s,
 
     rate = max(abs(system.zeta_hz), abs(drive_offset_hz), 1.0)
     n_pts = max(int(samples_per_period * rate * tau), 32)
-    energies = system.energies() - f_drive * np.diag(N1).real \
-        - system.omega2_hz * np.diag(N2).real
+    energies = _frame_levels(system, f_drive, system.omega2_hz)
 
     def branch_phase(spectator_state):
         u_half = _half_pi_propagator(system, f_drive, 2e-9)

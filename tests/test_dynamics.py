@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
+import dense_oracle
 from zzkit import dynamics
 from zzkit import (
     DissipationSpec,
@@ -201,11 +202,13 @@ class TestHamiltonians:
         ham = build_protocol_hamiltonian(system, prot)
         # before, inside, across and after the pulses
         times = np.linspace(-5e-9, prot.total_time_s + 5e-9, 37)
-        want = np.array([ham.func(t) for t in times])
-        got = ham.func(times)
-        assert got.shape == (len(times), 4, 4)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
-        assert ham.func(times[-2:]).shape == (2, 4, 4)     # no drive on
+        for call in (ham.func, ham.matrix):
+            want = np.array([call(t) for t in times])
+            got = call(times)
+            assert got.shape == (len(times),) + want.shape[1:]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+        assert ham.matrix(times[-2:]).shape == (2, 4, 4)     # no drive on
+        assert ham.func(times).shape == (len(times), len(ham.operators))
 
     def test_rwa_off_unsupported_in_rotating_frame(self):
         with pytest.raises(UnsupportedError):
@@ -421,10 +424,10 @@ class TestStackedHamiltonian:
         stacked = build_protocol_hamiltonian(system, prots)
         singles = [build_protocol_hamiltonian(system, p) for p in prots]
         times = np.linspace(-5e-9, max(p.total_time_s for p in prots) + 5e-9, 29)
-        want = np.stack([h.func(times) for h in singles], axis=1)
-        np.testing.assert_allclose(stacked.func(times), want, rtol=1e-14,
+        want = np.stack([h.matrix(times) for h in singles], axis=1)
+        np.testing.assert_allclose(stacked.matrix(times), want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
-        np.testing.assert_allclose(stacked.func(times[7]), want[7], rtol=1e-14,
+        np.testing.assert_allclose(stacked.matrix(times[7]), want[7], rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
         assert set(stacked.breakpoints) == {e for h in singles for e in h.breakpoints}
         steps = [h.max_step_s for h in singles]
@@ -438,7 +441,7 @@ class TestStackedHamiltonian:
         stacked = build_protocol_hamiltonian(SYSTEM, prots)
         times = np.linspace(0.0, 50e-9, 23)
         for k, p in enumerate(shapes):
-            np.testing.assert_array_equal(stacked.func(times)[:, k, 2, 0].real,
+            np.testing.assert_array_equal(stacked.matrix(times)[:, k, 2, 0].real,
                                           TWO_PI * 0.5 * p.envelope(times))
 
     def test_mixed_frames_and_pulse_counts_rejected(self):
@@ -453,20 +456,100 @@ class TestStackedHamiltonian:
             build_protocol_hamiltonian(SYSTEM, [])
 
     def test_matrix_free_lindblad_rhs(self, monkeypatch, rng):
-        # the DOP853 right-hand side equals the Liouvillian product and builds
-        # no superoperator of H
+        # the DOP853 right-hand side equals each point's Liouvillian product
+        # and builds no superoperator per call
         prots = grid_protocols(SYSTEM, (-20e-9, 10e-9), (30e-9,))
-        h = build_protocol_hamiltonian(SYSTEM, prots).func(25e-9)
-        generator = dynamics._lindblad_generator(CHIP1_DISSIPATION, 4)
+        ham = build_protocol_hamiltonian(SYSTEM, prots)
+        generator = dynamics._lindblad(ham, CHIP1_DISSIPATION)
         y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-        want = dynamics._act(generator.matrix(h), y)
+        c_ops = CHIP1_DISSIPATION.collapse_operators()
+        want = np.array([dense_oracle.liouvillian(h, c_ops) @ y_k
+                         for h, y_k in zip(ham.matrix(25e-9), y)])
 
         def no_superoperator(*args):
             raise AssertionError("superoperator built in the right-hand side")
         monkeypatch.setattr(dynamics, "_kron", no_superoperator)
-        monkeypatch.setattr(dynamics, "_liouvillian", no_superoperator)
-        np.testing.assert_allclose(generator.apply(h, y), want, rtol=0,
+        got = generator.apply(ham.func(25e-9), y.view(float)).view(complex)
+        np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
+
+
+def random_protocols(rng, system, frame, count, n_pulses=3):
+    """Protocols of n_pulses random pulses each: every shape, target order and phase.
+
+    Each protocol drives each qubit at its own carrier, detuned from the
+    qubit's transition by up to 30 MHz, so in the rotating frame every point
+    has its own frame frequencies.
+    """
+    shapes = ("rectangular", "truncated_cosine", "gaussian")
+    out = []
+    for _ in range(count):
+        carriers = {1: system.omega1_hz + rng.uniform(-30e6, 30e6),
+                    2: system.omega2_hz + rng.uniform(-30e6, 30e6)}
+        pulses = []
+        for _ in range(n_pulses):
+            shape = shapes[rng.integers(3)]
+            duration = rng.uniform(10e-9, 60e-9)
+            target = int(rng.integers(1, 3))
+            pulses.append(PulseSpec(shape, rng.uniform(1e6, 30e6), duration, carriers[target],
+                                    phase_rad=rng.uniform(0, TWO_PI),
+                                    start_time_s=rng.uniform(0, 40e-9),
+                                    gaussian_sigma_s=duration / 5, target_qubit=target))
+        out.append(dynamics.ProtocolSpec(pulses, max(p.end_time_s for p in pulses) + 5e-9,
+                                         frame))
+    return out
+
+
+class TestOperatorBasis:
+    """Real coefficients over one operator basis, against the dense per-point oracle."""
+
+    @pytest.mark.parametrize("system,frame", [
+        (SYSTEM, "lab"), (EXCHANGE, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
+        (NEAR_EXCHANGE, "rotating"), (EXCHANGE, "blockade_effective"),
+    ], ids=["lab", "lab-exchange", "rotating", "exchange", "exchange-20MHz",
+            "blockade-effective"])
+    def test_matrix_and_right_hand_sides_match_dense_oracle(self, rng, system, frame):
+        prots = random_protocols(rng, system, frame, 6)
+        dense = [dense_oracle.hamiltonian(system, p) for p in prots]
+        times = np.concatenate([rng.uniform(-5e-9, 110e-9, 25),
+                                [e for p in prots for q in p.pulses
+                                 for e in (q.start_time_s, q.end_time_s)]])
+        want = np.array([[h(t) for h in dense] for t in times])
+        tol = 1e-12 * np.abs(want).max()
+        ham = build_protocol_hamiltonian(system, prots)
+        np.testing.assert_allclose(ham.matrix(times), want, rtol=0, atol=tol)
+        for k, prot in enumerate(prots):
+            single = build_protocol_hamiltonian(system, prot)
+            np.testing.assert_allclose(single.matrix(times), want[:, k], rtol=0, atol=tol)
+            np.testing.assert_allclose(single.matrix(times[3]), want[3, k], rtol=0, atol=tol)
+
+        closed = dynamics._schrodinger(ham)
+        opened = dynamics._lindblad(ham, CHIP1_DISSIPATION)
+        c_ops = CHIP1_DISSIPATION.collapse_operators()
+        psi = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        rho = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
+        for t, h in zip(times[:6], want):
+            c = ham.func(t)
+            lv = np.array([dense_oracle.liouvillian(h_k, c_ops) for h_k in h])
+            for generator, y, g in ((closed, psi, -1j * h), (opened, rho, lv)):
+                np.testing.assert_allclose(generator.matrix(c), g, rtol=0,
+                                           atol=1e-12 * np.abs(g).max())
+                rhs = np.einsum("kij,kj->ki", g, y)
+                got = generator.apply(c, y.view(float)).view(complex)
+                np.testing.assert_allclose(got, rhs, rtol=0,
+                                           atol=1e-12 * np.abs(rhs).max())
+
+    @pytest.mark.parametrize("system", [SYSTEM, EXCHANGE], ids=["bare", "exchange"])
+    def test_explicit_frame_matches_dense_oracle(self, rng, system):
+        for prot in random_protocols(rng, system, "rotating", 4):
+            frame = (system.omega1_hz + rng.uniform(-50e6, 50e6),
+                     system.omega2_hz + rng.uniform(-50e6, 50e6))
+            ham = rotating_frame_transform(system, prot.pulses, frame)
+            h = dense_oracle.hamiltonian(system, prot, frame)
+            times = rng.uniform(0.0, prot.total_time_s, 15)
+            want = np.array([h(t) for t in times])
+            np.testing.assert_allclose(ham.matrix(times), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 class TestBlockadeGrid:
@@ -484,6 +567,27 @@ class TestBlockadeGrid:
         want = per_point_populations(SYSTEM, prots, CHIP1_DISSIPATION)
         np.testing.assert_allclose(readout_populations(result), want, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(result.times_s, [p.total_time_s for p in prots])
+
+    @pytest.mark.parametrize("dissipation", [None, CHIP1_DISSIPATION], ids=["closed", "lindblad"])
+    def test_grid_of_mixed_phases_and_target_order_matches_per_point(self, dissipation):
+        # the points share no drive operator: a pi/2 - pi/2 Ramsey pair on
+        # qubit 1, its second pulse at each point's own phase, around a pi
+        # pulse on qubit 2 at each point's own delay, the pulses listed in a
+        # different order at every point
+        f1, f2 = SYSTEM.omega1_hz, SYSTEM.omega2_hz
+        prots = []
+        for k in range(6):
+            pulses = [dynamics.calibrated_pulse("truncated_cosine", 30e-9, f1, 0.25),
+                      pi_pulse("truncated_cosine", 40e-9, f2, target_qubit=2,
+                               start_time_s=8e-9 * k),
+                      dynamics.calibrated_pulse("truncated_cosine", 30e-9, f1, 0.25,
+                                                start_time_s=60e-9, phase_rad=0.9 * k)]
+            pulses = pulses[k % 3:] + pulses[:k % 3]
+            prots.append(dynamics.ProtocolSpec(pulses[::-1] if k > 2 else pulses, 110e-9))
+        got = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
+        want = per_point_populations(SYSTEM, prots, dissipation)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert np.ptp(got[:, 2] + got[:, 3]) > 0.3      # the phases show in p1
 
     @pytest.mark.parametrize("system,delays,lengths,frame", [
         (SYSTEM, (-1e-9, 2e-9), (4e-9,), "lab"),

@@ -29,16 +29,16 @@ peak (so no pulse is ever stepped over) and propagates drive-free segments
 with exact exponentials.  A driven segment of a Hamiltonian that sets
 max_step_s (lab-frame carriers, a rotating-frame exchange term at a nonzero
 difference frequency) runs fixed fourth-order Magnus steps, good to about
-1e-6 in population at the default tolerances; a smooth one runs DOP853, its
-tolerances scaled by 1/sqrt(K) so that each of K stacked states is held to
-the bound it would get alone.
+1e-6 in population at the default tolerances; a smooth one runs DOP853
+(scipy's DOP853 tableau and step control, one coefficient evaluation per
+step), its tolerances scaled by 1/sqrt(K) so that each of K stacked states is
+held to the bound it would get alone.
 """
 
-import gc
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
@@ -84,11 +84,16 @@ _ROTATING_OPERATORS = TWO_PI * np.array(
 
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
+RTOL_FLOOR = 100 * np.finfo(float).eps     # scipy's validate_tol floor, for DOP853 and Magnus
 NORM_DRIFT_TOL = 1e-6
 STEPS_PER_CARRIER_PERIOD = 40
 _MAGNUS_BLOCK = 512               # Magnus step matrices built and exponentiated together
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0   # Gauss-Legendre on [0, 1]
 _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
+# scipy's RungeKutta step-size control; the DOP853 tableau is read from scipy.integrate.DOP853
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_STAGE_TIMES = np.append(DOP853.C[1:], 1.0)   # a step's func times after t: 11 stages and t + h
 
 
 def _pulse_shape(shape, tau, duration_s, sigma_s):
@@ -606,30 +611,129 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     return states[:len(times)], y
 
 
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853_segment(ham, generator, y, a, times, b, rtol, atol):
+    """Adaptive DOP853 propagation of y over [a, b], one ham.func call per step.
+
+    Returns the states at times (sorted, inside (a, b]) and at b.  This is
+    scipy's DOP853 (scipy.integrate.DOP853: its tableau, initial step, step
+    control, E5/E3 error norm, 10 ulp minimum step and rtol floor), operation
+    for operation on the float view of the stack, with one change: all of a
+    step's stage times t + C_i h are known before it starts, so each step
+    attempt takes its 11 inner stages and its t + h stage from one call of
+    ham.func, and only the generator products run stage by stage.  A time
+    inside the segment is read from the step that ends at or after it,
+    through scipy's DOP853 dense output, whose 3 extra stages also come from
+    one call; steps that hold no such time skip it.  Raises StiffnessError
+    when the step falls below the minimum.
+    """
+    shape = y.shape
+    rtol = max(rtol, RTOL_FLOOR)
+    n_stages = DOP853.n_stages
+    a_mat, b_vec, e3, e5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
+
+    def rhs(c, v):
+        return generator.apply(c, v.reshape(shape[:-1] + (-1,))).reshape(-1)
+
+    v = np.ascontiguousarray(y).reshape(-1).view(float)
+    k = np.empty((DOP853.A_EXTRA.shape[1], v.size))    # a step's stages, then its dense output's
+    f = rhs(ham.func(a), v)
+    # scipy's select_initial_step
+    scale = atol + np.abs(v) * rtol
+    d0, d1 = _rms(v / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, b - a)
+    d2 = _rms((rhs(ham.func(a + h0), v + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, b - a)
+    end = np.searchsorted(times, b - 1e-18)      # times[end:] are read at b itself
+    states, first = [], 0
+    t = a
+    while t < b:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: "
+                                     "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, b)
+            h = t_new - t
+            h_abs = np.abs(h)
+            c = ham.func(t + h * _STAGE_TIMES)
+            k[0] = f
+            for s in range(1, n_stages):
+                k[s] = rhs(c[s - 1], v + np.dot(k[:s].T, a_mat[s, :s]) * h)
+            v_new = v + h * np.dot(k[:n_stages].T, b_vec)
+            f_new = k[n_stages] = rhs(c[-1], v_new)
+            scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
+            err5 = np.dot(k[:n_stages + 1].T, e5) / scale
+            err3 = np.dot(k[:n_stages + 1].T, e3) / scale
+            err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+            error = (0.0 if err5_2 == 0 and err3_2 == 0 else
+                     np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale)))
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        last = min(np.searchsorted(times, t_new, side="right"), end)
+        if last > first:
+            states.extend(_dop853_dense(ham, rhs, k, t, v, h, v_new, f_new, times[first:last])
+                          .view(complex).reshape((-1,) + shape))
+            first = last
+        t, v, f = t_new, v_new, f_new
+    y = v.view(complex).reshape(shape)
+    return states + [y] * (len(times) - end), y
+
+
+def _dop853_dense(ham, rhs, k, t, v, h, v_new, f_new, times):
+    """scipy's DOP853 dense output of the step from (t, v) to (t + h, v_new) at times."""
+    c = ham.func(t + h * DOP853.C_EXTRA)
+    for s, (row, c_s) in enumerate(zip(DOP853.A_EXTRA, c), start=DOP853.n_stages + 1):
+        k[s] = rhs(c_s, v + np.dot(k[:s].T, row[:s]) * h)
+    dv = v_new - v
+    poly = np.empty((3 + len(DOP853.D), v.size))
+    poly[0] = dv
+    poly[1] = h * k[0] - dv
+    poly[2] = 2 * dv - h * (f_new + k[0])
+    poly[3:] = h * np.dot(DOP853.D, k)
+    x = ((times - t) / h)[:, None]
+    out = np.zeros((len(x), v.size))
+    for i, p in enumerate(reversed(poly)):
+        out += p
+        out *= x if i % 2 == 0 else 1 - x
+    return out + v
+
+
 def _propagate(ham, generator, y0, grid, rtol, atol):
     """States y(t) on grid for dy/dt = G(t) y with y(grid[0]) = y0.
 
-    G(t) contracts ham.func(t), one call per evaluation, with the generator
-    basis (_schrodinger or _lindblad).  y0 is one state or a stack of them,
-    and out[i] is the state or stack at grid[i].  The time axis is split at
-    every breakpoint.  A static segment takes exact exponentials of its
-    generator, one stack over the grid offsets inside it and its end; a driven
-    one of a Hamiltonian that sets max_step_s takes fixed Magnus steps
-    (_magnus_segment), any other DOP853, its steps sized by its embedded error
-    estimate alone, its inner grid times read from the dense output.  rtol and
-    atol steer DOP853, scaled by 1/sqrt(K) for a stack of K states: scipy's
-    error norm, the RMS over every real component of the stack, dilutes one
-    state's error by sqrt(K).  The Magnus steps have no error control: at
+    G(t) contracts ham.func with the generator basis (_schrodinger or
+    _lindblad).  y0 is one state or a stack of them, and out[i] is the state
+    or stack at grid[i].  The time axis is split at every breakpoint.  A
+    static segment takes exact exponentials of its generator, one stack over
+    the grid offsets inside it and its end; a driven one of a Hamiltonian
+    that sets max_step_s takes fixed Magnus steps (_magnus_segment), any
+    other DOP853 (_dop853_segment: scipy's DOP853 tableau and step control,
+    one coefficient evaluation per step), its steps sized by its embedded
+    error estimate alone, its inner grid times read from the dense output.
+    rtol and atol steer DOP853, scaled by 1/sqrt(K) for a stack of K states:
+    the error norm, the RMS over every real component of the stack, dilutes
+    one state's error by sqrt(K).  The Magnus steps have no error control: at
     RTOL_DEFAULT they are max_step_s long, and a tighter rtol shortens them by
     (rtol / RTOL_DEFAULT)^(1/4), so that their global error, of order h^4,
     falls in proportion to rtol.
     """
     shape = y0.shape
     per_state = 1.0 / np.sqrt(np.prod(shape[:-1]))     # DOP853 tolerance scale, see above
-
-    def rhs(t, v):
-        return generator.apply(ham.func(t), v.reshape(shape[:-1] + (-1,))).reshape(-1)
-
     y = np.array(y0, dtype=complex)
     out = np.empty((len(grid),) + shape, dtype=complex)
     out[0] = y0
@@ -642,28 +746,14 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
             out[mask], y = states[:-1], states[-1]
             continue
         if ham.max_step_s:
-            tighter = max(rtol, 100 * np.finfo(float).eps) / RTOL_DEFAULT   # solve_ivp's floor
+            tighter = max(rtol, RTOL_FLOOR) / RTOL_DEFAULT
             step_s = ham.max_step_s * min(1.0, tighter) ** 0.25
             states, y = _magnus_segment(ham, generator, y, a, grid[mask], b, step_s)
-            if states:
-                out[mask] = states
-            continue
-        inside = mask & (grid < b - 1e-18)
-        # solve_ivp sees the state through a float view
-        sol = solve_ivp(rhs, (a, b), np.ascontiguousarray(y).reshape(-1).view(float),
-                        method="DOP853", rtol=rtol * per_state, atol=atol * per_state,
-                        dense_output=bool(inside.any()))
-        if not sol.success:
-            raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
-        if inside.any():
-            dense = np.ascontiguousarray(sol.sol(grid[inside]).T)
-            out[inside] = dense.view(complex).reshape((-1,) + shape)
-        y = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(shape)
-        out[mask & ~inside] = y
-        # a scipy solver is a reference cycle (its fun wrapper closes over it),
-        # so its stage arrays, 16 x the stacked state, would pile up segment
-        # after segment until the cycle collector ran: collect them now
-        gc.collect(1)
+        else:
+            states, y = _dop853_segment(ham, generator, y, a, grid[mask], b,
+                                        rtol * per_state, atol * per_state)
+        if states:
+            out[mask] = states
     return out
 
 
@@ -674,10 +764,11 @@ def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
     Propagation runs through the shared segment loop with generator -i H.
     psi0 is one state, or a (K, 4) stack propagated together under a stacked
     Hamiltonian; populations and states then hold the stack axis after the
-    time axis.  rtol and atol steer the DOP853 segments and shorten the fixed
-    Magnus steps (see _propagate).  A norm drift beyond 1e-6 in any state
-    triggers one retry with 100x tighter tolerances before raising
-    StiffnessError.
+    time axis.  rtol and atol steer the DOP853 segments (scipy's DOP853
+    tableau and step control, one coefficient evaluation per step) and
+    shorten the fixed Magnus steps (see _propagate).  A norm drift beyond
+    1e-6 in any state triggers one retry with 100x tighter tolerances before
+    raising StiffnessError.
     """
     grid = _check_grid(grid_s)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -731,9 +822,11 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
     generator (_lindblad); drive-free segments therefore use the exact
     exponential of the static Liouvillian, which makes long free decays cheap.
     rho0 is one density matrix, or a (K, 4, 4) stack propagated together
-    under a stacked Hamiltonian.  rtol and atol steer the DOP853 segments and
-    shorten the fixed Magnus steps (see _propagate).  Trace is monitored to
-    1e-6 and every state is checked for negative eigenvalues below -1e-8.
+    under a stacked Hamiltonian.  rtol and atol steer the DOP853 segments
+    (scipy's DOP853 tableau and step control, one coefficient evaluation per
+    step) and shorten the fixed Magnus steps (see _propagate).  Trace is
+    monitored to 1e-6 and every state is checked for negative eigenvalues
+    below -1e-8.
     """
     grid = _check_grid(grid_s)
     rho0 = np.asarray(rho0, dtype=complex)

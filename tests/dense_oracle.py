@@ -7,9 +7,21 @@ term at the difference frequency.  The open right-hand side is the full
 Liouvillian of H(t), built at every call.  zzkit.dynamics represents the same
 Hamiltonians as real coefficients over one operator basis shared by a stack
 of protocols; the tests hold it to these matrices.
+
+solve_ivp_segment is the old DOP853 segment: scipy's solve_ivp, which asks
+for the coefficients one stage time at a time.  zzkit.dynamics runs the same
+algorithm with one coefficient evaluation per step; the tests hold it to
+solve_ivp's states and step counts.
 """
 
+from collections import namedtuple
+
 import numpy as np
+from scipy.integrate import solve_ivp
+
+from zzkit.errors import StiffnessError
+
+SegmentCounts = namedtuple("SegmentCounts", "probes attempts accepted dense")
 
 TWO_PI = 2.0 * np.pi
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)      # |0><1|
@@ -68,3 +80,31 @@ def liouvillian(h, c_ops):
         cd_c = c.conj().T @ c
         lv += np.kron(c, c.conj()) - 0.5 * (np.kron(cd_c, ident) + np.kron(ident, cd_c.T))
     return lv
+
+
+def solve_ivp_segment(ham, generator, y, a, times, b, rtol, atol):
+    """_dop853_segment through solve_ivp: (states at times, state at b, SegmentCounts).
+
+    A time within 1e-18 of b takes the state at b; every other time is read
+    from solve_ivp's dense output.  The counts are solve_ivp's: 2 initial
+    calls (the derivative at a and the initial-step probe), 12 calls per step
+    attempt and 3 per accepted step for the dense output.
+    """
+    shape = y.shape
+
+    def rhs(t, v):
+        return generator.apply(ham.func(t), v.reshape(shape[:-1] + (-1,))).reshape(-1)
+
+    inside = times[times < b - 1e-18]
+    sol = solve_ivp(rhs, (a, b), np.ascontiguousarray(y).reshape(-1).view(float),
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=bool(len(inside)))
+    if not sol.success:
+        raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: {sol.message}")
+    accepted = len(sol.t) - 1
+    attempts = (sol.nfev - 2 - (3 * accepted if len(inside) else 0)) // 12
+    dense = len(np.unique(np.searchsorted(sol.t, inside, side="left")))
+    states = [] if not len(inside) else list(
+        np.ascontiguousarray(sol.sol(inside).T).view(complex).reshape((-1,) + shape))
+    y = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(shape)
+    return states + [y] * (len(times) - len(inside)), y, SegmentCounts(2, attempts, accepted,
+                                                                        dense)

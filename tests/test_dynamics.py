@@ -1,8 +1,9 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.linalg import expm
 
 import dense_oracle
@@ -660,6 +661,134 @@ class TestBlockadeGrid:
                 run_blockade_protocol(SYSTEM, prots[0], dissipation)
             with pytest.raises(StiffnessError):
                 run_blockade_grid(SYSTEM, prots, dissipation)
+
+
+def stepper_counts(calls):
+    """SegmentCounts of one _dop853_segment call, from the times its func saw."""
+    attempts = np.array([t for t in calls if t.shape == (DOP853.n_stages,)])
+    h = (attempts[:, -1] - attempts[:, 0]) / (1.0 - DOP853.C[1])
+    start = attempts[:, -1] - h
+    # a rejected attempt is retried from its own start, an accepted one continued from its end
+    accepted = 1 + np.count_nonzero(np.diff(start) > 0.5 * h[:-1])
+    return dense_oracle.SegmentCounts(sum(t.ndim == 0 for t in calls), len(attempts), accepted,
+                                      sum(t.shape == DOP853.C_EXTRA.shape for t in calls))
+
+
+def stepper_and_oracle(monkeypatch, run):
+    """run() through _dop853_segment, then through solve_ivp_segment, segment by segment.
+
+    Returns two lists, one entry per DOP853 segment: (states, end state,
+    SegmentCounts, func calls) from the stepper and (states, end state,
+    SegmentCounts) from solve_ivp.
+    """
+    got, want = [], []
+    stepper = dynamics._dop853_segment
+
+    def counted(ham, *args):
+        calls = []
+
+        def func(t):
+            calls.append(np.array(t, dtype=float))
+            return ham.func(t)
+        states, y = stepper(replace(ham, func=func), *args)
+        got.append((states, y, stepper_counts(calls), len(calls)))
+        return states, y
+
+    def oracle(*args):
+        states, y, counts = dense_oracle.solve_ivp_segment(*args)
+        want.append((states, y, counts))
+        return states, y
+
+    monkeypatch.setattr(dynamics, "_dop853_segment", counted)
+    run()
+    monkeypatch.setattr(dynamics, "_dop853_segment", oracle)
+    run()
+    return got, want
+
+
+ORACLE_RUNS = {
+    "closed-52": lambda: run_blockade_grid(SYSTEM, grid_protocols(
+        SYSTEM, 1e-9 * np.array(BENCH_DELAYS), 1e-9 * np.array(BENCH_LENGTHS))),
+    "lindblad-20": lambda: run_blockade_grid(SYSTEM, grid_protocols(
+        SYSTEM, 1e-9 * np.array(BENCH_OPEN_DELAYS), 1e-9 * np.array(BENCH_OPEN_LENGTHS),
+        readout_pad_s=200e-9), CHIP1_DISSIPATION),
+    "protocol-121": lambda: run_blockade_protocol(
+        SYSTEM, make_blockade_protocol(SYSTEM, 60e-9, 20e-9), n_grid=121),
+    "protocol-121-lindblad": lambda: run_blockade_protocol(
+        SYSTEM, make_blockade_protocol(SYSTEM, 60e-9, 20e-9), CHIP1_DISSIPATION, n_grid=121),
+    "gaussian-L/1000": lambda: run_blockade_grid(SYSTEM, grid_protocols(
+        SYSTEM, (0.0, 1e-9, 30e-9), (40e-9,), shape="gaussian", gaussian_sigma_s=40e-12)),
+    "rtol-floor": lambda: run_blockade_protocol(
+        SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 10e-9), n_grid=9, rtol=1e-16, atol=1e-16),
+}
+
+
+class TestDop853Stepper:
+    """The in-core DOP853 stepper against scipy's solve_ivp, the old solver."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_RUNS))
+    def test_matches_solve_ivp_step_for_step(self, monkeypatch, name):
+        got, want = stepper_and_oracle(monkeypatch, ORACLE_RUNS[name])
+        assert len(got) == len(want) > 0
+        for (states, y, counts, _), (want_states, want_y, want_counts) in zip(got, want):
+            assert counts == want_counts
+            np.testing.assert_allclose(np.array(states), np.array(want_states), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dissipation", [None, CHIP1_DISSIPATION], ids=["closed", "lindblad"])
+    def test_one_func_call_per_step_attempt(self, monkeypatch, dissipation):
+        # every stage time of a step attempt goes to func in one call, and the
+        # dense output's three in one more: a stepper that went back to one
+        # call per stage would call func about twelve times as often
+        prot = make_blockade_protocol(SYSTEM, 60e-9, 20e-9)
+        got, want = stepper_and_oracle(
+            monkeypatch, lambda: run_blockade_protocol(SYSTEM, prot, dissipation))
+        for (*_, calls), (*_, counts) in zip(got, want):
+            assert calls == counts.attempts + counts.probes + counts.dense
+        assert all(counts.dense for *_, counts in want)
+
+    def test_rtol_below_the_floor_reaches_the_stepper_as_the_floor(self):
+        assert dynamics.RTOL_FLOOR == 100 * np.finfo(float).eps
+        ham = build_protocol_hamiltonian(SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 0.0))
+        runs = []
+        for rtol in (1e-300, dynamics.RTOL_FLOOR, 2 * dynamics.RTOL_FLOOR):
+            calls = []
+
+            def func(t):
+                calls.append(np.atleast_1d(t))
+                return ham.func(t)
+            _, y = dynamics._dop853_segment(replace(ham, func=func), dynamics._schrodinger(ham),
+                                            ground_state(), 0.0, np.array([10e-9]), 30e-9,
+                                            rtol, 1e-16)
+            runs.append((np.concatenate(calls), y))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        assert len(runs[2][0]) != len(runs[1][0]) or np.any(runs[2][0] != runs[1][0])
+
+    def test_a_step_below_the_minimum_raises(self):
+        # ten ulp of t = 1 s are 2.2e-15 s, and a 1e25 Hz ZZ term needs steps
+        # ten orders shorter: the step control shrinks the step below the minimum
+        system = TwoQubitSystem(6.3e9, 4.5e9, 1e25)
+        ham = build_protocol_hamiltonian(system, make_blockade_protocol(system, 30e-9, 0.0))
+        args = (ham, dynamics._schrodinger(ham), np.full(4, 0.5, dtype=complex), 1.0,
+                np.array([]), 1.001, 1e-9, 1e-12)
+        for segment in (dynamics._dop853_segment, dense_oracle.solve_ivp_segment):
+            with pytest.raises(StiffnessError, match=r"failed on \[1\.000e\+00, 1\.001e\+00\]: "
+                                                     "Required step size"):
+                segment(*args)
+
+    def test_a_stacked_lindblad_grid_leaves_no_garbage(self):
+        # the stepper holds no solver object and makes no reference cycle, so
+        # no segment's stage arrays wait for the cycle collector
+        prots = grid_protocols(SYSTEM, 1e-9 * np.array(BENCH_OPEN_DELAYS),
+                               1e-9 * np.array(BENCH_OPEN_LENGTHS), readout_pad_s=200e-9)
+        gc.collect()
+        gc.disable()
+        try:
+            run_blockade_grid(SYSTEM, prots, CHIP1_DISSIPATION)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBlockadeProtocol:

@@ -14,12 +14,15 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import io as zio
 from .circuit import Coupling, KerrParams, transmon_spectrum
 from .dynamics import (
+    FRAMES,
+    PULSE_SHAPES,
     TwoQubitSystem,
     make_blockade_protocol,
     pi_pulse,
@@ -36,7 +39,8 @@ from .errors import (
     PoleError,
     ZZKitError,
 )
-from .fixtures import load_fixture
+from .fixtures import FIXTURE_NAMES, load_fixture
+from .io import Field
 from .optimize import (
     VARIABLE_ORDER,
     Candidate,
@@ -62,124 +66,63 @@ EXIT_CONFIG = 2
 EXIT_NO_FEASIBLE = 3
 EXIT_NUMERIC = 4
 
-
-def _load_config(path):
-    if path is None:
-        raise ConfigError("--config is required for this command")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+FIXTURE = Field("fixture", zio.choice(*FIXTURE_NAMES), None)
+# a blockade-point system: a fixture's, or explicit transitions and zeta
+SYSTEM_KEYS = ("omega1_hz", "omega2_hz", "zeta_hz")
+SYSTEM_FIELDS = (FIXTURE,) + tuple(Field(k, zio.number, None) for k in SYSTEM_KEYS)
 
 
-def _grid(cfg, key, context):
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(f"{context}: missing grid {key!r}")
-    try:
-        if isinstance(spec, list):
-            grid = np.asarray(spec, dtype=float)
-        else:
-            zio._check_keys(spec, ["start", "stop", "num"], f"{context}:{key}")
-            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {key} must be a list of numbers or numeric "
-                          f"start, stop and integer num ({type(exc).__name__}: {exc})") from exc
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ConfigError(f"{context}: {key} must be monotone with >= 2 points")
-    return grid
-
-
-def _config_int(value, context, field):
-    """int(value), or a ConfigError naming the field unless the value is a whole number."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{context}: {field} must be an integer, got {value!r}") from exc
-    if isinstance(value, float) and number != value:
-        raise ConfigError(f"{context}: {field} must be an integer, got {value!r}")
-    return number
-
-
-def _config_float(value, context, field):
-    """float(value), or a ConfigError naming the field unless it is a finite number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {field} must be a number, got {value!r}") from exc
-    if not np.isfinite(number):
-        raise ConfigError(f"{context}: {field} must be finite, got {value!r}")
-    return number
-
-
-def _config_object(value, context, field):
-    """value if it is a JSON object, or a ConfigError naming the field."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: {field} must be an object, got {value!r}")
-    return value
-
-
-def _config_path(value, context, field):
-    """value if it is a path string, or a ConfigError naming the field."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{context}: {field} must be a path string, got {value!r}")
-    return value
-
-
-def _config_floats(values, context, field):
-    """A list of finite numbers, or a ConfigError naming the field."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{context}: {field} must be a list of numbers, got {values!r}")
-    return [_config_float(v, context, field) for v in values]
+def _blockade_system(cfg):
+    """The system of a fixture's blockade point, or of explicit omega1, omega2 and zeta."""
+    given = [k for k in SYSTEM_KEYS if cfg[k] is not None]
+    if cfg["fixture"] is not None and given:
+        raise ValueError(f"give either fixture or explicit system fields, not both "
+                         f"(got fixture and {given[0]!r})")
+    values = load_fixture(cfg["fixture"]).blockade_point if cfg["fixture"] else cfg
+    for k in SYSTEM_KEYS:
+        if values[k] is None:
+            raise ValueError(f"need fixture or explicit {k!r}")
+    return TwoQubitSystem(*(values[k] for k in SYSTEM_KEYS))
 
 
 # ---------------------------------------------------------------- zz-sweep
 
-def _sweep_system(cfg, context):
+INLINE_KEYS = ("omega1_hz", "alpha1_hz", "alpha2_hz", "g_hz")
+ZZ_SWEEP_FIELDS = (
+    FIXTURE, Field("circuit", zio.string, None),
+    Field("inline", zio.record(tuple(Field(k, zio.number) for k in INLINE_KEYS)), None),
+    Field("delta_hz", zio.grid),
+    Field("levels_per_mode", zio.array(2, element=zio.integer), (4, 4)),
+    Field("max_total_excitation", zio.optional(zio.integer), 4),
+    Field("series_order", zio.integer, 4),
+    Field("spectrum_json", zio.optional(zio.string), None),
+)
+
+
+def _sweep_system(cfg):
     """Resolve (omega1, alpha1, alpha2, coupling) from fixture, circuit file or inline keys."""
-    if "fixture" in cfg:
+    if cfg["fixture"] is not None:
         fx = load_fixture(cfg["fixture"])
         q1f, q2f = fx.qubits
         s1 = transmon_spectrum(q1f.transmon())
         return s1.omega01_hz, s1.anharmonicity_hz, q2f.alpha_hz, fx.coupling()
-    if "circuit" in cfg:
-        desc = zio.load_circuit_file(cfg["circuit"])
+    if cfg["circuit"] is not None:
+        desc = zio.load_circuit_file(cfg["circuit"], "zz-sweep:circuit")
         s1 = transmon_spectrum(desc.qubits[0])
         s2 = transmon_spectrum(desc.qubits[1])
         return s1.omega01_hz, s1.anharmonicity_hz, s2.anharmonicity_hz, desc.coupling
-    inline = cfg.get("inline")
+    inline = cfg["inline"]
     if inline is None:
-        raise ConfigError(f"{context}: need one of 'fixture', 'circuit' or 'inline'")
-    keys = ["omega1_hz", "alpha1_hz", "alpha2_hz", "g_hz"]
-    zio._check_keys(_config_object(inline, context, "inline"), keys, context)
-    for k in keys:
-        if k not in inline:
-            raise ConfigError(f"{context}: inline parameters need {k!r}")
-    omega1, alpha1, alpha2, g = (_config_float(inline[k], f"{context}:inline", k) for k in keys)
+        raise ValueError("need one of 'fixture', 'circuit' or 'inline'")
+    omega1, alpha1, alpha2, g = (inline[k] for k in INLINE_KEYS)
     return omega1, alpha1, alpha2, Coupling.fixed(g)
 
 
 def cmd_zz_sweep(cfg, out):
-    zio._check_keys(cfg, ["fixture", "circuit", "inline", "delta_hz",
-                          "levels_per_mode", "max_total_excitation",
-                          "series_order", "spectrum_json"],
-                    "zz-sweep")
-    spectrum_json = cfg.get("spectrum_json")
-    if spectrum_json is not None:
-        _config_path(spectrum_json, "zz-sweep", "spectrum_json")
-    omega1, alpha1, alpha2, coupling = _sweep_system(cfg, "zz-sweep")
-    deltas = _grid(cfg, "delta_hz", "zz-sweep")
-    levels = cfg.get("levels_per_mode", (4, 4))
-    if not isinstance(levels, (list, tuple)) or len(levels) != 2:
-        raise ConfigError(f"zz-sweep: levels_per_mode must hold two integers, got {levels!r}")
-    levels = tuple(_config_int(n, "zz-sweep", "levels_per_mode") for n in levels)
-    max_exc = cfg.get("max_total_excitation", 4)
-    if max_exc is not None:
-        max_exc = _config_int(max_exc, "zz-sweep", "max_total_excitation")
-    order = _config_int(cfg.get("series_order", 4), "zz-sweep", "series_order")
+    cfg = zio.parse(cfg, ZZ_SWEEP_FIELDS, "zz-sweep")
+    with zio.config_errors("zz-sweep"):
+        omega1, alpha1, alpha2, coupling = _sweep_system(cfg)
+    deltas, levels, max_exc = cfg["delta_hz"], cfg["levels_per_mode"], cfg["max_total_excitation"]
 
     omega2 = omega1 - deltas
     g = np.broadcast_to(coupling.g_at(omega1, omega2), deltas.shape)
@@ -201,14 +144,14 @@ def cmd_zz_sweep(cfg, out):
             pass
         try:
             row["zeta_series_hz"] = zeta_series_high_detuning(
-                g_k, delta, alpha1, alpha2, order=order)
+                g_k, delta, alpha1, alpha2, order=cfg["series_order"])
         except DomainError:
             pass
 
     zio.write_zz_sweep_csv(out, rows)
     zio.read_zz_sweep_csv(out)   # schema self-test
 
-    if spectrum_json:
+    if cfg["spectrum_json"]:
         params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
                             np.zeros((2, 2)), exchange_g_hz=g[0])
         spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
@@ -216,27 +159,28 @@ def cmd_zz_sweep(cfg, out):
             decomp = pauli_decomposition(spec, params.exchange_g_hz)
         except AmbiguousLabelError:
             decomp = None
-        zio.write_json(spectrum_json, zio.spectrum_dump(spec, decomp))
+        zio.write_json(cfg["spectrum_json"], zio.spectrum_dump(spec, decomp))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- blockade
 
-def _blockade_system(cfg, context):
-    """The system of a fixture's blockade point, or of explicit omega1, omega2 and zeta."""
-    if "fixture" in cfg:
-        for k in ("omega1_hz", "omega2_hz", "zeta_hz"):
-            if k in cfg:
-                raise ConfigError(f"{context}: give either fixture or explicit system fields, "
-                                  f"not both (got fixture and {k!r})")
-        fx = load_fixture(cfg["fixture"])
-        bp = fx.blockade_point
-        return TwoQubitSystem(bp["omega1_hz"], bp["omega2_hz"], bp["zeta_hz"]), fx
-    for k in ("omega1_hz", "omega2_hz", "zeta_hz"):
-        if k not in cfg:
-            raise ConfigError(f"{context}: need fixture or explicit {k!r}")
-    return TwoQubitSystem(*(_config_float(cfg[k], context, k)
-                            for k in ("omega1_hz", "omega2_hz", "zeta_hz"))), None
+SPECTRAL_FIELDS = (Field("offset_hz", zio.number, None),
+                   Field("window_hz", zio.number, check=(lambda w: w > 0, "must be positive")),
+                   Field("out", zio.string, None))
+BLOCKADE_FIELDS = SYSTEM_FIELDS + (
+    Field("pulse_lengths_s", zio.numbers, (200e-9,),
+          (lambda lengths: all(x > 0 for x in lengths), "must be positive")),
+    Field("delays_s", zio.numbers, (100e-9,)),
+    Field("shape", zio.choice(*PULSE_SHAPES), "truncated_cosine"),
+    Field("frame", zio.choice(*FRAMES), "rotating"),
+    Field("carrier_convention", zio.choice("dressed", "shifted"), "dressed"),
+    zio.DISSIPATION, zio.READOUT_MATRIX,
+    Field("spectral", zio.record(SPECTRAL_FIELDS), None),
+    Field("gaussian_sigma_s", zio.optional(zio.number), None),
+    Field("readout_pad_s", zio.number, 0.0, (lambda t: t >= 0, "must be non-negative")),
+    Field("protocol", zio.string, None),
+)
 
 
 def _blockade_row(delay, length, p1, p2, readout):
@@ -249,30 +193,15 @@ def _blockade_row(delay, length, p1, p2, readout):
     return row
 
 
-def _spectral_config(cfg, system, out):
-    """(offset_hz, window_hz, out path) of the blockade command's spectral block."""
-    context = "blockade:spectral"
-    sp = _config_object(cfg["spectral"], "blockade", "spectral")
-    zio._check_keys(sp, ["offset_hz", "window_hz", "out"], context)
-    offset = _config_float(sp.get("offset_hz", abs(system.zeta_hz)), context, "offset_hz")
-    window = _config_float(zio._require(sp, "window_hz", context), context, "window_hz")
-    if window <= 0:
-        raise ConfigError(f"{context}: window_hz must be positive, got {window}")
-    return offset, window, _config_path(sp.get("out", str(out) + ".spectral.csv"), context, "out")
-
-
 def cmd_blockade(cfg, out):
-    zio._check_keys(cfg, ["fixture", "omega1_hz", "omega2_hz", "zeta_hz",
-                          "pulse_lengths_s", "delays_s", "shape", "frame",
-                          "carrier_convention", "dissipation", "readout_matrix",
-                          "spectral", "gaussian_sigma_s", "readout_pad_s",
-                          "protocol"],
-                    "blockade")
-    system, _ = _blockade_system(cfg, "blockade")
+    cfg = zio.parse(cfg, BLOCKADE_FIELDS, "blockade")
+    with zio.config_errors("blockade"):
+        system = _blockade_system(cfg)
 
-    if "protocol" in cfg:
+    if cfg["protocol"] is not None:
         # explicit protocol file: run the single sequence as written
-        protocol, dissipation, readout = zio.load_protocol_file(cfg["protocol"])
+        protocol, dissipation, readout = zio.load_protocol_file(cfg["protocol"],
+                                                                "blockade:protocol")
         result = run_blockade_protocol(system, protocol, dissipation)
         row = _blockade_row(protocol.delay_s, max(p.duration_s for p in protocol.pulses),
                             float(result.p_excited(1)[-1]), float(result.p_excited(2)[-1]),
@@ -280,50 +209,35 @@ def cmd_blockade(cfg, out):
         zio.write_blockade_csv(out, [row], with_measured=readout is not None)
         zio.read_blockade_csv(out)
         return EXIT_OK
-    lengths = _config_floats(cfg.get("pulse_lengths_s", [200e-9]), "blockade", "pulse_lengths_s")
-    if any(length <= 0 for length in lengths):
-        raise ConfigError(f"blockade: pulse_lengths_s must be positive, got {lengths}")
-    delays = _config_floats(cfg.get("delays_s", [100e-9]), "blockade", "delays_s")
-    shape = cfg.get("shape", "truncated_cosine")
-    frame = cfg.get("frame", "rotating")
-    convention = cfg.get("carrier_convention", "dressed")
-    sigma = cfg.get("gaussian_sigma_s")
-    if sigma is not None:
-        sigma = _config_float(sigma, "blockade", "gaussian_sigma_s")
-    readout_pad = _config_float(cfg.get("readout_pad_s", 0.0), "blockade", "readout_pad_s")
-    if readout_pad < 0:
-        raise ConfigError(f"blockade: readout_pad_s must be non-negative, got {readout_pad}")
-
-    dissipation = (zio._dissipation_spec(cfg["dissipation"], "blockade")
-                   if "dissipation" in cfg else None)
-    readout = (zio.readout_matrices(cfg["readout_matrix"], "blockade")
-               if "readout_matrix" in cfg else None)
-    spectral = _spectral_config(cfg, system, out) if "spectral" in cfg else None
-    try:
+    lengths, shape, sigma = cfg["pulse_lengths_s"], cfg["shape"], cfg["gaussian_sigma_s"]
+    readout = cfg["readout_matrix"]
+    with zio.config_errors("blockade"):
         # every protocol is built, and so checked, before any is simulated
         points = [(delay, length, make_blockade_protocol(
-            system, length, delay, shape=shape, frame=frame, carrier_convention=convention,
-            gaussian_sigma_s=sigma, readout_pad_s=readout_pad))
-            for delay in delays for length in lengths]
-    except ValueError as exc:
-        raise ConfigError(f"blockade: {exc}") from exc
+            system, length, delay, shape=shape, frame=cfg["frame"],
+            carrier_convention=cfg["carrier_convention"], gaussian_sigma_s=sigma,
+            readout_pad_s=cfg["readout_pad_s"]))
+            for delay in cfg["delays_s"] for length in lengths]
 
     rows = []
     if points:
-        result = run_blockade_grid(system, [protocol for *_, protocol in points], dissipation)
+        result = run_blockade_grid(system, [protocol for *_, protocol in points],
+                                   cfg["dissipation"])
         rows = [_blockade_row(delay, length, p1, p2, readout) for (delay, length, _), p1, p2
                 in zip(points, result.p_excited(1).tolist(), result.p_excited(2).tolist())]
     zio.write_blockade_csv(out, rows, with_measured=readout is not None)
     zio.read_blockade_csv(out)
 
+    spectral = cfg["spectral"]
     if spectral is not None:
-        offset, window, spath = spectral
+        offset = abs(system.zeta_hz) if spectral["offset_hz"] is None else spectral["offset_hz"]
+        spath = str(out) + ".spectral.csv" if spectral["out"] is None else spectral["out"]
         srows = []
         for ln in lengths:
             pulse = pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
                              gaussian_sigma_s=sigma)
-            srows.append({"pulse_len_s": ln,
-                          "spectral_fraction": pulse_spectral_power(pulse, offset, window)})
+            srows.append({"pulse_len_s": ln, "spectral_fraction": pulse_spectral_power(
+                pulse, offset, spectral["window_hz"])})
         zio.write_spectral_csv(spath, srows)
         zio.read_spectral_csv(spath)
     return EXIT_OK
@@ -331,19 +245,18 @@ def cmd_blockade(cfg, out):
 
 # ------------------------------------------------------- flux spectroscopy
 
+FLUX_FIELDS = (Field("fixture", zio.choice(*FIXTURE_NAMES)), Field("flux_phi0", zio.grid),
+               Field("q1_flux_phi0", zio.number, None),
+               Field("summary_json", zio.optional(zio.string), None))
+
+
 def cmd_flux_spectroscopy(cfg, out):
-    zio._check_keys(cfg, ["fixture", "flux_phi0", "q1_flux_phi0", "summary_json"],
-                    "flux-spectroscopy")
-    if "fixture" not in cfg:
-        raise ConfigError("flux-spectroscopy: needs a fixture with flux-tunable qubits")
-    summary_json = cfg.get("summary_json")
-    if summary_json is not None:
-        _config_path(summary_json, "flux-spectroscopy", "summary_json")
+    cfg = zio.parse(cfg, FLUX_FIELDS, "flux-spectroscopy")
     fx = load_fixture(cfg["fixture"])
     q1f, q2f = fx.qubits
-    q1_flux = _config_float(cfg.get("q1_flux_phi0", q1f.default_flux_phi0),
-                            "flux-spectroscopy", "q1_flux_phi0")
-    fluxes = _grid(cfg, "flux_phi0", "flux-spectroscopy")
+    q1_flux = float(q1f.default_flux_phi0 if cfg["q1_flux_phi0"] is None
+                    else cfg["q1_flux_phi0"])
+    fluxes = cfg["flux_phi0"]
     q1 = q1f.transmon(q1_flux)
     q2 = q2f.transmon()
     coupling = fx.coupling()
@@ -365,8 +278,8 @@ def cmd_flux_spectroscopy(cfg, out):
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,
                         "error": f"{type(exc).__name__}: {exc}"})
     print(json.dumps(summary, sort_keys=True))
-    if summary_json:
-        zio.write_json(summary_json, summary)
+    if cfg["summary_json"]:
+        zio.write_json(cfg["summary_json"], summary)
     return EXIT_OK
 
 
@@ -377,67 +290,55 @@ def _rosenbrock_evaluator(xs, problem):
             for x in xs]
 
 
-def _problem_from_config(cfg, seed_override=None):
-    zio._check_keys(cfg, ["kind", "variables", "fixed", "constraints", "de",
-                          "n_exc", "objective", "strict_mode"], "optimize")
-    kind = cfg.get("kind", "circuit")
-    if kind not in ("circuit", "rosenbrock"):
-        raise ConfigError(f"optimize: unknown kind {kind!r}")
-    variables = []
-    for v in cfg.get("variables", []):
-        context = "optimize:variables"
-        zio._check_keys(v, ["name", "low", "high"], context)
-        if kind == "circuit" and v.get("name") not in VARIABLE_ORDER:
-            raise ConfigError(f"{context}: name must be one of {list(VARIABLE_ORDER)}, "
-                              f"got {v.get('name')!r}")
-        variables.append((v.get("name"), _config_float(v.get("low"), context, "low"),
-                          _config_float(v.get("high"), context, "high")))
-    cons_cfg = cfg.get("constraints", {})
-    context = "optimize:constraints"
-    zio._check_keys(cons_cfg, ["freq_band_hz", "min_abs_anharmonicity_hz",
-                               "min_ej_ec_ratio", "max_j_over_delta"], context)
-    cons_kwargs = {k: _config_float(cons_cfg[k], context, k) for k in
-                   ("min_abs_anharmonicity_hz", "min_ej_ec_ratio", "max_j_over_delta")
-                   if k in cons_cfg}
-    if "freq_band_hz" in cons_cfg:
-        bands = cons_cfg["freq_band_hz"]
-        if not (isinstance(bands, list) and len(bands) == 2
-                and all(isinstance(b, list) and len(b) == 2 for b in bands)):
-            raise ConfigError(f"{context}: freq_band_hz must hold two [low, high] pairs, "
-                              f"got {bands!r}")
-        cons_kwargs["freq_band_hz"] = tuple(
-            tuple(_config_float(f, context, "freq_band_hz") for f in b) for b in bands)
-    de_cfg = cfg.get("de", {})
-    zio._check_keys(de_cfg, ["population", "generations", "mutation", "crossover",
-                             "seed"], "optimize:de")
-    if seed_override is not None:
-        de_cfg = dict(de_cfg, seed=seed_override)
-    de_kwargs = {k: value if value is None else (
-        _config_float if k in ("mutation", "crossover") else _config_int)(value, "optimize:de", k)
-        for k, value in de_cfg.items()}
-    try:
-        problem = OptimizationProblem(
-            variables=tuple(variables),
-            constraints=ConstraintSet(**cons_kwargs),
-            de_params=DEParams(**de_kwargs),
-            n_exc=_config_int(cfg.get("n_exc", 4), "optimize", "n_exc"),
-            fixed=tuple((name, _config_float(value, "optimize:fixed", name))
-                        for name, value in _config_object(cfg.get("fixed", {}), "optimize",
-                                                          "fixed").items()),
-            objective=cfg.get("objective", "abs"),
-            strict_mode=bool(cfg.get("strict_mode", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optimize: {exc}") from exc
+def _problem(seed_override, kind, variables, fixed, constraints, de, n_exc, objective,
+             strict_mode):
+    """The OptimizationProblem of an optimize config and the evaluator of its kind."""
+    names = [v["name"] for v in variables]
+    fixed = {name: value for name, value in fixed.items() if value is not None}
     if kind == "circuit":
-        return problem, evaluate_population
-    if problem.dimension != 2:
-        raise ConfigError("optimize: rosenbrock smoke test needs 2 variables")
-    return problem, _rosenbrock_evaluator
+        for name in names:
+            if name not in VARIABLE_ORDER:
+                raise ValueError(f"variables: name must be one of {list(VARIABLE_ORDER)}, "
+                                 f"got {name!r}")
+        unset = [name for name in VARIABLE_ORDER if name not in names and name not in fixed]
+        if unset:
+            raise ValueError(f"variables and fixed leave {unset} unset")
+    elif len(variables) != 2:
+        raise ValueError("rosenbrock smoke test needs 2 variables")
+    problem = OptimizationProblem(
+        variables=tuple((v["name"], v["low"], v["high"]) for v in variables),
+        constraints=constraints,
+        de_params=de if seed_override is None else replace(de, seed=seed_override),
+        n_exc=n_exc, fixed=tuple(fixed.items()), objective=objective, strict_mode=strict_mode)
+    return problem, evaluate_population if kind == "circuit" else _rosenbrock_evaluator
+
+
+CONSTRAINT_FIELDS = (Field("freq_band_hz", zio.array(2, 2), ConstraintSet.freq_band_hz),) + tuple(
+    Field(k, zio.number, getattr(ConstraintSet, k))
+    for k in ("min_abs_anharmonicity_hz", "min_ej_ec_ratio", "max_j_over_delta"))
+DE_FIELDS = (
+    Field("population", zio.optional(zio.integer), DEParams.population),
+    Field("generations", zio.integer, DEParams.generations),
+    Field("mutation", zio.number, DEParams.mutation),
+    Field("crossover", zio.number, DEParams.crossover),
+    Field("seed", zio.optional(zio.integer), DEParams.seed),
+)
+OPTIMIZE_FIELDS = (
+    Field("kind", zio.choice("circuit", "rosenbrock"), "circuit"),
+    Field("variables", zio.records((Field("name", zio.string), Field("low", zio.number),
+                                    Field("high", zio.number))), ()),
+    Field("fixed", zio.record(tuple(Field(k, zio.number, None) for k in VARIABLE_ORDER)), {}),
+    Field("constraints", zio.record(CONSTRAINT_FIELDS, ConstraintSet), ConstraintSet()),
+    Field("de", zio.record(DE_FIELDS, DEParams), DEParams()),
+    Field("n_exc", zio.integer, 4),
+    Field("objective", zio.choice("abs", "signed"), "abs"),
+    Field("strict_mode", zio.boolean, False),
+)
 
 
 def cmd_optimize(cfg, out, seed_override=None):
-    problem, evaluator = _problem_from_config(cfg, seed_override)
+    problem, evaluator = zio.parse(cfg, OPTIMIZE_FIELDS, "optimize",
+                                   functools.partial(_problem, seed_override))
     best, history = optimize(problem, evaluator)
     payload = {
         "best_x": dict(zip(problem.names, [float(v) for v in best.x])),
@@ -481,20 +382,21 @@ def cmd_foster_fit(samples_csv, n_poles, out):
 
 # ------------------------------------------------------------------ ramsey
 
+RAMSEY_FIELDS = SYSTEM_FIELDS + (
+    Field("free_time_s", zio.grid,
+          check=(lambda t: t.size >= 4, "needs >= 4 points for the fringe fit")),
+    Field("drive_offset_hz", zio.optional(zio.number), None),
+)
+
+
 def cmd_ramsey(cfg, out):
-    zio._check_keys(cfg, ["fixture", "omega1_hz", "omega2_hz", "zeta_hz",
-                          "free_time_s", "drive_offset_hz"], "ramsey")
-    system, _ = _blockade_system(cfg, "ramsey")
-    grid = _grid(cfg, "free_time_s", "ramsey")
-    if grid.size < 4:
-        raise ConfigError(f"ramsey: free_time_s needs >= 4 points for the fringe fit, "
-                          f"got {grid.size}")
-    offset = cfg.get("drive_offset_hz")
-    if offset is not None:
-        offset = _config_float(offset, "ramsey", "drive_offset_hz")
+    cfg = zio.parse(cfg, RAMSEY_FIELDS, "ramsey")
+    with zio.config_errors("ramsey"):
+        system = _blockade_system(cfg)
     rows = []
     for state in (0, 1):
-        fringe = run_conditional_ramsey(system, state, grid, drive_offset_hz=offset)
+        fringe = run_conditional_ramsey(system, state, cfg["free_time_s"],
+                                        drive_offset_hz=cfg["drive_offset_hz"])
         rows.append({"spectator_state": state, "fringe_hz": fringe})
     zio.write_ramsey_csv(out, rows)
     zio.read_ramsey_csv(out)
@@ -535,18 +437,13 @@ def main(argv=None):
     try:
         if args.command == "foster-fit":
             return cmd_foster_fit(args.samples_csv, args.n_poles, args.out)
-        cfg = _load_config(args.config)
-        if args.command == "zz-sweep":
-            return cmd_zz_sweep(cfg, args.out)
-        if args.command == "blockade":
-            return cmd_blockade(cfg, args.out)
-        if args.command == "flux-spectroscopy":
-            return cmd_flux_spectroscopy(cfg, args.out)
+        if args.config is None:
+            raise ConfigError("--config is required for this command")
+        cfg = zio.read_json(args.config, "--config")
         if args.command == "optimize":
             return cmd_optimize(cfg, args.out, args.seed)
-        if args.command == "ramsey":
-            return cmd_ramsey(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"zz-sweep": cmd_zz_sweep, "blockade": cmd_blockade, "ramsey": cmd_ramsey,
+                "flux-spectroscopy": cmd_flux_spectroscopy}[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

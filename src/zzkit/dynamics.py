@@ -55,6 +55,8 @@ from .spectrum import conditional_frequencies
 TWO_PI = 2.0 * np.pi
 
 BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+PULSE_SHAPES = ("rectangular", "truncated_cosine", "gaussian")
+FRAMES = ("lab", "rotating", "blockade_effective")
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,7 +102,7 @@ def _pulse_shape(shape, tau, duration_s, sigma_s):
     """Unit-peak envelope tau seconds into a pulse, support not checked.
 
     The one envelope formula: PulseSpec.envelope applies it to one pulse and
-    _drive_stack to every pulse of a stacked grid.
+    _pulse_stack to every pulse of a stacked grid.
     """
     if shape == "rectangular":
         return 1.0
@@ -128,7 +130,7 @@ class PulseSpec:
     target_qubit: int = 1
 
     def __post_init__(self):
-        if self.shape not in ("rectangular", "truncated_cosine", "gaussian"):
+        if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         for name in ("amplitude_hz", "duration_s", "carrier_hz", "phase_rad",
                      "start_time_s", "gaussian_sigma_s"):
@@ -149,19 +151,11 @@ class PulseSpec:
         return self.start_time_s + self.duration_s
 
     def envelope(self, t):
-        """Instantaneous Rabi rate in Hz; accepts scalars or arrays.
-
-        A scalar t runs on plain floats: a solver calls this once per stage,
-        and 0-d array operations would cost several times the arithmetic.
-        """
-        scalar = np.ndim(t) == 0
-        tau = (float(t) if scalar else np.asarray(t, dtype=float)) - self.start_time_s
-        if scalar and not 0.0 <= tau <= self.duration_s:
-            return 0.0
+        """Instantaneous Rabi rate in Hz; a float for a scalar t, else an array."""
+        tau = np.asarray(t, dtype=float) - self.start_time_s
         shape = _pulse_shape(self.shape, tau, self.duration_s, self.gaussian_sigma_s)
-        if scalar:
-            return float(self.amplitude_hz * shape)
-        return np.where((tau >= 0.0) & (tau <= self.duration_s), self.amplitude_hz * shape, 0.0)
+        rate = np.where((tau >= 0.0) & (tau <= self.duration_s), self.amplitude_hz * shape, 0.0)
+        return float(rate) if rate.ndim == 0 else rate
 
     def area(self):
         """Envelope area in cycles (integral of the Hz Rabi rate over time)."""
@@ -496,7 +490,7 @@ class ProtocolSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.frame not in ("lab", "rotating", "blockade_effective"):
+        if self.frame not in FRAMES:
             raise ValueError(f"unknown frame {self.frame!r}")
         if not (np.isfinite(self.total_time_s) and np.isfinite(self.delay_s)):
             raise ValueError("total_time_s and delay_s must be finite")

@@ -1,13 +1,21 @@
-"""File formats: circuit descriptions, sample files, sweep outputs.
+"""File formats: the JSON config schema, circuit and protocol files, CSV data.
 
-All numeric columns are written with shortest round-trip float formatting so
-reruns of a deterministic command are byte identical.  Every reader rejects
-unknown keys and malformed headers with a ConfigError naming the offending
-field, and every writer has a matching reader used as a schema self-test.
+Every JSON input (a command's --config and the files it names) is read by
+read_json and checked by parse against a field table.  For every table,
+unknown keys are rejected, every number is finite, a boolean is not a
+number, and each error is a ConfigError naming the field path, such as
+`blockade:spectral:window_hz` or `circuit.json:qubits[1]:ec_hz`.  Numeric
+CSV columns are written with shortest round-trip float formatting, so reruns
+are byte identical, and every writer has a matching reader used as a schema
+self-test.
 """
 
 import csv
 import json
+import reprlib
+import sys
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +28,14 @@ from .circuit import (
     TransmonSpec,
     effective_josephson_energy,
 )
-from .dynamics import DissipationSpec, ProtocolSpec, PulseSpec, check_row_stochastic
+from .dynamics import (
+    FRAMES,
+    PULSE_SHAPES,
+    DissipationSpec,
+    ProtocolSpec,
+    PulseSpec,
+    check_row_stochastic,
+)
 from .errors import ConfigError, StochasticityError
 
 ZZ_SWEEP_HEADER = ["delta_hz", "zeta_exact_hz", "zeta_perturbative_hz",
@@ -34,6 +49,12 @@ ADMITTANCE_HEADER = ["freq_rad_s", "re_y", "im_y"]
 RAMSEY_HEADER = ["spectator_state", "fringe_hz"]
 SPECTRAL_HEADER = ["pulse_len_s", "spectral_fraction"]
 
+REQUIRED = object()     # the default of a key that must be given
+# One row of a field table.  kind maps (JSON value, field path) to the parsed
+# value or raises a ConfigError; an absent key takes default as it is, unless
+# it is REQUIRED; check is (predicate on the parsed value, message) or None.
+Field = namedtuple("Field", "key kind default check", defaults=(REQUIRED, None))
+
 
 def _fmt(x):
     if x is None:
@@ -41,17 +62,167 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _check_keys(record, allowed, context):
-    unknown = set(record) - set(allowed)
+# ------------------------------------------------------------ config schema
+
+def read_json(path, field):
+    """The JSON value in the file at path, which the config field `field` names."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:       # invalid JSON, undecodable bytes, overlong integers
+        raise ConfigError(f"{field}: {path}: invalid JSON ({exc})") from exc
+
+
+@contextmanager
+def config_errors(context):
+    """Raise a ValueError or TypeError of the block as a ConfigError naming context."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def parse(raw, fields, context, make=None):
+    """The JSON object raw checked against a field table: a dict, or make(**dict).
+
+    context is the object's field path; each key's path is context:key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be an object, got {reprlib.repr(raw)}")
+    unknown = set(raw) - {f.key for f in fields}
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    record = {}
+    for f in fields:
+        if f.key in raw:
+            record[f.key] = f.kind(raw[f.key], f"{context}:{f.key}")
+            if f.check is not None and not f.check[0](record[f.key]):
+                raise ConfigError(f"{context}:{f.key} {f.check[1]}, "
+                                  f"got {reprlib.repr(raw[f.key])}")
+        elif f.default is REQUIRED:
+            raise ConfigError(f"{context}: missing required key {f.key!r}")
+        else:
+            record[f.key] = f.default
+    if make is None:
+        return record
+    with config_errors(context):
+        return make(**record)
 
 
-def _require(record, key, context):
-    if key not in record:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return record[key]
+def _kind_error(path, what, value):
+    return ConfigError(f"{path} must be {what}, got {reprlib.repr(value)}")
 
+
+def number(value, path):
+    """Kind: a finite JSON number, as a float.  A boolean is not a number."""
+    if type(value) not in (int, float):
+        raise _kind_error(path, "a number", value)
+    if not abs(value) <= sys.float_info.max:     # NaN, +-Infinity or an overlong integer
+        raise _kind_error(path, "finite", value)
+    return float(value)
+
+
+def integer(value, path):
+    """Kind: a JSON integer, or a number with an integral value, as an int."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise _kind_error(path, "an integer", value)
+    return value
+
+
+def _typed(json_type, what):
+    """Kind: a JSON value of one Python type, as it is."""
+    def kind(value, path):
+        if type(value) is not json_type:
+            raise _kind_error(path, what, value)
+        return value
+    return kind
+
+
+string = _typed(str, "a string")        # a file path or a name
+boolean = _typed(bool, "true or false")
+
+
+def choice(*options):
+    """Kind: one of the strings in options."""
+    def kind(value, path):
+        if type(value) is not str or value not in options:
+            raise _kind_error(path, f"one of {list(options)}", value)
+        return value
+    return kind
+
+
+def optional(kind):
+    """Kind: null, taken as None, or a value of kind."""
+    return lambda value, path: None if value is None else kind(value, path)
+
+
+def array(*shape, element=number):
+    """Kind: nested JSON lists of the given shape, as nested tuples of element values.
+
+    A None length is any length, the same across the level.
+    """
+    def kind(value, path):
+        sizes = list(shape)
+
+        def nested(v, depth, where):
+            if depth == len(sizes):
+                return element(v, where)
+            if sizes[depth] is None and isinstance(v, list):
+                sizes[depth] = len(v)
+            if not isinstance(v, list) or len(v) != sizes[depth]:
+                shown = " x ".join("n" if n is None else str(n) for n in shape)
+                raise _kind_error(path, f"an array of shape {shown}", value)
+            return tuple(nested(x, depth + 1, f"{where}[{k}]") for k, x in enumerate(v))
+        return nested(value, 0, path)
+    return kind
+
+
+numbers = array(None)
+GRID_FIELDS = (Field("start", number), Field("stop", number),
+               Field("num", integer, check=(lambda n: n >= 2, "must be at least 2")))
+
+
+def grid(value, path):
+    """Kind: a list of numbers or a {start, stop, num} linspace, increasing, >= 2 points."""
+    points = (np.linspace(**parse(value, GRID_FIELDS, path)) if isinstance(value, dict)
+              else np.array(numbers(value, path)))
+    if points.size < 2 or np.any(np.diff(points) <= 0):
+        raise _kind_error(path, "strictly increasing with >= 2 points", value)
+    return points
+
+
+def record(fields, make=None):
+    """Kind: a nested JSON object checked against a field table (see parse)."""
+    return lambda value, path: parse(value, fields, path, make)
+
+
+def records(fields, make=None):
+    """Kind: a JSON list of objects, each checked against a field table."""
+    return array(None, element=record(fields, make))
+
+
+def _depth(value):
+    return 1 + _depth(value[0]) if isinstance(value, list) and value else 0
+
+
+def readout_matrix(value, path):
+    """Kind: one row-stochastic 2x2 confusion matrix for both qubits, or a pair of them.
+
+    The result is the (2, 2, 2) stack, qubit 1's matrix first.
+    """
+    m = np.array(array(*((2, 2, 2) if _depth(value) > 2 else (2, 2)))(value, path))
+    try:
+        check_row_stochastic(m)
+    except StochasticityError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return np.broadcast_to(m, (2, 2, 2))
+
+
+# ---------------------------------------------------------- circuit file
 
 @dataclass(frozen=True)
 class CircuitDescription:
@@ -61,166 +232,92 @@ class CircuitDescription:
     participation: JunctionParticipation = None
 
 
-def load_circuit_file(path):
-    """Parse the circuit description JSON (unknown keys rejected)."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    _check_keys(raw, ["qubits", "coupling", "foster", "participation"], path)
-    qubits = []
-    for k, q in enumerate(_require(raw, "qubits", path)):
-        ctx = f"{path}: qubits[{k}]"
-        _check_keys(q, ["ej_sum_hz", "ec_hz", "asymmetry_d", "flux_phi0"], ctx)
-        try:
-            squid = SquidSpec(_require(q, "ej_sum_hz", ctx),
-                              q.get("asymmetry_d", 0.0), q.get("flux_phi0", 0.0))
-            qubits.append(TransmonSpec(squid, _require(q, "ec_hz", ctx)))
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    if len(qubits) != 2:
-        raise ConfigError(f"{path}: expected exactly 2 qubits, got {len(qubits)}")
-
-    c = _require(raw, "coupling", path)
-    _check_keys(c, ["c12_farads", "g_hz"], f"{path}: coupling")
-    if ("c12_farads" in c) == ("g_hz" in c):
-        raise ConfigError(f"{path}: coupling needs exactly one of c12_farads | g_hz")
-    if "g_hz" in c:
-        coupling = Coupling.fixed(c["g_hz"])
-    else:
-        coupling = Coupling.capacitive(c["c12_farads"], qubits[0].ec_hz, qubits[1].ec_hz)
-
-    foster = None
-    if "foster" in raw:
-        foster = []
-        for k, m in enumerate(raw["foster"]):
-            ctx = f"{path}: foster[{k}]"
-            _check_keys(m, ["l_henries", "c_farads", "r_ohms"], ctx)
-            r = m.get("r_ohms")
-            foster.append(FosterMode(_require(m, "l_henries", ctx),
-                                     _require(m, "c_farads", ctx),
-                                     np.inf if r in (None, "inf") else r))
-        foster = tuple(foster)
-
-    participation = None
-    if "participation" in raw:
-        phi = np.asarray(raw["participation"], dtype=float)
+def _circuit(qubits, coupling, foster, participation):
+    c12, g = coupling["c12_farads"], coupling["g_hz"]
+    if (c12 is None) == (g is None):
+        raise ValueError("coupling needs exactly one of c12_farads | g_hz")
+    coupling = (Coupling.fixed(g) if c12 is None
+                else Coupling.capacitive(c12, qubits[0].ec_hz, qubits[1].ec_hz))
+    if participation is not None:
         ej = np.array([effective_josephson_energy(q.squid) for q in qubits])
-        participation = JunctionParticipation(phi, ej[: phi.shape[1]])
-    return CircuitDescription(tuple(qubits), coupling, foster, participation)
+        participation = JunctionParticipation(participation, ej[: np.shape(participation)[-1]])
+    return CircuitDescription(qubits, coupling, foster, participation)
 
 
-def load_protocol_file(path):
+QUBIT_FIELDS = (Field("ej_sum_hz", number), Field("ec_hz", number),
+                Field("asymmetry_d", number, 0.0), Field("flux_phi0", number, 0.0))
+COUPLING_FIELDS = (Field("c12_farads", number, None), Field("g_hz", number, None))
+FOSTER_FIELDS = (Field("l_henries", number), Field("c_farads", number),
+                 Field("r_ohms", optional(number), None))
+CIRCUIT_FIELDS = (
+    Field("qubits", records(QUBIT_FIELDS, lambda ec_hz, **squid: TransmonSpec(
+        SquidSpec(**squid), ec_hz)), check=(lambda q: len(q) == 2, "must hold exactly 2 qubits")),
+    Field("coupling", record(COUPLING_FIELDS)),
+    Field("foster", records(FOSTER_FIELDS, lambda l_henries, c_farads, r_ohms: FosterMode(
+        l_henries, c_farads, np.inf if r_ohms is None else r_ohms)), None),
+    Field("participation", array(None, None), None),
+)
+
+
+def load_circuit_file(path, field="circuit"):
+    """Parse the circuit description JSON at path, which the config field `field` names."""
+    return parse(read_json(path, field), CIRCUIT_FIELDS, path, _circuit)
+
+
+# --------------------------------------------------------- protocol file
+
+def _protocol(pulses, total_time_s, dissipation, readout_matrix, **spec):
+    if total_time_s is None:
+        total_time_s = max(p.end_time_s for p in pulses) + 2e-9
+    return ProtocolSpec(pulses, total_time_s, **spec), dissipation, readout_matrix
+
+
+PULSE_FIELDS = (
+    Field("shape", choice(*PULSE_SHAPES)), Field("amplitude_hz", number),
+    Field("duration_s", number), Field("carrier_hz", number),
+    Field("phase_rad", number, 0.0), Field("start_time_s", number, 0.0),
+    Field("gaussian_sigma_s", optional(number), None), Field("target_qubit", integer, 1),
+)
+# in a protocol file and the blockade config; a null t2_s entry: no pure dephasing
+DISSIPATION = Field("dissipation", record((
+    Field("t1_s", array(2)),
+    Field("t2_s", optional(array(2, element=optional(number))), None)), DissipationSpec), None)
+READOUT_MATRIX = Field("readout_matrix", readout_matrix, None)
+PROTOCOL_FIELDS = (
+    Field("frame", choice(*FRAMES), "rotating"),
+    Field("pulses", records(PULSE_FIELDS, PulseSpec), check=(bool, "must hold a pulse")),
+    Field("delay_s", number, 0.0),
+    Field("total_time_s", number, None),
+    Field("readout_times_s", numbers, None),
+    DISSIPATION, READOUT_MATRIX,
+)
+
+
+def load_protocol_file(path, field="protocol"):
     """Parse a pulse-protocol JSON: frame, pulses, delay, dissipation, readout.
 
-    Returns (ProtocolSpec, DissipationSpec or None, readout_matrices pair or None).
+    Returns (ProtocolSpec, DissipationSpec or None, readout matrices or None).
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    _check_keys(raw, ["frame", "pulses", "delay_s", "total_time_s",
-                      "readout_times_s", "dissipation", "readout_matrix"], path)
-    raw_pulses = _require(raw, "pulses", path)
-    if not isinstance(raw_pulses, list) or not raw_pulses:
-        raise ConfigError(f"{path}: pulses must be a non-empty list of pulse objects, "
-                          f"got {raw_pulses!r}")
-    pulses = []
-    for k, p in enumerate(raw_pulses):
-        ctx = f"{path}: pulses[{k}]"
-        if not isinstance(p, dict):
-            raise ConfigError(f"{ctx} must be an object, got {p!r}")
-        _check_keys(p, ["shape", "amplitude_hz", "duration_s", "carrier_hz",
-                        "phase_rad", "start_time_s", "gaussian_sigma_s",
-                        "target_qubit"], ctx)
-        try:
-            pulses.append(PulseSpec(
-                _require(p, "shape", ctx), _require(p, "amplitude_hz", ctx),
-                _require(p, "duration_s", ctx), _require(p, "carrier_hz", ctx),
-                p.get("phase_rad", 0.0), p.get("start_time_s", 0.0),
-                p.get("gaussian_sigma_s"), p.get("target_qubit", 1)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    total = raw.get("total_time_s", max(p.end_time_s for p in pulses) + 2e-9)
-    try:
-        protocol = ProtocolSpec(tuple(pulses), total, raw.get("frame", "rotating"),
-                                raw.get("delay_s", 0.0),
-                                tuple(raw["readout_times_s"])
-                                if "readout_times_s" in raw else None)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    dissipation = _dissipation_spec(raw["dissipation"], path) if "dissipation" in raw else None
-    readout = readout_matrices(raw["readout_matrix"], path) if "readout_matrix" in raw else None
-    return protocol, dissipation, readout
+    return parse(read_json(path, field), PROTOCOL_FIELDS, path, _protocol)
 
 
-def _dissipation_spec(raw, context):
-    """DissipationSpec from {"t1_s": [t1, t1], "t2_s": [t2 or null, t2 or null]}.
-
-    t2_s is optional.  Anything else is a ConfigError naming the field.
-    """
-    context = f"{context}: dissipation"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context} must be an object with t1_s and optional t2_s")
-    _check_keys(raw, ["t1_s", "t2_s"], context)
-    _require(raw, "t1_s", context)
-
-    def pair(key, nullable):
-        value = raw[key]
-        if not (isinstance(value, list) and len(value) == 2 and all(
-                isinstance(t, (int, float)) or (nullable and t is None) for t in value)):
-            raise ConfigError(f"{context}: {key} must be a pair of times, got {value!r}")
-        return tuple(value)
-
-    try:
-        return DissipationSpec(pair("t1_s", False),
-                               pair("t2_s", True) if raw.get("t2_s") is not None else None)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def readout_matrices(raw, context):
-    """Validate a readout_matrix entry: (matrix for qubit 1, matrix for qubit 2).
-
-    Accepts one 2x2 confusion matrix shared by both qubits or a pair of 2x2
-    matrices; every row must be a probability vector.
-    """
-    try:
-        m = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: readout_matrix: {exc}") from exc
-    if m.shape == (2, 2):
-        m = np.stack([m, m])
-    if m.shape != (2, 2, 2):
-        raise ConfigError(
-            f"{context}: readout_matrix must be 2x2 or a pair of 2x2, got shape {m.shape}")
-    try:
-        check_row_stochastic(m)
-    except StochasticityError as exc:
-        raise ConfigError(f"{context}: readout_matrix: {exc}") from exc
-    return m[0], m[1]
-
+# -------------------------------------------------------------- data files
 
 def load_admittance_csv(path):
-    """Read sampled response data: header freq_rad_s,re_y,im_y."""
+    """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ADMITTANCE_HEADER:
             raise ConfigError(
                 f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
-        omegas, values = [], []
-        for k, row in enumerate(reader):
-            if len(row) != 3:
-                raise ConfigError(f"{path}: line {k + 2}: expected 3 columns")
-            try:
-                omegas.append(float(row[0]))
-                values.append(complex(float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {k + 2}: {exc}") from exc
-    return np.array(omegas), np.array(values)
+        try:
+            table = np.array(list(reader), dtype=float)
+        except ValueError as exc:       # a cell that is no number, or rows of unequal length
+            raise ConfigError(f"{path}: {exc}") from exc
+    if table.ndim != 2 or table.shape[1] != 3 or not np.isfinite(table).all():
+        raise ConfigError(f"{path}: samples must be rows of 3 finite numbers")
+    return table[:, 0], table[:, 1:].copy().view(complex)[:, 0]    # (re, im) bit for bit
 
 
 def write_admittance_csv(path, omegas, values):

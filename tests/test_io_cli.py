@@ -97,6 +97,28 @@ class TestCircuitFile:
         with pytest.raises(ConfigError, match="exactly one"):
             load_circuit_file(write_json(tmp_path / "c.json", bad))
 
+    @pytest.mark.parametrize("change,field", [
+        ({"qubits": 5}, "qubits"),
+        ({"qubits[1]": {"ej_sum_hz": "x"}}, "qubits[1]:ej_sum_hz"),
+        ({"qubits[0]": {"ec_hz": True}}, "qubits[0]:ec_hz"),
+        ({"coupling": 3}, "coupling"),
+        ({"coupling": {"g_hz": "x"}}, "coupling:g_hz"),
+        ({"participation": [1, 2]}, "participation"),
+        ({"foster": [{"l_henries": "x", "c_farads": 1e-13}]}, "foster[0]:l_henries"),
+    ], ids=["qubits-not-list", "ej-not-number", "ec-boolean", "coupling-not-object",
+            "g-not-number", "participation-not-matrix", "foster-l-not-number"])
+    def test_circuit_file_error_exit_code(self, tmp_path, capsys, change, field):
+        circuit = self.good()
+        for key, value in change.items():
+            if key.startswith("qubits["):
+                circuit["qubits"][int(key[7])].update(value)
+            else:
+                circuit[key] = value
+        cfg = write_json(tmp_path / "cfg.json", {
+            "circuit": write_json(tmp_path / "circuit.json", circuit), "delta_hz": DELTAS})
+        assert main(["--config", cfg, "--out", str(tmp_path / "zz.csv"), "zz-sweep"]) == 2
+        assert f"circuit.json:{field}" in capsys.readouterr().err
+
     def test_foster_block_parsed(self, tmp_path):
         cfg = self.good()
         cfg["foster"] = [{"l_henries": 1e-9, "c_farads": 1e-13, "r_ohms": None}]
@@ -214,6 +236,17 @@ class TestZZSweepCommand:
         ("optimize", {"constraints": {"min_abs_anharmonicity_hz": "x"}},
          "min_abs_anharmonicity_hz"),
         ("optimize", {"fixed": [1, 2]}, "fixed"),
+        ("zz-sweep", {"delta_hz": [[1e9, 2e9]]}, "delta_hz"),
+        ("zz-sweep", {"delta_hz": [1e9, float("nan")]}, "delta_hz"),
+        ("zz-sweep", {"delta_hz": [1e9, float("inf")]}, "delta_hz"),
+        ("zz-sweep", {"delta_hz": {"start": float("nan"), "stop": 2e9, "num": 5}}, "start"),
+        ("blockade", {"readout_pad_s": True}, "readout_pad_s"),
+        ("optimize", {"variables": [1, 2]}, "variables[0]"),
+        ("optimize", {"variables": DESIGN_VARIABLES[:4]}, "c12_farads"),
+        ("optimize", {"strict_mode": "false"}, "strict_mode"),
+        # an int is no path: open() would take it for a file descriptor
+        ("blockade", {"protocol": 1 << 20}, "blockade:protocol"),
+        ("zz-sweep", {"delta_hz": DELTAS, "circuit": 1 << 20}, "zz-sweep:circuit"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -227,7 +260,10 @@ class TestZZSweepCommand:
             "optimize-seed-not-number", "optimize-negative-generations",
             "optimize-n-exc-not-number", "optimize-n-exc-below-two",
             "optimize-band-not-pairs", "optimize-anharmonicity-not-number",
-            "optimize-fixed-not-object"])
+            "optimize-fixed-not-object", "grid-nested", "grid-nan", "grid-infinite",
+            "grid-start-nan", "pad-boolean", "optimize-variables-not-objects",
+            "optimize-variable-unset", "optimize-strict-mode-string", "protocol-not-path",
+            "circuit-not-path"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
@@ -235,6 +271,25 @@ class TestZZSweepCommand:
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
                      command]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zz-sweep", "blockade", "flux-spectroscopy",
+                                         "optimize", "ramsey"])
+    @pytest.mark.parametrize("config", [[], 3])
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys, command, config):
+        bad = write_json(tmp_path / "cfg.json", config)
+        assert main(["--config", bad, "--out", str(tmp_path / "x.csv"), command]) == 2
+        assert f"{command} must be an object" in capsys.readouterr().err
+
+    def test_missing_input_file_exit_code(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        for command, cfg in [("zz-sweep", {"circuit": missing, "delta_hz": DELTAS}),
+                             ("blockade", {"protocol": missing, "fixture": "chip1"})]:
+            key = "circuit" if command == "zz-sweep" else "protocol"
+            bad = write_json(tmp_path / "cfg.json", cfg)
+            assert main(["--config", bad, "--out", str(tmp_path / "x.csv"), command]) == 2
+            assert f"{command}:{key}: cannot read" in capsys.readouterr().err
+        assert main(["--config", missing, "--out", str(tmp_path / "x.csv"), "ramsey"]) == 2
+        assert "--config: cannot read" in capsys.readouterr().err
 
     def test_design_config_base_is_valid(self, tmp_path):
         # the optimize error cases above differ from this config in one key

@@ -28,7 +28,6 @@ from .dynamics import (
     pi_pulse,
     pulse_spectral_power,
     run_blockade_grid,
-    run_blockade_protocol,
     run_conditional_ramsey,
 )
 from .errors import (
@@ -92,7 +91,8 @@ ZZ_SWEEP_FIELDS = (
     FIXTURE, Field("circuit", zio.string, None),
     Field("inline", zio.record(tuple(Field(k, zio.number) for k in INLINE_KEYS)), None),
     Field("delta_hz", zio.grid),
-    Field("levels_per_mode", zio.array(2, element=zio.integer), (4, 4)),
+    Field("levels_per_mode", zio.array(2, element=zio.integer), (4, 4),
+          (lambda levels: 2 <= min(levels) and max(levels) <= 20, "entries must be 2 to 20")),
     Field("max_total_excitation", zio.optional(zio.integer), 4),
     Field("series_order", zio.integer, 4),
     Field("spectrum_json", zio.optional(zio.string), None),
@@ -198,38 +198,32 @@ def cmd_blockade(cfg, out):
     with zio.config_errors("blockade"):
         system = _blockade_system(cfg)
 
+    lengths, shape, sigma = cfg["pulse_lengths_s"], cfg["shape"], cfg["gaussian_sigma_s"]
     if cfg["protocol"] is not None:
-        # explicit protocol file: run the single sequence as written
+        # explicit protocol file: the single sequence as written, a one-point grid
         protocol, dissipation, readout = zio.load_protocol_file(cfg["protocol"],
                                                                 "blockade:protocol")
-        result = run_blockade_protocol(system, protocol, dissipation)
-        row = _blockade_row(protocol.delay_s, max(p.duration_s for p in protocol.pulses),
-                            float(result.p_excited(1)[-1]), float(result.p_excited(2)[-1]),
-                            readout)
-        zio.write_blockade_csv(out, [row], with_measured=readout is not None)
-        zio.read_blockade_csv(out)
-        return EXIT_OK
-    lengths, shape, sigma = cfg["pulse_lengths_s"], cfg["shape"], cfg["gaussian_sigma_s"]
-    readout = cfg["readout_matrix"]
-    with zio.config_errors("blockade"):
-        # every protocol is built, and so checked, before any is simulated
-        points = [(delay, length, make_blockade_protocol(
-            system, length, delay, shape=shape, frame=cfg["frame"],
-            carrier_convention=cfg["carrier_convention"], gaussian_sigma_s=sigma,
-            readout_pad_s=cfg["readout_pad_s"]))
-            for delay in cfg["delays_s"] for length in lengths]
+        points = [(protocol.delay_s, max(p.duration_s for p in protocol.pulses), protocol)]
+    else:
+        dissipation, readout = cfg["dissipation"], cfg["readout_matrix"]
+        with zio.config_errors("blockade"):
+            # every protocol is built, and so checked, before any is simulated
+            points = [(delay, length, make_blockade_protocol(
+                system, length, delay, shape=shape, frame=cfg["frame"],
+                carrier_convention=cfg["carrier_convention"], gaussian_sigma_s=sigma,
+                readout_pad_s=cfg["readout_pad_s"]))
+                for delay in cfg["delays_s"] for length in lengths]
 
     rows = []
     if points:
-        result = run_blockade_grid(system, [protocol for *_, protocol in points],
-                                   cfg["dissipation"])
+        result = run_blockade_grid(system, [protocol for *_, protocol in points], dissipation)
         rows = [_blockade_row(delay, length, p1, p2, readout) for (delay, length, _), p1, p2
                 in zip(points, result.p_excited(1).tolist(), result.p_excited(2).tolist())]
     zio.write_blockade_csv(out, rows, with_measured=readout is not None)
     zio.read_blockade_csv(out)
 
     spectral = cfg["spectral"]
-    if spectral is not None:
+    if spectral is not None and cfg["protocol"] is None:
         offset = abs(system.zeta_hz) if spectral["offset_hz"] is None else spectral["offset_hz"]
         spath = str(out) + ".spectral.csv" if spectral["out"] is None else spectral["out"]
         srows = []
@@ -317,7 +311,8 @@ CONSTRAINT_FIELDS = (Field("freq_band_hz", zio.array(2, 2), ConstraintSet.freq_b
     Field(k, zio.number, getattr(ConstraintSet, k))
     for k in ("min_abs_anharmonicity_hz", "min_ej_ec_ratio", "max_j_over_delta"))
 DE_FIELDS = (
-    Field("population", zio.optional(zio.integer), DEParams.population),
+    Field("population", zio.optional(zio.integer), DEParams.population,
+          (lambda n: n is None or n <= 1000, "must be at most 1000")),
     Field("generations", zio.integer, DEParams.generations),
     Field("mutation", zio.number, DEParams.mutation),
     Field("crossover", zio.number, DEParams.crossover),
@@ -363,7 +358,8 @@ def cmd_optimize(cfg, out, seed_override=None):
 def cmd_foster_fit(samples_csv, n_poles, out):
     from .vectorfit import foster_from_fit, vector_fit
     omegas, values = zio.load_admittance_csv(samples_csv)
-    fit = vector_fit((omegas, values), n_poles)
+    with zio.config_errors(f"foster-fit {samples_csv} --n-poles {n_poles}"):
+        fit = vector_fit((omegas, values), n_poles)
     modes = foster_from_fit(fit)
     payload = {
         "fit_error": fit.fit_error,

@@ -64,13 +64,19 @@ def _fmt(x):
 
 # ------------------------------------------------------------ config schema
 
+def _open(path, field, newline=None):
+    """The file at path, which the config field or flag `field` names, open for reading."""
+    try:
+        return open(path, newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot read {path}: {exc.strerror}") from exc
+
+
 def read_json(path, field):
     """The JSON value in the file at path, which the config field `field` names."""
     try:
-        with open(path) as fh:
+        with _open(path, field) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{field}: cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:       # invalid JSON, undecodable bytes, overlong integers
         raise ConfigError(f"{field}: {path}: invalid JSON ({exc})") from exc
 
@@ -183,7 +189,8 @@ def array(*shape, element=number):
 
 numbers = array(None)
 GRID_FIELDS = (Field("start", number), Field("stop", number),
-               Field("num", integer, check=(lambda n: n >= 2, "must be at least 2")))
+               Field("num", integer, check=(lambda n: 2 <= n <= 100_000,
+                                            "must be between 2 and 100000")))
 
 
 def grid(value, path):
@@ -303,9 +310,9 @@ def load_protocol_file(path, field="protocol"):
 
 # -------------------------------------------------------------- data files
 
-def load_admittance_csv(path):
+def load_admittance_csv(path, field="samples_csv"):
     """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers."""
-    with open(path, newline="") as fh:
+    with _open(path, field, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ADMITTANCE_HEADER:

@@ -5,25 +5,25 @@ The truncated Hamiltonian of two exchange-coupled Kerr modes is
     H = sum_m [w_m n_m + (alpha_m/2) n_m (n_m - 1)] - chi n_1 n_2
         + g (a1^dag a2 + a1 a2^dag),
 
-diagonal in the product Fock basis except for the excitation-conserving
-flip-flop term.  Dressed eigenstates are matched to bare labels by the
-optimal assignment of squared overlaps; the ZZ strength is then
+diagonal in the product Fock basis except for the flip-flop term, which
+conserves N = n1 + n2.  Within each N block, dressed eigenstates are matched
+to bare labels by the optimal assignment of squared overlaps; zeta is then
 
     zeta = E_11 - E_10 - E_01 + E_00,
 
 and its perturbative counterparts (second-order elimination of |20>, |02>
 and the high-detuning series) are provided for cross-validation.
 
-N = n1 + n2 is conserved and zeta needs only the blocks N <= 2: dressed_blocks
-solves just those, stacked over sweeps, flux scans and optimizer populations;
-the dense build_hamiltonian/diagonalize_and_label pair serves spectrum dumps.
+zeta needs only the blocks N <= 2: dressed_blocks solves just those, stacked
+over sweeps, flux scans and optimizer populations; diagonalize_and_label
+solves every block of a truncation, for spectrum dumps.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .circuit import kerr_from_spectra, transmon_spectrum
 from .errors import (
@@ -78,8 +78,8 @@ def build_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
 
     chi is the participation-derived chi_12 plus any explicit bare term.  With
     >= 3 levels per mode and max_total_excitation >= 2 (or None), larger
-    truncations leave zeta unchanged up to rounding (barring exact degeneracies
-    between blocks) and set only the size of the problem and of a dump.
+    truncations keep the N <= 2 blocks, and so zeta, as they are and set only
+    the size of the problem and of a dump.
     """
     if params.n_modes != 2:
         raise ValueError("build_hamiltonian expects exactly two modes")
@@ -103,59 +103,56 @@ class LabeledSpectrum:
     eigenvectors: dict        # (n1, n2) -> eigenvector in the truncated basis
     ambiguous: frozenset      # labels whose overlap is at or below 1/2
     basis_labels: tuple
-    all_eigenvalues: np.ndarray
-    total_excitation: np.ndarray   # <n1 + n2> per eigenstate (integers: N is conserved)
 
     def single_excitation_energies(self):
-        """The two dressed eigenvalues living in the one-excitation manifold."""
-        sel = np.isclose(self.total_excitation, 1.0, atol=1e-6)
-        vals = np.sort(self.all_eigenvalues[sel])
-        if vals.shape[0] != 2:
-            raise ValueError("expected exactly two single-excitation eigenstates")
-        return vals
-
-
-def diagonalize_and_label(ham):
-    """Diagonalize and assign each bare label to a distinct eigenstate.
-
-    Labeling is the optimal assignment: the label-to-eigenstate matching that
-    maximizes the summed squared overlap (Kuhn's Hungarian method, via
-    scipy's linear_sum_assignment).  Every row and column of |U|^2 sums to 1,
-    so a label with overlap above 1/2 always gets the eigenstate it overlaps
-    most with.  Labels whose final overlap is <= 1/2 are flagged ambiguous
-    rather than rejected, so near-resonant spectra stay usable.
-    """
-    evals, evecs = np.linalg.eigh(ham.matrix)
-    labels = ham.basis_labels
-    overlap = np.abs(evecs) ** 2        # overlap[i, k] = |<label_i|evec_k>|^2
-    rows, cols = linear_sum_assignment(-overlap)
-
-    number = np.array([i + j for i, j in labels], dtype=float)
-    energies, overlaps, vectors, ambiguous = {}, {}, {}, []
-    for i, k in zip(rows.tolist(), cols.tolist()):
-        lab = labels[i]
-        energies[lab] = float(evals[k])
-        overlaps[lab] = float(overlap[i, k])
-        vectors[lab] = evecs[:, k]
-        if overlap[i, k] <= AMBIGUITY_THRESHOLD + 1e-9:
-            ambiguous.append(lab)
-    return LabeledSpectrum(energies, overlaps, vectors, frozenset(ambiguous), labels, evals,
-                           total_excitation=number @ overlap)
+        """The two dressed eigenvalues of the one-excitation block, ascending."""
+        return np.sort([self.energies[(0, 1)], self.energies[(1, 0)]])
 
 
 def _assign(blocks):
-    """Eigenvalues of a (K, n, n) stack, and each basis label's energy and overlap.
+    """Eigenpairs of a (K, n, n) stack, each label's eigenstate, energy and overlap.
 
-    The assignment maximizes the summed squared overlap, as in
-    diagonalize_and_label; with n <= 3, every permutation is scored at once.
+    Returns evals (K, n), evecs (K, n, n), cols (K, n), the eigenstate of each
+    basis label, and that eigenstate's energy and squared overlap (K, n).  The
+    assignment maximizes the summed squared overlap: up to n = 4 by scoring
+    every permutation at once, above that (n! outgrows memory) by scipy's
+    Hungarian linear_sum_assignment per block.
     """
     evals, evecs = np.linalg.eigh(blocks)
     overlap = np.abs(evecs) ** 2                      # (K, label, eigenstate)
     n = blocks.shape[-1]
-    perms = np.array(list(itertools.permutations(range(n))))
-    cols = perms[np.argmax(overlap[:, np.arange(n), perms].sum(-1), axis=1)]
-    return (evals, np.take_along_axis(evals, cols, axis=1),
+    if n <= 4:
+        perms = np.array(list(itertools.permutations(range(n))))
+        cols = perms[np.argmax(overlap[:, np.arange(n), perms].sum(-1), axis=1)]
+    else:
+        from scipy.optimize import linear_sum_assignment
+        cols = np.array([linear_sum_assignment(-o)[1] for o in overlap])
+    return (evals, evecs, cols, np.take_along_axis(evals, cols, axis=1),
             np.take_along_axis(overlap, cols[..., None], axis=2)[..., 0])
+
+
+def diagonalize_and_label(ham):
+    """Diagonalize and label each N = n1 + n2 block of ham with _assign.
+
+    Block eigenvectors are embedded in the full basis.  Labels whose assigned
+    overlap is at or below 1/2 are flagged ambiguous rather than rejected, so
+    near-resonant spectra stay usable.  Raises ValueError when ham couples
+    different N.
+    """
+    labels = ham.basis_labels
+    number = np.array([i + j for i, j in labels])
+    if np.any(ham.matrix[number[:, None] != number]):
+        raise ValueError("Hamiltonian couples different excitation numbers n1 + n2")
+    size = len(labels)
+    energies, overlaps, vectors = np.zeros(size), np.zeros(size), np.zeros((size, size))
+    for n in np.unique(number):
+        idx = np.flatnonzero(number == n)
+        _, (v,), (cols,), (e,), (o,) = _assign(ham.matrix[np.ix_(idx, idx)][None])
+        energies[idx], overlaps[idx], vectors[np.ix_(idx, idx)] = e, o, v[:, cols]
+    ambiguous = frozenset(itertools.compress(labels, overlaps <= AMBIGUITY_THRESHOLD + 1e-9))
+    return LabeledSpectrum(dict(zip(labels, energies.tolist())),
+                           dict(zip(labels, overlaps.tolist())), dict(zip(labels, vectors.T)),
+                           ambiguous, labels)
 
 
 def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
@@ -168,10 +165,10 @@ def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
     build_hamiltonian (chi the total cross-Kerr), broadcast together.  The
     N = 1 block holds (0, 1), (1, 0), the N = 2 block those of (0, 2), (1, 1),
     (2, 0) that levels_per_mode keeps, and E_00 = 0.  One stacked eigh per
-    block size and labeling inside each block agree with diagonalize_and_label
-    at the same truncation, barring exact degeneracies between blocks; with
-    ambiguous one-excitation labels zeta equals zeta_resonant.  Raises
-    TruncationError below two levels per mode, and AmbiguousLabelError when
+    block size and the labeling of _assign give the labels, energies and flags
+    of diagonalize_and_label at the same truncation; with ambiguous
+    one-excitation labels zeta equals zeta_resonant.  Raises TruncationError
+    below two levels per mode, and AmbiguousLabelError when
     max_total_excitation drops a computational label.
     """
     if min(levels_per_mode) < 2:
@@ -183,8 +180,8 @@ def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (w1, w2, a1, a2, chi, g)))
     labels = [[(i, n - i) for i in range(n + 1)
                if i < levels_per_mode[0] and n - i < levels_per_mode[1]] for n in (1, 2)]
-    pair, e1, o1 = _assign(_kerr_matrices(labels[0], *params))
-    _, e2, o2 = _assign(_kerr_matrices(labels[1], *params))
+    (pair, *_, e1, o1), (*_, e2, o2) = (_assign(_kerr_matrices(lab, *params))
+                                        for lab in labels)
     k11 = labels[1].index((1, 1))
     ambiguous = np.stack([o1[:, 0], o1[:, 1], o2[:, k11]], -1) <= AMBIGUITY_THRESHOLD + 1e-9
     return e2[:, k11] - e1[:, 1] - e1[:, 0], pair, ambiguous

@@ -172,10 +172,10 @@ def vector_fit(samples, n_poles, max_rounds=DEFAULT_MAX_ROUNDS,
     """Fit sampled (omega_rad_s, complex response) data with n_poles poles.
 
     samples may be an (N, 2)-like sequence of (omega, value) pairs or a tuple
-    of two arrays.  Needs at least 4*n_poles samples on a strictly increasing
-    frequency grid.  Raises FitDivergedError when no relocation round improves
-    on the first one and the residual is still large, and IllConditionedError
-    for a rank-deficient normal system.
+    of two arrays.  Needs n_poles >= 1 and at least 4*n_poles samples on a
+    strictly increasing frequency grid.  Raises FitDivergedError when no
+    relocation round improves on the first one and the residual is still
+    large, and IllConditionedError for a rank-deficient normal system.
     """
     if isinstance(samples, tuple) and len(samples) == 2:
         omegas = np.asarray(samples[0], dtype=float)
@@ -184,6 +184,8 @@ def vector_fit(samples, n_poles, max_rounds=DEFAULT_MAX_ROUNDS,
         arr = list(samples)
         omegas = np.array([p[0] for p in arr], dtype=float)
         values = np.array([p[1] for p in arr], dtype=complex)
+    if n_poles < 1:
+        raise ValueError(f"need at least one pole, got {n_poles}")
     if len(omegas) < 4 * n_poles:
         raise ValueError(f"need >= {4 * n_poles} samples for {n_poles} poles")
     if np.any(np.diff(omegas) <= 0):

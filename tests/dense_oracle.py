@@ -1,4 +1,4 @@
-"""Per-point dense Hamiltonians and Liouvillians: the old solver, kept as a test oracle.
+"""Dense Hamiltonians, Liouvillians and spectra: the old solvers, kept as test oracles.
 
 One protocol's H(t) is built pulse by pulse as a full 4x4 matrix: the static
 part of its frame plus, for every pulse, its envelope (PulseSpec.envelope)
@@ -12,14 +12,22 @@ solve_ivp_segment is the old DOP853 segment: scipy's solve_ivp, which asks
 for the coefficients one stage time at a time.  zzkit.dynamics runs the same
 algorithm with one coefficient evaluation per step; the tests hold it to
 solve_ivp's states and step counts.
+
+dense_labeling is the old dressed spectrum: one eigh of the whole truncated
+matrix and the optimal assignment of all its labels at once, by scipy's
+linear_sum_assignment.  zzkit.spectrum diagonalizes and labels each block of
+conserved n1 + n2 on its own; the tests hold it to these labels, flags and
+energies.
 """
 
 from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import linear_sum_assignment
 
 from zzkit.errors import StiffnessError
+from zzkit.spectrum import AMBIGUITY_THRESHOLD, LabeledSpectrum
 
 SegmentCounts = namedtuple("SegmentCounts", "probes attempts accepted dense")
 
@@ -33,6 +41,24 @@ N1 = np.diag([0.0, 0.0, 1.0, 1.0])
 N2 = np.diag([0.0, 1.0, 0.0, 1.0])
 FLIP_FLOP = np.zeros((4, 4), dtype=complex)
 FLIP_FLOP[2, 1] = 1.0                                  # |10><01|
+
+
+def dense_labeling(ham):
+    """The LabeledSpectrum of a TruncatedHamiltonian from one dense eigh, and its N = 1 pair.
+
+    The pair is the two eigenvalues whose <n1 + n2> is 1, ascending.
+    """
+    labels = ham.basis_labels
+    evals, evecs = np.linalg.eigh(ham.matrix)
+    overlap = np.abs(evecs) ** 2        # overlap[i, k] = |<label_i|evec_k>|^2
+    rows, cols = linear_sum_assignment(-overlap)
+    match = [(labels[i], k, overlap[i, k]) for i, k in zip(rows.tolist(), cols.tolist())]
+    spec = LabeledSpectrum(
+        {lab: float(evals[k]) for lab, k, _ in match}, {lab: float(o) for lab, _, o in match},
+        {lab: evecs[:, k] for lab, k, _ in match},
+        frozenset(lab for lab, _, o in match if o <= AMBIGUITY_THRESHOLD + 1e-9), labels)
+    number = np.array([i + j for i, j in labels], dtype=float) @ overlap
+    return spec, np.sort(evals[np.isclose(number, 1.0, atol=1e-6)])
 
 
 def hamiltonian(system, protocol, frame_freqs_hz=None, include_exchange=True):

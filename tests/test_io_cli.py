@@ -26,6 +26,7 @@ from zzkit.errors import AmbiguousLabelError, ConfigError
 from zzkit.io import (
     load_admittance_csv,
     load_circuit_file,
+    load_protocol_file,
     read_blockade_csv,
     read_history_csv,
     read_ramsey_csv,
@@ -247,6 +248,13 @@ class TestZZSweepCommand:
         # an int is no path: open() would take it for a file descriptor
         ("blockade", {"protocol": 1 << 20}, "blockade:protocol"),
         ("zz-sweep", {"delta_hz": DELTAS, "circuit": 1 << 20}, "zz-sweep:circuit"),
+        # sizes past the schema's bounds: memory or time would run out first
+        ("zz-sweep", {"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": 1e12}},
+         "delta_hz:num"),
+        ("optimize", {"de": {"population": 1001, "generations": 2}}, "de:population"),
+        ("zz-sweep", {"delta_hz": DELTAS, "levels_per_mode": [21, 3]}, "levels_per_mode"),
+        # below two levels a mode has no |1>
+        ("zz-sweep", {"delta_hz": DELTAS, "levels_per_mode": [1, 3]}, "levels_per_mode"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -263,7 +271,8 @@ class TestZZSweepCommand:
             "optimize-fixed-not-object", "grid-nested", "grid-nan", "grid-infinite",
             "grid-start-nan", "pad-boolean", "optimize-variables-not-objects",
             "optimize-variable-unset", "optimize-strict-mode-string", "protocol-not-path",
-            "circuit-not-path"])
+            "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
+            "levels-too-large", "levels-below-two"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
@@ -401,6 +410,32 @@ class TestBlockadeCommand:
         if "spectral" in cfg:
             assert (tmp_path / "b.csv.spectral.csv").read_text().splitlines()[0] == \
                 "pulse_len_s,spectral_fraction"
+
+    @pytest.mark.parametrize("dissipation", [None, {"t1_s": [7.8e-6, 8.8e-6]}],
+                             ids=["closed", "lindblad"])
+    def test_protocol_file_row_is_the_protocol_run_readout(self, tmp_path, dissipation):
+        # a protocol file runs as a one-point grid: in the rotating frame its row
+        # is the per-point run's last population
+        protocol = {"delay_s": 40e-9, "pulses": [
+            {"shape": "truncated_cosine", "amplitude_hz": 1.0 / 20e-9, "duration_s": 20e-9,
+             "carrier_hz": 4.498e9, "target_qubit": 2},
+            {"shape": "truncated_cosine", "amplitude_hz": 1.0 / 20e-9, "duration_s": 20e-9,
+             "carrier_hz": 6.307e9, "start_time_s": 40e-9}]}
+        if dissipation is not None:
+            protocol["dissipation"] = dissipation
+        ppath = write_json(tmp_path / "protocol.json", protocol)
+        system = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "omega1_hz": system.omega1_hz, "omega2_hz": system.omega2_hz,
+            "zeta_hz": system.zeta_hz, "protocol": ppath})
+        out = str(tmp_path / "b.csv")
+        assert main(["--config", cfg, "--out", out, "blockade"]) == 0
+        row, = read_blockade_csv(out)
+        spec, dissipation, _ = load_protocol_file(ppath)
+        want = run_blockade_protocol(system, spec, dissipation)
+        assert (row["delay_s"], row["pulse_len_s"]) == (40e-9, 20e-9)
+        assert row["p1_e"] == pytest.approx(want.p_excited(1)[-1], abs=1e-12)
+        assert row["p2_e"] == pytest.approx(want.p_excited(2)[-1], abs=1e-12)
 
     def test_grid_rows_keep_their_order(self, tmp_path):
         # delays outer, lengths inner, as the grid is written in the config
@@ -678,6 +713,25 @@ class TestFosterFitCommand:
         p.write_text("a,b,c\n1,2,3\n")
         assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(p),
                      "--n-poles", "2"]) == 2
+
+    @pytest.mark.parametrize("samples,n_poles,message", [
+        (None, 2, "samples_csv: cannot read"),
+        ("increasing", 12, "--n-poles 12: need >= 48 samples"),
+        ("decreasing", 2, "strictly increasing"),
+        ("increasing", 0, "--n-poles 0: need at least one pole"),
+        ("increasing", -1, "--n-poles -1: need at least one pole"),
+    ], ids=["missing-file", "too-few-samples", "decreasing-frequencies", "zero-poles",
+            "negative-poles"])
+    def test_input_errors_exit_code(self, tmp_path, capsys, samples, n_poles, message):
+        p = tmp_path / "z.csv"
+        if samples is not None:
+            omegas = 2 * np.pi * np.linspace(1e9, 9e9, 40)
+            z = foster_impedance([FosterMode(1e-9, 1e-12)], omegas)
+            step = 1 if samples == "increasing" else -1
+            write_admittance_csv(p, omegas[::step], z[::step])
+        assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(p),
+                     "--n-poles", str(n_poles)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRamseyCommand:

@@ -27,9 +27,10 @@ from zzkit.errors import (
     PoleError,
     TruncationError,
 )
-from zzkit.spectrum import dressed_blocks, single_excitation_scan
+from zzkit.spectrum import TruncatedHamiltonian, dressed_blocks, single_excitation_scan
 
 from conftest import make_transmon
+from dense_oracle import dense_labeling
 
 CHIP1_BETA5 = 3.81259047e6
 
@@ -41,6 +42,14 @@ def kerr(w1=6.27e9, w2=4.27e9, a1=-351e6, a2=-312e6, g=0.2e9, chi=0.0):
 
 def labeled(params, levels=(4, 4), max_exc=4):
     return diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
+
+
+def assert_same_labeling(spec, want):
+    """The same labels and ambiguous set, and energies within rel 1e-10 / abs 1e-4 Hz."""
+    assert list(spec.energies) == list(want.energies)
+    assert spec.ambiguous == want.ambiguous
+    for lab, energy in want.energies.items():
+        assert spec.energies[lab] == pytest.approx(energy, rel=1e-10, abs=1e-4), lab
 
 
 class TestBuildHamiltonian:
@@ -92,6 +101,50 @@ class TestLabeling:
         spec = labeled(kerr(w2=6.27e9, g=0.2e9))
         assert (1, 0) in spec.ambiguous and (0, 1) in spec.ambiguous
         assert spec.overlaps[(1, 0)] == pytest.approx(0.5, abs=1e-6)
+
+    # transmon-like modes below the 2:1 resonance w1 = 2 w2, where |10> would meet
+    # |02> across blocks and the dense eigh mix them; with g >= 20 MHz even the
+    # fifth-order splitting of |05>, |50> at equal modes is far above rounding
+    @given(w=st.tuples(st.floats(4.5e9, 7.5e9), st.floats(4.5e9, 7.5e9)),
+           alpha=st.tuples(st.floats(-400e6, -100e6), st.floats(-400e6, -100e6)),
+           g=st.floats(20e6, 300e6), chi=st.floats(-20e6, 20e6),
+           levels=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+           cap=st.one_of(st.none(), st.integers(0, 10)))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_blocks_match_dense_labeling(self, w, alpha, g, chi, levels, cap):
+        # equal modes (drawn at the bounds) hybridize degenerate pairs such as
+        # |12>, |21> half and half, and every assignment of such a pair is
+        # optimal: so the optimum, the labels above 1/2 overlap and each
+        # block's energies are compared
+        ham = build_hamiltonian(kerr(*w, *alpha, g=g, chi=chi), levels, cap)
+        spec = diagonalize_and_label(ham)
+        want, _ = dense_labeling(ham)
+        assert list(spec.energies) == list(want.energies)
+        assert sum(spec.overlaps.values()) == pytest.approx(sum(want.overlaps.values()),
+                                                            abs=1e-6)
+        for lab, overlap in want.overlaps.items():
+            if overlap > 0.5 + 1e-6:
+                assert lab not in spec.ambiguous
+                assert spec.energies[lab] == pytest.approx(want.energies[lab], rel=1e-10,
+                                                           abs=1e-4), lab
+        for n in {i + j for i, j in ham.basis_labels}:
+            block = [lab for lab in ham.basis_labels if sum(lab) == n]
+            np.testing.assert_allclose(sorted(spec.energies[lab] for lab in block),
+                                       sorted(want.energies[lab] for lab in block),
+                                       rtol=1e-10, atol=1e-4)
+        # each label's block eigenvector, embedded in the full basis, is an eigenvector of H
+        scale = np.linalg.norm(ham.matrix, 2)
+        for lab, vec in spec.eigenvectors.items():
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            res = np.linalg.norm(ham.matrix @ vec - spec.energies[lab] * vec)
+            assert res <= 1e-12 * scale, lab
+
+    def test_excitation_number_mixing_rejected(self):
+        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
+        h = np.diag([0.0, 4.3e9, 6.3e9, 10.6e9])
+        h[0, 3] = h[3, 0] = 0.1e9          # |00> <-> |11> does not conserve n1 + n2
+        with pytest.raises(ValueError, match="excitation numbers"):
+            diagonalize_and_label(TruncatedHamiltonian(h, labels, (2, 2)))
 
 
 class TestZetaExact:
@@ -145,17 +198,25 @@ class TestDressedBlocks:
     DELTAS = np.concatenate([np.linspace(-1.2e9, 2.2e9, 341), [0.0, 351e6, -312e6]])
 
     def dense(self, delta, g, levels, cap, chi=0.0):
-        spec = labeled(kerr(w1=self.W1, w2=self.W1 - delta, a1=self.A1, a2=self.A2,
-                            g=g, chi=chi), levels, cap)
+        """The dense oracle's zeta, flags and one-excitation pair.
+
+        diagonalize_and_label must give the oracle's labels, flags and energies.
+        """
+        ham = build_hamiltonian(kerr(w1=self.W1, w2=self.W1 - delta, a1=self.A1, a2=self.A2,
+                                     g=g, chi=chi), levels, cap)
+        spec, pair = dense_labeling(ham)
+        assert_same_labeling(diagonalize_and_label(ham), spec)
         try:
             zeta = zeta_exact(spec)
         except AmbiguousLabelError:
             zeta = zeta_resonant(spec)
         flags = [lab in spec.ambiguous for lab in ((0, 1), (1, 0), (1, 1))]
-        return zeta, flags, spec.single_excitation_energies()
+        return zeta, flags, pair
 
+    # (10, 10): blocks of up to 10 states take _assign's Hungarian branch
     @pytest.mark.parametrize("levels,cap", [((4, 4), 4), ((3, 3), None), ((5, 5), 3),
-                                            ((6, 6), None), ((2, 3), 2), ((2, 2), None)])
+                                            ((6, 6), None), ((2, 3), 2), ((2, 2), None),
+                                            ((10, 10), None)])
     def test_matches_dense_labeling(self, levels, cap):
         g = 0.02 * np.sqrt(self.W1 * (self.W1 - self.DELTAS))
         zetas, pairs, ambiguous = dressed_blocks(self.W1, self.W1 - self.DELTAS, self.A1,
@@ -290,9 +351,7 @@ class TestPauliDecomposition:
         flat = {lab: 1.0e9 for lab in spec.energies}
         flat_spec = type(spec)(
             energies=flat, overlaps=spec.overlaps, eigenvectors=spec.eigenvectors,
-            ambiguous=frozenset(), basis_labels=spec.basis_labels,
-            all_eigenvalues=spec.all_eigenvalues,
-            total_excitation=spec.total_excitation)
+            ambiguous=frozenset(), basis_labels=spec.basis_labels)
         decomp = pauli_decomposition(flat_spec)
         assert decomp.beta_hz[1] == decomp.beta_hz[4] == decomp.beta_hz[5] == 0.0
 

@@ -316,7 +316,8 @@ DE_FIELDS = (
     Field("generations", zio.integer, DEParams.generations),
     Field("mutation", zio.number, DEParams.mutation),
     Field("crossover", zio.number, DEParams.crossover),
-    Field("seed", zio.optional(zio.integer), DEParams.seed),
+    Field("seed", zio.optional(zio.integer), DEParams.seed,
+          (lambda n: n is None or n >= 0, "must be non-negative")),
 )
 OPTIMIZE_FIELDS = (
     Field("kind", zio.choice("circuit", "rosenbrock"), "circuit"),
@@ -436,6 +437,8 @@ def main(argv=None):
         if args.config is None:
             raise ConfigError("--config is required for this command")
         cfg = zio.read_json(args.config, "--config")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "optimize":
             return cmd_optimize(cfg, args.out, args.seed)
         return {"zz-sweep": cmd_zz_sweep, "blockade": cmd_blockade, "ramsey": cmd_ramsey,

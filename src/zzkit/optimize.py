@@ -16,9 +16,9 @@ and two infeasible candidates compete on total constraint violation so an
 all-infeasible population can still move toward feasibility.  The literal
 accept-only-feasible-improvements rule is available as strict_mode.
 
-A population evaluator (evaluate_population by default) scores each
-generation's trials in one call, as stacked arrays.  Every candidate index
-owns a seed-derived RNG stream, so a run is reproducible from its seed.
+A population evaluator (evaluate_population by default) scores a whole
+generation in one call, as columns or as one Candidate per row.  One
+generator per run makes a run reproducible from its seed.
 """
 
 from dataclasses import dataclass, field
@@ -110,10 +110,6 @@ class OptimizationProblem:
     def bounds(self):
         return np.array([[v[1], v[2]] for v in self.variables], dtype=float)
 
-    @property
-    def dimension(self):
-        return len(self.variables)
-
     def decode(self, x):
         """Name -> value of every variable; a (K, dim) stack gives (K,) columns."""
         values = dict(self.fixed)
@@ -133,24 +129,48 @@ class Candidate:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
-    @property
-    def total_violation(self):
-        return sum(max(s, 0.0) for _, s in self.violations)
 
+@dataclass(frozen=True)
+class Population:
+    """Evaluated design points as columns; row k reads as a Candidate."""
 
-def _objective(problem, cand):
-    if not cand.feasible or cand.zeta_hz is None:
-        return -np.inf
-    return abs(cand.zeta_hz) if problem.objective == "abs" else cand.zeta_hz
+    x: np.ndarray              # (K, dim)
+    zeta_hz: np.ndarray        # nan where a row has none
+    feasible: np.ndarray
+    error: np.ndarray          # 'evaluation_error:<cause>' or None
+    names: tuple               # constraint names
+    slacks: np.ndarray         # (K, len(names)), positive = violated; not read on error rows
+
+    @classmethod
+    def of_candidates(cls, candidates):
+        """The columns of one Candidate per row, named as its first non-error row."""
+        names = [tuple(n for n, _ in c.violations) for c in candidates]
+        error = [n[0] if n and n[0].startswith("evaluation_error:") else None for n in names]
+        names = next((n for n, e in zip(names, error) if e is None), ())
+        slacks = [[dict(c.violations).get(n, np.nan) for n in names] for c in candidates]
+        return cls(np.array([c.x for c in candidates]),
+                   np.array([c.zeta_hz for c in candidates], dtype=float),     # None -> nan
+                   np.array([c.feasible for c in candidates]), np.array(error, dtype=object),
+                   names, np.array(slacks, dtype=float))
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, k):
+        if self.error[k]:
+            return Candidate(self.x[k], None, False, ((self.error[k], 1.0),))
+        zeta = float(self.zeta_hz[k])
+        return Candidate(self.x[k], None if np.isnan(zeta) else zeta, bool(self.feasible[k]),
+                         tuple(zip(self.names, self.slacks[k].tolist())))
 
 
 def evaluate_population(xs, problem):
     """Build the circuits of a (K, dim) stack of design points and score C1-C5.
 
     Transmons (Mathieu levels) and N <= 2 spectral blocks are solved as stacked
-    arrays.  A point with an unphysical circuit (a non-positive capacitance or
-    energy, E_J/E_C < 1) or ambiguous computational labels is infeasible with
-    one 'evaluation_error' violation.  Returns one Candidate per row.
+    arrays, and the rows come back as one Population.  A point with an unphysical
+    circuit (a non-positive capacitance or energy, E_J/E_C < 1) or ambiguous
+    computational labels is infeasible with one 'evaluation_error' violation.
     """
     xs = np.asarray(xs, dtype=float)
     values = problem.decode(xs)
@@ -171,12 +191,12 @@ def evaluate_population(xs, problem):
         g = Coupling(c12_farads=c12, csigma_farads=tuple(csig)).g_at(w[0], w[1])
         delta = np.abs(w[0] - w[1])
         j_over_delta = np.where(delta == 0, np.inf, g / delta)
-    zeta, error = np.full(len(xs), np.nan), np.where(ok, None, "ValueError")
+    zeta, error = np.full(len(xs), np.nan), np.where(ok, None, "evaluation_error:ValueError")
     if ok.any():
         n = min(problem.n_exc + 1, 6)
         zeta[ok], _, ambiguous = dressed_blocks(*w[:, ok], *alpha[:, ok], g[ok], 0.0, (n, n),
                                                 problem.n_exc)
-        error[np.flatnonzero(ok)[ambiguous.any(axis=1)]] = "AmbiguousLabelError"
+        error[np.flatnonzero(ok)[ambiguous.any(axis=1)]] = "evaluation_error:AmbiguousLabelError"
 
     cons = problem.constraints
     slacks = {f"C1_q{i + 1}_freq_band": np.maximum(lo - w[i], w[i] - hi)
@@ -187,35 +207,14 @@ def evaluate_population(xs, problem):
                    for name, lo, hi in problem.variables if name.startswith("c")})
     slacks.update({f"C4_q{i + 1}_ej_ec": cons.min_ej_ec_ratio - ratio[i] for i in range(2)})
     slacks["C5_j_over_delta"] = j_over_delta - cons.max_j_over_delta
-    candidates = []
-    for x, err, z, row in zip(xs, error, zeta.tolist(), np.array(list(slacks.values())).T.tolist()):
-        candidates.append(
-            Candidate(x, None, False, ((f"evaluation_error:{err}", 1.0),)) if err
-            else Candidate(x, z, all(s <= 0 for s in row), tuple(zip(slacks, row))))
-    return candidates
+    slack = np.array(list(slacks.values())).T
+    return Population(xs, zeta, np.equal(error, None) & np.all(slack <= 0, axis=1), error,
+                      tuple(slacks), slack)
 
 
 def evaluate_candidate(x, problem):
     """One design point through evaluate_population."""
     return evaluate_population(np.asarray(x, dtype=float)[None], problem)[0]
-
-
-def _reflect(x, lo, hi):
-    """Fold out-of-bounds components back inside (preserves boundary density)."""
-    span = hi - lo
-    y = np.where(span > 0, x, np.clip(x, lo, hi))
-    with np.errstate(invalid="ignore"):
-        t = np.mod(np.abs(y - lo), 2 * np.where(span > 0, span, 1.0))
-        folded = np.where(t > span, 2 * span - t, t)
-    return np.where(span > 0, lo + folded, np.clip(x, lo, hi))
-
-
-def _accepts(problem, trial, incumbent):
-    if trial.feasible != incumbent.feasible:
-        return trial.feasible
-    if trial.feasible:
-        return _objective(problem, trial) >= _objective(problem, incumbent)
-    return not problem.strict_mode and trial.total_violation <= incumbent.total_violation
 
 
 @dataclass(frozen=True)
@@ -225,58 +224,56 @@ class GenerationRecord:
     n_feasible: int
 
 
-def optimize(problem, evaluator=None, callback=None):
-    """Run DE/rand/1/bin for the configured number of generations.
+def optimize(problem, evaluator=None):
+    """Run DE/rand/1/bin; returns (best candidate, history).
 
-    Returns (best candidate, history).  history carries the best feasible
-    objective value per generation (monotone non-decreasing by construction)
-    and the feasible count.  Raises NoFeasibleCandidateError if no feasible
-    point was ever seen.  Deterministic for a given (problem, seed): every
-    candidate index draws from its own seed-spawned RNG stream.
-
-    evaluator(xs, problem) scores a whole population: xs is the (n_pop, dim)
-    stack of the initial points or of one generation's trials, and it
-    returns one Candidate per row, in row order.  The default is
-    evaluate_population.
+    history carries the best feasible objective value per generation (monotone
+    non-decreasing by construction) and the feasible count.  Raises
+    NoFeasibleCandidateError if no feasible point was ever seen.  One generator
+    per run makes it deterministic for a given (problem, seed).  evaluator(xs,
+    problem), evaluate_population by default, scores the (n_pop, dim) initial
+    points or trials as a Population or as one Candidate per row.
     """
-    if evaluator is None:
-        evaluator = evaluate_population
     lo, hi = problem.bounds.T
-    n_pop = problem.de_params.population or max(15 * problem.dimension, 4)
-    dim = problem.dimension
-    streams = np.random.default_rng(problem.de_params.seed).spawn(n_pop + 1)
-    population = list(evaluator(lo + streams[-1].random((n_pop, dim)) * (hi - lo), problem))
+    span, dim, f, cr = hi - lo, len(lo), problem.de_params.mutation, problem.de_params.crossover
+    period = np.where(span > 0, 2 * span, np.inf)     # of the reflection; a zero span stays
+    n_pop = problem.de_params.population or max(15 * dim, 4)
+    rng, rows = np.random.default_rng(problem.de_params.seed), np.arange(n_pop)
 
-    def best_of(cands):
-        return max((c for c in cands if c.feasible), key=lambda c: _objective(problem, c),
-                   default=None)
+    def evaluate(xs):
+        # the record and its rows [x, objective (nan: infeasible, -inf: no zeta), violation]
+        got = (evaluator or evaluate_population)(xs, problem)
+        got = got if isinstance(got, Population) else Population.of_candidates(got)
+        zeta = np.abs(got.zeta_hz) if problem.objective == "abs" else got.zeta_hz
+        violation = sum(np.maximum(got.slacks, 0.0).T, np.zeros(len(xs)))  # constraint order
+        return got, np.column_stack([got.x, np.where(got.feasible, np.fmax(zeta, -np.inf), np.nan),
+                                     np.where(np.equal(got.error, None), violation, 1.0)])
 
-    history = []
-    best = best_of(population)
-    f, cr = problem.de_params.mutation, problem.de_params.crossover
-    partners = [[i for i in range(n_pop) if i != k] for k in range(n_pop)]
+    def improve(best, record, score):
+        # the running best (record, row, objective) takes a first or a strictly better
+        # generation best, its first row on a tie: a row accepted from record this time
+        top = np.fmax.reduce(score)                       # nan: no feasible row
+        return best if np.isnan(top) or top <= best[2] else (record, np.argmax(score == top), top)
+
+    record, pop = evaluate(lo + rng.random((n_pop, dim)) * span)
+    best, history = improve((None, 0, np.nan), record, pop[:, dim]), []
     for gen in range(problem.de_params.generations):
-        # each index draws its partners and crossover mask from its own stream
-        picks, cross = np.empty((n_pop, 3), dtype=int), np.empty((n_pop, dim), dtype=bool)
-        for k in range(n_pop):
-            rng = streams[k]
-            picks[k] = rng.choice(partners[k], size=3, replace=False)
-            cross[k] = rng.random(dim) < cr
-            cross[k, rng.integers(dim)] = True
-        xs = np.array([c.x for c in population])
-        r1, r2, r3 = picks.T
-        trials = np.where(cross, _reflect(xs[r1] + f * (xs[r2] - xs[r3]), lo, hi), xs)
-        for k, cand in enumerate(evaluator(trials, problem)):
-            if _accepts(problem, cand, population[k]):
-                population[k] = cand
-        # the running best changes only for a strictly better generation best
-        best = best_of([c for c in (best, best_of(population)) if c is not None])
-        record = GenerationRecord(gen, float("nan") if best is None else _objective(problem, best),
-                                  sum(1 for c in population if c.feasible))
-        history.append(record)
-        if callback is not None:
-            callback(record, population)
-    if best is None:
+        # three distinct partners per index, never itself, in uniformly random order
+        picks = np.argsort(rng.random((n_pop, n_pop - 1)), axis=1)[:, :3]
+        r1, r2, r3 = (picks + (picks >= rows[:, None])).T
+        cross = rng.random((n_pop, dim)) < cr
+        cross[rows, rng.integers(dim, size=n_pop)] = True
+        x = pop[:, :dim]
+        t = np.mod(np.abs(x[r1] + f * (x[r2] - x[r3]) - lo), period)  # folded back inside
+        record, trial = evaluate(np.where(cross, lo + np.minimum(t, 2 * span - t), x))
+        (objective, violation), (was_objective, was_violation) = trial[:, dim:].T, pop[:, dim:].T
+        # feasibility first, ties accepted, infeasible pairs on total violation
+        accept = np.where(np.isnan(was_objective), ~np.isnan(objective) | (
+            (not problem.strict_mode) & (violation <= was_violation)), objective >= was_objective)
+        pop = np.where(accept[:, None], trial, pop)
+        best = improve(best, record, pop[:, dim])
+        history.append(GenerationRecord(gen, float(best[2]), int((~np.isnan(pop[:, dim])).sum())))
+    if best[0] is None:
         raise NoFeasibleCandidateError(
             f"no feasible candidate in {problem.de_params.generations} generations")
-    return best, history
+    return best[0][best[1]], history

@@ -255,6 +255,10 @@ class TestZZSweepCommand:
         ("zz-sweep", {"delta_hz": DELTAS, "levels_per_mode": [21, 3]}, "levels_per_mode"),
         # below two levels a mode has no |1>
         ("zz-sweep", {"delta_hz": DELTAS, "levels_per_mode": [1, 3]}, "levels_per_mode"),
+        # numpy's generator takes no negative seed; a "--" key is a command-line flag
+        ("optimize", {"de": {"population": 6, "generations": 2, "seed": -1}},
+         "optimize:de:seed"),
+        ("optimize", {"--seed": -1}, "--seed"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -272,12 +276,15 @@ class TestZZSweepCommand:
             "grid-start-nan", "pad-boolean", "optimize-variables-not-objects",
             "optimize-variable-unset", "optimize-strict-mode-string", "protocol-not-path",
             "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
-            "levels-too-large", "levels-below-two"])
+            "levels-too-large", "levels-below-two", "optimize-negative-seed",
+            "optimize-negative-seed-flag"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
+        flags = [str(a) for k, v in extra.items() if k.startswith("--") for a in (k, v)]
+        extra = {k: v for k, v in extra.items() if not k.startswith("--")}
         bad = write_json(tmp_path / "cfg.json", {**base, **extra})
-        assert main(["--config", bad, "--out", str(tmp_path / "x.csv"),
+        assert main(["--config", bad, "--out", str(tmp_path / "x.csv"), *flags,
                      command]) == 2
         assert field in capsys.readouterr().err
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import selection_oracle as oracle
 from zzkit import (
     Candidate,
     ConstraintSet,
@@ -15,7 +18,7 @@ from zzkit import (
 )
 from zzkit.constants import charging_energy_hz
 from zzkit.errors import AmbiguousLabelError, NoFeasibleCandidateError
-from zzkit.optimize import evaluate_population
+from zzkit.optimize import Population, evaluate_population
 
 from test_circuit import charge_basis_levels
 
@@ -31,6 +34,16 @@ CHIP1_LIKE = (
 def per_row(score):
     """A population evaluator from a scorer of one design point."""
     return lambda xs, problem: [score(x, problem) for x in xs]
+
+
+def rosenbrock_columns(xs, problem):
+    """A columnar evaluator: the negated Rosenbrock function, every row feasible."""
+    a, b = xs.T
+    return Population(xs, -((a - 1) ** 2) - 100 * (b - a * a) ** 2, np.ones(len(xs), bool),
+                      np.full(len(xs), None), (), np.empty((len(xs), 0)))
+
+
+ROSENBROCK = (("a", -2.0, 2.0), ("b", -1.0, 3.0))
 
 
 def zeta_objective_1d(x, problem):
@@ -305,3 +318,162 @@ class TestOptimize:
         best, history = optimize(problem, per_row(gated))
         assert best.feasible
         assert history[-1].n_feasible > 0
+
+
+# objective ties (also |-3| = |3|), slack ties, and total-violation ties with
+# the 1.0 of an evaluation error
+ZETAS = (-3.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def scripted_candidate(draw, x, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "error":
+        cause = draw(st.sampled_from(["ValueError", "AmbiguousLabelError"]))
+        return Candidate(x, None, False, ((f"evaluation_error:{cause}", 1.0),))
+    if kind == "feasible":
+        slacks = draw(st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0])] * 2))
+        zeta = draw(st.sampled_from(ZETAS + (None,)))     # None: feasible without a zeta
+        return Candidate(x, zeta, True, tuple(zip(("g1", "g2"), slacks)))
+    slacks = (draw(st.sampled_from([0.5, 1.0, 2.5])), draw(st.sampled_from([-0.5, 0.0, 0.5])))
+    slacks = slacks[::-1] if draw(st.booleans()) else slacks
+    return Candidate(x, draw(st.sampled_from(ZETAS + (None,))), False,
+                     tuple(zip(("g1", "g2"), slacks)))
+
+
+class TestSelection:
+    @given(data=st.data(), n_pop=st.integers(4, 7), generations=st.integers(1, 8),
+           strict=st.booleans(), objective=st.sampled_from(["abs", "signed"]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_masked_update_and_running_best_match_oracle(self, data, n_pop, generations,
+                                                         strict, objective, seed):
+        # a scripted per-row evaluator draws each generation's candidates and
+        # replays the per-candidate rules on them
+        problem = OptimizationProblem(
+            (("a", 0.0, 1.0), ("b", 0.0, 1.0), ("c", 0.0, 1.0)),
+            de_params=DEParams(population=n_pop, generations=generations, crossover=0.0,
+                               seed=seed), objective=objective, strict_mode=strict)
+        replay = {"population": None, "best": None, "history": []}
+
+        def scripted(xs, problem):
+            kinds = (("infeasible", "error") if data.draw(st.booleans())   # all infeasible
+                     else ("feasible", "infeasible", "error"))
+            trials = [data.draw(scripted_candidate(x, kinds)) for x in xs]
+            population = replay["population"]
+            if population is None:
+                population = replay["population"] = list(trials)
+            else:
+                for k, trial in enumerate(trials):
+                    # crossover 0: a trial is its incumbent but for the forced component
+                    assert np.count_nonzero(xs[k] != population[k].x) <= 1
+                    if oracle.accepts(problem, trial, population[k]):
+                        population[k] = trial
+            best = replay["best"] = oracle.best_of(
+                problem, [replay["best"], oracle.best_of(problem, population)])
+            replay["history"].append((np.nan if best is None else oracle.objective(problem, best),
+                                      sum(c.feasible for c in population)))
+            return trials
+
+        try:
+            best, history = optimize(problem, scripted)
+        except NoFeasibleCandidateError:
+            assert replay["best"] is None
+            return
+        want = replay["best"]
+        assert np.array_equal(best.x, want.x)
+        assert (best.zeta_hz, best.feasible, best.violations) == \
+            (want.zeta_hz, want.feasible, want.violations)
+        np.testing.assert_array_equal([(h.best_zeta_hz, h.n_feasible) for h in history],
+                                      replay["history"][1:])
+
+
+class TestDraws:
+    def test_three_distinct_partners_never_the_row(self):
+        # one-hot rows as the population: a mutant e_r1 + f (e_r2 - e_r3) names
+        # its partners by the components equal to 1, f and -f
+        n_pop, f = 9, 0.5
+        problem = OptimizationProblem(
+            tuple((f"x{k}", -1.0, 2.0) for k in range(n_pop)), objective="signed",
+            de_params=DEParams(population=n_pop, generations=300, mutation=f, crossover=1.0,
+                               seed=13))
+        seen = []
+
+        def one_hot(xs, problem):
+            seen.append(np.array(xs))
+            return [Candidate(row, 0.0, True, ()) for row in np.eye(n_pop)]
+
+        optimize(problem, one_hot)
+        picks = []
+        for trials in seen[1:]:
+            for k, trial in enumerate(trials):
+                roles = [np.flatnonzero(trial == v) for v in (1.0, f, -f)]
+                assert [len(r) for r in roles] == [1, 1, 1], trial
+                assert k not in [r[0] for r in roles]
+                picks.append([r[0] for r in roles])
+        picks = np.array(picks)
+        # every role draws every other index, and r1 < r2 about half the time
+        # (ordered triples, not index-sorted ones)
+        for role in picks.T:
+            assert set(role) == set(range(n_pop))
+        assert 0.45 < np.mean(picks[:, 0] < picks[:, 1]) < 0.55
+
+    @pytest.mark.parametrize("crossover", [0.0, 0.3, 1.0])
+    def test_every_mask_row_crosses(self, crossover):
+        # a generic fixed population: a trial equal to its incumbent in every
+        # component would have had an empty mask row
+        n_pop, dim = 8, 4
+        codes = np.random.default_rng(0).random((n_pop, dim))
+        problem = OptimizationProblem(
+            tuple((f"x{j}", 0.0, 1.0) for j in range(dim)), objective="signed",
+            de_params=DEParams(population=n_pop, generations=300, crossover=crossover, seed=3))
+        seen = []
+
+        def fixed(xs, problem):
+            seen.append(np.array(xs))
+            return [Candidate(row, 0.0, True, ()) for row in codes]
+
+        optimize(problem, fixed)
+        crossed = np.array([np.count_nonzero(trials != codes, axis=1) for trials in seen[1:]])
+        assert crossed.min() >= 1
+        if crossover == 0.0:
+            assert crossed.max() == 1        # the forced component only
+        if crossover == 1.0:
+            assert crossed.min() == dim
+
+    def test_equal_seeds_give_identical_trajectories(self):
+        def run(seed):
+            seen = []
+
+            def recording(xs, problem):
+                seen.append(np.array(xs))
+                return rosenbrock_columns(xs, problem)
+
+            problem = OptimizationProblem(ROSENBROCK, objective="signed",
+                                          de_params=DEParams(population=10, generations=60,
+                                                             seed=seed))
+            best, history = optimize(problem, recording)
+            return np.array(seen), best, history
+
+        (xs1, best1, hist1), (xs2, best2, hist2), (xs3, _, _) = run(5), run(5), run(6)
+        assert np.array_equal(xs1, xs2)
+        assert np.array_equal(best1.x, best2.x) and hist1 == hist2
+        assert not np.array_equal(xs1, xs3)
+
+    def test_columnar_rosenbrock_optimum_on_twenty_seeds(self):
+        missed = {}
+        for seed in range(20):
+            problem = OptimizationProblem(ROSENBROCK, objective="signed",
+                                          de_params=DEParams(seed=seed))
+            best, _ = optimize(problem, rosenbrock_columns)
+            if not np.allclose(best.x, 1.0, rtol=0, atol=1e-6):
+                missed[seed] = best.x
+        assert not missed
+
+    def test_candidate_list_and_columns_take_the_same_path(self):
+        problem = OptimizationProblem(ROSENBROCK, objective="signed",
+                                      de_params=DEParams(population=12, generations=40, seed=8))
+        best, history = optimize(problem, rosenbrock_columns)
+        again, again_history = optimize(problem, per_row(
+            lambda x, problem: rosenbrock_columns(x[None], problem)[0]))
+        assert np.array_equal(best.x, again.x) and history == again_history

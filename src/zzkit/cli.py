@@ -316,8 +316,7 @@ DE_FIELDS = (
     Field("generations", zio.integer, DEParams.generations),
     Field("mutation", zio.number, DEParams.mutation),
     Field("crossover", zio.number, DEParams.crossover),
-    Field("seed", zio.optional(zio.integer), DEParams.seed,
-          (lambda n: n is None or n >= 0, "must be non-negative")),
+    Field("seed", zio.integer, DEParams.seed, (lambda n: n >= 0, "must be non-negative")),
 )
 OPTIMIZE_FIELDS = (
     Field("kind", zio.choice("circuit", "rosenbrock"), "circuit"),

@@ -68,6 +68,8 @@ class DEParams:
             raise ValueError("mutation factor must lie in (0, 2)")
         if not 0 <= self.crossover <= 1:
             raise ValueError("crossover rate must lie in [0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

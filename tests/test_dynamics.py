@@ -1,3 +1,4 @@
+import functools
 import gc
 from dataclasses import replace
 
@@ -315,8 +316,52 @@ class TestEvolveLindblad:
             DissipationSpec((1e-6, 1e-6), (3e-6, 1e-6))
 
 
+# lab points (pulse length, delay) held to a tight DOP853 run
+LAB_POINTS = {"lab-4ns": (4e-9, 0.0), "lab-16ns": (16e-9, 10e-9), "lab-50ns": (50e-9, 20e-9)}
+
+
+@functools.lru_cache(maxsize=None)
+def lab_point(name):
+    """(Hamiltonian, 9-point grid, times, states) of a lab point.
+
+    The states are DOP853 at rtol 1e-13 (Magnus steps switched off) at the
+    times: the grid and every segment edge inside it.
+    """
+    prot = make_blockade_protocol(SYSTEM, *LAB_POINTS[name], frame="lab")
+    ham = build_protocol_hamiltonian(SYSTEM, prot)
+    grid = np.linspace(0, prot.total_time_s, 9)
+    times = np.union1d(grid, [t for t in ham.breakpoints if grid[0] < t < grid[-1]])
+    res = evolve_schrodinger(replace(ham, max_step_s=None), ground_state(), times,
+                             rtol=1e-13, atol=1e-15, keep_states=True)
+    return ham, grid, times, res.states
+
+
 class TestCarrierResolvedSegments:
     """Fixed Magnus steps on segments with an oscillation to resolve, against DOP853."""
+
+    @pytest.mark.parametrize("name", ["lab-4ns", "lab-16ns"])
+    def test_magnus_steps_have_sixth_order(self, name):
+        # each driven segment from the reference state at its start: halving
+        # the step divides the error at its end by 2^6 = 64 (2^4 for fourth order)
+        ham, grid, times, want = lab_point(name)
+        generator = dynamics._schrodinger(ham)
+        errors = {1: [], 2: []}
+        for a, b in dynamics._segments(grid[0], grid[-1], ham.breakpoints):
+            if ham.is_static_on(a, b):
+                continue
+            start, end = np.searchsorted(times, (a, b))
+            for halving in errors:
+                _, y = dynamics._magnus_segment(ham, generator, want[start], a, np.empty(0), b,
+                                                ham.max_step_s / halving)
+                errors[halving].append(np.max(np.abs(y - want[end])))
+        assert max(errors[1]) / max(errors[2]) >= 40
+
+    @pytest.mark.parametrize("name", list(LAB_POINTS))
+    def test_lab_points_at_default_tolerances(self, name):
+        ham, grid, times, want = lab_point(name)
+        res = evolve_schrodinger(ham, ground_state(), grid, keep_states=True)
+        np.testing.assert_allclose(populations(res.states),
+                                   populations(want[np.isin(times, grid)]), atol=4e-7)
 
     def test_anti_hermitian_exponential_matches_expm(self, rng):
         # closed-system Magnus steps: a 512-stack of anti-Hermitian 4x4 step
@@ -352,7 +397,7 @@ class TestCarrierResolvedSegments:
         (SYSTEM, 4e-9, "lab"), (NEAR_EXCHANGE, 100e-9, "rotating"),
     ], ids=["lab-4ns", "exchange-20MHz"])
     def test_tighter_rtol_shortens_steps(self, system, length, frame):
-        # the fourth-order error falls with rtol: 100x tighter, 100x closer
+        # the sixth-order error falls with rtol: 100x tighter, 100x closer
         prot = make_blockade_protocol(system, length, 0.0, frame=frame)
         ham = build_protocol_hamiltonian(system, prot)
         grid = np.linspace(0, prot.total_time_s, 9)

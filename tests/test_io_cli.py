@@ -259,6 +259,9 @@ class TestZZSweepCommand:
         ("optimize", {"de": {"population": 6, "generations": 2, "seed": -1}},
          "optimize:de:seed"),
         ("optimize", {"--seed": -1}, "--seed"),
+        # a null seed would draw from fresh entropy, and reruns would differ
+        ("optimize", {"de": {"population": 6, "generations": 2, "seed": None}},
+         "optimize:de:seed"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -277,7 +280,7 @@ class TestZZSweepCommand:
             "optimize-variable-unset", "optimize-strict-mode-string", "protocol-not-path",
             "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
             "levels-too-large", "levels-below-two", "optimize-negative-seed",
-            "optimize-negative-seed-flag"])
+            "optimize-negative-seed-flag", "optimize-null-seed"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})

@@ -287,6 +287,11 @@ class TestOptimize:
         with pytest.raises(ValueError, match="generations"):
             DEParams(generations=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            DEParams(seed=seed)
+
     def test_de_run_matches_dense_charge_basis_oracle(self):
         # the default stacked evaluator against the per-point dense oracle:
         # the same accepted trials, so the same best point and feasible counts

@@ -23,25 +23,28 @@ the basis and differ only in their coefficients.
 
 Closed and open evolution share one propagation core for dy/dt = G(t) y.
 Its generator basis (-i O_m, or the superoperators of -i[O_m, .] with the
-dissipator) is built once, so a right-hand side is one matrix product over
-the whole stack.  It splits the time axis at every pulse edge and gaussian
-peak (so no pulse is ever stepped over) and propagates drive-free segments
-with exact exponentials.  A driven segment of a Hamiltonian that sets
-max_step_s (lab-frame carriers, a rotating-frame exchange term at a nonzero
-difference frequency) runs fixed sixth-order three-node Magnus steps, 16 per
-period of its fastest frequency; at the default tolerances they hold every
-carrier-resolved test case within 6.4e-7 in population of a DOP853
-reference, and the lab-frame blockade points within 1.8e-7.  A smooth one
-runs DOP853 (scipy's DOP853 tableau and step control, one coefficient
-evaluation per step), its tolerances scaled by 1/sqrt(K) so that each of K
-stacked states is held to the bound it would get alone.
+dissipator) is built once in real form, on the interleaved (re, im) float
+view of the state, so a right-hand side is one real matrix product over the
+whole stack, and every exponential, closed or open, is one real Taylor
+polynomial with scaling and squaring (_expm_real; within 4e-16 max(1, |A|_1)
+of scipy's expm).  The core splits the time axis at every
+pulse edge and gaussian peak (so no pulse is ever stepped over) and
+propagates drive-free segments with exact exponentials.  A driven segment
+of a Hamiltonian that sets max_step_s (lab-frame carriers, a rotating-frame
+exchange term at a nonzero difference frequency) runs fixed sixth-order
+three-node Magnus steps, 16 per period of its fastest frequency; at the
+default tolerances they hold every carrier-resolved test case within 6.4e-7
+in population of a DOP853 reference, and the lab-frame blockade points
+within 1.8e-7.  A smooth one runs DOP853 (scipy's DOP853 tableau and step
+control, one coefficient evaluation per step), its tolerances scaled by
+1/sqrt(K) so that each of K stacked states is held to the bound it would get
+alone.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from .errors import (
@@ -93,6 +96,7 @@ NORM_DRIFT_TOL = 1e-6
 STEPS_PER_CARRIER_PERIOD = 16
 _MAGNUS_BLOCK = 512               # Magnus node matrices (three a step) built together
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(0.15)   # Gauss-Legendre on [0, 1]
+_TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])      # 1/k!, k = 0..16
 # scipy's RungeKutta step-size control; the DOP853 tableau is read from scipy.integrate.DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
@@ -291,7 +295,7 @@ class TimeDependentHamiltonian:
 def _combine(c, matrices):
     """sum_m c[..., m] matrices[m] for real c, as one real matrix product over all of c."""
     flat = matrices.reshape(len(matrices), -1).view(float)
-    return (c.reshape(-1, len(matrices)) @ flat).view(complex).reshape(
+    return (c.reshape(-1, len(matrices)) @ flat).view(matrices.dtype).reshape(
         c.shape[:-1] + matrices.shape[1:])
 
 
@@ -530,45 +534,67 @@ def _check_grid(grid_s):
     return grid
 
 
-def _expm_anti_hermitian(omega):
-    """exp(omega) for a stack of anti-Hermitian matrices, from one stacked eigh.
+def _expm_real(a):
+    """exp(a) for a stack of real matrices, by Taylor polynomial with scaling and squaring.
 
-    i omega is Hermitian with eigenpairs (lam, V), so exp(omega) =
-    V diag(exp(-i lam)) V^dagger.  Every closed-system exponential takes it.
+    One s = ceil(log2 |a|_1) for the whole stack (the largest 1-norm) brings
+    every matrix to norm 1 or less, where the degree-16 Taylor polynomial,
+    evaluated by Paterson-Stockmeyer from a^2, a^3 and a^4 in three Horner
+    products, truncates below 2.8e-15; squaring s times undoes the scaling
+    (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).  Against scipy's expm it
+    holds random anti-Hermitian stacks within 4e-16 max(1, |a|_1) up to
+    |a|_1 = 1e5 (2.1e-11 there), and chip1's Liouvillian within 6e-14 at 10 us.
     """
-    lam, v = np.linalg.eigh(1j * omega)
-    return (v * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    norm = np.abs(a).sum(axis=-2).max(initial=0.0)
+    s = int(np.ceil(np.log2(max(norm, 1.0))))
+    a = a / 2.0 ** s
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a3, a4 = a2 @ a, a2 @ a2
+    e = _TAYLOR[16] * a4
+    for k in (12, 8, 4, 0):
+        e = e + _TAYLOR[k] * eye + _TAYLOR[k + 1] * a + _TAYLOR[k + 2] * a2 + _TAYLOR[k + 3] * a3
+        if k:
+            e = a4 @ e
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
-def _act(u, y):
-    """u y for matrices u (..., d, d) and states y (..., d), broadcast over the stacks."""
-    return (u @ y[..., None])[..., 0]
+def _ordered_product(u):
+    """u[n-1] ... u[1] u[0] of a stack (n, ..., D, D), pairwise in log2(n) stacked products."""
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        pairs = u[1:even:2] @ u[0:even:2]
+        u = np.concatenate([pairs, u[even:]]) if even < len(u) else pairs
+    return u[0]
 
 
 class _Generator:
     """dy/dt = sum_m c_m(t) B_m y, the generator basis B_m built once per Hamiltonian.
 
-    matrix(c) = sum_m c_m B_m feeds the Magnus steps and exact exponentials;
-    apply(c, v) is G y for a whole stack in real arithmetic, on the float
-    view v of y that DOP853 integrates.
+    B_m is held in real form, on the interleaved (re, im) float view v of y:
+    Re B_m x 1 + Im B_m x [[0, -1], [1, 0]], so that B y is real(B) v and
+    exp(B) is exp(real(B)).  matrix(c) = sum_m c_m real(B_m) feeds the Magnus
+    steps and the exact exponentials (_expm_real); apply(c, v) is G y for a
+    whole stack, on the float view that DOP853 integrates.
     """
 
-    def __init__(self, basis, exponential):
-        self.basis, self.exponential = basis, exponential
-        # on interleaved (re, im) parts B_m is Re B_m x 1 + Im B_m x [[0, -1], [1, 0]];
-        # stacked holds each one transposed, one under the next
-        real = _kron(basis.real, np.eye(2)) + _kron(basis.imag, np.array([[0., -1.], [1., 0.]]))
+    def __init__(self, basis):
+        self.real = real = (_kron(basis.real, np.eye(2))
+                            + _kron(basis.imag, np.array([[0., -1.], [1., 0.]])))
+        # stacked holds each real(B_m) transposed, one under the next
         self.stacked = np.ascontiguousarray(np.swapaxes(real, 1, 2)).reshape(-1, real.shape[-1])
 
     def matrix(self, c):
-        return _combine(c, self.basis)
+        return _combine(c, self.real)
 
     def apply(self, c, v):
         return (c[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (-1,)) @ self.stacked
 
 
 def _schrodinger(ham):
-    return _Generator(-1j * ham.operators, _expm_anti_hermitian)
+    return _Generator(-1j * ham.operators)
 
 
 def _commutator(x, y):
@@ -588,37 +614,45 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
         Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240
 
     (Blanes, Casas and Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo and Ros,
-    Phys. Rep. 470, 151 (2009)).  Steps are laid out, evaluated through one
-    call of ham.func, exponentiated together (generator.exponential) and
-    applied in order, _MAGNUS_BLOCK node matrices at a time (so a stack of K
-    states takes _MAGNUS_BLOCK / 3K steps a block), and memory stays flat
-    however long the segment is.
+    Phys. Rep. 470, 151 (2009)).  Steps are laid out _MAGNUS_BLOCK node
+    times at a time (so a stack of K states takes _MAGNUS_BLOCK / 3K steps a
+    block), and memory stays flat however long the segment is.  A block's
+    nodes come from one call of ham.func; a1, a2 and a3, linear in the node
+    coefficients, are combined there and expanded by one generator.matrix
+    call, in real form, and exponentiated together (_expm_real).  The step
+    propagators between consecutive time edges multiply pairwise
+    (_ordered_product), and each such run acts on the state's float view once.
     """
     knots = np.unique(np.concatenate(([a], times, [b])))
     counts = np.ceil(np.diff(knots) / max_step_s).astype(int)
     widths = np.diff(knots) / counts
     ends = np.cumsum(counts)
     block = max(1, _MAGNUS_BLOCK * y.shape[-1] // (len(_GAUSS_NODES) * y.size))
+    v = np.ascontiguousarray(y).view(float)[..., None]
     states = []
     for first in range(0, ends[-1], block):
-        step = np.arange(first, min(first + block, ends[-1]))
+        stop = min(first + block, ends[-1])
+        step = np.arange(first, stop)
         j = np.searchsorted(ends, step, side="right")
         h = widths[j]
         left = knots[j] + (step - ends[j] + counts[j]) * h
-        g = generator.matrix(ham.func((left[:, None] + h[:, None] * _GAUSS_NODES).ravel()))
-        g1, g2, g3 = g[0::3], g[1::3], g[2::3]
-        h = h.reshape((-1,) + (1,) * (g.ndim - 1))
-        a1 = h * g2
-        a2 = np.sqrt(15.0) / 3.0 * h * (g3 - g1)
-        a3 = 10.0 / 3.0 * h * (g3 - 2.0 * g2 + g1)
+        c = ham.func((left[:, None] + h[:, None] * _GAUSS_NODES).ravel())
+        n1, n2, n3 = c[0::3], c[1::3], c[2::3]     # node coefficients
+        h = h.reshape((-1,) + (1,) * (c.ndim - 1))
+        a1, a2, a3 = generator.matrix(h * np.array([
+            n2, np.sqrt(15.0) / 3.0 * (n3 - n1), 10.0 / 3.0 * (n3 - 2.0 * n2 + n1)]))
         c1 = _commutator(a1, a2)
         c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        for u, at_edge in zip(generator.exponential(omega), np.isin(step + 1, ends)):
-            y = _act(u, y)
-            if at_edge:
-                states.append(y)
-    return states[:len(times)], y
+        u = _expm_real(a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+        lo = 0
+        for hi in ends[np.searchsorted(ends, first, side="right"):
+                       np.searchsorted(ends, stop, side="right")] - first:
+            v = _ordered_product(u[lo:hi]) @ v
+            states.append(v[..., 0].view(complex))
+            lo = hi
+        if lo < len(u):
+            v = _ordered_product(u[lo:]) @ v
+    return states[:len(times)], v[..., 0].view(complex)
 
 
 def _rms(x):
@@ -729,8 +763,9 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     G(t) contracts ham.func with the generator basis (_schrodinger or
     _lindblad).  y0 is one state or a stack of them, and out[i] is the state
     or stack at grid[i].  The time axis is split at every breakpoint.  A
-    static segment takes exact exponentials of its generator, one stack over
-    the grid offsets inside it and its end; a driven one of a Hamiltonian
+    static segment takes exact exponentials of its real-form generator
+    (_expm_real), one stack over the grid offsets inside it and its end, each
+    applied to the state's float view; a driven one of a Hamiltonian
     that sets max_step_s takes fixed Magnus steps (_magnus_segment), any
     other DOP853 (_dop853_segment: scipy's DOP853 tableau and step control,
     one coefficient evaluation per step), its steps sized by its embedded
@@ -752,7 +787,8 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
         if ham.is_static_on(a, b):
             g = generator.matrix(ham.func(0.5 * (a + b)))
             offsets = np.append(grid[mask], b) - a
-            states = _act(generator.exponential(g * offsets.reshape((-1,) + (1,) * g.ndim)), y)
+            u = _expm_real(g * offsets.reshape((-1,) + (1,) * g.ndim))
+            states = (u @ y.view(float)[..., None])[..., 0].view(complex)
             out[mask], y = states[:-1], states[-1]
             continue
         if ham.max_step_s:
@@ -809,7 +845,7 @@ def _lindblad(ham, dissipation):
     for c in dissipation.collapse_operators() if dissipation is not None else ():
         cd_c = c.conj().T @ c
         basis[0] += _kron(c, c.conj()) - 0.5 * (_kron(cd_c, ident) + _kron(ident, cd_c.T))
-    return _Generator(basis, expm)
+    return _Generator(basis)
 
 
 def _density_drift(states):
@@ -830,7 +866,9 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
 
     Propagates vec(rho) through the shared segment loop with the Liouvillian
     generator (_lindblad); drive-free segments therefore use the exact
-    exponential of the static Liouvillian, which makes long free decays cheap.
+    exponential of the static Liouvillian, which makes long free decays cheap,
+    through the same real-form Taylor exponential as closed systems
+    (_expm_real: within 6e-14 of scipy's expm for chip1 at 10 us).
     rho0 is one density matrix, or a (K, 4, 4) stack propagated together
     under a stacked Hamiltonian.  rtol and atol steer the DOP853 segments
     (scipy's DOP853 tableau and step control, one coefficient evaluation per
@@ -976,7 +1014,7 @@ def run_blockade_grid(system, protocols, dissipation=None):
     if tail.any():
         # past every pulse edge, each point's Hamiltonian is the static one of its tail
         g = generator.matrix(ham.func(max(ham.breakpoints) + tail.max()))
-        y = _act(generator.exponential(g * tail[:, None, None]), y)
+        y = (_expm_real(g * tail[:, None, None]) @ y.view(float)[..., None])[..., 0].view(complex)
     if dissipation is None:
         pops = np.abs(y) ** 2
     else:
@@ -1067,7 +1105,8 @@ def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
         (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
     generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
-    return generator.exponential(generator.matrix(ham.func(0.0)) * pulse_length_s)
+    u = _expm_real(generator.matrix(ham.func(0.0)) * pulse_length_s)
+    return u[0::2, 0::2] + 1j * u[1::2, 0::2]
 
 
 def run_conditional_ramsey(system, spectator_state, free_time_grid_s,

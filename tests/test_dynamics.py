@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.linalg import expm
 
@@ -87,6 +88,14 @@ def populations(states):
     if states.ndim == 3:
         return np.einsum("tii->ti", states).real
     return np.abs(states) ** 2
+
+
+def real_form(g):
+    """Real (..., 2d, 2d) form of complex (..., d, d) matrices on interleaved (re, im) parts."""
+    out = np.empty(g.shape[:-2] + (2 * g.shape[-2], 2 * g.shape[-1]))
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = g.real
+    out[..., 0::2, 1::2], out[..., 1::2, 0::2] = -g.imag, g.imag
+    return out
 
 
 def ground_state():
@@ -368,11 +377,11 @@ class TestCarrierResolvedSegments:
         # exponents at the lab frame's scale (a few radians per step)
         a = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
         omega = 0.5 * (a - np.swapaxes(a.conj(), -1, -2))
-        got = dynamics._expm_anti_hermitian(omega)
-        want = expm(omega)
+        got = dynamics._expm_real(real_form(omega))
+        want = real_form(expm(omega))
         assert np.max(np.abs(got - want)) <= 1e-13
-        eye = np.broadcast_to(np.eye(4), got.shape)
-        assert np.max(np.abs(got @ np.swapaxes(got.conj(), -1, -2) - eye)) <= 1e-13
+        eye = np.broadcast_to(np.eye(8), got.shape)
+        assert np.max(np.abs(got @ np.swapaxes(got, -1, -2) - eye)) <= 1e-13
 
     @pytest.mark.parametrize("system,length,delay,frame", [
         (SYSTEM, 4e-9, 0.0, "lab"),
@@ -546,6 +555,60 @@ def random_protocols(rng, system, frame, count, n_pulses=3):
     return out
 
 
+class TestRealFormCore:
+    """One real-form exponential and block product for every propagation path."""
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 30.0, 700.0, 1.4e4, 1e5])
+    def test_real_exponential_matches_expm(self, rng, norm):
+        # squaring s = ceil(log2 norm) times costs about one rounding per unit of norm
+        a = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
+        omega = 0.5 * (a - np.swapaxes(a.conj(), -1, -2))
+        omega *= norm / np.abs(real_form(omega)).sum(axis=-2).max()
+        got = dynamics._expm_real(real_form(omega))
+        assert np.max(np.abs(got - real_form(expm(omega)))) <= 1e-15 * max(1.0, norm)
+
+    @pytest.mark.parametrize("duration", [1e-9, 200e-9, 10e-6], ids=["1ns", "200ns", "10us"])
+    def test_real_exponential_of_chip1_liouvillian(self, duration):
+        # the drive-free rotating-frame Liouvillian of a blockade point, whose
+        # exponential is not unitary
+        prot = make_blockade_protocol(SYSTEM, 20e-9, 0.0)
+        ham = build_protocol_hamiltonian(SYSTEM, prot)
+        generator = dynamics._lindblad(ham, CHIP1_DISSIPATION)
+        lv = dense_oracle.liouvillian(ham.matrix(prot.total_time_s),
+                                      CHIP1_DISSIPATION.collapse_operators())
+        a = generator.matrix(ham.func(prot.total_time_s)) * duration
+        norm = np.abs(a).sum(axis=-2).max()
+        got = dynamics._expm_real(a)
+        assert np.max(np.abs(got - real_form(expm(lv * duration)))) <= 1e-15 * max(1.0, norm)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ordered_product_matches_sequential(self, rng, n):
+        u = rng.normal(size=(n, 2, 8, 8))
+        want = u[0]
+        for u_i in u[1:]:
+            want = u_i @ want
+        np.testing.assert_allclose(dynamics._ordered_product(u), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("frame,dissipation,delays,lengths", [
+        ("rotating", None, (-40e-9, 0.0, 30e-9), (20e-9, 50e-9)),
+        ("rotating", CHIP1_DISSIPATION, (-40e-9, 30e-9), (20e-9, 50e-9)),
+        ("lab", None, (-10e-9, 10e-9), (16e-9,)),
+    ], ids=["closed", "lindblad", "lab"])
+    def test_grids_run_without_eigh_or_expm(self, monkeypatch, frame, dissipation, delays,
+                                            lengths):
+        # every exponential of the core is _expm_real, closed or open, in every frame
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the propagation core called eigh or expm")
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        # and the name a `from scipy.linalg import expm` would bind in the module
+        monkeypatch.setattr(dynamics, "expm", forbidden, raising=False)
+        prots = grid_protocols(SYSTEM, delays, lengths, frame=frame)
+        result = run_blockade_grid(SYSTEM, prots, dissipation)
+        assert np.all(np.isfinite(readout_populations(result)))
+
+
 class TestOperatorBasis:
     """Real coefficients over one operator basis, against the dense per-point oracle."""
 
@@ -578,7 +641,7 @@ class TestOperatorBasis:
             c = ham.func(t)
             lv = np.array([dense_oracle.liouvillian(h_k, c_ops) for h_k in h])
             for generator, y, g in ((closed, psi, -1j * h), (opened, rho, lv)):
-                np.testing.assert_allclose(generator.matrix(c), g, rtol=0,
+                np.testing.assert_allclose(generator.matrix(c), real_form(g), rtol=0,
                                            atol=1e-12 * np.abs(g).max())
                 rhs = np.einsum("kij,kj->ki", g, y)
                 got = generator.apply(c, y.view(float)).view(complex)

@@ -10,31 +10,20 @@ Run:  python demos/flux_spectroscopy.py      (writes flux_spectroscopy.png)
 
 import numpy as np
 
-from zzkit import (
-    avoided_crossing_j,
-    build_hamiltonian,
-    diagonalize_and_label,
-    kerr_at_flux,
-    load_fixture,
-    transmon_spectrum,
-)
+from zzkit import load_fixture, transmon_spectrum
+from zzkit.spectrum import refine_crossing, single_excitation_scan
 
 chip = load_fixture("chip1")
 q1 = chip.qubits[0].transmon(0.5)
 q2 = chip.qubits[1].transmon()
 coupling = chip.coupling()
 
+# both qubits over the whole grid in one solve, as flux-spectroscopy does
 fluxes = np.linspace(-0.2, -0.01, 61)
-bare2, lower, upper = [], [], []
-for flux in fluxes:
-    params = kerr_at_flux(q1, q2, coupling, flux2_phi0=flux)
-    spec = diagonalize_and_label(build_hamiltonian(params, (3, 3), None))
-    lo, hi = spec.single_excitation_energies()
-    bare2.append(params.mode_freqs_hz[1])
-    lower.append(lo)
-    upper.append(hi)
+bare2, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
+lower, upper = pairs.T
 
-j, flux_min = avoided_crossing_j(q1, q2, coupling, fluxes)
+j, flux_min = refine_crossing(q1, q2, coupling, fluxes, upper - lower)
 omega1 = transmon_spectrum(q1).omega01_hz
 print(f"qubit 1 parked at {omega1 / 1e9:.4f} GHz")
 print(f"minimum splitting 2J = {2 * j / 1e6:.1f} MHz at flux "
@@ -48,10 +37,10 @@ except ImportError:
     raise SystemExit(0)
 
 fig, ax = plt.subplots(figsize=(6, 4))
-ax.plot(fluxes, np.array(bare2) / 1e9, "k:", label="bare qubit 2")
+ax.plot(fluxes, bare2 / 1e9, "k:", label="bare qubit 2")
 ax.axhline(omega1 / 1e9, color="k", ls="--", lw=0.8, label="bare qubit 1")
-ax.plot(fluxes, np.array(lower) / 1e9, "C0", label="dressed branches")
-ax.plot(fluxes, np.array(upper) / 1e9, "C0")
+ax.plot(fluxes, lower / 1e9, "C0", label="dressed branches")
+ax.plot(fluxes, upper / 1e9, "C0")
 ax.axvline(flux_min, color="C3", lw=0.8)
 ax.set_xlabel("qubit-2 flux (Phi0)")
 ax.set_ylabel("frequency (GHz)")

@@ -22,8 +22,8 @@ from .circuit import (
     kerr_from_foster,
     participation_from_foster,
     transmon_levels,
+    transmon_pair,
     transmon_spectrum,
-    two_transmon_kerr,
 )
 from .dynamics import (
     DissipationSpec,
@@ -64,7 +64,6 @@ from .spectrum import (
     conditional_frequencies,
     diagonalize_and_label,
     dressed_blocks,
-    kerr_at_flux,
     pauli_decomposition,
     schrieffer_wolff_shifts,
     zeta_exact,

@@ -7,6 +7,10 @@ The conversion chain is
 where the left-hand side is either a pair of SQUID transmons with an explicit
 coupling capacitance, or a Foster network (series of parallel LC(R) stages)
 with junction participations.  All energies are stored as E/h in Hz.
+A transmon pair has one reduction, transmon_pair, to the (omega01, alpha, g)
+columns of dressed_blocks: the optimizer, flux scan and circuit files share it.
+The CLI exits 2 naming the field for a circuit file's C12 outside [0, min
+C_sigma), and for a circuit-file qubit or flux-spectroscopy bias with E_J/E_C < 1.
 """
 
 import warnings
@@ -71,6 +75,10 @@ class TransmonSpec:
     def at_flux(self, flux_phi0):
         return TransmonSpec(self.squid.at_flux(flux_phi0), self.ec_hz)
 
+    @property
+    def ej_hz(self):
+        return effective_josephson_energy(self.squid)
+
 
 @dataclass(frozen=True)
 class TransmonSpectrum:
@@ -116,18 +124,21 @@ def _characteristic(func, order, q):
     return v
 
 
-def transmon_spectrum(spec):
-    """omega01, anharmonicity and levels 0, 1, 2 at the spec's flux bias (transmon_levels)."""
-    ej = effective_josephson_energy(spec.squid)
-    ratio = ej / spec.ec_hz
+def check_transmon(spec):
+    """spec, after a ValueError if E_J/E_C < 1 at its flux bias and a warning below 20."""
+    ratio = spec.ej_hz / spec.ec_hz
     if ratio < 1:
-        raise ValueError(f"E_J/E_C = {ratio:.2f} < 1: not a transmon at this flux")
+        raise ValueError(f"E_J/E_C = {ratio:.2f} < 1 at flux {spec.squid.flux_phi0:g}: "
+                         "not a transmon")
     if ratio < TRANSMON_RATIO_WARN:
-        warnings.warn(
-            f"E_J/E_C = {ratio:.1f} < {TRANSMON_RATIO_WARN:g}: outside the transmon regime",
-            stacklevel=2,
-        )
-    omega01, anharm = map(float, transmon_levels(ej, spec.ec_hz))
+        warnings.warn(f"E_J/E_C = {ratio:.1f} < {TRANSMON_RATIO_WARN:g} at flux "
+                      f"{spec.squid.flux_phi0:g}: outside the transmon regime", stacklevel=3)
+    return spec
+
+
+def transmon_spectrum(spec):
+    """omega01, anharmonicity and levels 0, 1, 2 at the spec's bias, after check_transmon."""
+    omega01, anharm = map(float, transmon_levels(check_transmon(spec).ej_hz, spec.ec_hz))
     return TransmonSpectrum(omega01, anharm, np.array([0.0, omega01, 2 * omega01 + anharm]))
 
 
@@ -304,8 +315,14 @@ class Coupling:
 
     @classmethod
     def capacitive(cls, c12_farads, ec1_hz, ec2_hz):
-        """Capacitive coupling with node capacitances implied by the charging energies."""
+        """Capacitive coupling, C12 in [0, min C_sigma) with C_sigma from the charging energies."""
         cs = (capacitance_from_ec(ec1_hz), capacitance_from_ec(ec2_hz))
+        if not 0 <= c12_farads < min(cs):
+            raise ValueError(f"C12 = {c12_farads:.3g} F must lie in [0, min C_sigma = "
+                             f"{min(cs):.3g} F)")
+        if c12_farads > COUPLING_FRACTION_WARN * (min(cs) - c12_farads):
+            warnings.warn(f"C12 exceeds {COUPLING_FRACTION_WARN:.0%} of a shunt capacitance: "
+                          "two-node reduction is only approximate", stacklevel=2)
         return cls(c12_farads=c12_farads, csigma_farads=cs)
 
     def g_at(self, omega1_hz, omega2_hz):
@@ -315,32 +332,13 @@ class Coupling:
         return self.c12_farads / (2.0 * np.sqrt(c1 * c2)) * np.sqrt(omega1_hz * omega2_hz)
 
 
-def two_transmon_kerr(q1, q2, coupling_capacitance, shunt_caps):
-    """Kerr parameters of two capacitively coupled transmons.
-
-    The exchange rate follows the two-node capacitive reduction with total
-    node capacitances C_shunt,i + C12, kept to bilinear (charge-charge) order:
-    quartic terms live entirely in the local junction cosines.
-    """
-    c12 = float(coupling_capacitance)
-    cs1, cs2 = (float(shunt_caps[0]), float(shunt_caps[1]))
-    if c12 < 0 or cs1 <= 0 or cs2 <= 0:
-        raise ValueError("capacitances must be positive (c12 may be zero)")
-    if c12 > COUPLING_FRACTION_WARN * min(cs1, cs2):
-        warnings.warn(
-            f"C12 exceeds {COUPLING_FRACTION_WARN:.0%} of a shunt capacitance: "
-            "two-node reduction is only approximate",
-            stacklevel=2,
-        )
-    coupling = Coupling(c12_farads=c12, csigma_farads=(cs1 + c12, cs2 + c12))
-    return kerr_from_spectra(transmon_spectrum(q1), transmon_spectrum(q2), coupling)
-
-
-def kerr_from_spectra(s1, s2, coupling):
-    """KerrParams of two transmons from their spectra; bilinear coupling adds no cross-Kerr."""
-    return KerrParams(
-        mode_freqs_hz=np.array([s1.omega01_hz, s2.omega01_hz]),
-        self_kerr_hz=np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
-        cross_kerr_hz=np.zeros((2, 2)),
-        exchange_g_hz=coupling.g_at(s1.omega01_hz, s2.omega01_hz),
-    )
+def transmon_pair(ej_hz, ec_hz, coupling):
+    """(omega01, alpha, g) of coupled transmons: ej_hz and ec_hz broadcast to (2, ...),
+    qubit 1 first, and one transmon_levels call solves both at every point; g is
+    coupling.g_at on the solved frequencies.  Raises ValueError, naming the
+    smallest E_J/E_C, when any is below 1."""
+    ratio = np.asarray(ej_hz, dtype=float) / np.asarray(ec_hz, dtype=float)
+    if not np.all(ratio >= 1):
+        raise ValueError(f"E_J/E_C = {np.min(ratio):.2f} < 1: not a transmon")
+    omega, alpha = transmon_levels(ej_hz, ec_hz)
+    return omega, alpha, coupling.g_at(omega[0], omega[1])

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as zio
-from .circuit import Coupling, KerrParams, transmon_spectrum
+from .circuit import Coupling, KerrParams, transmon_pair, transmon_spectrum
 from .dynamics import (
     FRAMES,
     PULSE_SHAPES,
@@ -100,7 +100,7 @@ ZZ_SWEEP_FIELDS = (
 
 
 def _sweep_system(cfg):
-    """Resolve (omega1, alpha1, alpha2, coupling) from fixture, circuit file or inline keys."""
+    """(omega1, alpha1, alpha2, coupling): fixture (alpha2 as recorded), circuit file or inline."""
     if cfg["fixture"] is not None:
         fx = load_fixture(cfg["fixture"])
         q1f, q2f = fx.qubits
@@ -108,9 +108,9 @@ def _sweep_system(cfg):
         return s1.omega01_hz, s1.anharmonicity_hz, q2f.alpha_hz, fx.coupling()
     if cfg["circuit"] is not None:
         desc = zio.load_circuit_file(cfg["circuit"], "zz-sweep:circuit")
-        s1 = transmon_spectrum(desc.qubits[0])
-        s2 = transmon_spectrum(desc.qubits[1])
-        return s1.omega01_hz, s1.anharmonicity_hz, s2.anharmonicity_hz, desc.coupling
+        (omega1, _), (alpha1, alpha2), _ = transmon_pair(
+            [q.ej_hz for q in desc.qubits], [q.ec_hz for q in desc.qubits], desc.coupling)
+        return float(omega1), float(alpha1), float(alpha2), desc.coupling
     inline = cfg["inline"]
     if inline is None:
         raise ValueError("need one of 'fixture', 'circuit' or 'inline'")
@@ -254,9 +254,10 @@ def cmd_flux_spectroscopy(cfg, out):
     q1 = q1f.transmon(q1_flux)
     q2 = q2f.transmon()
     coupling = fx.coupling()
-    s1 = transmon_spectrum(q1)
-
-    omega2, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
+    with zio.config_errors("flux-spectroscopy:q1_flux_phi0"):
+        s1 = transmon_spectrum(q1)
+    with zio.config_errors("flux-spectroscopy:flux_phi0"):
+        omega2, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
     rows = [{"flux_phi0": flux, "omega1_bare_hz": s1.omega01_hz, "omega2_bare_hz": w2,
              "dressed_lower_hz": lo, "dressed_upper_hz": hi}
             for flux, w2, (lo, hi) in zip(fluxes, omega2.tolist(), pairs.tolist())]
@@ -266,7 +267,7 @@ def cmd_flux_spectroscopy(cfg, out):
     summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(s1.omega01_hz)}
     try:
         # the rows' own gaps: the grid is solved once
-        j, flux_min = refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
+        j, flux_min = refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
         summary.update({"two_j_hz": 2.0 * float(j), "flux_at_min_phi0": float(flux_min)})
     except ZZKitError as exc:
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,

@@ -11,6 +11,7 @@ self-test.
 """
 
 import csv
+import functools
 import json
 import reprlib
 import sys
@@ -26,7 +27,7 @@ from .circuit import (
     JunctionParticipation,
     SquidSpec,
     TransmonSpec,
-    effective_josephson_energy,
+    check_transmon,
 )
 from .dynamics import (
     FRAMES,
@@ -239,14 +240,15 @@ class CircuitDescription:
     participation: JunctionParticipation = None
 
 
-def _circuit(qubits, coupling, foster, participation):
+def _circuit(path, qubits, coupling, foster, participation):
     c12, g = coupling["c12_farads"], coupling["g_hz"]
     if (c12 is None) == (g is None):
         raise ValueError("coupling needs exactly one of c12_farads | g_hz")
-    coupling = (Coupling.fixed(g) if c12 is None
-                else Coupling.capacitive(c12, qubits[0].ec_hz, qubits[1].ec_hz))
+    with config_errors(f"{path}:coupling:c12_farads"):
+        coupling = (Coupling.fixed(g) if c12 is None
+                    else Coupling.capacitive(c12, qubits[0].ec_hz, qubits[1].ec_hz))
     if participation is not None:
-        ej = np.array([effective_josephson_energy(q.squid) for q in qubits])
+        ej = np.array([q.ej_hz for q in qubits])
         participation = JunctionParticipation(participation, ej[: np.shape(participation)[-1]])
     return CircuitDescription(qubits, coupling, foster, participation)
 
@@ -257,8 +259,9 @@ COUPLING_FIELDS = (Field("c12_farads", number, None), Field("g_hz", number, None
 FOSTER_FIELDS = (Field("l_henries", number), Field("c_farads", number),
                  Field("r_ohms", optional(number), None))
 CIRCUIT_FIELDS = (
-    Field("qubits", records(QUBIT_FIELDS, lambda ec_hz, **squid: TransmonSpec(
-        SquidSpec(**squid), ec_hz)), check=(lambda q: len(q) == 2, "must hold exactly 2 qubits")),
+    Field("qubits", records(QUBIT_FIELDS, lambda ec_hz, **squid: check_transmon(
+        TransmonSpec(SquidSpec(**squid), ec_hz))),
+        check=(lambda q: len(q) == 2, "must hold exactly 2 qubits")),
     Field("coupling", record(COUPLING_FIELDS)),
     Field("foster", records(FOSTER_FIELDS, lambda l_henries, c_farads, r_ohms: FosterMode(
         l_henries, c_farads, np.inf if r_ohms is None else r_ohms)), None),
@@ -268,7 +271,7 @@ CIRCUIT_FIELDS = (
 
 def load_circuit_file(path, field="circuit"):
     """Parse the circuit description JSON at path, which the config field `field` names."""
-    return parse(read_json(path, field), CIRCUIT_FIELDS, path, _circuit)
+    return parse(read_json(path, field), CIRCUIT_FIELDS, path, functools.partial(_circuit, path))
 
 
 # --------------------------------------------------------- protocol file

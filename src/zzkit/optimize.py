@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Coupling, transmon_levels
+from .circuit import Coupling, transmon_pair
 from .constants import charging_energy_hz
 from .errors import NoFeasibleCandidateError
 from .spectrum import dressed_blocks
@@ -169,8 +169,9 @@ class Population:
 def evaluate_population(xs, problem):
     """Build the circuits of a (K, dim) stack of design points and score C1-C5.
 
-    Transmons (Mathieu levels) and N <= 2 spectral blocks are solved as stacked
-    arrays, and the rows come back as one Population.  A point with an unphysical
+    The design variables decode to node capacitances C_sigma = C_i + C12.
+    transmon_pair and dressed_blocks (N <= 2) solve the physical rows stacked,
+    and the rows come back as one Population.  A point with an unphysical
     circuit (a non-positive capacitance or energy, E_J/E_C < 1) or ambiguous
     computational labels is infeasible with one 'evaluation_error' violation.
     """
@@ -183,14 +184,14 @@ def evaluate_population(xs, problem):
     c12 = v["c12_farads"]
     csig = np.stack([v["c1_farads"] + c12, v["c2_farads"] + c12])
     ej = np.stack([v["ej1_hz"], v["ej2_hz"]])
-    w, alpha = np.full((2, 2, len(xs)), np.nan)
+    (w, alpha), g = np.full((2, 2, len(xs)), np.nan), np.full(len(xs), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):    # in rows that fail `ok`
         ec = charging_energy_hz(csig)
         ratio = ej / ec
         ok = ((c12 >= 0) & (v["c1_farads"] > 0) & (v["c2_farads"] > 0)
               & np.all((ec > 0) & (ratio >= 1), axis=0))
-        w[:, ok], alpha[:, ok] = transmon_levels(ej[:, ok], ec[:, ok])
-        g = Coupling(c12_farads=c12, csigma_farads=tuple(csig)).g_at(w[0], w[1])
+        w[:, ok], alpha[:, ok], g[ok] = transmon_pair(
+            ej[:, ok], ec[:, ok], Coupling(c12_farads=c12[ok], csigma_farads=tuple(csig[:, ok])))
         delta = np.abs(w[0] - w[1])
         j_over_delta = np.where(delta == 0, np.inf, g / delta)
     zeta, error = np.full(len(xs), np.nan), np.where(ok, None, "evaluation_error:ValueError")

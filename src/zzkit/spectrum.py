@@ -20,12 +20,13 @@ solves every block of a truncation, for spectrum dumps.
 """
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .circuit import kerr_from_spectra, transmon_spectrum
+from .circuit import check_transmon, transmon_pair
 from .errors import (
     AmbiguousLabelError,
     DomainError,
@@ -353,25 +354,21 @@ def conditional_frequencies(decomp):
     return w1_0, w1_1, w2_0, w2_1
 
 
-def kerr_at_flux(q1, q2, coupling, flux1_phi0=None, flux2_phi0=None):
-    """KerrParams for two transmon specs at given fluxes with the supplied coupling."""
-    s1 = transmon_spectrum(q1 if flux1_phi0 is None else q1.at_flux(flux1_phi0))
-    s2 = transmon_spectrum(q2 if flux2_phi0 is None else q2.at_flux(flux2_phi0))
-    return kerr_from_spectra(s1, s2, coupling)
-
-
-def single_excitation_scan(q1_spectrum, q2, coupling, fluxes):
+def single_excitation_scan(q1, q2, coupling, fluxes):
     """Qubit 2's bare frequencies and the dressed one-excitation pairs over a flux grid.
 
-    q1_spectrum is qubit 1's TransmonSpectrum, solved once per scan; qubit 2
-    sits at each of fluxes.  Returns omega2 (K,) and ascending pairs (K, 2).
+    q1 and q2 are TransmonSpecs: qubit 1 stays at its own bias, qubit 2 sits at
+    each of fluxes, and transmon_pair solves both over the grid.  Returns omega2
+    (K,) and ascending pairs (K, 2).  check_transmon at the flux of qubit 2's
+    lowest E_J/E_C raises below 1 and warns once below 20.
     """
-    s2 = [transmon_spectrum(q2.at_flux(flux)) for flux in fluxes]
-    w1 = q1_spectrum.omega01_hz
-    w2 = np.array([s.omega01_hz for s in s2])
-    _, pairs, _ = dressed_blocks(w1, w2, q1_spectrum.anharmonicity_hz,
-                                 [s.anharmonicity_hz for s in s2], coupling.g_at(w1, w2))
-    return w2, pairs
+    fluxes = np.asarray(fluxes, dtype=float)
+    ej2 = q2.at_flux(fluxes).ej_hz
+    check_transmon(q2.at_flux(fluxes[np.argmin(ej2)]))
+    ej = np.stack(np.broadcast_arrays(q1.ej_hz, ej2))
+    omega, alpha, g = transmon_pair(ej, [[q1.ec_hz], [q2.ec_hz]], coupling)
+    _, pairs, _ = dressed_blocks(*omega, *alpha, g)
+    return omega[1], pairs
 
 
 def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
@@ -384,16 +381,14 @@ def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
     fluxes = np.asarray(flux_sweep, dtype=float)
     if fluxes.size < 3:
         raise ValueError("flux sweep needs at least 3 points")
-    s1 = transmon_spectrum(q1)
-    _, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
-    return refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0],
-                           refine_iterations)
+    _, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
+    return refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0], refine_iterations)
 
 
-def refine_crossing(q1_spectrum, q2, coupling, fluxes, gaps, refine_iterations=40):
+def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
-    gaps[k] is the splitting at fluxes[k], and q1_spectrum is as in
+    gaps[k] is the splitting at fluxes[k], and q1, q2 are as in
     single_excitation_scan.  Bounded Brent iteration minimizes the squared gap
     between the grid minimum's neighbours in at most refine_iterations solves.
     Raises NoCrossingError when the minimum sits at an endpoint of the scan.
@@ -403,7 +398,9 @@ def refine_crossing(q1_spectrum, q2, coupling, fluxes, gaps, refine_iterations=4
         raise NoCrossingError("gap is monotone over the sweep (no bracketed minimum)")
 
     def gap_squared(flux):
-        (lower, upper), = single_excitation_scan(q1_spectrum, q2, coupling, [flux])[1]
+        with warnings.catch_warnings():     # the scan of the grid has warned
+            warnings.simplefilter("ignore", UserWarning)
+            (lower, upper), = single_excitation_scan(q1, q2, coupling, [flux])[1]
         return (upper - lower) ** 2
 
     best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from zzkit import (
+    Coupling,
     FosterMode,
     JunctionParticipation,
     KerrParams,
@@ -13,12 +16,13 @@ from zzkit import (
     effective_josephson_energy,
     kerr_from_foster,
     participation_from_foster,
+    transmon_pair,
     transmon_spectrum,
-    two_transmon_kerr,
 )
 from zzkit.circuit import transmon_levels, transmon_omega01_asymptotic
-from zzkit.constants import capacitance_from_ec
+from zzkit.cli import main
 from zzkit.errors import DimensionMismatchError
+from zzkit.io import load_circuit_file, read_zz_sweep_csv
 
 from conftest import make_transmon
 
@@ -240,37 +244,75 @@ class TestKerrParamsValidation:
             KerrParams(np.array([5e9]), np.array([-0.3e9]), np.array([[1e6]]))
 
 
+def pair_columns(q1, q2, coupling):
+    """transmon_pair on two TransmonSpecs, each at its own bias."""
+    return transmon_pair([effective_josephson_energy(q.squid) for q in (q1, q2)],
+                         [q1.ec_hz, q2.ec_hz], coupling)
+
+
 class TestTwoTransmonKerr:
+    """transmon_pair: the one reduction of a coupled pair to (omega01, alpha, g)."""
+
     def test_uncoupled_limit(self, chip1):
         q1 = chip1.qubits[0].transmon()
         q2 = chip1.qubits[1].transmon()
-        params = two_transmon_kerr(q1, q2, 0.0, (60e-15, 70e-15))
-        assert params.exchange_g_hz == 0.0
+        _, _, g = pair_columns(q1, q2, Coupling.capacitive(0.0, q1.ec_hz, q2.ec_hz))
+        assert g == 0.0
 
     def test_design_coupling_reproduces_estimated_exchange(self, chip1):
-        # design C12 = 5.11 fF with shunts back-solved from the charging
+        # design C12 = 5.11 fF with node capacitances from the charging
         # energies puts g within a few percent of the quoted 240 MHz estimate
-        c12 = 5.11e-15
         q1f, q2f = chip1.qubits
         q1 = q1f.transmon(0.5)                      # 6.270 GHz
         q2 = q2f.transmon(0.0)                      # 6.348 GHz
-        shunts = (capacitance_from_ec(q1f.ec_hz) - c12,
-                  capacitance_from_ec(q2f.ec_hz) - c12)
-        params = two_transmon_kerr(q1, q2, c12, shunts)
-        assert params.exchange_g_hz == pytest.approx(240e6, rel=0.15)
+        _, _, g = pair_columns(q1, q2, Coupling.capacitive(5.11e-15, q1f.ec_hz, q2f.ec_hz))
+        assert g == pytest.approx(240e6, rel=0.15)
 
     def test_swap_symmetry(self):
-        q = make_transmon(18e9, 0.28e9)
-        p12 = two_transmon_kerr(q, q, 5e-15, (60e-15, 60e-15))
-        p21 = two_transmon_kerr(q, q, 5e-15, (60e-15, 60e-15))
-        assert p12.exchange_g_hz == pytest.approx(p21.exchange_g_hz, rel=1e-14)
+        qa = make_transmon(18e9, 0.28e9)
+        qb = make_transmon(23e9, 0.31e9, d=0.3, flux=0.2)
+        w_ab, alpha_ab, g_ab = pair_columns(qa, qb, Coupling.capacitive(5e-15, 0.28e9, 0.31e9))
+        w_ba, alpha_ba, g_ba = pair_columns(qb, qa, Coupling.capacitive(5e-15, 0.31e9, 0.28e9))
+        assert w_ab[0] != w_ab[1] and alpha_ab[0] != alpha_ab[1]
+        np.testing.assert_array_equal(w_ba, w_ab[::-1])
+        np.testing.assert_array_equal(alpha_ba, alpha_ab[::-1])
+        assert g_ba == g_ab
 
-    def test_warns_on_large_coupling_fraction(self):
-        q = make_transmon(18e9, 0.28e9)
+    def test_stacked_points_match_single_points(self, rng):
+        ej = rng.uniform(5e9, 40e9, (2, 7))
+        ec = np.array([[0.28e9], [0.31e9]])
+        coupling = Coupling.capacitive(4e-15, 0.28e9, 0.31e9)
+        w, alpha, g = transmon_pair(ej, ec, coupling)
+        assert w.shape == alpha.shape == (2, 7) and g.shape == (7,)
+        for k in range(7):
+            one = transmon_pair(ej[:, k], ec[:, 0], coupling)
+            np.testing.assert_array_equal(one[0], w[:, k])
+            np.testing.assert_array_equal(one[1], alpha[:, k])
+            assert one[2] == g[k]
+
+    def test_rejects_a_non_transmon_point(self):
+        ej = np.array([[20e9, 20e9, 20e9], [20e9, 0.1e9, 0.2e9]])
+        with pytest.raises(ValueError, match="E_J/E_C = 0.33 < 1"):
+            transmon_pair(ej, 0.3e9, Coupling.fixed(0.1e9))
+
+    def test_warns_on_large_coupling_fraction(self, tmp_path):
+        # C12 = 20 fF against node capacitances of 64.6 fF: 45 % of the shunts
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"qubits": [{"ej_sum_hz": 18e9, "ec_hz": 0.3e9}] * 2,
+                                    "coupling": {"c12_farads": 20e-15}}))
         with pytest.warns(UserWarning, match="two-node"):
-            two_transmon_kerr(q, q, 20e-15, (60e-15, 60e-15))
+            load_circuit_file(str(path))
 
-    def test_no_bare_cross_kerr_at_bilinear_order(self):
-        q = make_transmon(18e9, 0.28e9)
-        params = two_transmon_kerr(q, q, 5e-15, (60e-15, 60e-15))
-        assert params.bare_cross_kerr_chi_hz == 0.0
+    def test_no_bare_cross_kerr_at_bilinear_order(self, tmp_path):
+        # every ZZ comes through g: an uncoupled circuit file sweeps to zeta = 0
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({
+            "qubits": [{"ej_sum_hz": 18e9, "ec_hz": 0.28e9},
+                       {"ej_sum_hz": 23e9, "ec_hz": 0.31e9}],
+            "coupling": {"c12_farads": 0.0}}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"circuit": str(circuit), "delta_hz": [-1e9, 0.5e9, 2e9]}))
+        out = str(tmp_path / "zz.csv")
+        assert main(["--config", str(cfg), "--out", out, "zz-sweep"]) == 0
+        for row in read_zz_sweep_csv(out):
+            assert row["zeta_exact_hz"] == pytest.approx(0.0, abs=1e-5)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,8 +107,14 @@ class TestCircuitFile:
         ({"coupling": {"g_hz": "x"}}, "coupling:g_hz"),
         ({"participation": [1, 2]}, "participation"),
         ({"foster": [{"l_henries": "x", "c_farads": 1e-13}]}, "foster[0]:l_henries"),
+        # a symmetric SQUID at half flux has E_J = 0
+        ({"qubits[1]": {"asymmetry_d": 0.0, "flux_phi0": 0.5}}, "qubits[1]: E_J/E_C = 0.00 < 1"),
+        # C12 must lie in [0, min C_sigma), C_sigma = e^2 / (2 h E_C) = 63 and 74 fF here
+        ({"coupling": {"c12_farads": -5e-15}}, "coupling:c12_farads"),
+        ({"coupling": {"c12_farads": 500e-15}}, "coupling:c12_farads"),
     ], ids=["qubits-not-list", "ej-not-number", "ec-boolean", "coupling-not-object",
-            "g-not-number", "participation-not-matrix", "foster-l-not-number"])
+            "g-not-number", "participation-not-matrix", "foster-l-not-number",
+            "qubit-not-transmon", "c12-negative", "c12-above-node-capacitance"])
     def test_circuit_file_error_exit_code(self, tmp_path, capsys, change, field):
         circuit = self.good()
         for key, value in change.items():
@@ -262,6 +269,12 @@ class TestZZSweepCommand:
         # a null seed would draw from fresh entropy, and reruns would differ
         ("optimize", {"de": {"population": 6, "generations": 2, "seed": None}},
          "optimize:de:seed"),
+        # chip2's SQUIDs are symmetric: E_J = 0 at half flux
+        ("flux-spectroscopy", {"fixture": "chip2",
+                               "flux_phi0": {"start": 0.3, "stop": 0.5, "num": 5}},
+         "flux-spectroscopy:flux_phi0: E_J/E_C = 0.00 < 1 at flux 0.5"),
+        ("flux-spectroscopy", {"fixture": "chip2", "flux_phi0": [-0.2, -0.1, 0.0],
+                               "q1_flux_phi0": 0.5}, "flux-spectroscopy:q1_flux_phi0"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -280,7 +293,8 @@ class TestZZSweepCommand:
             "optimize-variable-unset", "optimize-strict-mode-string", "protocol-not-path",
             "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
             "levels-too-large", "levels-below-two", "optimize-negative-seed",
-            "optimize-negative-seed-flag", "optimize-null-seed"])
+            "optimize-negative-seed-flag", "optimize-null-seed", "flux-grid-not-transmon",
+            "flux-q1-not-transmon"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
@@ -634,6 +648,18 @@ class TestFluxSpectroscopyCommand:
                                          np.linspace(-0.2, -0.01, 21))
         assert summary["two_j_hz"] == 2.0 * float(j)
         assert summary["flux_at_min_phi0"] == flux_min
+
+    def test_warns_once_per_scan_outside_transmon_regime(self, tmp_path):
+        # chip2's symmetric SQUID puts qubit 2 at E_J/E_C 12.2, 10.2 and 8.1 on
+        # this grid: one warning names the lowest, not one per flux
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip2",
+                                                 "flux_phi0": [0.44, 0.45, 0.46]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--out", str(tmp_path / "flux.csv"),
+                         "flux-spectroscopy"]) == 0
+        regime = [str(w.message) for w in caught if "transmon regime" in str(w.message)]
+        assert regime == ["E_J/E_C = 8.1 < 20 at flux 0.46: outside the transmon regime"]
 
     def test_far_detuned_spectator_nearly_bare(self, tmp_path, chip1):
         # parking Q1 at its upper sweet-spot (9.2 GHz) leaves Q2 dressed only

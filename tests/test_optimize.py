@@ -14,6 +14,7 @@ from zzkit import (
     diagonalize_and_label,
     evaluate_candidate,
     optimize,
+    transmon_spectrum,
     zeta_exact,
 )
 from zzkit.constants import charging_energy_hz
@@ -132,8 +133,11 @@ class TestEvaluateCandidate:
         cand = evaluate_candidate(x, problem)
         assert cand.feasible, cand.violations
         # cross-check zeta against the spectrum pipeline at the same point
-        from zzkit import kerr_at_flux
-        params = kerr_at_flux(q1f.transmon(0.5), q2f.transmon(0.0), chip1.coupling())
+        s1, s2 = transmon_spectrum(q1f.transmon(0.5)), transmon_spectrum(q2f.transmon(0.0))
+        params = KerrParams(np.array([s1.omega01_hz, s2.omega01_hz]),
+                            np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
+                            np.zeros((2, 2)),
+                            exchange_g_hz=chip1.g_at(s1.omega01_hz, s2.omega01_hz))
         spec = diagonalize_and_label(build_hamiltonian(params, (5, 5), 4))
         assert cand.zeta_hz == pytest.approx(zeta_exact(spec), rel=0.10)
 

@@ -11,7 +11,6 @@ from zzkit import (
     build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
-    kerr_at_flux,
     pauli_decomposition,
     schrieffer_wolff_shifts,
     zeta_exact,
@@ -255,9 +254,14 @@ class TestDressedBlocks:
         q2 = chip1.qubits[1].transmon()
         fluxes = np.linspace(-0.2, -0.01, 9)
         s1 = transmon_spectrum(q1)
-        omega2, pairs = single_excitation_scan(s1, q2, chip1.coupling(), fluxes)
+        omega2, pairs = single_excitation_scan(q1, q2, chip1.coupling(), fluxes)
         for flux, w2, pair in zip(fluxes, omega2, pairs):
-            params = kerr_at_flux(q1, q2, chip1.coupling(), flux2_phi0=flux)
+            # the oracle: one scalar transmon_spectrum per flux
+            s2 = transmon_spectrum(q2.at_flux(flux))
+            params = KerrParams(
+                np.array([s1.omega01_hz, s2.omega01_hz]),
+                np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]), np.zeros((2, 2)),
+                exchange_g_hz=chip1.g_at(s1.omega01_hz, s2.omega01_hz))
             assert w2 == params.mode_freqs_hz[1]
             want = labeled(params, (3, 3), None).single_excitation_energies()
             np.testing.assert_allclose(pair, want, rtol=1e-14)

@@ -31,7 +31,6 @@ from .dynamics import (
     PulseSpec,
     SimulationResult,
     TwoQubitSystem,
-    apply_readout_matrix,
     calibrated_pulse,
     evolve_lindblad,
     evolve_schrodinger,

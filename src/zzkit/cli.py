@@ -33,9 +33,7 @@ from .dynamics import (
 from .errors import (
     AmbiguousLabelError,
     ConfigError,
-    DomainError,
     NoFeasibleCandidateError,
-    PoleError,
     ZZKitError,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
@@ -126,30 +124,19 @@ def cmd_zz_sweep(cfg, out):
 
     omega2 = omega1 - deltas
     g = np.broadcast_to(coupling.g_at(omega1, omega2), deltas.shape)
-    rows = [{"delta_hz": delta, "zeta_exact_hz": None, "zeta_perturbative_hz": None,
-             "zeta_series_hz": None, "ambiguous_flag": "0"} for delta in deltas]
     try:
         zetas, _, ambiguous = dressed_blocks(omega1, omega2, alpha1, alpha2, g, 0.0, levels,
                                              max_exc)
-        for row, zeta, flag in zip(rows, zetas.tolist(), ambiguous.any(axis=1)):
-            # on flagged rows the value equals zeta_resonant's (E_10 + E_01 = E_+ + E_-)
-            row["zeta_exact_hz"], row["ambiguous_flag"] = zeta, "1" if flag else "0"
+        # on flagged rows the value equals zeta_resonant's (E_10 + E_01 = E_+ + E_-)
+        flags = np.where(ambiguous.any(axis=1), "1", "0")
     except ZZKitError as exc:
-        for row in rows:
-            row["ambiguous_flag"] = f"error:{type(exc).__name__}"
-    for row, delta, g_k in zip(rows, deltas, g):
-        try:
-            row["zeta_perturbative_hz"] = zeta_perturbative(g_k, delta, alpha1, alpha2)
-        except (PoleError, ZeroDivisionError):
-            pass
-        try:
-            row["zeta_series_hz"] = zeta_series_high_detuning(
-                g_k, delta, alpha1, alpha2, order=cfg["series_order"])
-        except DomainError:
-            pass
-
-    zio.write_zz_sweep_csv(out, rows)
-    zio.read_zz_sweep_csv(out)   # schema self-test
+        zetas, flags = np.full_like(deltas, np.nan), np.full(deltas.shape,
+                                                              f"error:{type(exc).__name__}")
+    columns = [zetas, zeta_perturbative(g, deltas, alpha1, alpha2),
+               zeta_series_high_detuning(g, deltas, alpha1, alpha2, order=cfg["series_order"])]
+    # a NaN (no exact value, a point by a pole or outside the series' domain) is an empty cell
+    columns = [np.where(np.isnan(c), None, c).tolist() for c in columns]
+    zio.write_csv(out, zio.ZZ_SWEEP_HEADER, zip(deltas.tolist(), *columns, flags.tolist()))
 
     if cfg["spectrum_json"]:
         params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
@@ -183,16 +170,6 @@ BLOCKADE_FIELDS = SYSTEM_FIELDS + (
 )
 
 
-def _blockade_row(delay, length, p1, p2, readout):
-    """One CSV row: final excited populations, measured through readout if given."""
-    row = {"delay_s": delay, "pulse_len_s": length, "p1_e": p1, "p2_e": p2}
-    if readout is not None:
-        m1, m2 = readout
-        row["p1_e_measured"] = float((np.array([1 - p1, p1]) @ m1)[1])
-        row["p2_e_measured"] = float((np.array([1 - p2, p2]) @ m2)[1])
-    return row
-
-
 def cmd_blockade(cfg, out):
     cfg = zio.parse(cfg, BLOCKADE_FIELDS, "blockade")
     with zio.config_errors("blockade"):
@@ -217,23 +194,22 @@ def cmd_blockade(cfg, out):
     rows = []
     if points:
         result = run_blockade_grid(system, [protocol for *_, protocol in points], dissipation)
-        rows = [_blockade_row(delay, length, p1, p2, readout) for (delay, length, _), p1, p2
-                in zip(points, result.p_excited(1).tolist(), result.p_excited(2).tolist())]
-    zio.write_blockade_csv(out, rows, with_measured=readout is not None)
-    zio.read_blockade_csv(out)
+        p = [result.p_excited(1), result.p_excited(2)]
+        if readout is not None:
+            # each qubit's (P(g), P(e)) through its confusion matrix: the measured P(e)
+            p += [(np.stack([1 - pq, pq], -1) @ m)[:, 1] for pq, m in zip(p, readout)]
+        rows = np.column_stack([[point[:2] for point in points], *p]).tolist()
+    zio.write_csv(out, zio.BLOCKADE_HEADER + (zio.BLOCKADE_MEASURED if readout is not None
+                                              else []), rows)
 
     spectral = cfg["spectral"]
     if spectral is not None and cfg["protocol"] is None:
         offset = abs(system.zeta_hz) if spectral["offset_hz"] is None else spectral["offset_hz"]
         spath = str(out) + ".spectral.csv" if spectral["out"] is None else spectral["out"]
-        srows = []
-        for ln in lengths:
-            pulse = pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
-                             gaussian_sigma_s=sigma)
-            srows.append({"pulse_len_s": ln, "spectral_fraction": pulse_spectral_power(
-                pulse, offset, spectral["window_hz"])})
-        zio.write_spectral_csv(spath, srows)
-        zio.read_spectral_csv(spath)
+        fractions = [pulse_spectral_power(pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
+                                                   gaussian_sigma_s=sigma),
+                                          offset, spectral["window_hz"]) for ln in lengths]
+        zio.write_csv(spath, zio.SPECTRAL_HEADER, zip(lengths, fractions))
     return EXIT_OK
 
 
@@ -258,11 +234,8 @@ def cmd_flux_spectroscopy(cfg, out):
         s1 = transmon_spectrum(q1)
     with zio.config_errors("flux-spectroscopy:flux_phi0"):
         omega2, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
-    rows = [{"flux_phi0": flux, "omega1_bare_hz": s1.omega01_hz, "omega2_bare_hz": w2,
-             "dressed_lower_hz": lo, "dressed_upper_hz": hi}
-            for flux, w2, (lo, hi) in zip(fluxes, omega2.tolist(), pairs.tolist())]
-    zio.write_flux_csv(out, rows)
-    zio.read_flux_csv(out)
+    zio.write_csv(out, zio.FLUX_HEADER, np.column_stack(
+        [fluxes, np.full_like(fluxes, s1.omega01_hz), omega2, pairs]).tolist())
 
     summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(s1.omega01_hz)}
     try:
@@ -347,8 +320,8 @@ def cmd_optimize(cfg, out, seed_override=None):
         "seed": problem.de_params.seed,
     }
     zio.write_json(out, payload)
-    zio.write_history_csv(str(out) + ".history.csv", history)
-    zio.read_history_csv(str(out) + ".history.csv")
+    zio.write_csv(str(out) + ".history.csv", zio.HISTORY_HEADER,
+                  [(h.generation, h.best_zeta_hz, h.n_feasible) for h in history])
     print(json.dumps({"zeta_hz": best.zeta_hz, "feasible": bool(best.feasible)},
                      sort_keys=True))
     return EXIT_OK
@@ -379,9 +352,15 @@ def cmd_foster_fit(samples_csv, n_poles, out):
 
 # ------------------------------------------------------------------ ramsey
 
+def _evenly_spaced(t):
+    """Whether every time lies within 1e-9 of a mean step of the even grid between t's ends."""
+    even = np.linspace(t[0], t[-1], t.size)
+    return bool(np.all(np.abs(t - even) <= 1e-9 * (even[1] - even[0])))
+
+
 RAMSEY_FIELDS = SYSTEM_FIELDS + (
-    Field("free_time_s", zio.grid,
-          check=(lambda t: t.size >= 4, "needs >= 4 points for the fringe fit")),
+    Field("free_time_s", zio.grid, check=(lambda t: t.size >= 4 and _evenly_spaced(t),
+                                          "needs >= 4 evenly spaced points for the fringe fit")),
     Field("drive_offset_hz", zio.optional(zio.number), None),
 )
 
@@ -390,14 +369,10 @@ def cmd_ramsey(cfg, out):
     cfg = zio.parse(cfg, RAMSEY_FIELDS, "ramsey")
     with zio.config_errors("ramsey"):
         system = _blockade_system(cfg)
-    rows = []
-    for state in (0, 1):
-        fringe = run_conditional_ramsey(system, state, cfg["free_time_s"],
-                                        drive_offset_hz=cfg["drive_offset_hz"])
-        rows.append({"spectator_state": state, "fringe_hz": fringe})
-    zio.write_ramsey_csv(out, rows)
-    zio.read_ramsey_csv(out)
-    inferred = abs(rows[1]["fringe_hz"] - rows[0]["fringe_hz"])
+    fringes = [run_conditional_ramsey(system, state, cfg["free_time_s"],
+                                      drive_offset_hz=cfg["drive_offset_hz"]) for state in (0, 1)]
+    zio.write_csv(out, zio.RAMSEY_HEADER, enumerate(fringes))
+    inferred = abs(fringes[1] - fringes[0])
     print(json.dumps({"zeta_inferred_hz": inferred,
                       "zeta_model_hz": system.zeta_hz}, sort_keys=True))
     return EXIT_OK

@@ -1190,22 +1190,6 @@ def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s,
     return branch_phase(1) - branch_phase(0)
 
 
-def apply_readout_matrix(populations, fidelity_matrix):
-    """Compose true populations with a row-stochastic readout confusion matrix.
-
-    Element (i, j) is the probability of preparing state i and measuring j.
-    Accepts a 2-vector with a 2x2 matrix (single qubit) or a 4-vector with a
-    4x4 matrix (joint readout); the output is renormalized.
-    """
-    p = np.asarray(populations, dtype=float)
-    m = np.asarray(fidelity_matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or p.shape != (m.shape[0],):
-        raise ValueError("populations and fidelity matrix shapes disagree")
-    check_row_stochastic(m)
-    out = p @ m
-    return out / out.sum()
-
-
 def check_row_stochastic(fidelity_matrix):
     """Raise StochasticityError unless every row (last axis) is a probability vector.
 

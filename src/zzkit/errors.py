@@ -33,10 +33,6 @@ class AmbiguousLabelError(ZZKitError):
     """A bare-state label has squared overlap at or below 1/2 with its eigenstate."""
 
 
-class PoleError(ZZKitError):
-    """Perturbative expression evaluated too close to the divergence at |delta| = |alpha1|."""
-
-
 class DomainError(ZZKitError):
     """Input outside the validity region of a series expansion."""
 

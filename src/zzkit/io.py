@@ -4,10 +4,9 @@ Every JSON input (a command's --config and the files it names) is read by
 read_json and checked by parse against a field table.  For every table,
 unknown keys are rejected, every number is finite, a boolean is not a
 number, and each error is a ConfigError naming the field path, such as
-`blockade:spectral:window_hz` or `circuit.json:qubits[1]:ec_hz`.  Numeric
-CSV columns are written with shortest round-trip float formatting, so reruns
-are byte identical, and every writer has a matching reader used as a schema
-self-test.
+`blockade:spectral:window_hz` or `circuit.json:qubits[1]:ec_hz`.  Every
+CSV output goes through write_csv, which writes numbers with shortest
+round-trip float formatting, so reruns are byte identical.
 """
 
 import csv
@@ -55,12 +54,6 @@ REQUIRED = object()     # the default of a key that must be given
 # value or raises a ConfigError; an absent key takes default as it is, unless
 # it is REQUIRED; check is (predicate on the parsed value, message) or None.
 Field = namedtuple("Field", "key kind default check", defaults=(REQUIRED, None))
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    return repr(float(x))
 
 
 # ------------------------------------------------------------ config schema
@@ -330,114 +323,68 @@ def load_admittance_csv(path, field="samples_csv"):
     return table[:, 0], table[:, 1:].copy().view(complex)[:, 0]    # (re, im) bit for bit
 
 
-def write_admittance_csv(path, omegas, values):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ADMITTANCE_HEADER)
-        for om, v in zip(omegas, values):
-            w.writerow([_fmt(om), _fmt(v.real), _fmt(v.imag)])
+def _cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, (str, int)):
+        return str(x)
+    return repr(float(x))
 
 
-def write_zz_sweep_csv(path, rows):
-    """rows: iterable of dicts with the ZZ_SWEEP_HEADER keys (None -> empty cell)."""
+def write_csv(path, header, rows):
+    """Write header, then rows of cells.
+
+    None is an empty cell, a str is written as it is, an int as an int, and any
+    other number as repr(float(x)), so NaN is `nan`.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(ZZ_SWEEP_HEADER)
-        for r in rows:
-            w.writerow([_fmt(r["delta_hz"]), _fmt(r["zeta_exact_hz"]),
-                        _fmt(r["zeta_perturbative_hz"]), _fmt(r["zeta_series_hz"]),
-                        str(r["ambiguous_flag"])])
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
+def _read_csv(path, *headers, str_cols=()):
+    """The rows of a CSV whose header is one of headers, as dicts of floats.
+
+    An empty cell reads as None, and a str_cols cell as it was written.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            raise ConfigError(f"{path}: header must be "
+                              f"{' or '.join(','.join(h) for h in headers)}, got {header}")
+        rows = []
+        for k, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: line {k + 2}: wrong column count")
+            rows.append({name: cell if name in str_cols else None if cell == "" else float(cell)
+                         for name, cell in zip(header, row)})
+    return rows
 
 
 def read_zz_sweep_csv(path):
     return _read_csv(path, ZZ_SWEEP_HEADER, str_cols={"ambiguous_flag"})
 
 
-def write_blockade_csv(path, rows, with_measured=False):
-    header = BLOCKADE_HEADER + (BLOCKADE_MEASURED if with_measured else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(r[k]) for k in header])
-
-
 def read_blockade_csv(path):
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header == BLOCKADE_HEADER:
-        return _read_csv(path, BLOCKADE_HEADER)
-    return _read_csv(path, BLOCKADE_HEADER + BLOCKADE_MEASURED)
-
-
-def write_flux_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FLUX_HEADER)
-        for r in rows:
-            w.writerow([_fmt(r[k]) for k in FLUX_HEADER])
+    return _read_csv(path, BLOCKADE_HEADER, BLOCKADE_HEADER + BLOCKADE_MEASURED)
 
 
 def read_flux_csv(path):
     return _read_csv(path, FLUX_HEADER)
 
 
-def write_history_csv(path, history):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HISTORY_HEADER)
-        for rec in history:
-            w.writerow([str(rec.generation), _fmt(rec.best_zeta_hz),
-                        str(rec.n_feasible)])
-
-
 def read_history_csv(path):
     return _read_csv(path, HISTORY_HEADER)
-
-
-def write_ramsey_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RAMSEY_HEADER)
-        for r in rows:
-            w.writerow([str(r["spectator_state"]), _fmt(r["fringe_hz"])])
 
 
 def read_ramsey_csv(path):
     return _read_csv(path, RAMSEY_HEADER)
 
 
-def write_spectral_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SPECTRAL_HEADER)
-        for r in rows:
-            w.writerow([_fmt(r[k]) for k in SPECTRAL_HEADER])
-
-
 def read_spectral_csv(path):
     return _read_csv(path, SPECTRAL_HEADER)
-
-
-def _read_csv(path, expected_header, str_cols=()):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ConfigError(
-                f"{path}: header must be {','.join(expected_header)}, got {header}")
-        rows = []
-        for k, row in enumerate(reader):
-            if len(row) != len(expected_header):
-                raise ConfigError(f"{path}: line {k + 2}: wrong column count")
-            rec = {}
-            for name, cell in zip(expected_header, row):
-                if name in str_cols:
-                    rec[name] = cell
-                else:
-                    rec[name] = None if cell == "" else float(cell)
-            rows.append(rec)
-    return rows
 
 
 def write_json(path, payload):

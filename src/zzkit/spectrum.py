@@ -31,12 +31,11 @@ from .errors import (
     AmbiguousLabelError,
     DomainError,
     NoCrossingError,
-    PoleError,
     TruncationError,
 )
 
 AMBIGUITY_THRESHOLD = 0.5     # squared overlap at or below this flags the label
-POLE_GUARD_HZ = 1e6           # refuse the perturbative formula this close to the pole
+POLE_GUARD_HZ = 1e6           # the perturbative formula is NaN this close to a pole
 
 COMPUTATIONAL_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -224,25 +223,28 @@ def zeta_resonant(spectrum):
     return e[(1, 1)] - ep - em + e[(0, 0)]
 
 
-def _check_pole(delta_hz, alpha1_hz, guard_hz):
-    if abs(delta_hz - abs(alpha1_hz)) < guard_hz:
-        raise PoleError(
-            f"|delta - |alpha1|| = {abs(delta_hz - abs(alpha1_hz)):.3g} Hz is inside "
-            f"the {guard_hz:.3g} Hz pole guard"
-        )
+def _off_poles(delta_hz, alpha1_hz, alpha2_hz, guard_hz):
+    """delta, NaN within guard_hz of |alpha1| (|11> meets |20>) or -|alpha2| (|11> meets |02>)."""
+    near = ((np.abs(delta_hz - np.abs(alpha1_hz)) < guard_hz)
+            | (np.abs(delta_hz + np.abs(alpha2_hz)) < guard_hz))
+    return np.where(near, np.nan, delta_hz)
+
+
+# the C library's pow on each element, as ** on a scalar: ** on an array squares
+# or calls a SIMD pow, either of which can differ from it in the last bit
+_pow = np.float_power
 
 
 def zeta_perturbative(g_hz, delta_hz, alpha1_hz, alpha2_hz, chi_bare_hz=0.0,
                       pole_guard_hz=POLE_GUARD_HZ):
     """Second-order ZZ: -chi + 2 g^2 [1/(delta + |a2|) - 1/(delta - |a1|)].
 
-    Generated by virtual mixing of |11> with |20> and |02>; diverges at
-    delta = |alpha1| where |11> crosses |20| (guarded by pole_guard_hz).
+    Generated by virtual mixing of |11> with |20> and |02>; NaN within
+    pole_guard_hz of its poles delta = |alpha1| and -|alpha2|.  Arguments broadcast.
     """
-    _check_pole(delta_hz, alpha1_hz, pole_guard_hz)
-    return -chi_bare_hz + 2.0 * g_hz**2 * (
-        1.0 / (delta_hz + abs(alpha2_hz)) - 1.0 / (delta_hz - abs(alpha1_hz))
-    )
+    delta = _off_poles(delta_hz, alpha1_hz, alpha2_hz, pole_guard_hz)
+    return -chi_bare_hz + 2.0 * _pow(g_hz, 2) * (
+        1.0 / (delta + np.abs(alpha2_hz)) - 1.0 / (delta - np.abs(alpha1_hz)))
 
 
 def zeta_series_high_detuning(g_hz, delta_hz, alpha1_hz, alpha2_hz,
@@ -255,21 +257,19 @@ def zeta_series_high_detuning(g_hz, delta_hz, alpha1_hz, alpha2_hz,
                + (|a1|^2 - |a1||a2| + |a2|^2)/D^4 + ... ].
 
     The leading 1/D^2 coefficient depends only on the summed anharmonicity.
+    NaN where delta <= 2 max|alpha|, outside the domain.  Arguments broadcast;
+    an order other than 2, 3 or 4 raises DomainError.
     """
     if order < 2 or order > 4:
         raise DomainError("series order must be 2, 3 or 4")
-    a1, a2 = abs(alpha1_hz), abs(alpha2_hz)
-    if delta_hz <= 2.0 * max(a1, a2):
-        raise DomainError(
-            f"series requires delta > 2 max(|alpha|) = {2 * max(a1, a2):.4g} Hz"
-        )
-    d = delta_hz
-    bracket = 1.0 / d**2
+    a1, a2 = np.abs(alpha1_hz), np.abs(alpha2_hz)
+    d = np.where(delta_hz <= 2.0 * np.maximum(a1, a2), np.nan, delta_hz)
+    bracket = 1.0 / _pow(d, 2)
     if order >= 3:
-        bracket -= (a2 - a1) / d**3
+        bracket -= (a2 - a1) / _pow(d, 3)
     if order >= 4:
-        bracket += (a1**2 - a1 * a2 + a2**2) / d**4
-    return -chi_bare_hz - 2.0 * g_hz**2 * (a1 + a2) * bracket
+        bracket += (_pow(a1, 2) - a1 * a2 + _pow(a2, 2)) / _pow(d, 4)
+    return -chi_bare_hz - 2.0 * _pow(g_hz, 2) * (a1 + a2) * bracket
 
 
 def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz,
@@ -277,13 +277,13 @@ def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz,
     """Second-order dressed shifts (dE11, dE10, dE01).
 
     dE11 = -2g^2/(delta - |a1|) + 2g^2/(delta + |a2|) from the two-excitation
-    manifold; the single-excitation states repel each other symmetrically,
-    dE10 = +g^2/delta and dE01 = -g^2/delta, so dE11 - dE10 - dE01 equals the
-    perturbative zeta identically.
+    manifold, NaN near its poles as zeta_perturbative; the single-excitation states
+    repel each other symmetrically, dE10 = +g^2/delta and dE01 = -g^2/delta, so
+    dE11 - dE10 - dE01 equals the perturbative zeta identically.
     """
-    _check_pole(delta_hz, alpha1_hz, pole_guard_hz)
-    g2 = g_hz**2
-    de11 = -2.0 * g2 / (delta_hz - abs(alpha1_hz)) + 2.0 * g2 / (delta_hz + abs(alpha2_hz))
+    g2 = _pow(g_hz, 2)
+    d11 = _off_poles(delta_hz, alpha1_hz, alpha2_hz, pole_guard_hz)
+    de11 = -2.0 * g2 / (d11 - np.abs(alpha1_hz)) + 2.0 * g2 / (d11 + np.abs(alpha2_hz))
     de10 = g2 / delta_hz
     de01 = -g2 / delta_hz
     return de11, de10, de01

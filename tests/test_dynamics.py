@@ -14,7 +14,6 @@ from zzkit import (
     DissipationSpec,
     PulseSpec,
     TwoQubitSystem,
-    apply_readout_matrix,
     evolve_lindblad,
     evolve_schrodinger,
     lab_hamiltonian,
@@ -41,7 +40,6 @@ from zzkit.errors import (
     FitError,
     ResolutionError,
     StiffnessError,
-    StochasticityError,
     UnsupportedError,
 )
 
@@ -1040,29 +1038,6 @@ class TestEchoConditionalPhase:
         system = TwoQubitSystem(6e9, 4.5e9, 2e6)
         phase = run_echo_conditional_phase(system, tau / 4, tau)
         assert phase == pytest.approx(-TWO_PI * 2e6 * tau / 2, rel=5e-3)
-
-
-class TestReadoutMatrix:
-    def test_identity_matrix(self):
-        p = np.array([0.25, 0.75])
-        np.testing.assert_allclose(apply_readout_matrix(p, np.eye(2)), p)
-
-    def test_confusion_row(self):
-        m = np.array([[0.95, 0.05], [0.10, 0.90]])
-        out = apply_readout_matrix(np.array([1.0, 0.0]), m)
-        np.testing.assert_allclose(out, [0.95, 0.05])
-
-    def test_invert_then_apply_round_trip(self):
-        m = np.array([[0.95, 0.05], [0.10, 0.90]])
-        true = np.array([0.3, 0.7])
-        measured = apply_readout_matrix(true, m)
-        recovered = np.linalg.solve(m.T, measured)
-        np.testing.assert_allclose(recovered, true, atol=1e-9)
-
-    def test_non_stochastic_rejected(self):
-        with pytest.raises(StochasticityError):
-            apply_readout_matrix(np.array([1.0, 0.0]),
-                                 np.array([[0.9, 0.05], [0.1, 0.9]]))
 
 
 class TestSystemConstruction:

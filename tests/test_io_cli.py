@@ -12,7 +12,9 @@ from zzkit import (
     diagonalize_and_label,
     transmon_spectrum,
     zeta_exact,
+    zeta_perturbative,
     zeta_resonant,
+    zeta_series_high_detuning,
 )
 from zzkit.circuit import foster_impedance
 from zzkit.cli import main
@@ -24,7 +26,9 @@ from zzkit.dynamics import (
 )
 from zzkit.fixtures import load_fixture
 from zzkit.errors import AmbiguousLabelError, ConfigError
+from zzkit import io as zio
 from zzkit.io import (
+    ADMITTANCE_HEADER,
     load_admittance_csv,
     load_circuit_file,
     load_protocol_file,
@@ -32,18 +36,24 @@ from zzkit.io import (
     read_history_csv,
     read_ramsey_csv,
     read_zz_sweep_csv,
-    write_admittance_csv,
+    write_csv,
 )
 
 
 # a valid zz-sweep system and grid, for the inline cases of test_config_error_exit_code
 INLINE = {"omega1_hz": 6.27e9, "alpha1_hz": -351e6, "alpha2_hz": -312e6, "g_hz": 5e6}
 DELTAS = {"start": 0.8e9, "stop": 2.0e9, "num": 5}
+# a Ramsey grid that chip1's blockade point reads as 19 MHz, 33.5 MHz below qubit 1
+RAMSEY_GRID = np.linspace(0.0, 200e-9, 401)
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def write_admittance_csv(path, omegas, values):
+    write_csv(path, ADMITTANCE_HEADER, zip(omegas, values.real, values.imag))
 
 
 DESIGN_VARIABLES = [{"name": "ej1_hz", "low": 12e9, "high": 35e9},
@@ -151,6 +161,63 @@ class TestAdmittanceCsv:
             load_admittance_csv(p)
 
 
+def _same_cell(got, written):
+    """Whether a read cell is the written one bit for bit: None for None, NaN for NaN."""
+    if written is None or got is None:
+        return got is written
+    return float(got).hex() == float(written).hex()
+
+
+class TestCsvWriter:
+    # every command's reader, with the header its command writes
+    READERS = [(zio.read_zz_sweep_csv, zio.ZZ_SWEEP_HEADER),
+               (zio.read_blockade_csv, zio.BLOCKADE_HEADER),
+               (zio.read_blockade_csv, zio.BLOCKADE_HEADER + zio.BLOCKADE_MEASURED),
+               (zio.read_flux_csv, zio.FLUX_HEADER),
+               (zio.read_history_csv, zio.HISTORY_HEADER),
+               (zio.read_ramsey_csv, zio.RAMSEY_HEADER),
+               (zio.read_spectral_csv, zio.SPECTRAL_HEADER)]
+
+    @pytest.mark.parametrize("reader,header", READERS,
+                             ids=["zz-sweep", "blockade", "blockade-measured", "flux",
+                                  "history", "ramsey", "spectral"])
+    def test_every_reader_returns_the_written_floats(self, tmp_path, rng, reader, header):
+        # awkward floats for shortest round-trip formatting, NaN and empty cells
+        values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, np.nan, None, 2.0 ** 0.5,
+                  np.float64(-312230381.93197525), 1.0 / 3.0]
+        rows = [[values[(k + j) % len(values)] if name != "ambiguous_flag" else f"flag{k}"
+                 for j, name in enumerate(header)] for k in range(len(values))]
+        rows += [[x if name != "ambiguous_flag" else "0" for name, x in zip(
+            header, rng.standard_normal(len(header)) * 10.0 ** rng.integers(-30, 30))]
+            for _ in range(20)]
+        rows[-1][0] = 7       # an int cell reads back as that number
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        assert path.read_text().splitlines()[0] == ",".join(header)
+        got = reader(str(path))
+        assert len(got) == len(rows)
+        for row, written in zip(got, rows):
+            assert list(row) == header
+            for name, cell in zip(header, written):
+                if name == "ambiguous_flag":
+                    assert row[name] == cell
+                else:
+                    assert _same_cell(row[name], cell), (name, row[name], cell)
+
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                  [(None, "error:X", 3, np.float64(2.5), np.nan, 1e-7)])
+        assert path.read_text().splitlines()[1] == ",error:X,3,2.5,nan,1e-07"
+
+    def test_reader_names_either_blockade_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("delay_s,p1_e\n0.0,1.0\n")
+        with pytest.raises(ConfigError, match="delay_s,pulse_len_s,p1_e,p2_e or "
+                           "delay_s,pulse_len_s,p1_e,p2_e,p1_e_measured,p2_e_measured"):
+            read_blockade_csv(str(path))
+
+
 class TestZZSweepCommand:
     def config(self, tmp_path, **extra):
         cfg = {"fixture": "chip1",
@@ -196,6 +263,26 @@ class TestZZSweepCommand:
         for r in read_zz_sweep_csv(out):
             assert r["zeta_exact_hz"] == 0.0
             assert r["zeta_perturbative_hz"] == 0.0
+
+    def test_formula_columns_are_the_formulas_with_nan_empty(self, tmp_path):
+        # the grid's only points within 1 MHz of a pole: |11> meets |02> at
+        # delta = -|alpha2| and |20> at delta = |alpha1|
+        near_poles = [-312.5e6, -312.0e6, 351.0e6, 351.5e6]
+        deltas = np.unique(np.append(np.linspace(-1.2e9, 2.2e9, 301), near_poles))
+        a1, a2, g = -351e6, -312e6, 200e6
+        cfg = write_json(tmp_path / "cfg.json", {
+            "inline": {"omega1_hz": 6.3e9, "alpha1_hz": a1, "alpha2_hz": a2, "g_hz": g},
+            "delta_hz": deltas.tolist(), "series_order": 3})
+        out = str(tmp_path / "zz.csv")
+        assert main(["--config", cfg, "--out", out, "zz-sweep"]) == 0
+        rows = read_zz_sweep_csv(out)
+        assert [r["delta_hz"] for r in rows if r["zeta_perturbative_hz"] is None] == near_poles
+        for column, want in (
+                ("zeta_perturbative_hz", zeta_perturbative(g, deltas, a1, a2)),
+                ("zeta_series_hz", zeta_series_high_detuning(g, deltas, a1, a2, order=3))):
+            assert np.isnan(want).any() and not np.isnan(want).all()
+            for row, value in zip(rows, want.tolist()):
+                assert _same_cell(row[column], None if np.isnan(value) else value)
 
     @pytest.mark.parametrize("command,extra,field", [
         ("zz-sweep", {}, "delta_hz"),
@@ -275,6 +362,15 @@ class TestZZSweepCommand:
          "flux-spectroscopy:flux_phi0: E_J/E_C = 0.00 < 1 at flux 0.5"),
         ("flux-spectroscopy", {"fixture": "chip2", "flux_phi0": [-0.2, -0.1, 0.0],
                                "q1_flux_phi0": 0.5}, "flux-spectroscopy:q1_flux_phi0"),
+        # the fringe fit takes its step from the first two times.  Every other
+        # point and the first 50 of the rest moved by 0.3 ns once read 24.197 MHz
+        # against 19 MHz; one extra 0.1 ns first step once raised FitError
+        ("ramsey", {"drive_offset_hz": 33.5e6, "free_time_s": np.sort(np.concatenate(
+            [RAMSEY_GRID[::2], RAMSEY_GRID[1:100:2] + 0.3e-9])).tolist()},
+         "ramsey:free_time_s needs >= 4 evenly spaced points"),
+        ("ramsey", {"drive_offset_hz": 33.5e6,
+                    "free_time_s": [0.0, *(RAMSEY_GRID + 0.1e-9).tolist()]},
+         "ramsey:free_time_s needs >= 4 evenly spaced points"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -294,7 +390,7 @@ class TestZZSweepCommand:
             "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
             "levels-too-large", "levels-below-two", "optimize-negative-seed",
             "optimize-negative-seed-flag", "optimize-null-seed", "flux-grid-not-transmon",
-            "flux-q1-not-transmon"])
+            "flux-q1-not-transmon", "ramsey-uneven-grid", "ramsey-short-first-step"])
     def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
@@ -771,6 +867,15 @@ class TestFosterFitCommand:
 
 
 class TestRamseyCommand:
+    def test_even_grid_as_a_list_runs(self, tmp_path, capsys):
+        # the linspace as a list, and the same times as k * step, are even
+        for grid in (RAMSEY_GRID.tolist(), [k * 0.5e-9 for k in range(401)]):
+            cfg = write_json(tmp_path / "cfg.json", {
+                "fixture": "chip1", "drive_offset_hz": 33.5e6, "free_time_s": grid})
+            assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["zeta_inferred_hz"] == pytest.approx(19e6, rel=1e-3)
+
     def test_inferred_zeta(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
             "zeta_hz": 15.25e6, "omega1_hz": 6.307e9, "omega2_hz": 4.498e9,

@@ -23,7 +23,6 @@ from zzkit.errors import (
     AmbiguousLabelError,
     DomainError,
     NoCrossingError,
-    PoleError,
     TruncationError,
 )
 from zzkit.spectrum import TruncatedHamiltonian, dressed_blocks, single_excitation_scan
@@ -281,8 +280,20 @@ class TestZetaPerturbative:
         assert zeta == pytest.approx(-20.0e6, rel=0.005)
 
     def test_pole_guard(self):
-        with pytest.raises(PoleError):
-            zeta_perturbative(0.1e9, 351.5e6, 351e6, 312e6)
+        # a guarded point is NaN, an empty zz-sweep cell
+        assert np.isnan(zeta_perturbative(0.1e9, 351.5e6, 351e6, 312e6))
+
+    @pytest.mark.parametrize("delta", [-312.0e6, -312.5e6, -311.2e6])
+    def test_second_pole_guarded(self, delta):
+        # |11> meets |02> at delta = -|alpha2|: guarded like delta = |alpha1|,
+        # in the formula and in the shift of |11>
+        assert np.isnan(zeta_perturbative(0.2e9, delta, -351e6, -312e6))
+        de11, de10, _ = schrieffer_wolff_shifts(0.2e9, delta, -351e6, -312e6)
+        assert np.isnan(de11) and np.isfinite(de10)
+
+    def test_just_outside_both_guards_finite(self):
+        for delta in (-313.1e6, -310.9e6, 349.9e6, 352.1e6):
+            assert np.isfinite(zeta_perturbative(0.2e9, delta, -351e6, -312e6))
 
     def test_perturbative_agreement_with_exact(self, rng):
         # dispersive draws: g/Delta <= 0.05 and Delta >= 2 max |alpha|
@@ -322,8 +333,60 @@ class TestZetaSeries:
                                          chi_bare_hz=7e6) == pytest.approx(-7e6)
 
     def test_domain_guard(self):
+        # outside delta > 2 max|alpha| the series is NaN, an empty zz-sweep cell
+        assert np.isnan(zeta_series_high_detuning(0.1e9, 0.5e9, -0.3e9, -0.3e9))
+
+    @pytest.mark.parametrize("order", [1, 5])
+    def test_order_outside_two_to_four_raises(self, order):
         with pytest.raises(DomainError):
-            zeta_series_high_detuning(0.1e9, 0.5e9, -0.3e9, -0.3e9)
+            zeta_series_high_detuning(0.1e9, 4e9, -0.3e9, -0.3e9, order=order)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestFormulasOnArrays:
+    """Each formula on a grid gives its scalar calls' values bit for bit, NaN exactly
+    at the guarded points."""
+
+    A1, A2 = -351e6, -312e6
+
+    @pytest.fixture
+    def grid(self, rng):
+        # a dense detuning grid through both poles and the series' domain edge,
+        # with the poles and edge themselves and points just inside each guard
+        deltas = np.concatenate([rng.uniform(-1.5e9, 3e9, 400),
+                                 [351e6, 351.9e6, -312e6, -312.9e6, 702e6, 702.1e6]])
+        return deltas, rng.uniform(1e6, 300e6, deltas.size)
+
+    def test_perturbative(self, grid):
+        deltas, g = grid
+        got = zeta_perturbative(g, deltas, self.A1, self.A2, chi_bare_hz=1e5)
+        scalar = [zeta_perturbative(float(gk), float(dk), self.A1, self.A2, chi_bare_hz=1e5)
+                  for gk, dk in zip(g, deltas)]
+        np.testing.assert_array_equal(_bits(got), _bits(scalar))
+        guarded = ((np.abs(deltas - 351e6) < 1e6) | (np.abs(deltas + 312e6) < 1e6))
+        np.testing.assert_array_equal(np.isnan(got), guarded)
+        assert guarded.sum() >= 4
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_series(self, grid, order):
+        deltas, g = grid
+        got = zeta_series_high_detuning(g, deltas, self.A1, self.A2, order=order)
+        scalar = [zeta_series_high_detuning(float(gk), float(dk), self.A1, self.A2, order=order)
+                  for gk, dk in zip(g, deltas)]
+        np.testing.assert_array_equal(_bits(got), _bits(scalar))
+        np.testing.assert_array_equal(np.isnan(got), deltas <= 702e6)
+
+    def test_schrieffer_wolff(self, grid):
+        deltas, g = grid
+        got = np.array(schrieffer_wolff_shifts(g, deltas, self.A1, self.A2))
+        scalar = np.array([schrieffer_wolff_shifts(float(gk), float(dk), self.A1, self.A2)
+                           for gk, dk in zip(g, deltas)]).T
+        np.testing.assert_array_equal(_bits(got), _bits(scalar))
+        np.testing.assert_array_equal(np.isnan(got[0]), np.isnan(
+            zeta_perturbative(g, deltas, self.A1, self.A2)))
 
 
 class TestSchriefferWolff:

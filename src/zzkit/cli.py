@@ -24,6 +24,7 @@ from .dynamics import (
     FRAMES,
     PULSE_SHAPES,
     TwoQubitSystem,
+    evenly_spaced,
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
@@ -352,14 +353,8 @@ def cmd_foster_fit(samples_csv, n_poles, out):
 
 # ------------------------------------------------------------------ ramsey
 
-def _evenly_spaced(t):
-    """Whether every time lies within 1e-9 of a mean step of the even grid between t's ends."""
-    even = np.linspace(t[0], t[-1], t.size)
-    return bool(np.all(np.abs(t - even) <= 1e-9 * (even[1] - even[0])))
-
-
 RAMSEY_FIELDS = SYSTEM_FIELDS + (
-    Field("free_time_s", zio.grid, check=(lambda t: t.size >= 4 and _evenly_spaced(t),
+    Field("free_time_s", zio.grid, check=(lambda t: t.size >= 4 and evenly_spaced(t),
                                           "needs >= 4 evenly spaced points for the fringe fit")),
     Field("drive_offset_hz", zio.optional(zio.number), None),
 )

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.optimize import curve_fit
 
 from .errors import (
     FitError,
@@ -93,6 +92,7 @@ RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 RTOL_FLOOR = 100 * np.finfo(float).eps     # scipy's validate_tol floor, for DOP853 and Magnus
 NORM_DRIFT_TOL = 1e-6
+_COS_ROUNDING = 1e-12    # a fringe fit's cosine estimate may pass +-1 by this much
 STEPS_PER_CARRIER_PERIOD = 16
 _MAGNUS_BLOCK = 512               # Magnus node matrices (three a step) built together
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(0.15)   # Gauss-Legendre on [0, 1]
@@ -1060,41 +1060,46 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):
     return float(np.sum(spec[sel]) / total)
 
 
-def _fit_fringe(times, signal, min_contrast=0.1):
-    """Frequency of a cosine fringe: FFT seed plus nonlinear refinement.
+def evenly_spaced(times):
+    """Whether times increase, each within 1e-9 of a step of the even grid between its ends."""
+    even = np.linspace(times[0], times[-1], len(times))
+    step = even[1] - even[0]
+    return bool(step > 0 and np.all(np.abs(times - even) <= 1e-9 * step))
 
-    The frequency and phase seeds come from the peak of an FFT zero-padded to
-    the first power of two at or above 16 times the record: an unpadded bin
-    is 1/T wide, and a seed that far off (with phase 0) can lead the fit into
-    a neighbouring local minimum on short records, while a power-of-two
-    length keeps the transform fast whatever the record's length.  The
-    four-parameter fit needs at least four samples.
+
+def _fit_fringe(times, signal, min_contrast=0.1):
+    """Frequency of a cosine fringe x = A cos(2 pi f t + phi) + c by linear prediction.
+
+    On a uniform grid of step D every such signal obeys x[n+1] + x[n-1] =
+    2 cos(2 pi f D) x[n] + b exactly (Prony; Hua and Sarkar, IEEE Trans.
+    ASSP 38, 814 (1990)), so one two-column least-squares solve gives the
+    cosine and f = arccos(.) / (2 pi D) in [0, 1/(2D)]: a line above the
+    Nyquist frequency 1/(2D) reads as its alias.  A second least-squares
+    solve, on cos, sin and 1 at that f, gives the contrast 2|A|.  The fit
+    needs at least four samples on an evenly spaced grid (ValueError
+    otherwise).
     """
     times = np.asarray(times, dtype=float)
-    signal = np.asarray(signal, dtype=float)
+    x = np.asarray(signal, dtype=float)
     if len(times) < 4:
         raise FitError(f"a fringe fit needs at least 4 samples, got {len(times)}")
-    dt = times[1] - times[0]
-    centered = signal - np.mean(signal)
-    n_fft = 1 << (16 * len(times) - 1).bit_length()
-    spec = np.fft.rfft(centered, n_fft)
-    k = int(np.argmax(np.abs(spec[1:])) + 1)
-    f0 = np.fft.rfftfreq(n_fft, dt)[k]
-    phi0 = float(np.angle(spec[k])) - TWO_PI * f0 * times[0]
-
-    def model(t, a, f, phi, c):
-        return a * np.cos(TWO_PI * f * t + phi) + c
-
-    a0 = float(np.max(np.abs(centered))) or 0.5
-    try:
-        popt, _ = curve_fit(model, times, signal, p0=[a0, f0, phi0, float(np.mean(signal))],
-                            maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"fringe fit did not converge: {exc}") from exc
-    amp, freq = popt[0], abs(popt[1])
-    if 2.0 * abs(amp) < min_contrast:
-        raise FitError(f"fringe contrast {2 * abs(amp):.3f} below {min_contrast}")
-    return freq, popt
+    if not evenly_spaced(times):
+        raise ValueError("a fringe fit needs evenly spaced times")
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    mid = x[1:-1]
+    (two_cos, _), *_ = np.linalg.lstsq(np.column_stack([mid, np.ones_like(mid)]),
+                                       x[2:] + x[:-2], rcond=None)
+    cos = 0.5 * two_cos
+    if abs(cos) > 1.0 + _COS_ROUNDING:
+        raise FitError(f"no oscillation: the fringe's cosine estimate is {cos:.6g}")
+    freq = np.arccos(np.clip(cos, -1.0, 1.0)) / (TWO_PI * step)
+    turn = TWO_PI * freq * times
+    (a, b, _), *_ = np.linalg.lstsq(np.column_stack([np.cos(turn), np.sin(turn), np.ones_like(x)]),
+                                    x, rcond=None)
+    contrast = 2.0 * np.hypot(a, b)
+    if contrast < min_contrast:
+        raise FitError(f"fringe contrast {contrast:.3f} below {min_contrast}")
+    return float(freq)
 
 
 def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
@@ -1136,58 +1141,30 @@ def run_conditional_ramsey(system, spectator_state, free_time_grid_s,
     phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
     states = (phases * psi1[None, :]) @ u_half.T
     p1 = np.abs(states[:, 2]) ** 2 + np.abs(states[:, 3]) ** 2
-    freq, _ = _fit_fringe(grid, p1)
-    return freq
+    return _fit_fringe(grid, p1)
 
 
-def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s,
-                               drive_offset_hz=0.0, samples_per_period=40):
+def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s):
     """Conditional phase accumulated over a free window with a spectator flip.
 
-    Both spectator branches are propagated through pi/2 - free(t_flip) - X2 -
-    free(rest); the qubit-1 coherence phase is tracked on a dense grid, and
-    the branch difference is returned in radians.  Without a flip this equals
-    2 pi zeta tau; a flip exactly at tau/2 echoes the ZZ phase away.
+    In the frame of both undriven transitions (_frame_levels), the qubit-1
+    coherence of spectator branch s turns at E_1s - E_0s.  Flipping the
+    spectator at t_flip hands the coherence to the other branch s', so over
+    the window tau it gains 2 pi [(E_1s - E_0s) t_flip + (E_1s' - E_0s')
+    (tau - t_flip)]; no flip (None) is a flip at tau.  The opening pi/2
+    pulse only sets the coherence's starting phase, which this excludes.
+    Returns the branch difference in radians: 2 pi zeta tau without a flip,
+    2 pi zeta (2 t_flip - tau) with one, so a flip at tau/2 echoes the ZZ
+    phase away.
     """
     tau = float(total_free_time_s)
-    t_flip = spectator_flip_time_s
-    if t_flip is not None and not (0.0 <= t_flip <= tau):
+    t_flip = tau if spectator_flip_time_s is None else spectator_flip_time_s
+    if not 0.0 <= t_flip <= tau:
         raise ValueError("flip time must lie inside the free window")
-    f_drive = system.omega1_hz - drive_offset_hz
-    x2 = np.kron(_I2, _SX)
-
-    rate = max(abs(system.zeta_hz), abs(drive_offset_hz), 1.0)
-    n_pts = max(int(samples_per_period * rate * tau), 32)
-    energies = _frame_levels(system, f_drive, system.omega2_hz)
-
-    def branch_phase(spectator_state):
-        u_half = _half_pi_propagator(system, f_drive, 2e-9)
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[1 if spectator_state else 0] = 1.0
-        psi = u_half @ psi0
-        grid = np.linspace(0.0, tau, n_pts)
-        segs = list(zip(grid[:-1], grid[1:]))
-        phase_samples = []
-        flipped = False
-
-        def coherence(vec):
-            # qubit-1 coherence <0|rho_1|1>, whose phase advances at +w1|spectator
-            return vec[0] * np.conj(vec[2]) + vec[1] * np.conj(vec[3])
-
-        phase_samples.append(np.angle(coherence(psi)))
-        for a, b in segs:
-            if t_flip is not None and not flipped and a <= t_flip <= b:
-                psi = np.exp(-1j * TWO_PI * energies * (t_flip - a)) * psi
-                psi = x2 @ psi
-                psi = np.exp(-1j * TWO_PI * energies * (b - t_flip)) * psi
-                flipped = True
-            else:
-                psi = np.exp(-1j * TWO_PI * energies * (b - a)) * psi
-            phase_samples.append(np.angle(coherence(psi)))
-        unwrapped = np.unwrap(np.array(phase_samples))
-        return unwrapped[-1] - unwrapped[0]
-
-    return branch_phase(1) - branch_phase(0)
+    levels = _frame_levels(system, system.omega1_hz, system.omega2_hz)
+    rate = levels[2:] - levels[:2]      # qubit 1's transition with the spectator in 0 and in 1
+    branch = TWO_PI * (rate * t_flip + rate[::-1] * (tau - t_flip))
+    return branch[1] - branch[0]
 
 
 def check_row_stochastic(fidelity_matrix):

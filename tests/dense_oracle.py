@@ -18,21 +18,29 @@ matrix and the optimal assignment of all its labels at once, by scipy's
 linear_sum_assignment.  zzkit.spectrum diagonalizes and labels each block of
 conserved n1 + n2 on its own; the tests hold it to these labels, flags and
 energies.
+
+curve_fit_fringe is the old fringe fit: an FFT seed and a four-parameter
+scipy curve_fit.  echo_phase_loop is the old echo: both spectator branches
+stepped through a Python loop of diagonal exponentials, the coherence phase
+unwrapped.  zzkit.dynamics reads the fringe frequency by linear prediction
+and writes the echo phase in closed form; the tests hold them to these.
 """
 
 from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import curve_fit, linear_sum_assignment
 
-from zzkit.errors import StiffnessError
+from zzkit.dynamics import _frame_levels, _half_pi_propagator
+from zzkit.errors import FitError, StiffnessError
 from zzkit.spectrum import AMBIGUITY_THRESHOLD, LabeledSpectrum
 
 SegmentCounts = namedtuple("SegmentCounts", "probes attempts accepted dense")
 
 TWO_PI = 2.0 * np.pi
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)      # |0><1|
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _I2 = np.eye(2)
 SM = {1: np.kron(_SM, _I2), 2: np.kron(_I2, _SM)}
@@ -134,3 +142,90 @@ def solve_ivp_segment(ham, generator, y, a, times, b, rtol, atol):
     y = np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(shape)
     return states + [y] * (len(times) - len(inside)), y, SegmentCounts(2, attempts, accepted,
                                                                         dense)
+
+
+def curve_fit_fringe(times, signal, min_contrast=0.1):
+    """Frequency of a cosine fringe: FFT seed plus nonlinear refinement.
+
+    The frequency and phase seeds come from the peak of an FFT zero-padded to
+    the first power of two at or above 16 times the record: an unpadded bin
+    is 1/T wide, and a seed that far off (with phase 0) can lead the fit into
+    a neighbouring local minimum on short records, while a power-of-two
+    length keeps the transform fast whatever the record's length.  The
+    four-parameter fit needs at least four samples.
+    """
+    times = np.asarray(times, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    if len(times) < 4:
+        raise FitError(f"a fringe fit needs at least 4 samples, got {len(times)}")
+    dt = times[1] - times[0]
+    centered = signal - np.mean(signal)
+    n_fft = 1 << (16 * len(times) - 1).bit_length()
+    spec = np.fft.rfft(centered, n_fft)
+    k = int(np.argmax(np.abs(spec[1:])) + 1)
+    f0 = np.fft.rfftfreq(n_fft, dt)[k]
+    phi0 = float(np.angle(spec[k])) - TWO_PI * f0 * times[0]
+
+    def model(t, a, f, phi, c):
+        return a * np.cos(TWO_PI * f * t + phi) + c
+
+    a0 = float(np.max(np.abs(centered))) or 0.5
+    try:
+        popt, _ = curve_fit(model, times, signal, p0=[a0, f0, phi0, float(np.mean(signal))],
+                            maxfev=20000)
+    except RuntimeError as exc:
+        raise FitError(f"fringe fit did not converge: {exc}") from exc
+    amp, freq = popt[0], abs(popt[1])
+    if 2.0 * abs(amp) < min_contrast:
+        raise FitError(f"fringe contrast {2 * abs(amp):.3f} below {min_contrast}")
+    return freq, popt
+
+
+def echo_phase_loop(system, spectator_flip_time_s, total_free_time_s,
+                    drive_offset_hz=0.0, samples_per_period=40):
+    """Conditional phase accumulated over a free window with a spectator flip.
+
+    Both spectator branches are propagated through pi/2 - free(t_flip) - X2 -
+    free(rest); the qubit-1 coherence phase is tracked on a dense grid, and
+    the branch difference is returned in radians.  Without a flip this equals
+    2 pi zeta tau; a flip exactly at tau/2 echoes the ZZ phase away.
+    """
+    tau = float(total_free_time_s)
+    t_flip = spectator_flip_time_s
+    if t_flip is not None and not (0.0 <= t_flip <= tau):
+        raise ValueError("flip time must lie inside the free window")
+    f_drive = system.omega1_hz - drive_offset_hz
+    x2 = np.kron(_I2, _SX)
+
+    rate = max(abs(system.zeta_hz), abs(drive_offset_hz), 1.0)
+    n_pts = max(int(samples_per_period * rate * tau), 32)
+    energies = _frame_levels(system, f_drive, system.omega2_hz)
+
+    def branch_phase(spectator_state):
+        u_half = _half_pi_propagator(system, f_drive, 2e-9)
+        psi0 = np.zeros(4, dtype=complex)
+        psi0[1 if spectator_state else 0] = 1.0
+        psi = u_half @ psi0
+        grid = np.linspace(0.0, tau, n_pts)
+        segs = list(zip(grid[:-1], grid[1:]))
+        phase_samples = []
+        flipped = False
+
+        def coherence(vec):
+            # qubit-1 coherence <0|rho_1|1>, whose phase advances at +w1|spectator
+            return vec[0] * np.conj(vec[2]) + vec[1] * np.conj(vec[3])
+
+        phase_samples.append(np.angle(coherence(psi)))
+        for a, b in segs:
+            if t_flip is not None and not flipped and a <= t_flip <= b:
+                psi = np.exp(-1j * TWO_PI * energies * (t_flip - a)) * psi
+                psi = x2 @ psi
+                psi = np.exp(-1j * TWO_PI * energies * (b - t_flip)) * psi
+                flipped = True
+            else:
+                psi = np.exp(-1j * TWO_PI * energies * (b - a)) * psi
+            phase_samples.append(np.angle(coherence(psi)))
+        unwrapped = np.unwrap(np.array(phase_samples))
+        return unwrapped[-1] - unwrapped[0]
+
+    return branch_phase(1) - branch_phase(0)

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.linalg import expm
 
@@ -246,7 +248,7 @@ class TestEvolveSchrodinger:
         ham = rotating_frame_transform(SYSTEM, (p,))
         grid = np.linspace(0, 1.5e-6, 1501)
         res = evolve_schrodinger(ham, ground_state(), grid)
-        freq, _ = _fit_fringe(grid, res.p_excited(1))
+        freq = _fit_fringe(grid, res.p_excited(1))
         assert freq == pytest.approx(np.hypot(omega_r, delta), rel=1e-3)
 
     def test_isolated_late_pulse_not_skipped(self):
@@ -992,7 +994,7 @@ class TestConditionalRamsey:
         assert f1 == pytest.approx(f0, rel=1e-9)
 
     # SYSTEM is chip1's blockade point; the 33.5 MHz windows of 401 points are
-    # short records whose unpadded-FFT seed used to land on a wrong fringe
+    # short records on which an unpadded-FFT seed once led a curve fit to a wrong fringe
     @pytest.mark.parametrize("window_s,n_points,offset_hz,spectator", [
         (1e-6, 2001, 12e6, 0),
         (0.4e-6, 401, 33.5e6, 0),
@@ -1005,11 +1007,59 @@ class TestConditionalRamsey:
         f = run_conditional_ramsey(SYSTEM, spectator, grid, drive_offset_hz=offset_hz)
         assert f == pytest.approx(offset_hz + spectator * SYSTEM.zeta_hz, rel=1e-3)
 
+    # zzbench's ramsey inputs: 19 windows of 401 points at a 33.5 MHz offset, and
+    # the warm-up's 101 points over 1 us at the default offset, whose 52.5 MHz
+    # spectator-1 line lies above the 50 MHz Nyquist frequency and reads as its alias
+    @pytest.mark.parametrize("grid,offset_hz", [
+        *((np.linspace(0.0, round(0.1e-6 * k, 12), 401), 33.5e6) for k in range(2, 21)),
+        (np.linspace(0.0, 1e-6, 101), None),
+    ], ids=[*(f"window-{k}00ns" for k in range(2, 21)), "warm-up"])
+    def test_linear_prediction_matches_curve_fit_oracle(self, monkeypatch, grid, offset_hz):
+        new = [run_conditional_ramsey(SYSTEM, s, grid, drive_offset_hz=offset_hz) for s in (0, 1)]
+        monkeypatch.setattr(dynamics, "_fit_fringe",
+                            lambda t, x: dense_oracle.curve_fit_fringe(t, x)[0])
+        old = [run_conditional_ramsey(SYSTEM, s, grid, drive_offset_hz=offset_hz) for s in (0, 1)]
+        assert new == pytest.approx(old, rel=1e-12, abs=0)
+
+    def test_non_uniform_grid_raises(self):
+        # every other point plus the first 50 of the rest moved by 0.3 ns: a fit
+        # that took its step from the first two times read 24.197 MHz against 19
+        grid = np.linspace(0.0, 200e-9, 401)
+        uneven = np.sort(np.concatenate([grid[::2], grid[1:100:2] + 0.3e-9]))
+        with pytest.raises(ValueError, match="evenly spaced"):
+            run_conditional_ramsey(SYSTEM, 1, uneven, drive_offset_hz=33.5e6)
+
     @pytest.mark.parametrize("n_points", [2, 3])
     def test_fit_needs_four_samples(self, n_points):
         grid = np.linspace(0, 1e-6, n_points)
         with pytest.raises(FitError, match="at least 4 samples"):
             _fit_fringe(grid, np.cos(TWO_PI * 3e6 * grid))
+
+    @pytest.mark.parametrize("contrast", [0.0, 0.05])
+    def test_low_contrast_raises(self, contrast):
+        grid = np.linspace(0, 1e-6, 401)
+        signal = 0.5 + 0.5 * contrast * np.cos(TWO_PI * 3e6 * grid + 0.4)
+        with pytest.raises(FitError, match=f"fringe contrast {contrast:.3f} below 0.1"):
+            _fit_fringe(grid, signal)
+
+    def test_growing_record_is_no_oscillation(self):
+        # x[n+1] + x[n-1] = 2 cosh(k D) x[n]: a cosine estimate above 1
+        grid = np.linspace(0, 1e-6, 401)
+        with pytest.raises(FitError, match="no oscillation"):
+            _fit_fringe(grid, np.exp(grid / 0.2e-6))
+
+    @given(n=st.integers(4, 600), step=st.floats(1e-10, 1e-8), start=st.floats(0.0, 1e-6),
+           cycles=st.floats(0.05, 0.45), amp=st.floats(0.1, 1.0), phase=st.floats(0.0, 2 * np.pi),
+           offset=st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_predictor_recovers_frequency_and_alias(self, n, step, start, cycles, amp, phase,
+                                                    offset):
+        # f = cycles / D inside the Nyquist band, and its alias 1/D - f above it
+        grid = start + step * np.arange(n)
+        freq = cycles / step
+        for line in (freq, 1.0 / step - freq):
+            signal = amp * np.cos(TWO_PI * line * grid + phase) + offset
+            assert _fit_fringe(grid, signal) == pytest.approx(freq, rel=1e-9)
 
     def test_beta_table_model_fringe_difference(self, chip1):
         system = TwoQubitSystem.from_pauli_decomposition(chip1.beta)
@@ -1021,23 +1071,35 @@ class TestConditionalRamsey:
 
 
 class TestEchoConditionalPhase:
+    TAU = 300e-9
+    ECHO_SYSTEM = TwoQubitSystem(6e9, 4.5e9, 2e6)
+
     def test_half_window_flip_cancels(self):
-        tau = 300e-9
-        system = TwoQubitSystem(6e9, 4.5e9, 2e6)
-        phase = run_echo_conditional_phase(system, tau / 2, tau)
-        assert abs(phase) < 1e-9
+        phase = run_echo_conditional_phase(self.ECHO_SYSTEM, self.TAU / 2, self.TAU)
+        assert phase == pytest.approx(0.0, abs=1e-12)
 
     def test_no_flip_full_phase(self):
-        tau = 300e-9
-        system = TwoQubitSystem(6e9, 4.5e9, 2e6)
-        phase = run_echo_conditional_phase(system, None, tau)
-        assert phase == pytest.approx(TWO_PI * 2e6 * tau, rel=5e-3)
+        phase = run_echo_conditional_phase(self.ECHO_SYSTEM, None, self.TAU)
+        assert phase == pytest.approx(TWO_PI * 2e6 * self.TAU, rel=0, abs=1e-12)
 
     def test_quarter_window_flip(self):
-        tau = 300e-9
-        system = TwoQubitSystem(6e9, 4.5e9, 2e6)
-        phase = run_echo_conditional_phase(system, tau / 4, tau)
-        assert phase == pytest.approx(-TWO_PI * 2e6 * tau / 2, rel=5e-3)
+        phase = run_echo_conditional_phase(self.ECHO_SYSTEM, self.TAU / 4, self.TAU)
+        assert phase == pytest.approx(-TWO_PI * 2e6 * self.TAU / 2, rel=0, abs=1e-12)
+
+    # the old loop ran in the frame of a drive offset_hz below qubit 1, which
+    # turns both branches alike and leaves their difference unchanged
+    @pytest.mark.parametrize("offset_hz", [0.0, 33.5e6])
+    @pytest.mark.parametrize("flip", [None, 0.5, 0.25])
+    def test_matches_stepping_loop_oracle(self, flip, offset_hz):
+        t_flip = None if flip is None else flip * self.TAU
+        phase = run_echo_conditional_phase(self.ECHO_SYSTEM, t_flip, self.TAU)
+        loop = dense_oracle.echo_phase_loop(self.ECHO_SYSTEM, t_flip, self.TAU,
+                                            drive_offset_hz=offset_hz)
+        assert phase == pytest.approx(loop, rel=0, abs=1e-12)
+
+    def test_flip_outside_window_raises(self):
+        with pytest.raises(ValueError, match="inside the free window"):
+            run_echo_conditional_phase(self.ECHO_SYSTEM, 1.1 * self.TAU, self.TAU)
 
 
 class TestSystemConstruction:

@@ -362,9 +362,9 @@ class TestZZSweepCommand:
          "flux-spectroscopy:flux_phi0: E_J/E_C = 0.00 < 1 at flux 0.5"),
         ("flux-spectroscopy", {"fixture": "chip2", "flux_phi0": [-0.2, -0.1, 0.0],
                                "q1_flux_phi0": 0.5}, "flux-spectroscopy:q1_flux_phi0"),
-        # the fringe fit takes its step from the first two times.  Every other
-        # point and the first 50 of the rest moved by 0.3 ns once read 24.197 MHz
-        # against 19 MHz; one extra 0.1 ns first step once raised FitError
+        # the fringe fit needs a uniform grid.  Every other point and the first
+        # 50 of the rest moved by 0.3 ns once read 24.197 MHz against 19 MHz;
+        # one extra 0.1 ns first step once raised FitError
         ("ramsey", {"drive_offset_hz": 33.5e6, "free_time_s": np.sort(np.concatenate(
             [RAMSEY_GRID[::2], RAMSEY_GRID[1:100:2] + 0.3e-9])).tolist()},
          "ramsey:free_time_s needs >= 4 evenly spaced points"),

@@ -34,7 +34,6 @@ from .dynamics import (
     calibrated_pulse,
     evolve_lindblad,
     evolve_schrodinger,
-    lab_hamiltonian,
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
@@ -58,7 +57,6 @@ from .spectrum import (
     LabeledSpectrum,
     PauliDecomposition,
     TruncatedHamiltonian,
-    avoided_crossing_j,
     build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,

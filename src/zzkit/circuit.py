@@ -14,7 +14,7 @@ C_sigma), and for a circuit-file qubit or flux-spectroscopy bias with E_J/E_C < 
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import mathieu_a, mathieu_b
@@ -142,11 +142,6 @@ def transmon_spectrum(spec):
     return TransmonSpectrum(omega01, anharm, np.array([0.0, omega01, 2 * omega01 + anharm]))
 
 
-def transmon_omega01_asymptotic(ej_hz, ec_hz):
-    """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (cross-check only)."""
-    return np.sqrt(8.0 * ej_hz * ec_hz) - ec_hz
-
-
 @dataclass(frozen=True)
 class FosterMode:
     """One parallel LC(R) stage of a Foster-I network (R = inf when lossless)."""
@@ -263,9 +258,6 @@ class KerrParams:
     @property
     def n_modes(self):
         return self.mode_freqs_hz.shape[0]
-
-    def replace(self, **kw):
-        return replace(self, **kw)
 
 
 def kerr_from_foster(modes, participation):

@@ -3,8 +3,7 @@
 Subcommands: zz-sweep, blockade, flux-spectroscopy, optimize, foster-fit,
 ramsey.  Every command reads a JSON config (--config), writes CSV/JSON data
 for external plotting (--out) and is deterministic given its config and seed,
-so reruns are byte identical.  --threads is accepted for compatibility and
-has no effect.
+so reruns are byte identical.
 
 Exit codes: 0 success, 2 config error, 3 no feasible optimizer result,
 4 numeric failure.
@@ -38,7 +37,7 @@ from .errors import (
     ZZKitError,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .io import Field
+from .io import Field, OneOf
 from .optimize import (
     VARIABLE_ORDER,
     Candidate,
@@ -67,19 +66,13 @@ EXIT_NUMERIC = 4
 FIXTURE = Field("fixture", zio.choice(*FIXTURE_NAMES), None)
 # a blockade-point system: a fixture's, or explicit transitions and zeta
 SYSTEM_KEYS = ("omega1_hz", "omega2_hz", "zeta_hz")
-SYSTEM_FIELDS = (FIXTURE,) + tuple(Field(k, zio.number, None) for k in SYSTEM_KEYS)
+SYSTEM_FIELDS = (FIXTURE, *(Field(k, zio.number, None) for k in SYSTEM_KEYS),
+                 OneOf((("fixture",), SYSTEM_KEYS), required=True))
 
 
 def _blockade_system(cfg):
     """The system of a fixture's blockade point, or of explicit omega1, omega2 and zeta."""
-    given = [k for k in SYSTEM_KEYS if cfg[k] is not None]
-    if cfg["fixture"] is not None and given:
-        raise ValueError(f"give either fixture or explicit system fields, not both "
-                         f"(got fixture and {given[0]!r})")
     values = load_fixture(cfg["fixture"]).blockade_point if cfg["fixture"] else cfg
-    for k in SYSTEM_KEYS:
-        if values[k] is None:
-            raise ValueError(f"need fixture or explicit {k!r}")
     return TwoQubitSystem(*(values[k] for k in SYSTEM_KEYS))
 
 
@@ -95,6 +88,7 @@ ZZ_SWEEP_FIELDS = (
     Field("max_total_excitation", zio.optional(zio.integer), 4),
     Field("series_order", zio.integer, 4),
     Field("spectrum_json", zio.optional(zio.string), None),
+    OneOf((("fixture",), ("circuit",), ("inline",)), required=True),
 )
 
 
@@ -110,10 +104,7 @@ def _sweep_system(cfg):
         (omega1, _), (alpha1, alpha2), _ = transmon_pair(
             [q.ej_hz for q in desc.qubits], [q.ec_hz for q in desc.qubits], desc.coupling)
         return float(omega1), float(alpha1), float(alpha2), desc.coupling
-    inline = cfg["inline"]
-    if inline is None:
-        raise ValueError("need one of 'fixture', 'circuit' or 'inline'")
-    omega1, alpha1, alpha2, g = (inline[k] for k in INLINE_KEYS)
+    omega1, alpha1, alpha2, g = (cfg["inline"][k] for k in INLINE_KEYS)
     return omega1, alpha1, alpha2, Coupling.fixed(g)
 
 
@@ -156,7 +147,8 @@ def cmd_zz_sweep(cfg, out):
 SPECTRAL_FIELDS = (Field("offset_hz", zio.number, None),
                    Field("window_hz", zio.number, check=(lambda w: w > 0, "must be positive")),
                    Field("out", zio.string, None))
-BLOCKADE_FIELDS = SYSTEM_FIELDS + (
+# the keys of a grid of two-pulse points; a protocol file replaces all of them
+SEQUENCE_FIELDS = (
     Field("pulse_lengths_s", zio.numbers, (200e-9,),
           (lambda lengths: all(x > 0 for x in lengths), "must be positive")),
     Field("delays_s", zio.numbers, (100e-9,)),
@@ -167,7 +159,10 @@ BLOCKADE_FIELDS = SYSTEM_FIELDS + (
     Field("spectral", zio.record(SPECTRAL_FIELDS), None),
     Field("gaussian_sigma_s", zio.optional(zio.number), None),
     Field("readout_pad_s", zio.number, 0.0, (lambda t: t >= 0, "must be non-negative")),
+)
+BLOCKADE_FIELDS = SYSTEM_FIELDS + SEQUENCE_FIELDS + (
     Field("protocol", zio.string, None),
+    OneOf((("protocol",), tuple(f.key for f in SEQUENCE_FIELDS))),
 )
 
 
@@ -204,7 +199,7 @@ def cmd_blockade(cfg, out):
                                               else []), rows)
 
     spectral = cfg["spectral"]
-    if spectral is not None and cfg["protocol"] is None:
+    if spectral is not None:
         offset = abs(system.zeta_hz) if spectral["offset_hz"] is None else spectral["offset_hz"]
         spath = str(out) + ".spectral.csv" if spectral["out"] is None else spectral["out"]
         fractions = [pulse_spectral_power(pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
@@ -382,8 +377,6 @@ def build_parser():
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output path", default="zzkit_out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("zz-sweep", "blockade", "flux-spectroscopy", "optimize", "ramsey"):
         sub.add_parser(name)

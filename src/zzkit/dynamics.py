@@ -94,6 +94,9 @@ RTOL_FLOOR = 100 * np.finfo(float).eps     # scipy's validate_tol floor, for DOP
 NORM_DRIFT_TOL = 1e-6
 _COS_ROUNDING = 1e-12    # a fringe fit's cosine estimate may pass +-1 by this much
 STEPS_PER_CARRIER_PERIOD = 16
+END_PAD_S = 2e-9                  # a protocol's readout instant after its last pulse ends
+RAMSEY_PULSE_S = 2e-9             # the rectangular pi/2 pulses of the Ramsey sequence
+SPECTRAL_MAX_POINTS = 2**23       # the longest record pulse_spectral_power samples
 _MAGNUS_BLOCK = 512               # Magnus node matrices (three a step) built together
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(0.15)   # Gauss-Legendre on [0, 1]
 _TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])      # 1/k!, k = 0..16
@@ -380,16 +383,6 @@ def _lab_stack(system, rows, stacked):
     )
 
 
-def lab_hamiltonian(system, pulses):
-    """Full lab-frame Hamiltonian: static part plus sin-carrier sigma_y drives.
-
-    Each evaluation is Hermitian by construction.  max_step_s resolves the
-    fastest carrier with STEPS_PER_CARRIER_PERIOD (16) steps per period, which
-    puts driven segments on the fixed-step sixth-order Magnus integrator.
-    """
-    return _lab_stack(system, [pulses], stacked=False)
-
-
 def _frame_levels(system, f1_hz, f2_hz):
     """Levels in Hz in the frame turning at f1 and f2, (K, 4) for K frames."""
     return (system.energies() - np.multiply.outer(f1_hz, _N1_LEVELS)
@@ -455,8 +448,7 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
     )
 
 
-def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
-                             include_exchange=True):
+def rotating_frame_transform(system, pulses, frame_freqs_hz=None, include_exchange=True):
     """Hamiltonian in the frame co-rotating with the drive carriers.
 
     The frame rotates each qubit at frame_freqs_hz (default: the carrier of
@@ -467,17 +459,10 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, rwa=True,
     result only by a sigma_z conjugation that populations never see.  The
     excitation-conserving part of any XX+YY coupling is kept exactly as a
     difference-frequency term; its double-excitation part rotates at the
-    carrier sum and is dropped with the RWA.  Asking for rwa=False here is
-    unsupported: full counter-rotating dynamics belongs to the lab-frame path.
+    carrier sum and is dropped with the RWA.  Full counter-rotating dynamics
+    belongs to the lab frame (build_protocol_hamiltonian).
     """
-    if not rwa:
-        raise UnsupportedError("rwa=False requires lab-frame integration")
     return _rotating_stack(system, [pulses], False, frame_freqs_hz, include_exchange)
-
-
-def rotate_sigma_y(gamma_rad):
-    """exp(i g sz) sy exp(-i g sz) = cos(2g) sy + sin(2g) sx (identity helper)."""
-    return np.cos(2 * gamma_rad) * _SY + np.sin(2 * gamma_rad) * _SX
 
 
 @dataclass(frozen=True)
@@ -895,8 +880,8 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
 
 def make_blockade_protocol(system, pulse_length_s, delay_s,
                            shape="truncated_cosine", frame="rotating",
-                           carrier_convention="dressed", pad_s=2e-9,
-                           gaussian_sigma_s=None, readout_pad_s=0.0):
+                           carrier_convention="dressed", gaussian_sigma_s=None,
+                           readout_pad_s=0.0):
     """Two pi pulses with the standard blockade timing.
 
     delay_s = t_start(Q1 pulse) - t_start(Q2 pulse): positive delay excites
@@ -918,7 +903,7 @@ def make_blockade_protocol(system, pulse_length_s, delay_s,
                   gaussian_sigma_s=gaussian_sigma_s)
     p2 = pi_pulse(shape, pulse_length_s, f2, target_qubit=2, start_time_s=t2,
                   gaussian_sigma_s=gaussian_sigma_s)
-    total = max(p1.end_time_s, p2.end_time_s) + pad_s + readout_pad_s
+    total = max(p1.end_time_s, p2.end_time_s) + END_PAD_S + readout_pad_s
     return ProtocolSpec((p1, p2), total, frame, delay_s, (total,))
 
 
@@ -1025,13 +1010,13 @@ def run_blockade_grid(system, protocols, dissipation=None):
                             norm_drift=result.norm_drift)
 
 
-def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):
+def pulse_spectral_power(pulse, center_offset_hz, window_hz):
     """Fraction of the drive power inside a spectral window around the carrier.
 
     Computes |FFT of the complex baseband envelope|^2, integrates it over
     [offset - window/2, offset + window/2] and normalizes by the total power.
     The FFT grid is refined until the bin spacing is at most window/20; if
-    that needs more than max_points samples the record is declared too short.
+    that needs more than SPECTRAL_MAX_POINTS samples the record is declared too short.
     """
     if window_hz <= 0:
         raise ValueError("window_hz must be positive")
@@ -1043,10 +1028,10 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz, max_points=2**23):
     dt = min(pulse.duration_s / 256.0, 1.0 / (16.0 * f_needed))
     t_record = max(4.0 * pulse.duration_s, 20.0 / window_hz)
     n = int(2 ** np.ceil(np.log2(t_record / dt)))
-    if n > max_points:
+    if n > SPECTRAL_MAX_POINTS:
         raise ResolutionError(
             f"need {n} samples for resolution {window_hz / 20:.3g} Hz "
-            f"(cap {max_points})"
+            f"(cap {SPECTRAL_MAX_POINTS})"
         )
     t = np.arange(n) * dt
     env = pulse.envelope(t + pulse.start_time_s) * np.exp(1j * pulse.phase_rad)
@@ -1102,20 +1087,19 @@ def _fit_fringe(times, signal, min_contrast=0.1):
     return float(freq)
 
 
-def _half_pi_propagator(system, drive_freq_hz, pulse_length_s):
+def _half_pi_propagator(system, drive_freq_hz):
     """Propagator of a rectangular pi/2 pulse on qubit 1 in the drive frame."""
-    pulse = calibrated_pulse("rectangular", pulse_length_s, drive_freq_hz,
+    pulse = calibrated_pulse("rectangular", RAMSEY_PULSE_S, drive_freq_hz,
                              rotation_cycles=0.25, target_qubit=1)
     ham = rotating_frame_transform(
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
         (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
     generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
-    u = _expm_real(generator.matrix(ham.func(0.0)) * pulse_length_s)
+    u = _expm_real(generator.matrix(ham.func(0.0)) * RAMSEY_PULSE_S)
     return u[0::2, 0::2] + 1j * u[1::2, 0::2]
 
 
-def run_conditional_ramsey(system, spectator_state, free_time_grid_s,
-                           drive_offset_hz=None, pulse_length_s=2e-9):
+def run_conditional_ramsey(system, spectator_state, free_time_grid_s, drive_offset_hz=None):
     """Fringe frequency of a pi/2 - wait - pi/2 sequence on qubit 1.
 
     The drive sits drive_offset_hz below the spectator-in-ground transition
@@ -1129,7 +1113,7 @@ def run_conditional_ramsey(system, spectator_state, free_time_grid_s,
     if drive_offset_hz is None:
         drive_offset_hz = 1.5 * abs(system.zeta_hz) + 5e6
     f_drive = system.omega1_hz - drive_offset_hz
-    u_half = _half_pi_propagator(system, f_drive, pulse_length_s)
+    u_half = _half_pi_propagator(system, f_drive)
 
     psi0 = np.zeros(4, dtype=complex)
     psi0[1 if spectator_state else 0] = 1.0

@@ -3,7 +3,8 @@
 Every JSON input (a command's --config and the files it names) is read by
 read_json and checked by parse against a field table.  For every table,
 unknown keys are rejected, every number is finite, a boolean is not a
-number, and each error is a ConfigError naming the field path, such as
+number, keys that exclude each other (a OneOf row) are not given together,
+and each error is a ConfigError naming the field path, such as
 `blockade:spectral:window_hz` or `circuit.json:qubits[1]:ec_hz`.  Every
 CSV output goes through write_csv, which writes numbers with shortest
 round-trip float formatting, so reruns are byte identical.
@@ -20,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    Coupling,
-    FosterMode,
-    JunctionParticipation,
-    SquidSpec,
-    TransmonSpec,
-    check_transmon,
-)
+from .circuit import Coupling, SquidSpec, TransmonSpec, check_transmon
 from .dynamics import (
+    END_PAD_S,
     FRAMES,
     PULSE_SHAPES,
     DissipationSpec,
@@ -54,6 +49,10 @@ REQUIRED = object()     # the default of a key that must be given
 # value or raises a ConfigError; an absent key takes default as it is, unless
 # it is REQUIRED; check is (predicate on the parsed value, message) or None.
 Field = namedtuple("Field", "key kind default check", defaults=(REQUIRED, None))
+# A row of a field table that names no key of its own: the keys an object
+# gives come from at most one of groups (tuples of keys), or, when required,
+# from exactly one, given whole.
+OneOf = namedtuple("OneOf", "groups required", defaults=(False,))
 
 
 # ------------------------------------------------------------ config schema
@@ -91,9 +90,11 @@ def parse(raw, fields, context, make=None):
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object, got {reprlib.repr(raw)}")
+    rules = [f for f in fields if isinstance(f, OneOf)]
+    fields = [f for f in fields if not isinstance(f, OneOf)]
     unknown = set(raw) - {f.key for f in fields}
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ConfigError("unknown keys " + ", ".join(f"{context}:{k}" for k in sorted(unknown)))
     record = {}
     for f in fields:
         if f.key in raw:
@@ -105,10 +106,27 @@ def parse(raw, fields, context, make=None):
             raise ConfigError(f"{context}: missing required key {f.key!r}")
         else:
             record[f.key] = f.default
+    for rule in rules:
+        _one_of(raw, rule, context)
     if make is None:
         return record
     with config_errors(context):
         return make(**record)
+
+
+def _one_of(raw, rule, context):
+    """Raise unless the keys of raw meet a OneOf rule."""
+    hit = [group for group in rule.groups if any(k in raw for k in group)]
+    if len(hit) > 1 or (rule.required and not hit):
+        options = " | ".join(g[0] if len(g) == 1 else "{" + ", ".join(g) + "}"
+                             for g in rule.groups)
+        got = [k for group in hit for k in group if k in raw]
+        raise ConfigError(f"{context}: {'needs' if rule.required else 'takes'} keys from "
+                          f"{'exactly' if rule.required else 'at most'} one of {options}, "
+                          f"got {got or 'none'}")
+    for key in hit[0] if rule.required else ():
+        if key not in raw:
+            raise ConfigError(f"{context}: missing required key {key!r}")
 
 
 def _kind_error(path, what, value):
@@ -229,36 +247,25 @@ def readout_matrix(value, path):
 class CircuitDescription:
     qubits: tuple
     coupling: Coupling
-    foster_modes: tuple = None
-    participation: JunctionParticipation = None
 
 
-def _circuit(path, qubits, coupling, foster, participation):
+def _circuit(path, qubits, coupling):
     c12, g = coupling["c12_farads"], coupling["g_hz"]
-    if (c12 is None) == (g is None):
-        raise ValueError("coupling needs exactly one of c12_farads | g_hz")
     with config_errors(f"{path}:coupling:c12_farads"):
         coupling = (Coupling.fixed(g) if c12 is None
                     else Coupling.capacitive(c12, qubits[0].ec_hz, qubits[1].ec_hz))
-    if participation is not None:
-        ej = np.array([q.ej_hz for q in qubits])
-        participation = JunctionParticipation(participation, ej[: np.shape(participation)[-1]])
-    return CircuitDescription(qubits, coupling, foster, participation)
+    return CircuitDescription(qubits, coupling)
 
 
 QUBIT_FIELDS = (Field("ej_sum_hz", number), Field("ec_hz", number),
                 Field("asymmetry_d", number, 0.0), Field("flux_phi0", number, 0.0))
-COUPLING_FIELDS = (Field("c12_farads", number, None), Field("g_hz", number, None))
-FOSTER_FIELDS = (Field("l_henries", number), Field("c_farads", number),
-                 Field("r_ohms", optional(number), None))
+COUPLING_FIELDS = (Field("c12_farads", number, None), Field("g_hz", number, None),
+                   OneOf((("c12_farads",), ("g_hz",)), required=True))
 CIRCUIT_FIELDS = (
     Field("qubits", records(QUBIT_FIELDS, lambda ec_hz, **squid: check_transmon(
         TransmonSpec(SquidSpec(**squid), ec_hz))),
         check=(lambda q: len(q) == 2, "must hold exactly 2 qubits")),
     Field("coupling", record(COUPLING_FIELDS)),
-    Field("foster", records(FOSTER_FIELDS, lambda l_henries, c_farads, r_ohms: FosterMode(
-        l_henries, c_farads, np.inf if r_ohms is None else r_ohms)), None),
-    Field("participation", array(None, None), None),
 )
 
 
@@ -271,7 +278,7 @@ def load_circuit_file(path, field="circuit"):
 
 def _protocol(pulses, total_time_s, dissipation, readout_matrix, **spec):
     if total_time_s is None:
-        total_time_s = max(p.end_time_s for p in pulses) + 2e-9
+        total_time_s = max(p.end_time_s for p in pulses) + END_PAD_S
     return ProtocolSpec(pulses, total_time_s, **spec), dissipation, readout_matrix
 
 
@@ -291,7 +298,6 @@ PROTOCOL_FIELDS = (
     Field("pulses", records(PULSE_FIELDS, PulseSpec), check=(bool, "must hold a pulse")),
     Field("delay_s", number, 0.0),
     Field("total_time_s", number, None),
-    Field("readout_times_s", numbers, None),
     DISSIPATION, READOUT_MATRIX,
 )
 

@@ -36,6 +36,7 @@ from .errors import (
 
 AMBIGUITY_THRESHOLD = 0.5     # squared overlap at or below this flags the label
 POLE_GUARD_HZ = 1e6           # the perturbative formula is NaN this close to a pole
+REFINE_ITERATIONS = 40        # bounded Brent solves of refine_crossing
 
 COMPUTATIONAL_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -223,10 +224,10 @@ def zeta_resonant(spectrum):
     return e[(1, 1)] - ep - em + e[(0, 0)]
 
 
-def _off_poles(delta_hz, alpha1_hz, alpha2_hz, guard_hz):
-    """delta, NaN within guard_hz of |alpha1| (|11> meets |20>) or -|alpha2| (|11> meets |02>)."""
-    near = ((np.abs(delta_hz - np.abs(alpha1_hz)) < guard_hz)
-            | (np.abs(delta_hz + np.abs(alpha2_hz)) < guard_hz))
+def _off_poles(delta_hz, alpha1_hz, alpha2_hz):
+    """delta, NaN within POLE_GUARD_HZ of |alpha1| (|11> meets |20>) or -|alpha2| (|02>)."""
+    near = ((np.abs(delta_hz - np.abs(alpha1_hz)) < POLE_GUARD_HZ)
+            | (np.abs(delta_hz + np.abs(alpha2_hz)) < POLE_GUARD_HZ))
     return np.where(near, np.nan, delta_hz)
 
 
@@ -235,14 +236,13 @@ def _off_poles(delta_hz, alpha1_hz, alpha2_hz, guard_hz):
 _pow = np.float_power
 
 
-def zeta_perturbative(g_hz, delta_hz, alpha1_hz, alpha2_hz, chi_bare_hz=0.0,
-                      pole_guard_hz=POLE_GUARD_HZ):
+def zeta_perturbative(g_hz, delta_hz, alpha1_hz, alpha2_hz, chi_bare_hz=0.0):
     """Second-order ZZ: -chi + 2 g^2 [1/(delta + |a2|) - 1/(delta - |a1|)].
 
     Generated by virtual mixing of |11> with |20> and |02>; NaN within
-    pole_guard_hz of its poles delta = |alpha1| and -|alpha2|.  Arguments broadcast.
+    POLE_GUARD_HZ of its poles delta = |alpha1| and -|alpha2|.  Arguments broadcast.
     """
-    delta = _off_poles(delta_hz, alpha1_hz, alpha2_hz, pole_guard_hz)
+    delta = _off_poles(delta_hz, alpha1_hz, alpha2_hz)
     return -chi_bare_hz + 2.0 * _pow(g_hz, 2) * (
         1.0 / (delta + np.abs(alpha2_hz)) - 1.0 / (delta - np.abs(alpha1_hz)))
 
@@ -272,8 +272,7 @@ def zeta_series_high_detuning(g_hz, delta_hz, alpha1_hz, alpha2_hz,
     return -chi_bare_hz - 2.0 * _pow(g_hz, 2) * (a1 + a2) * bracket
 
 
-def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz,
-                            pole_guard_hz=POLE_GUARD_HZ):
+def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz):
     """Second-order dressed shifts (dE11, dE10, dE01).
 
     dE11 = -2g^2/(delta - |a1|) + 2g^2/(delta + |a2|) from the two-excitation
@@ -282,7 +281,7 @@ def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz,
     dE11 - dE10 - dE01 equals the perturbative zeta identically.
     """
     g2 = _pow(g_hz, 2)
-    d11 = _off_poles(delta_hz, alpha1_hz, alpha2_hz, pole_guard_hz)
+    d11 = _off_poles(delta_hz, alpha1_hz, alpha2_hz)
     de11 = -2.0 * g2 / (d11 - np.abs(alpha1_hz)) + 2.0 * g2 / (d11 + np.abs(alpha2_hz))
     de10 = g2 / delta_hz
     de01 = -g2 / delta_hz
@@ -371,26 +370,12 @@ def single_excitation_scan(q1, q2, coupling, fluxes):
     return omega[1], pairs
 
 
-def avoided_crossing_j(q1, q2, coupling, flux_sweep, refine_iterations=40):
-    """Half the minimum single-excitation splitting and the flux where it occurs.
-
-    Scans the qubit-2 flux over flux_sweep with qubit 1 fixed at its own bias,
-    then refines the grid minimum with refine_crossing.  Raises
-    NoCrossingError when the minimum sits at an endpoint of the sweep.
-    """
-    fluxes = np.asarray(flux_sweep, dtype=float)
-    if fluxes.size < 3:
-        raise ValueError("flux sweep needs at least 3 points")
-    _, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
-    return refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0], refine_iterations)
-
-
-def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
+def refine_crossing(q1, q2, coupling, fluxes, gaps):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
     gaps[k] is the splitting at fluxes[k], and q1, q2 are as in
     single_excitation_scan.  Bounded Brent iteration minimizes the squared gap
-    between the grid minimum's neighbours in at most refine_iterations solves.
+    between the grid minimum's neighbours in at most REFINE_ITERATIONS solves.
     Raises NoCrossingError when the minimum sits at an endpoint of the scan.
     """
     k = int(np.argmin(gaps))
@@ -404,7 +389,7 @@ def refine_crossing(q1, q2, coupling, fluxes, gaps, refine_iterations=40):
         return (upper - lower) ** 2
 
     best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",
-                           options={"xatol": 1e-11, "maxiter": refine_iterations})
+                           options={"xatol": 1e-11, "maxiter": REFINE_ITERATIONS})
     if best.fun > gaps[k] ** 2:
         return 0.5 * float(gaps[k]), float(fluxes[k])
     return 0.5 * float(np.sqrt(best.fun)), float(best.x)

@@ -20,8 +20,9 @@ import numpy as np
 from .circuit import FosterMode
 from .errors import FitDivergedError, IllConditionedError, NonPhysicalModeError
 
-DEFAULT_MAX_ROUNDS = 30
-DEFAULT_CONVERGENCE = 1e-10   # stop when the residual improves less than this (relative)
+MAX_ROUNDS = 30
+CONVERGENCE = 1e-10     # stop when the residual improves less than this (relative)
+REAL_POLE_TOL = 1e-6    # the largest residue a real pole may carry, relative to the largest one
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,10 @@ def _relocate(values, s, poles):
     return np.array(out[:n])
 
 
-def _residues_on_poles(values, s, poles, fit_direct=True):
+def _residues_on_poles(values, s, poles):
     idx = _pair_index(poles)
     n = len(poles)
-    basis = _basis(s, poles, idx)
-    a = np.hstack([basis, np.ones((len(s), 1))]) if fit_direct else basis
-    x = _lstsq_real(a, values)
+    x = _lstsq_real(np.hstack([_basis(s, poles, idx), np.ones((len(s), 1))]), values)
     res = np.zeros(n, dtype=complex)
     k = 0
     while k < n:
@@ -145,8 +144,7 @@ def _residues_on_poles(values, s, poles, fit_direct=True):
             res[k] = complex(x[k], x[k + 1])
             res[k + 1] = np.conj(res[k])
             k += 2
-    d = float(x[n]) if fit_direct else 0.0
-    return res, d
+    return res, float(x[n])
 
 
 def _rms_error(values, model):
@@ -167,8 +165,7 @@ def _initial_poles(omegas, n_poles):
     return np.array(poles)
 
 
-def vector_fit(samples, n_poles, max_rounds=DEFAULT_MAX_ROUNDS,
-               convergence=DEFAULT_CONVERGENCE):
+def vector_fit(samples, n_poles):
     """Fit sampled (omega_rad_s, complex response) data with n_poles poles.
 
     samples may be an (N, 2)-like sequence of (omega, value) pairs or a tuple
@@ -203,7 +200,7 @@ def vector_fit(samples, n_poles, max_rounds=DEFAULT_MAX_ROUNDS,
     best = None
     first_error = None
     prev = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         poles = _relocate(f, s, poles)
         res, d = _residues_on_poles(f, s, poles)
         err = _rms_error(f, _model(s, poles, res, d))
@@ -212,13 +209,13 @@ def vector_fit(samples, n_poles, max_rounds=DEFAULT_MAX_ROUNDS,
         if best is None or err < best[0]:
             best = (err, poles.copy(), res, d)
         # stop once a round stops improving the residual meaningfully
-        if prev is not None and abs(prev - err) < convergence:
+        if prev is not None and abs(prev - err) < CONVERGENCE:
             break
         prev = err
     err, poles, res, d = best
     if err >= first_error and err > 1e-2:
         raise FitDivergedError(
-            f"pole relocation stuck at relative RMS {err:.3e} after {max_rounds} rounds"
+            f"pole relocation stuck at relative RMS {err:.3e} after {MAX_ROUNDS} rounds"
         )
     return RationalFit(
         poles=poles * w_scale,
@@ -235,12 +232,12 @@ def _model(s, poles, residues, d):
     return out
 
 
-def foster_from_fit(fit, real_pole_tol=1e-6):
+def foster_from_fit(fit):
     """Foster-I network (parallel RLC stages) realizing a fitted series impedance.
 
     Each conjugate pole pair maps to one stage with omega_m = |pole|,
     kappa_m = -2 Re(pole), C_m = 1/(2 Re residue) and L_m = 1/(C_m omega_m^2).
-    Real poles with residues above real_pole_tol (relative to the largest
+    Real poles with residues above REAL_POLE_TOL (relative to the largest
     residue) have no parallel-LC realization and raise NonPhysicalModeError,
     as do non-positive reconstructed elements.
     """
@@ -251,7 +248,7 @@ def foster_from_fit(fit, real_pole_tol=1e-6):
         if k in seen:
             continue
         if abs(p.imag) <= 1e-12 * max(abs(p), 1.0):
-            if abs(r) > real_pole_tol * res_scale:
+            if abs(r) > REAL_POLE_TOL * res_scale:
                 raise NonPhysicalModeError(
                     f"real pole {p:.4g} with significant residue cannot form a "
                     "parallel-LC stage"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zzkit import SquidSpec, TransmonSpec, load_fixture
+from zzkit.spectrum import refine_crossing, single_excitation_scan
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,12 @@ def rng():
 
 def make_transmon(ej_hz, ec_hz, d=0.0, flux=0.0):
     return TransmonSpec(SquidSpec(ej_hz, d, flux), ec_hz)
+
+
+def crossing(q1, q2, coupling, fluxes):
+    """(J, flux at the minimum gap) of qubit 2's flux scan, as flux-spectroscopy finds them."""
+    _, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
+    return refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
 
 
 @pytest.fixture(autouse=True)

@@ -202,7 +202,7 @@ def echo_phase_loop(system, spectator_flip_time_s, total_free_time_s,
     energies = _frame_levels(system, f_drive, system.omega2_hz)
 
     def branch_phase(spectator_state):
-        u_half = _half_pi_propagator(system, f_drive, 2e-9)
+        u_half = _half_pi_propagator(system, f_drive)
         psi0 = np.zeros(4, dtype=complex)
         psi0[1 if spectator_state else 0] = 1.0
         psi = u_half @ psi0

@@ -34,7 +34,6 @@ DESIGN_VARIABLES = [{"name": "ej1_hz", "low": 12e9, "high": 35e9},
 # stands for the file name in the example's directory
 BASES = {
     "zz-sweep": ("zz-sweep", {
-        "fixture": "chip1",
         "inline": {"omega1_hz": 6.27e9, "alpha1_hz": -351e6, "alpha2_hz": -312e6,
                    "g_hz": 5e6},
         "delta_hz": {"start": 0.8e9, "stop": 2.0e9, "num": 5},
@@ -67,12 +66,9 @@ BASES = {
                     "flux_phi0": 0.5},
                    {"ej_sum_hz": 20.93e9, "ec_hz": 0.262e9, "asymmetry_d": 0.458,
                     "flux_phi0": 0.0}],
-        "coupling": {"c12_farads": 5e-15},
-        "foster": [{"l_henries": 1e-9, "c_farads": 1e-13, "r_ohms": None}],
-        "participation": [[0.1, 0.05]]}),
+        "coupling": {"c12_farads": 5e-15}}),
     "protocol file": ("blockade", {
         "frame": "rotating", "delay_s": 10e-9, "total_time_s": 50e-9,
-        "readout_times_s": [40e-9, 50e-9],
         "pulses": [{"shape": "truncated_cosine", "amplitude_hz": 5e7, "duration_s": 20e-9,
                     "carrier_hz": 4.498e9, "target_qubit": 2},
                    {"shape": "rectangular", "amplitude_hz": 2.5e7, "duration_s": 20e-9,

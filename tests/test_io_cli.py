@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -7,7 +8,6 @@ import pytest
 from zzkit import (
     FosterMode,
     KerrParams,
-    avoided_crossing_j,
     build_hamiltonian,
     diagonalize_and_label,
     transmon_spectrum,
@@ -39,10 +39,23 @@ from zzkit.io import (
     write_csv,
 )
 
+from conftest import crossing
+
 
 # a valid zz-sweep system and grid, for the inline cases of test_config_error_exit_code
 INLINE = {"omega1_hz": 6.27e9, "alpha1_hz": -351e6, "alpha2_hz": -312e6, "g_hz": 5e6}
 DELTAS = {"start": 0.8e9, "stop": 2.0e9, "num": 5}
+# a valid circuit file and protocol file; the cases of test_config_error_exit_code
+# name them relative to their directory
+CIRCUIT = {
+    "qubits": [
+        {"ej_sum_hz": 36.65e9, "ec_hz": 0.309e9, "asymmetry_d": 0.48, "flux_phi0": 0.5},
+        {"ej_sum_hz": 20.93e9, "ec_hz": 0.262e9, "asymmetry_d": 0.458, "flux_phi0": 0.0},
+    ],
+    "coupling": {"g_hz": 245.5e6},
+}
+PROTOCOL = {"pulses": [{"shape": "rectangular", "amplitude_hz": 50e6, "duration_s": 10e-9,
+                        "carrier_hz": 6.307e9}]}
 # a Ramsey grid that chip1's blockade point reads as 19 MHz, 33.5 MHz below qubit 1
 RAMSEY_GRID = np.linspace(0.0, 200e-9, 401)
 
@@ -76,15 +89,7 @@ def with_variable(index, **change):
 
 class TestCircuitFile:
     def good(self):
-        return {
-            "qubits": [
-                {"ej_sum_hz": 36.65e9, "ec_hz": 0.309e9, "asymmetry_d": 0.48,
-                 "flux_phi0": 0.5},
-                {"ej_sum_hz": 20.93e9, "ec_hz": 0.262e9, "asymmetry_d": 0.458,
-                 "flux_phi0": 0.0},
-            ],
-            "coupling": {"g_hz": 245.5e6},
-        }
+        return copy.deepcopy(CIRCUIT)
 
     def test_round_trip(self, tmp_path):
         desc = load_circuit_file(write_json(tmp_path / "c.json", self.good()))
@@ -115,15 +120,19 @@ class TestCircuitFile:
         ({"qubits[0]": {"ec_hz": True}}, "qubits[0]:ec_hz"),
         ({"coupling": 3}, "coupling"),
         ({"coupling": {"g_hz": "x"}}, "coupling:g_hz"),
+        # zz-sweep reads no Foster data: foster-fit is the Foster route
         ({"participation": [1, 2]}, "participation"),
-        ({"foster": [{"l_henries": "x", "c_farads": 1e-13}]}, "foster[0]:l_henries"),
+        ({"foster": [{"l_henries": "x", "c_farads": 1e-13}]}, "foster"),
+        ({"foster": [{"l_henries": 1e-9, "c_farads": 1e-13, "r_ohms": None}]}, "foster"),
+        ({"participation": [[0.1, 0.05]]}, "participation"),
         # a symmetric SQUID at half flux has E_J = 0
         ({"qubits[1]": {"asymmetry_d": 0.0, "flux_phi0": 0.5}}, "qubits[1]: E_J/E_C = 0.00 < 1"),
         # C12 must lie in [0, min C_sigma), C_sigma = e^2 / (2 h E_C) = 63 and 74 fF here
         ({"coupling": {"c12_farads": -5e-15}}, "coupling:c12_farads"),
         ({"coupling": {"c12_farads": 500e-15}}, "coupling:c12_farads"),
     ], ids=["qubits-not-list", "ej-not-number", "ec-boolean", "coupling-not-object",
-            "g-not-number", "participation-not-matrix", "foster-l-not-number",
+            "g-not-number", "participation-not-matrix", "foster-l-not-number", "foster",
+            "participation",
             "qubit-not-transmon", "c12-negative", "c12-above-node-capacitance"])
     def test_circuit_file_error_exit_code(self, tmp_path, capsys, change, field):
         circuit = self.good()
@@ -136,12 +145,6 @@ class TestCircuitFile:
             "circuit": write_json(tmp_path / "circuit.json", circuit), "delta_hz": DELTAS})
         assert main(["--config", cfg, "--out", str(tmp_path / "zz.csv"), "zz-sweep"]) == 2
         assert f"circuit.json:{field}" in capsys.readouterr().err
-
-    def test_foster_block_parsed(self, tmp_path):
-        cfg = self.good()
-        cfg["foster"] = [{"l_henries": 1e-9, "c_farads": 1e-13, "r_ohms": None}]
-        desc = load_circuit_file(write_json(tmp_path / "c.json", cfg))
-        assert np.isinf(desc.foster_modes[0].resistance_r)
 
 
 class TestAdmittanceCsv:
@@ -234,24 +237,27 @@ class TestZZSweepCommand:
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
-        # --threads has no effect: files and stdout match the default run
         runs = [
-            ("zz-sweep", "4", self.config(tmp_path)),
-            ("blockade", "2", write_json(tmp_path / "blockade.json", {
+            ("zz-sweep", self.config(tmp_path)),
+            ("blockade", write_json(tmp_path / "blockade.json", {
                 "fixture": "chip1", "pulse_lengths_s": [60e-9, 100e-9],
                 "delays_s": [-80e-9, 80e-9],
                 "readout_matrix": [[0.95, 0.05], [0.10, 0.90]]})),
-            ("flux-spectroscopy", "2", write_json(tmp_path / "flux.json", {
+            ("flux-spectroscopy", write_json(tmp_path / "flux.json", {
                 "fixture": "chip1",
                 "flux_phi0": {"start": -0.2, "stop": -0.01, "num": 21}})),
         ]
-        for command, threads, cfg in runs:
+        for command, cfg in runs:
             out1, out2 = str(tmp_path / f"{command}-a.csv"), str(tmp_path / f"{command}-b.csv")
             assert main(["--config", cfg, "--out", out1, command]) == 0
             stdout1 = capsys.readouterr().out
-            assert main(["--config", cfg, "--out", out2, "--threads", threads, command]) == 0
+            assert main(["--config", cfg, "--out", out2, command]) == 0
             assert capsys.readouterr().out == stdout1
             assert open(out1, "rb").read() == open(out2, "rb").read(), command
+        # there is no thread count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", out2, "--threads", "2", command])
+        assert exc.value.code == 2
 
     def test_zero_coupling_inline(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -371,6 +377,18 @@ class TestZZSweepCommand:
         ("ramsey", {"drive_offset_hz": 33.5e6,
                     "free_time_s": [0.0, *(RAMSEY_GRID + 0.1e-9).tolist()]},
          "ramsey:free_time_s needs >= 4 evenly spaced points"),
+        # a protocol file is the whole sequence: no grid key goes with it
+        ("blockade", {"protocol": "protocol.json", "dissipation": {"t1_s": [1e-7, 1e-7]}},
+         "got ['protocol', 'dissipation']"),
+        ("blockade", {"protocol": "protocol.json", "spectral": {"window_hz": 10e6}},
+         "got ['protocol', 'spectral']"),
+        ("blockade", {"protocol": "protocol.json", "pulse_lengths_s": [20e-9]},
+         "got ['protocol', 'pulse_lengths_s']"),
+        # zz-sweep takes its system from exactly one source
+        ("zz-sweep", {"circuit": "circuit.json", "delta_hz": DELTAS},
+         "got ['fixture', 'circuit']"),
+        ("zz-sweep", {"circuit": "circuit.json", "inline": INLINE, "delta_hz": DELTAS},
+         "got ['circuit', 'inline']"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
             "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
@@ -390,8 +408,14 @@ class TestZZSweepCommand:
             "circuit-not-path", "grid-num-too-large", "optimize-population-too-large",
             "levels-too-large", "levels-below-two", "optimize-negative-seed",
             "optimize-negative-seed-flag", "optimize-null-seed", "flux-grid-not-transmon",
-            "flux-q1-not-transmon", "ramsey-uneven-grid", "ramsey-short-first-step"])
-    def test_config_error_exit_code(self, tmp_path, capsys, command, extra, field):
+            "flux-q1-not-transmon", "ramsey-uneven-grid", "ramsey-short-first-step",
+            "protocol-and-dissipation", "protocol-and-spectral", "protocol-and-lengths",
+            "fixture-and-circuit", "circuit-and-inline"])
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, command, extra,
+                                    field):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "circuit.json", CIRCUIT)
+        write_json(tmp_path / "protocol.json", PROTOCOL)
         base = (DESIGN_CONFIG if command == "optimize"
                 else {} if "inline" in extra else {"fixture": "chip1"})
         flags = [str(a) for k, v in extra.items() if k.startswith("--") for a in (k, v)]
@@ -663,8 +687,10 @@ class TestBlockadeCommand:
         ({"pulses": []}, "pulses"),
         ({"pulses": 5}, "pulses"),
         ({"pulses": [5]}, "pulses[0]"),
+        # the command reads out at total_time_s only
+        ({"readout_times_s": [5e-9, 12e-9]}, "protocol.json:readout_times_s"),
     ], ids=["total-time-infinite", "amplitude-nan", "amplitude-not-number", "t2-nan",
-            "no-pulses", "pulses-not-list", "pulse-not-object"])
+            "no-pulses", "pulses-not-list", "pulse-not-object", "readout-times"])
     def test_protocol_file_bad_value_is_config_error(self, tmp_path, capsys, change, field):
         protocol = {"frame": "rotating",
                     "pulses": [{"shape": "rectangular", "amplitude_hz": 50e6,
@@ -727,8 +753,8 @@ class TestFluxSpectroscopyCommand:
         assert summary["flux_at_min_phi0"] == pytest.approx(-0.1, abs=0.02)
 
     def test_summary_equals_avoided_crossing_j(self, tmp_path, chip1):
-        # the command refines the gaps of the rows it wrote; the library call
-        # scans the grid itself, and both give the same numbers exactly
+        # the command refines the gaps of the rows it wrote; single_excitation_scan
+        # + refine_crossing on the same linspace give the same numbers exactly
         summary_path = tmp_path / "summary.json"
         cfg = write_json(tmp_path / "cfg.json", {
             "fixture": "chip1",
@@ -739,9 +765,8 @@ class TestFluxSpectroscopyCommand:
                      "flux-spectroscopy"]) == 0
         summary = json.loads(summary_path.read_text())
         q1f, q2f = chip1.qubits
-        j, flux_min = avoided_crossing_j(q1f.transmon(float(q1f.default_flux_phi0)),
-                                         q2f.transmon(), chip1.coupling(),
-                                         np.linspace(-0.2, -0.01, 21))
+        j, flux_min = crossing(q1f.transmon(float(q1f.default_flux_phi0)), q2f.transmon(),
+                               chip1.coupling(), np.linspace(-0.2, -0.01, 21))
         assert summary["two_j_hz"] == 2.0 * float(j)
         assert summary["flux_at_min_phi0"] == flux_min
 

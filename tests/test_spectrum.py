@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from zzkit import (
     Coupling,
     KerrParams,
     PauliDecomposition,
-    avoided_crossing_j,
     build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
@@ -27,7 +28,7 @@ from zzkit.errors import (
 )
 from zzkit.spectrum import TruncatedHamiltonian, dressed_blocks, single_excitation_scan
 
-from conftest import make_transmon
+from conftest import crossing, make_transmon
 from dense_oracle import dense_labeling
 
 CHIP1_BETA5 = 3.81259047e6
@@ -176,7 +177,7 @@ class TestZetaExact:
         base = kerr(g=0.3e6)
         chi = 5e6
         z0 = zeta_exact(labeled(base))
-        z1 = zeta_exact(labeled(base.replace(bare_cross_kerr_chi_hz=chi)))
+        z1 = zeta_exact(labeled(replace(base, bare_cross_kerr_chi_hz=chi)))
         assert (z1 - z0) == pytest.approx(-chi, rel=1e-6)
 
     def test_truncation_convergence(self, chip1):
@@ -465,16 +466,14 @@ class TestAvoidedCrossing:
         q1 = make_transmon(36.65e9, 0.309e9, d=0.48, flux=0.5)
         q2 = make_transmon(20.93e9, 0.262e9, d=0.458, flux=0.0)
         g = 0.2455e9
-        j, flux_min = avoided_crossing_j(q1, q2, Coupling.fixed(g),
-                                         np.linspace(-0.2, -0.01, 25))
+        j, flux_min = crossing(q1, q2, Coupling.fixed(g), np.linspace(-0.2, -0.01, 25))
         assert j == pytest.approx(g, rel=1e-6)
         assert -0.12 < flux_min < -0.05
 
     def test_chip1_capacitive_coupling(self, chip1):
         q1 = chip1.qubits[0].transmon(0.5)
         q2 = chip1.qubits[1].transmon()
-        j, flux_min = avoided_crossing_j(q1, q2, chip1.coupling(),
-                                         np.linspace(-0.2, -0.01, 25))
+        j, flux_min = crossing(q1, q2, chip1.coupling(), np.linspace(-0.2, -0.01, 25))
         assert 2 * j == pytest.approx(491e6, rel=0.05)
         assert flux_min == pytest.approx(-0.1, abs=0.02)
 
@@ -482,8 +481,7 @@ class TestAvoidedCrossing:
         q1 = chip1.qubits[0].transmon(0.5)
         q2 = chip1.qubits[1].transmon()
         with pytest.raises(NoCrossingError):
-            avoided_crossing_j(q1, q2, chip1.coupling(),
-                               np.linspace(0.3, 0.45, 10))
+            crossing(q1, q2, chip1.coupling(), np.linspace(0.3, 0.45, 10))
 
 
 class TestMonotonicTrend:

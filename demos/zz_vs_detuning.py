@@ -13,7 +13,6 @@ import numpy as np
 
 from zzkit import (
     KerrParams,
-    build_hamiltonian,
     diagonalize_and_label,
     load_fixture,
     transmon_spectrum,
@@ -42,7 +41,7 @@ for delta in deltas:
     g = chip.g_at(omega1, omega2)
     params = KerrParams(np.array([omega1, omega2]), np.array([alpha1, alpha2]),
                         np.zeros((2, 2)), exchange_g_hz=g)
-    spec = diagonalize_and_label(build_hamiltonian(params))
+    spec = diagonalize_and_label(params)
     try:
         z_exact = zeta_exact(spec)
     except AmbiguousLabelError:

@@ -56,8 +56,6 @@ from .optimize import (
 from .spectrum import (
     LabeledSpectrum,
     PauliDecomposition,
-    TruncatedHamiltonian,
-    build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
     dressed_blocks,

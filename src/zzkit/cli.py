@@ -48,7 +48,6 @@ from .optimize import (
     optimize,
 )
 from .spectrum import (
-    build_hamiltonian,
     diagonalize_and_label,
     dressed_blocks,
     pauli_decomposition,
@@ -133,7 +132,7 @@ def cmd_zz_sweep(cfg, out):
     if cfg["spectrum_json"]:
         params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
                             np.zeros((2, 2)), exchange_g_hz=g[0])
-        spec = diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
+        spec = diagonalize_and_label(params, levels, max_exc)
         try:
             decomp = pauli_decomposition(spec, params.exchange_g_hz)
         except AmbiguousLabelError:
@@ -370,30 +369,42 @@ def cmd_ramsey(cfg, out):
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser():
+    """(parser, head), built once per process: building costs far more than parsing.
+
+    head parses only the options before the command.  argparse alone passes
+    over an unknown option there and takes its value for the command, so its
+    error names the value; head's leftovers name the option.
+    """
+    head = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    head.add_argument("--config", help="JSON configuration file")
+    head.add_argument("--out", help="output path", default="zzkit_out")
+    head.add_argument("--seed", type=int, default=None)
     parser = argparse.ArgumentParser(
-        prog="zzkit",
-        description="ZZ-interaction design toolkit for coupled transmons")
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--out", help="output path", default="zzkit_out")
-    parser.add_argument("--seed", type=int, default=None)
+        prog="zzkit", description="ZZ-interaction design toolkit for coupled transmons",
+        parents=[head])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("zz-sweep", "blockade", "flux-spectroscopy", "optimize", "ramsey"):
         sub.add_parser(name)
     foster = sub.add_parser("foster-fit")
     foster.add_argument("samples_csv")
     foster.add_argument("--n-poles", type=int, required=True)
-    return parser
-
-
-@functools.cache
-def _parser():
-    """build_parser() once per process: building costs far more than parsing."""
-    return build_parser()
+    # after the full parser has copied the options: it keeps its own help and command
+    head.add_argument("-h", "--help", action="store_true")
+    head.add_argument("command", nargs=argparse.REMAINDER)
+    return parser, head
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser, head = build_parser()
+    try:
+        unknown = head.parse_known_args(argv)[1]
+    except argparse.ArgumentError:          # a bad value: the full parser reports it
+        unknown = []
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = parser.parse_args(argv)
     try:
         if args.command == "foster-fit":
             return cmd_foster_fit(args.samples_csv, args.n_poles, args.out)

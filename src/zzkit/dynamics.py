@@ -467,7 +467,7 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, include_exchan
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Timed pulse sequence with a frame choice and readout instants.
+    """Timed pulse sequence with a frame choice, read out at total_time_s.
 
     delay_s > 0 means the qubit-2 pulse starts before the qubit-1 pulse.
     """
@@ -476,7 +476,6 @@ class ProtocolSpec:
     total_time_s: float
     frame: str = "rotating"
     delay_s: float = 0.0
-    readout_times_s: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
@@ -484,12 +483,6 @@ class ProtocolSpec:
             raise ValueError(f"unknown frame {self.frame!r}")
         if not (np.isfinite(self.total_time_s) and np.isfinite(self.delay_s)):
             raise ValueError("total_time_s and delay_s must be finite")
-        ro = self.readout_times_s
-        ro = (self.total_time_s,) if ro is None else tuple(ro)
-        for t in ro:
-            if not 0 <= t <= self.total_time_s + 1e-15:
-                raise ValueError("readout times must fall inside [0, total_time]")
-        object.__setattr__(self, "readout_times_s", ro)
 
 
 @dataclass
@@ -904,7 +897,7 @@ def make_blockade_protocol(system, pulse_length_s, delay_s,
     p2 = pi_pulse(shape, pulse_length_s, f2, target_qubit=2, start_time_s=t2,
                   gaussian_sigma_s=gaussian_sigma_s)
     total = max(p1.end_time_s, p2.end_time_s) + END_PAD_S + readout_pad_s
-    return ProtocolSpec((p1, p2), total, frame, delay_s, (total,))
+    return ProtocolSpec((p1, p2), total, frame, delay_s)
 
 
 def build_protocol_hamiltonian(system, protocol, include_exchange=True):
@@ -946,10 +939,8 @@ def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
     (rtol / RTOL_DEFAULT)^(1/6), cutting the error in proportion.
     """
     ham = build_protocol_hamiltonian(system, protocol, include_exchange)
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, protocol.total_time_s, n_grid),
-        np.asarray(protocol.readout_times_s, dtype=float),
-    ]))
+    grid = np.unique(np.append(np.linspace(0.0, protocol.total_time_s, n_grid),
+                               protocol.total_time_s))
     if dissipation is None:
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0

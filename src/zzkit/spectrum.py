@@ -14,9 +14,9 @@ to bare labels by the optimal assignment of squared overlaps; zeta is then
 and its perturbative counterparts (second-order elimination of |20>, |02>
 and the high-detuning series) are provided for cross-validation.
 
-zeta needs only the blocks N <= 2: dressed_blocks solves just those, stacked
-over sweeps, flux scans and optimizer populations; diagonalize_and_label
-solves every block of a truncation, for spectrum dumps.
+_blocks builds and labels each block straight from the Kerr parameters, stacked:
+dressed_blocks takes N <= 2, all zeta needs, over sweeps, flux scans and optimizer
+populations; diagonalize_and_label takes every N of a truncation, for dumps.
 """
 
 import itertools
@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .circuit import check_transmon, transmon_pair
 from .errors import (
@@ -36,26 +35,9 @@ from .errors import (
 
 AMBIGUITY_THRESHOLD = 0.5     # squared overlap at or below this flags the label
 POLE_GUARD_HZ = 1e6           # the perturbative formula is NaN this close to a pole
-REFINE_ITERATIONS = 40        # bounded Brent solves of refine_crossing
+ZOOM_ROUNDS, ZOOM_POINTS = 4, 33   # stacked scans of refine_crossing, fluxes in each
 
 COMPUTATIONAL_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclass(frozen=True)
-class TruncatedHamiltonian:
-    """Dense two-mode Hamiltonian (Hz units) in a lexicographic product Fock basis."""
-
-    matrix: np.ndarray
-    basis_labels: tuple
-    levels_per_mode: tuple
-    max_total_excitation: int = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        scale = np.max(np.abs(m)) or 1.0
-        if np.max(np.abs(m - m.T)) > 1e-12 * scale:
-            raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
 def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
@@ -74,34 +56,12 @@ def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
     return h
 
 
-def build_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
-    """Assemble the truncated two-mode Kerr + exchange Hamiltonian (see _kerr_matrices).
-
-    chi is the participation-derived chi_12 plus any explicit bare term.  With
-    >= 3 levels per mode and max_total_excitation >= 2 (or None), larger
-    truncations keep the N <= 2 blocks, and so zeta, as they are and set only
-    the size of the problem and of a dump.
-    """
-    if params.n_modes != 2:
-        raise ValueError("build_hamiltonian expects exactly two modes")
-    n1max, n2max = levels_per_mode
-    if n1max < 2 or n2max < 2:
-        raise TruncationError("need at least two levels per mode")
-    chi = params.cross_kerr_hz[0, 1] + params.bare_cross_kerr_chi_hz
-    labels = tuple((i, j) for i in range(n1max) for j in range(n2max)
-                   if max_total_excitation is None or i + j <= max_total_excitation)
-    h = _kerr_matrices(labels, *params.mode_freqs_hz, *params.self_kerr_hz, chi,
-                       params.exchange_g_hz)
-    return TruncatedHamiltonian(h, labels, tuple(levels_per_mode), max_total_excitation)
-
-
 @dataclass(frozen=True)
 class LabeledSpectrum:
     """Dressed eigenenergies tagged by the bare state each eigenvector tracks."""
 
     energies: dict            # (n1, n2) -> eigenenergy in Hz
     overlaps: dict            # (n1, n2) -> squared overlap with the bare state
-    eigenvectors: dict        # (n1, n2) -> eigenvector in the truncated basis
     ambiguous: frozenset      # labels whose overlap is at or below 1/2
     basis_labels: tuple
 
@@ -111,13 +71,12 @@ class LabeledSpectrum:
 
 
 def _assign(blocks):
-    """Eigenpairs of a (K, n, n) stack, each label's eigenstate, energy and overlap.
+    """Eigenvalues (K, n) ascending of a (K, n, n) stack, and the energy and squared
+    overlap (K, n) of the eigenstate assigned to each basis label.
 
-    Returns evals (K, n), evecs (K, n, n), cols (K, n), the eigenstate of each
-    basis label, and that eigenstate's energy and squared overlap (K, n).  The
-    assignment maximizes the summed squared overlap: up to n = 4 by scoring
-    every permutation at once, above that (n! outgrows memory) by scipy's
-    Hungarian linear_sum_assignment per block.
+    The assignment maximizes the summed squared overlap: up to n = 4 by
+    scoring every permutation at once, above that (n! outgrows memory) by
+    scipy's Hungarian linear_sum_assignment per block.
     """
     evals, evecs = np.linalg.eigh(blocks)
     overlap = np.abs(evecs) ** 2                      # (K, label, eigenstate)
@@ -128,32 +87,50 @@ def _assign(blocks):
     else:
         from scipy.optimize import linear_sum_assignment
         cols = np.array([linear_sum_assignment(-o)[1] for o in overlap])
-    return (evals, evecs, cols, np.take_along_axis(evals, cols, axis=1),
+    return (evals, np.take_along_axis(evals, cols, axis=1),
             np.take_along_axis(overlap, cols[..., None], axis=2)[..., 0])
 
 
-def diagonalize_and_label(ham):
-    """Diagonalize and label each N = n1 + n2 block of ham with _assign.
+def _blocks(params, levels_per_mode, numbers):
+    """For each N in numbers, the N = n1 + n2 block's labels and its _assign.
 
-    Block eigenvectors are embedded in the full basis.  Labels whose assigned
-    overlap is at or below 1/2 are flagged ambiguous rather than rejected, so
-    near-resonant spectra stay usable.  Raises ValueError when ham couples
-    different N.
+    params (w1, w2, a1, a2, chi, g) broadcast together to K systems; a block
+    holds the states (i, N - i), i ascending, that levels_per_mode keeps.
+    Raises TruncationError below two levels per mode.
     """
-    labels = ham.basis_labels
-    number = np.array([i + j for i, j in labels])
-    if np.any(ham.matrix[number[:, None] != number]):
-        raise ValueError("Hamiltonian couples different excitation numbers n1 + n2")
-    size = len(labels)
-    energies, overlaps, vectors = np.zeros(size), np.zeros(size), np.zeros((size, size))
-    for n in np.unique(number):
-        idx = np.flatnonzero(number == n)
-        _, (v,), (cols,), (e,), (o,) = _assign(ham.matrix[np.ix_(idx, idx)][None])
-        energies[idx], overlaps[idx], vectors[np.ix_(idx, idx)] = e, o, v[:, cols]
-    ambiguous = frozenset(itertools.compress(labels, overlaps <= AMBIGUITY_THRESHOLD + 1e-9))
-    return LabeledSpectrum(dict(zip(labels, energies.tolist())),
-                           dict(zip(labels, overlaps.tolist())), dict(zip(labels, vectors.T)),
-                           ambiguous, labels)
+    if min(levels_per_mode) < 2:
+        raise TruncationError("need at least two levels per mode")
+    params = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in params))
+    for n in numbers:
+        labels = [(i, n - i) for i in range(n + 1)
+                  if i < levels_per_mode[0] and n - i < levels_per_mode[1]]
+        yield labels, _assign(_kerr_matrices(labels, *params))
+
+
+def diagonalize_and_label(params, levels_per_mode=(4, 4), max_total_excitation=4):
+    """The labeled dressed spectrum of a two-mode KerrParams, every N block by _blocks.
+
+    It keeps levels_per_mode levels of each mode and the states with n1 + n2
+    <= max_total_excitation (None: no cap); chi is the participation-derived
+    chi_12 plus any explicit bare term.  Labels at or below 1/2 overlap are
+    flagged ambiguous, not rejected, so near-resonant spectra stay usable.
+    With >= 3 levels per mode and a cap >= 2 (or None), larger truncations
+    keep the N <= 2 blocks, and so zeta, as they are.  Raises ValueError
+    unless there are two modes, TruncationError below two levels per mode.
+    """
+    if params.n_modes != 2:
+        raise ValueError("diagonalize_and_label expects exactly two modes")
+    chi = params.cross_kerr_hz[0, 1] + params.bare_cross_kerr_chi_hz
+    numbers = [n for n in range(sum(levels_per_mode) - 1)
+               if max_total_excitation is None or n <= max_total_excitation]
+    blocks = _blocks((*params.mode_freqs_hz, *params.self_kerr_hz, chi, params.exchange_g_hz),
+                     levels_per_mode, numbers)
+    found = sorted(itertools.chain.from_iterable(
+        zip(labels, e[0].tolist(), o[0].tolist()) for labels, (_, e, o) in blocks))
+    return LabeledSpectrum({lab: e for lab, e, _ in found}, {lab: o for lab, _, o in found},
+                           frozenset(lab for lab, _, o in found
+                                     if o <= AMBIGUITY_THRESHOLD + 1e-9),
+                           tuple(lab for lab, _, _ in found))
 
 
 def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
@@ -162,28 +139,19 @@ def dressed_blocks(w1, w2, a1, a2, g, chi=0.0, levels_per_mode=(3, 3),
 
     zeta (K,) is E_11 - E_10 - E_01 + E_00, pairs (K, 2) the one-excitation
     eigenvalues ascending, and ambiguous (K, 3) flags the labels (0, 1),
-    (1, 0), (1, 1) at or below 1/2 overlap.  Parameters are those of
-    build_hamiltonian (chi the total cross-Kerr), broadcast together.  The
-    N = 1 block holds (0, 1), (1, 0), the N = 2 block those of (0, 2), (1, 1),
-    (2, 0) that levels_per_mode keeps, and E_00 = 0.  One stacked eigh per
-    block size and the labeling of _assign give the labels, energies and flags
-    of diagonalize_and_label at the same truncation; with ambiguous
-    one-excitation labels zeta equals zeta_resonant.  Raises TruncationError
-    below two levels per mode, and AmbiguousLabelError when
-    max_total_excitation drops a computational label.
+    (1, 0), (1, 1) at or below 1/2 overlap; the parameters (chi the total
+    cross-Kerr) broadcast together.  These N = 1, 2 blocks of _blocks give
+    diagonalize_and_label's labels, energies and flags at the same
+    truncation, and E_00 = 0; with ambiguous one-excitation labels zeta
+    equals zeta_resonant.  Raises TruncationError below two levels per mode,
+    AmbiguousLabelError when max_total_excitation drops a computational label.
     """
-    if min(levels_per_mode) < 2:
-        raise TruncationError("need at least two levels per mode")
+    (_, (pair, e1, o1)), (labels, (_, e2, o2)) = _blocks((w1, w2, a1, a2, chi, g),
+                                                          levels_per_mode, (1, 2))
     cap = 2 if max_total_excitation is None else max_total_excitation
     if cap < 2:
         raise AmbiguousLabelError(f"label {(0, 1) if cap < 1 else (1, 1)} missing from spectrum")
-    params = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (w1, w2, a1, a2, chi, g)))
-    labels = [[(i, n - i) for i in range(n + 1)
-               if i < levels_per_mode[0] and n - i < levels_per_mode[1]] for n in (1, 2)]
-    (pair, *_, e1, o1), (*_, e2, o2) = (_assign(_kerr_matrices(lab, *params))
-                                        for lab in labels)
-    k11 = labels[1].index((1, 1))
+    k11 = labels.index((1, 1))
     ambiguous = np.stack([o1[:, 0], o1[:, 1], o2[:, k11]], -1) <= AMBIGUITY_THRESHOLD + 1e-9
     return e2[:, k11] - e1[:, 1] - e1[:, 0], pair, ambiguous
 
@@ -374,22 +342,23 @@ def refine_crossing(q1, q2, coupling, fluxes, gaps):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
     gaps[k] is the splitting at fluxes[k], and q1, q2 are as in
-    single_excitation_scan.  Bounded Brent iteration minimizes the squared gap
-    between the grid minimum's neighbours in at most REFINE_ITERATIONS solves.
-    Raises NoCrossingError when the minimum sits at an endpoint of the scan.
+    single_excitation_scan.  A stacked zoom: each of ZOOM_ROUNDS rounds scans
+    ZOOM_POINTS fluxes across the neighbours of the last minimum, the grid's
+    first, and the best point seen, the grid's included, is returned.  Raises
+    NoCrossingError when the minimum sits at an endpoint of the scan.
     """
     k = int(np.argmin(gaps))
     if k == 0 or k == len(fluxes) - 1:
         raise NoCrossingError("gap is monotone over the sweep (no bracketed minimum)")
-
-    def gap_squared(flux):
-        with warnings.catch_warnings():     # the scan of the grid has warned
-            warnings.simplefilter("ignore", UserWarning)
-            (lower, upper), = single_excitation_scan(q1, q2, coupling, [flux])[1]
-        return (upper - lower) ** 2
-
-    best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",
-                           options={"xatol": 1e-11, "maxiter": REFINE_ITERATIONS})
-    if best.fun > gaps[k] ** 2:
-        return 0.5 * float(gaps[k]), float(fluxes[k])
-    return 0.5 * float(np.sqrt(best.fun)), float(best.x)
+    best = float(gaps[k]), float(fluxes[k])
+    lo, hi = fluxes[k - 1], fluxes[k + 1]
+    with warnings.catch_warnings():     # the scan of the grid has warned
+        warnings.simplefilter("ignore", UserWarning)
+        for _ in range(ZOOM_ROUNDS):
+            zoom = np.linspace(lo, hi, ZOOM_POINTS)
+            pairs = single_excitation_scan(q1, q2, coupling, zoom)[1]
+            gap = pairs[:, 1] - pairs[:, 0]
+            i = int(np.argmin(gap))
+            best = min(best, (float(gap[i]), float(zoom[i])))
+            lo, hi = zoom[max(i - 1, 0)], zoom[min(i + 1, ZOOM_POINTS - 1)]
+    return 0.5 * best[0], best[1]

@@ -13,11 +13,17 @@ for the coefficients one stage time at a time.  zzkit.dynamics runs the same
 algorithm with one coefficient evaluation per step; the tests hold it to
 solve_ivp's states and step counts.
 
-dense_labeling is the old dressed spectrum: one eigh of the whole truncated
+dense_hamiltonian is the old truncated two-mode matrix in the full product
+basis.  dense_labeling is the old dressed spectrum: one eigh of that whole
 matrix and the optimal assignment of all its labels at once, by scipy's
-linear_sum_assignment.  zzkit.spectrum diagonalizes and labels each block of
-conserved n1 + n2 on its own; the tests hold it to these labels, flags and
-energies.
+linear_sum_assignment.  block_labeling slices the same matrix into its blocks
+of conserved n1 + n2 and labels each on its own.  zzkit.spectrum builds each
+block straight from the Kerr parameters; the tests hold it to these labels,
+flags and energies, and to block_labeling's exactly.
+
+brent_crossing is the old refinement of a flux scan's gap minimum: bounded
+Brent iteration on one scalar flux at a time.  zzkit.spectrum zooms in with
+stacked scans; the tests hold it to these exchange rates and fluxes.
 
 curve_fit_fringe is the old fringe fit: an FFT seed and a four-parameter
 scipy curve_fit.  echo_phase_loop is the old echo: both spectator branches
@@ -26,17 +32,28 @@ unwrapped.  zzkit.dynamics reads the fringe frequency by linear prediction
 and writes the echo phase in closed form; the tests hold them to these.
 """
 
+import itertools
+import warnings
 from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import curve_fit, linear_sum_assignment
+from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
 
 from zzkit.dynamics import _frame_levels, _half_pi_propagator
-from zzkit.errors import FitError, StiffnessError
-from zzkit.spectrum import AMBIGUITY_THRESHOLD, LabeledSpectrum
+from zzkit.errors import FitError, NoCrossingError, StiffnessError, TruncationError
+from zzkit.spectrum import (
+    AMBIGUITY_THRESHOLD,
+    LabeledSpectrum,
+    _assign,
+    _kerr_matrices,
+    single_excitation_scan,
+)
 
 SegmentCounts = namedtuple("SegmentCounts", "probes attempts accepted dense")
+DenseHamiltonian = namedtuple("DenseHamiltonian", "matrix basis_labels")
+
+REFINE_ITERATIONS = 40        # bounded Brent solves of brent_crossing
 
 TWO_PI = 2.0 * np.pi
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)      # |0><1|
@@ -51,8 +68,43 @@ FLIP_FLOP = np.zeros((4, 4), dtype=complex)
 FLIP_FLOP[2, 1] = 1.0                                  # |10><01|
 
 
+def dense_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
+    """The truncated two-mode Kerr + exchange matrix of a KerrParams, lexicographic basis."""
+    if params.n_modes != 2:
+        raise ValueError("dense_hamiltonian expects exactly two modes")
+    n1max, n2max = levels_per_mode
+    if n1max < 2 or n2max < 2:
+        raise TruncationError("need at least two levels per mode")
+    chi = params.cross_kerr_hz[0, 1] + params.bare_cross_kerr_chi_hz
+    labels = tuple((i, j) for i in range(n1max) for j in range(n2max)
+                   if max_total_excitation is None or i + j <= max_total_excitation)
+    h = _kerr_matrices(labels, *params.mode_freqs_hz, *params.self_kerr_hz, chi,
+                       params.exchange_g_hz)
+    return DenseHamiltonian(h, labels)
+
+
+def block_labeling(ham):
+    """The LabeledSpectrum of a DenseHamiltonian, each N = n1 + n2 block labeled by _assign.
+
+    Raises ValueError when ham couples different N.
+    """
+    labels = ham.basis_labels
+    number = np.array([i + j for i, j in labels])
+    if np.any(ham.matrix[number[:, None] != number]):
+        raise ValueError("Hamiltonian couples different excitation numbers n1 + n2")
+    size = len(labels)
+    energies, overlaps = np.zeros(size), np.zeros(size)
+    for n in np.unique(number):
+        idx = np.flatnonzero(number == n)
+        _, (e,), (o,) = _assign(ham.matrix[np.ix_(idx, idx)][None])
+        energies[idx], overlaps[idx] = e, o
+    ambiguous = frozenset(itertools.compress(labels, overlaps <= AMBIGUITY_THRESHOLD + 1e-9))
+    return LabeledSpectrum(dict(zip(labels, energies.tolist())),
+                           dict(zip(labels, overlaps.tolist())), ambiguous, labels)
+
+
 def dense_labeling(ham):
-    """The LabeledSpectrum of a TruncatedHamiltonian from one dense eigh, and its N = 1 pair.
+    """The LabeledSpectrum of a DenseHamiltonian from one dense eigh, and its N = 1 pair.
 
     The pair is the two eigenvalues whose <n1 + n2> is 1, ascending.
     """
@@ -63,10 +115,34 @@ def dense_labeling(ham):
     match = [(labels[i], k, overlap[i, k]) for i, k in zip(rows.tolist(), cols.tolist())]
     spec = LabeledSpectrum(
         {lab: float(evals[k]) for lab, k, _ in match}, {lab: float(o) for lab, _, o in match},
-        {lab: evecs[:, k] for lab, k, _ in match},
         frozenset(lab for lab, _, o in match if o <= AMBIGUITY_THRESHOLD + 1e-9), labels)
     number = np.array([i + j for i, j in labels], dtype=float) @ overlap
     return spec, np.sort(evals[np.isclose(number, 1.0, atol=1e-6)])
+
+
+def brent_crossing(q1, q2, coupling, fluxes, gaps):
+    """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
+
+    Bounded Brent iteration minimizes the squared gap between the grid
+    minimum's neighbours in at most REFINE_ITERATIONS scalar solves; the grid
+    point is kept when Brent ends worse.  Raises NoCrossingError when the
+    minimum sits at an endpoint of the scan.
+    """
+    k = int(np.argmin(gaps))
+    if k == 0 or k == len(fluxes) - 1:
+        raise NoCrossingError("gap is monotone over the sweep (no bracketed minimum)")
+
+    def gap_squared(flux):
+        with warnings.catch_warnings():     # the scan of the grid has warned
+            warnings.simplefilter("ignore", UserWarning)
+            (lower, upper), = single_excitation_scan(q1, q2, coupling, [flux])[1]
+        return (upper - lower) ** 2
+
+    best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",
+                           options={"xatol": 1e-11, "maxiter": REFINE_ITERATIONS})
+    if best.fun > gaps[k] ** 2:
+        return 0.5 * float(gaps[k]), float(fluxes[k])
+    return 0.5 * float(np.sqrt(best.fun)), float(best.x)
 
 
 def hamiltonian(system, protocol, frame_freqs_hz=None, include_exchange=True):

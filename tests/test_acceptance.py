@@ -21,7 +21,6 @@ from zzkit import (
     OptimizationProblem,
     PauliDecomposition,
     TwoQubitSystem,
-    build_hamiltonian,
     diagonalize_and_label,
     foster_from_fit,
     make_blockade_protocol,
@@ -79,7 +78,7 @@ def test_criterion_02_perturbative_oracle():
         w1 = rng.uniform(5e9, 7e9)
         params = KerrParams(np.array([w1, w1 - delta]), np.array([a1, a2]),
                             np.zeros((2, 2)), exchange_g_hz=g)
-        spec = diagonalize_and_label(build_hamiltonian(params, (5, 5), None))
+        spec = diagonalize_and_label(params, (5, 5), None)
         ze = zeta_exact(spec)
         zp = zeta_perturbative(g, delta, a1, a2)
         worst = max(worst, abs(ze - zp) / abs(ze))
@@ -259,7 +258,7 @@ def test_criterion_12_optimizer_soundness():
         seen.append(float(x[0]))
         params = KerrParams(np.array([6.27e9, 4.27e9]), np.array([-351e6, -312e6]),
                             np.zeros((2, 2)), exchange_g_hz=float(x[0]))
-        spec = diagonalize_and_label(build_hamiltonian(params, (4, 4), 4))
+        spec = diagonalize_and_label(params, (4, 4), 4)
         return Candidate(x, zeta_exact(spec), True, ())
 
     g_hi = 150e6

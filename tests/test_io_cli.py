@@ -8,7 +8,6 @@ import pytest
 from zzkit import (
     FosterMode,
     KerrParams,
-    build_hamiltonian,
     diagonalize_and_label,
     transmon_spectrum,
     zeta_exact,
@@ -254,10 +253,13 @@ class TestZZSweepCommand:
             assert main(["--config", cfg, "--out", out2, command]) == 0
             assert capsys.readouterr().out == stdout1
             assert open(out1, "rb").read() == open(out2, "rb").read(), command
-        # there is no thread count to set
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", cfg, "--out", out2, "--threads", "2", command])
-        assert exc.value.code == 2
+        # there is no thread count to set, and the error names the option, not its value
+        for args in (["--threads", "2", command], ["--threads=2", command],
+                     [command, "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", cfg, "--out", out2, *args])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err, args
 
     def test_zero_coupling_inline(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -451,8 +453,7 @@ class TestZZSweepCommand:
 
     def test_exact_column_and_flag_match_dense_spectrum(self, tmp_path, chip1):
         # through resonance and the |alpha1| pole: the block core's zeta and
-        # flag against build_hamiltonian + diagonalize_and_label at the same
-        # truncation
+        # flag against diagonalize_and_label at the same truncation
         s1 = transmon_spectrum(chip1.qubits[0].transmon())
         alpha2 = chip1.qubits[1].alpha_hz
         deltas = np.linspace(-0.6e9, 0.8e9, 57)
@@ -468,7 +469,7 @@ class TestZZSweepCommand:
             params = KerrParams(np.array([s1.omega01_hz, w2]),
                                 np.array([s1.anharmonicity_hz, alpha2]), np.zeros((2, 2)),
                                 exchange_g_hz=chip1.g_at(s1.omega01_hz, w2))
-            spec = diagonalize_and_label(build_hamiltonian(params, (3, 4), 3))
+            spec = diagonalize_and_label(params, (3, 4), 3)
             try:
                 zeta, flag = zeta_exact(spec), "0"
             except AmbiguousLabelError:

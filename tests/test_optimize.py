@@ -10,7 +10,6 @@ from zzkit import (
     DEParams,
     KerrParams,
     OptimizationProblem,
-    build_hamiltonian,
     diagonalize_and_label,
     evaluate_candidate,
     optimize,
@@ -51,17 +50,17 @@ def zeta_objective_1d(x, problem):
     """zeta of a fixed two-mode system as a function of the exchange rate alone."""
     params = KerrParams(np.array([6.27e9, 4.27e9]), np.array([-351e6, -312e6]),
                         np.zeros((2, 2)), exchange_g_hz=float(x[0]))
-    spec = diagonalize_and_label(build_hamiltonian(params, (4, 4), 4))
+    spec = diagonalize_and_label(params, (4, 4), 4)
     return Candidate(x, zeta_exact(spec), True, ())
 
 
 def dense_candidate(x, problem):
-    """Oracle scorer: charge-basis transmon levels and the dense labeled spectrum.
+    """Oracle scorer: charge-basis transmon levels and the full labeled spectrum.
 
     The same circuit reduction and constraints C1-C5 as evaluate_population,
     one design point at a time, with each transmon from a tridiagonal
-    charge-basis solve and zeta from build_hamiltonian, diagonalize_and_label
-    and zeta_exact at the problem's n_exc truncation.
+    charge-basis solve and zeta from diagonalize_and_label and zeta_exact at
+    the problem's n_exc truncation.
     """
     v = problem.decode(x)
     cons = problem.constraints
@@ -75,8 +74,8 @@ def dense_candidate(x, problem):
     alpha = np.array([(lv[1] - lv[0]) - lv[0] for lv in levels])
     g = c12 / (2.0 * np.sqrt((c1 + c12) * (c2 + c12))) * np.sqrt(w[0] * w[1])
     n = min(problem.n_exc + 1, 6)
-    spec = diagonalize_and_label(build_hamiltonian(
-        KerrParams(w, alpha, np.zeros((2, 2)), exchange_g_hz=g), (n, n), problem.n_exc))
+    spec = diagonalize_and_label(
+        KerrParams(w, alpha, np.zeros((2, 2)), exchange_g_hz=g), (n, n), problem.n_exc)
     try:
         zeta = zeta_exact(spec)
     except AmbiguousLabelError:
@@ -138,7 +137,7 @@ class TestEvaluateCandidate:
                             np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]),
                             np.zeros((2, 2)),
                             exchange_g_hz=chip1.g_at(s1.omega01_hz, s2.omega01_hz))
-        spec = diagonalize_and_label(build_hamiltonian(params, (5, 5), 4))
+        spec = diagonalize_and_label(params, (5, 5), 4)
         assert cand.zeta_hz == pytest.approx(zeta_exact(spec), rel=0.10)
 
     def test_matches_dense_charge_basis_oracle(self, rng):

@@ -9,7 +9,6 @@ from zzkit import (
     Coupling,
     KerrParams,
     PauliDecomposition,
-    build_hamiltonian,
     conditional_frequencies,
     diagonalize_and_label,
     pauli_decomposition,
@@ -26,10 +25,10 @@ from zzkit.errors import (
     NoCrossingError,
     TruncationError,
 )
-from zzkit.spectrum import TruncatedHamiltonian, dressed_blocks, single_excitation_scan
+from zzkit.spectrum import dressed_blocks, refine_crossing, single_excitation_scan
 
 from conftest import crossing, make_transmon
-from dense_oracle import dense_labeling
+from dense_oracle import block_labeling, brent_crossing, dense_hamiltonian, dense_labeling
 
 CHIP1_BETA5 = 3.81259047e6
 
@@ -37,10 +36,6 @@ CHIP1_BETA5 = 3.81259047e6
 def kerr(w1=6.27e9, w2=4.27e9, a1=-351e6, a2=-312e6, g=0.2e9, chi=0.0):
     return KerrParams(np.array([w1, w2]), np.array([a1, a2]),
                       np.zeros((2, 2)), exchange_g_hz=g, bare_cross_kerr_chi_hz=chi)
-
-
-def labeled(params, levels=(4, 4), max_exc=4):
-    return diagonalize_and_label(build_hamiltonian(params, levels, max_exc))
 
 
 def assert_same_labeling(spec, want):
@@ -54,28 +49,28 @@ def assert_same_labeling(spec, want):
 class TestBuildHamiltonian:
     def test_two_excitation_matrix_element(self):
         params = kerr(g=0.123e9)
-        ham = build_hamiltonian(params, (3, 3), None)
+        ham = dense_hamiltonian(params, (3, 3), None)
         i20 = ham.basis_labels.index((2, 0))
         i11 = ham.basis_labels.index((1, 1))
         assert ham.matrix[i20, i11] == pytest.approx(np.sqrt(2) * 0.123e9, rel=1e-14)
 
     def test_uncoupled_is_diagonal(self):
-        ham = build_hamiltonian(kerr(g=0.0), (4, 4), None)
+        ham = dense_hamiltonian(kerr(g=0.0), (4, 4), None)
         assert np.max(np.abs(ham.matrix - np.diag(np.diag(ham.matrix)))) == 0.0
 
     def test_harmonic_spectrum_is_additive(self):
         params = kerr(a1=0.0, a2=0.0, g=0.0)
-        ham = build_hamiltonian(params, (4, 4), None)
+        ham = dense_hamiltonian(params, (4, 4), None)
         w1, w2 = params.mode_freqs_hz
         want = sorted(w1 * i + w2 * j for i, j in ham.basis_labels)
         np.testing.assert_allclose(np.sort(np.diag(ham.matrix)), want, rtol=1e-15)
 
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
-            build_hamiltonian(kerr(), (1, 3), None)
+            diagonalize_and_label(kerr(), (1, 3), None)
 
     def test_eigenpair_residuals(self):
-        ham = build_hamiltonian(kerr(), (4, 4), 4)
+        ham = dense_hamiltonian(kerr(), (4, 4), 4)
         evals, evecs = np.linalg.eigh(ham.matrix)
         scale = np.linalg.norm(ham.matrix, 2)
         res = np.linalg.norm(ham.matrix @ evecs - evecs * evals, axis=0)
@@ -84,7 +79,7 @@ class TestBuildHamiltonian:
 
 class TestLabeling:
     def test_uncoupled_labels_are_exact(self):
-        spec = labeled(kerr(g=0.0))
+        spec = diagonalize_and_label(kerr(g=0.0))
         assert all(ov == pytest.approx(1.0) for ov in spec.overlaps.values())
         assert spec.energies[(1, 0)] == pytest.approx(6.27e9)
         assert not spec.ambiguous
@@ -92,12 +87,12 @@ class TestLabeling:
     def test_dispersive_lamb_shift(self):
         # E_10 shifts by ~ g^2 / Delta for small g/Delta
         delta, g = 2.0e9, 0.02e9
-        spec = labeled(kerr(w2=6.27e9 - delta, g=g), (3, 3), None)
+        spec = diagonalize_and_label(kerr(w2=6.27e9 - delta, g=g), (3, 3), None)
         shift = spec.energies[(1, 0)] - 6.27e9
         assert shift == pytest.approx(g**2 / delta, rel=0.05)
 
     def test_resonant_hybridization_flagged(self):
-        spec = labeled(kerr(w2=6.27e9, g=0.2e9))
+        spec = diagonalize_and_label(kerr(w2=6.27e9, g=0.2e9))
         assert (1, 0) in spec.ambiguous and (0, 1) in spec.ambiguous
         assert spec.overlaps[(1, 0)] == pytest.approx(0.5, abs=1e-6)
 
@@ -115,8 +110,11 @@ class TestLabeling:
         # |12>, |21> half and half, and every assignment of such a pair is
         # optimal: so the optimum, the labels above 1/2 overlap and each
         # block's energies are compared
-        ham = build_hamiltonian(kerr(*w, *alpha, g=g, chi=chi), levels, cap)
-        spec = diagonalize_and_label(ham)
+        params = kerr(*w, *alpha, g=g, chi=chi)
+        spec = diagonalize_and_label(params, levels, cap)
+        ham = dense_hamiltonian(params, levels, cap)
+        # the blocks built from the Kerr parameters are the dense matrix's blocks
+        assert spec == block_labeling(ham)
         want, _ = dense_labeling(ham)
         assert list(spec.energies) == list(want.energies)
         assert sum(spec.overlaps.values()) == pytest.approx(sum(want.overlaps.values()),
@@ -131,27 +129,22 @@ class TestLabeling:
             np.testing.assert_allclose(sorted(spec.energies[lab] for lab in block),
                                        sorted(want.energies[lab] for lab in block),
                                        rtol=1e-10, atol=1e-4)
-        # each label's block eigenvector, embedded in the full basis, is an eigenvector of H
-        scale = np.linalg.norm(ham.matrix, 2)
-        for lab, vec in spec.eigenvectors.items():
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-            res = np.linalg.norm(ham.matrix @ vec - spec.energies[lab] * vec)
-            assert res <= 1e-12 * scale, lab
 
-    def test_excitation_number_mixing_rejected(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        h = np.diag([0.0, 4.3e9, 6.3e9, 10.6e9])
-        h[0, 3] = h[3, 0] = 0.1e9          # |00> <-> |11> does not conserve n1 + n2
-        with pytest.raises(ValueError, match="excitation numbers"):
-            diagonalize_and_label(TruncatedHamiltonian(h, labels, (2, 2)))
+
+    def test_negative_cap_keeps_no_state(self):
+        # no state has n1 + n2 < 0: the spectrum is empty, and zeta names a missing label
+        spec = diagonalize_and_label(kerr(), (4, 4), -1)
+        assert spec.energies == {} and spec.basis_labels == () and not spec.ambiguous
+        with pytest.raises(AmbiguousLabelError, match="missing"):
+            zeta_exact(spec)
 
 
 class TestZetaExact:
     def test_uncoupled_zero(self):
-        assert zeta_exact(labeled(kerr(g=0.0))) == pytest.approx(0.0, abs=1e-6)
+        assert zeta_exact(diagonalize_and_label(kerr(g=0.0))) == pytest.approx(0.0, abs=1e-6)
 
     def test_harmonic_exchange_is_additive(self):
-        spec = labeled(kerr(a1=0.0, a2=0.0, g=0.3e9), (5, 5), None)
+        spec = diagonalize_and_label(kerr(a1=0.0, a2=0.0, g=0.3e9), (5, 5), None)
         assert abs(zeta_exact(spec)) <= 1e-9 * 6.27e9
 
     def test_chip1_two_gigahertz_point(self, chip1):
@@ -159,13 +152,13 @@ class TestZetaExact:
         w1 = 6.270e9
         w2 = w1 - 2.0e9
         g = chip1.g_at(w1, w2)
-        spec = labeled(kerr(w1=w1, w2=w2, g=g))
+        spec = diagonalize_and_label(kerr(w1=w1, w2=w2, g=g))
         zeta = zeta_exact(spec)
         assert 10e6 <= abs(zeta) <= 25e6
         assert zeta < 0
 
     def test_ambiguous_raises_then_resonant_convention(self):
-        spec = labeled(kerr(w2=6.27e9, g=0.2455e9), (4, 4), None)
+        spec = diagonalize_and_label(kerr(w2=6.27e9, g=0.2455e9), (4, 4), None)
         with pytest.raises(AmbiguousLabelError):
             zeta_exact(spec)
         zres = zeta_resonant(spec)
@@ -176,15 +169,15 @@ class TestZetaExact:
         # in the deeply dispersive regime the explicit -chi n1 n2 term adds -chi
         base = kerr(g=0.3e6)
         chi = 5e6
-        z0 = zeta_exact(labeled(base))
-        z1 = zeta_exact(labeled(replace(base, bare_cross_kerr_chi_hz=chi)))
+        z0 = zeta_exact(diagonalize_and_label(base))
+        z1 = zeta_exact(diagonalize_and_label(replace(base, bare_cross_kerr_chi_hz=chi)))
         assert (z1 - z0) == pytest.approx(-chi, rel=1e-6)
 
     def test_truncation_convergence(self, chip1):
         w1, w2 = 6.27e9, 4.27e9
         g = chip1.g_at(w1, w2)
-        z33 = zeta_exact(labeled(kerr(g=g), (3, 3), None))
-        z55 = zeta_exact(labeled(kerr(g=g), (5, 5), None))
+        z33 = zeta_exact(diagonalize_and_label(kerr(g=g), (3, 3), None))
+        z55 = zeta_exact(diagonalize_and_label(kerr(g=g), (5, 5), None))
         assert abs(z33 - z55) / abs(z55) < 1e-3
 
 
@@ -201,10 +194,9 @@ class TestDressedBlocks:
 
         diagonalize_and_label must give the oracle's labels, flags and energies.
         """
-        ham = build_hamiltonian(kerr(w1=self.W1, w2=self.W1 - delta, a1=self.A1, a2=self.A2,
-                                     g=g, chi=chi), levels, cap)
-        spec, pair = dense_labeling(ham)
-        assert_same_labeling(diagonalize_and_label(ham), spec)
+        params = kerr(w1=self.W1, w2=self.W1 - delta, a1=self.A1, a2=self.A2, g=g, chi=chi)
+        spec, pair = dense_labeling(dense_hamiltonian(params, levels, cap))
+        assert_same_labeling(diagonalize_and_label(params, levels, cap), spec)
         try:
             zeta = zeta_exact(spec)
         except AmbiguousLabelError:
@@ -245,7 +237,7 @@ class TestDressedBlocks:
             dressed_blocks(self.W1, 4.27e9, self.A1, self.A2, 0.1e9, 0.0, (1, 3))
         for cap in (0, 1):
             with pytest.raises(AmbiguousLabelError):
-                zeta_exact(labeled(kerr(), (4, 4), cap))
+                zeta_exact(diagonalize_and_label(kerr(), (4, 4), cap))
             with pytest.raises(AmbiguousLabelError, match="missing"):
                 dressed_blocks(self.W1, 4.27e9, self.A1, self.A2, 0.1e9, 0.0, (4, 4), cap)
 
@@ -263,7 +255,7 @@ class TestDressedBlocks:
                 np.array([s1.anharmonicity_hz, s2.anharmonicity_hz]), np.zeros((2, 2)),
                 exchange_g_hz=chip1.g_at(s1.omega01_hz, s2.omega01_hz))
             assert w2 == params.mode_freqs_hz[1]
-            want = labeled(params, (3, 3), None).single_excitation_energies()
+            want = diagonalize_and_label(params, (3, 3), None).single_excitation_energies()
             np.testing.assert_allclose(pair, want, rtol=1e-14)
 
 
@@ -305,7 +297,7 @@ class TestZetaPerturbative:
             delta = rng.uniform(2 * max(abs(a1), abs(a2)), 3e9)
             g = rng.uniform(0.01, 0.05) * delta
             w1 = rng.uniform(5e9, 7e9)
-            spec = labeled(kerr(w1=w1, w2=w1 - delta, a1=a1, a2=a2, g=g),
+            spec = diagonalize_and_label(kerr(w1=w1, w2=w1 - delta, a1=a1, a2=a2, g=g),
                            (5, 5), None)
             ze = zeta_exact(spec)
             zp = zeta_perturbative(g, delta, a1, a2)
@@ -415,11 +407,11 @@ class TestPauliDecomposition:
         assert chip1.beta.zeta_hz == pytest.approx(15.25e6, rel=1e-4)
 
     def test_flat_energies_give_zero_betas(self):
-        spec = labeled(kerr(g=0.0))
+        spec = diagonalize_and_label(kerr(g=0.0))
         flat = {lab: 1.0e9 for lab in spec.energies}
         flat_spec = type(spec)(
-            energies=flat, overlaps=spec.overlaps, eigenvectors=spec.eigenvectors,
-            ambiguous=frozenset(), basis_labels=spec.basis_labels)
+            energies=flat, overlaps=spec.overlaps, ambiguous=frozenset(),
+            basis_labels=spec.basis_labels)
         decomp = pauli_decomposition(flat_spec)
         assert decomp.beta_hz[1] == decomp.beta_hz[4] == decomp.beta_hz[5] == 0.0
 
@@ -438,7 +430,7 @@ class TestPauliDecomposition:
 
     def test_decomposition_from_spectrum_round_trip(self, chip1):
         g = chip1.g_at(6.27e9, 4.27e9)
-        spec = labeled(kerr(g=g))
+        spec = diagonalize_and_label(kerr(g=g))
         decomp = pauli_decomposition(spec, j_dressed_hz=g)
         back = decomp.computational_energies()
         for lab in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -477,6 +469,23 @@ class TestAvoidedCrossing:
         assert 2 * j == pytest.approx(491e6, rel=0.05)
         assert flux_min == pytest.approx(-0.1, abs=0.02)
 
+    # the stacked zoom against bounded Brent on one scalar flux at a time, from
+    # coarse to fine grids: within 1e-3 Hz and 1e-6 flux quanta, and 1e-5 Hz
+    # and 1e-7 on the 400-point grids
+    @pytest.mark.parametrize("num", [5, 41, 400])
+    @pytest.mark.parametrize("span", [(-0.16, -0.02), (-0.12, -0.05), (-0.10, -0.07)])
+    def test_zoom_matches_brent(self, chip1, span, num):
+        q1f, q2f = chip1.qubits
+        q1, q2 = q1f.transmon(float(q1f.default_flux_phi0)), q2f.transmon()
+        fluxes = np.linspace(*span, num)
+        _, pairs = single_excitation_scan(q1, q2, chip1.coupling(), fluxes)
+        gaps = pairs[:, 1] - pairs[:, 0]
+        j, flux_min = refine_crossing(q1, q2, chip1.coupling(), fluxes, gaps)
+        want_j, want_flux = brent_crossing(q1, q2, chip1.coupling(), fluxes, gaps)
+        fine = num == 400
+        assert j == pytest.approx(want_j, rel=0, abs=1e-5 if fine else 1e-3)
+        assert flux_min == pytest.approx(want_flux, rel=0, abs=1e-7 if fine else 1e-6)
+
     def test_no_crossing_raises(self, chip1):
         q1 = chip1.qubits[0].transmon(0.5)
         q2 = chip1.qubits[1].transmon()
@@ -491,5 +500,5 @@ class TestMonotonicTrend:
         for d in deltas:
             w2 = 6.27e9 - d
             g = chip1.g_at(6.27e9, w2)
-            mags.append(abs(zeta_exact(labeled(kerr(w2=w2, g=g)))))
+            mags.append(abs(zeta_exact(diagonalize_and_label(kerr(w2=w2, g=g)))))
         assert np.all(np.diff(mags) < 0)

@@ -19,7 +19,8 @@ two transverse axes (Omega cos phi, Omega sin phi) and the two Hermitian
 parts of the exchange term, in the lab frame sigma_y on each qubit.  Its
 func maps a scalar time or an array of times to the matching stack of
 coefficients.  The K protocols of a stack (build_protocol_hamiltonian) share
-the basis and differ only in their coefficients.
+the basis and differ only in their coefficients, and a stack's func takes
+per-point times on a trailing K axis (a shared time t as t[..., None]).
 
 Closed and open evolution share one propagation core for dy/dt = G(t) y.
 Its generator basis (-i O_m, or the superoperators of -i[O_m, .] with the
@@ -27,18 +28,19 @@ dissipator) is built once in real form, on the interleaved (re, im) float
 view of the state, so a right-hand side is one real matrix product over the
 whole stack, and every exponential, closed or open, is one real Taylor
 polynomial with scaling and squaring (_expm_real; within 4e-16 max(1, |A|_1)
-of scipy's expm).  The core splits the time axis at every
-pulse edge and gaussian peak (so no pulse is ever stepped over) and
-propagates drive-free segments with exact exponentials.  A driven segment
-of a Hamiltonian that sets max_step_s (lab-frame carriers, a rotating-frame
-exchange term at a nonzero difference frequency) runs fixed sixth-order
-three-node Magnus steps, 16 per period of its fastest frequency; at the
-default tolerances they hold every carrier-resolved test case within 6.4e-7
-in population of a DOP853 reference, and the lab-frame blockade points
-within 1.8e-7.  A smooth one runs DOP853 (scipy's DOP853 tableau and step
-control, one coefficient evaluation per step), its tolerances scaled by
-1/sqrt(K) so that each of K stacked states is held to the bound it would get
-alone.
+of scipy's expm).  A Hamiltonian that sets max_step_s (lab-frame carriers, a
+rotating-frame exchange term at a nonzero difference frequency) runs every
+point on one clock: the time axis is split at the union of all pulse edges
+and gaussian peaks, drive-free segments take exact exponentials and driven
+ones fixed sixth-order three-node Magnus steps, 16 per period of the fastest
+frequency; at the default tolerances they hold every carrier-resolved test
+case within 6.4e-7 in population of a DOP853 reference, and the lab-frame
+blockade points within 1.8e-7.  Any other runs DOP853 (scipy's DOP853
+tableau and step control) with one clock per point: each point keeps its
+own time, step size and error norm, restarts at its own pulse edges and
+gaussian peaks, and jumps its own drive-free stretches by exact
+exponentials, while all points advance together, one coefficient
+evaluation per round.
 """
 
 from dataclasses import dataclass, replace
@@ -90,6 +92,7 @@ _ROTATING_OPERATORS = TWO_PI * np.array(
 
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
+GRID_RTOL = RTOL_DEFAULT / 10     # run_blockade_grid's DOP853 rtol: each point to 2e-10
 RTOL_FLOOR = 100 * np.finfo(float).eps     # scipy's validate_tol floor, for DOP853 and Magnus
 NORM_DRIFT_TOL = 1e-6
 _COS_ROUNDING = 1e-12    # a fringe fit's cosine estimate may pass +-1 by this much
@@ -103,7 +106,7 @@ _TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])      # 1/k!, k = 0.
 # scipy's RungeKutta step-size control; the DOP853 tableau is read from scipy.integrate.DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_STAGE_TIMES = np.append(DOP853.C[1:], 1.0)   # a step's func times after t: 11 stages and t + h
+_STAGE_TIMES = np.append(DOP853.C[1:], 1.0)[:, None]   # a step's times after t: 11 stages, t + h
 
 
 def _pulse_shape(shape, tau, duration_s, sigma_s):
@@ -275,12 +278,13 @@ class TwoQubitSystem:
 class TimeDependentHamiltonian:
     """H(t) = sum_m c_m(t) O_m in rad/s, plus the bookkeeping the solver needs."""
 
-    func: object                # t -> (..., M) real c_m (c_0 = 1), (..., K, M) for a stack
+    func: object                # t -> (..., M) real c_m (c_0 = 1); stacks: (..., K) -> (..., K, M)
     operators: np.ndarray       # (M, dim, dim) Hermitian O_m, in rad/s per unit coefficient
-    breakpoints: tuple          # envelope support edges and gaussian peaks
-    active_intervals: tuple     # (start, end) windows in which drives are on
+    breakpoints: tuple          # envelope support edges and gaussian peaks, of every point
+    active_intervals: tuple     # (start, end) windows in which drives are on, of every point
     always_time_dependent: bool = False
     max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
+    points: tuple = ()          # each protocol's own (breakpoints, active_intervals)
 
     @property
     def dim(self):
@@ -289,10 +293,12 @@ class TimeDependentHamiltonian:
     def matrix(self, t):
         return _combine(self.func(t), self.operators)
 
-    def is_static_on(self, a, b):
+    def is_static_on(self, a, b, intervals=None):
+        """Whether no drive is on inside (a, b): of any point, or of the given intervals."""
         if self.always_time_dependent:
             return False
-        return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in self.active_intervals)
+        intervals = self.active_intervals if intervals is None else intervals
+        return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in intervals)
 
 
 def _combine(c, matrices):
@@ -303,15 +309,17 @@ def _combine(c, matrices):
 
 
 def _pulse_stack(rows, stacked):
-    """(field, envelope, edges, intervals) of K rows (protocols) of J pulses each.
+    """(field, envelope, windows) of K rows (protocols) of J pulses each.
 
     field(name) is the (K, J) array of a PulseSpec field, (J,) for one row
-    when stacked is false, and envelope(t) the matching (..., K, J) or
-    (..., J) Rabi rates in Hz at a float ndarray t, through PulseSpec's
-    formula (_pulse_shape) once per shape.  edges holds all pulse edges and
-    gaussian peaks: a gaussian far narrower than its window leaves the state
-    at rest at the window's start, where DOP853's first step can span the
-    whole segment, and with its peak an edge every step sequence samples it.
+    when stacked is false, and envelope(t) the (..., K, J) or (..., J) Rabi
+    rates in Hz at a float ndarray t of per-point times (..., K) or times
+    (...), through PulseSpec's formula (_pulse_shape) once per shape.
+    windows holds each row's (edges, intervals): its pulse edges and
+    gaussian peaks, and its pulses' (start, end) supports.  A gaussian far
+    narrower than its window leaves the state at rest at the window's start,
+    where DOP853's first step can span the whole segment, and with its peak
+    an edge every step sequence samples it.
     """
     rows = [tuple(row) for row in rows]
     if not rows or len({len(row) for row in rows}) > 1:
@@ -322,18 +330,19 @@ def _pulse_stack(rows, stacked):
         values = np.array([[getattr(p, name) for p in row] for row in rows], dtype=dtype)
         return values if stacked else values[0]
 
+    def window(row):
+        intervals = sorted({(p.start_time_s, p.end_time_s) for p in row})
+        edges = {e for iv in intervals for e in iv}
+        edges |= {p.start_time_s + 0.5 * p.duration_s for p in row if p.shape == "gaussian"}
+        return tuple(sorted(edges)), tuple(intervals)
+
     amplitude, start, duration, sigma = (field(name) for name in (
         "amplitude_hz", "start_time_s", "duration_s", "gaussian_sigma_s"))
     shapes = field("shape", object)
     kinds = [(kind, shapes == kind) for kind in sorted(set(shapes.ravel()))]
-    intervals = sorted({(p.start_time_s, p.end_time_s) for row in rows for p in row})
-    edges = {e for iv in intervals for e in iv}
-    edges |= {p.start_time_s + 0.5 * p.duration_s for row in rows for p in row
-              if p.shape == "gaussian"}
-    per_pulse = (...,) + (None,) * start.ndim     # t against the (K, J) or (J,) fields
 
     def envelope(t):
-        tau = t[per_pulse] - start
+        tau = t[..., None] - start
         if len(kinds) == 1:
             shape = _pulse_shape(kinds[0][0], tau, duration, sigma)
         else:
@@ -342,7 +351,14 @@ def _pulse_stack(rows, stacked):
                 shape[..., m] = _pulse_shape(kind, tau[..., m], duration[m], sigma[m])
         return np.where((tau >= 0.0) & (tau <= duration), amplitude * shape, 0.0)
 
-    return field, envelope, tuple(sorted(edges)), tuple(intervals)
+    return field, envelope, tuple(window(row) for row in rows)
+
+
+def _hamiltonian(func, operators, windows, **kw):
+    """A TimeDependentHamiltonian whose breakpoints and intervals are those of every point."""
+    return TimeDependentHamiltonian(
+        func, operators, tuple(sorted({e for edges, _ in windows for e in edges})),
+        tuple(sorted({iv for _, intervals in windows for iv in intervals})), points=windows, **kw)
 
 
 def _used(operators, static, weights, always=()):
@@ -361,7 +377,7 @@ def _contract(drive, weights):
 
 def _lab_stack(system, rows, stacked):
     # sigma_y on each qubit carries the sum of its pulses' Omega(t) sin(2 pi f t + phi)
-    field, envelope, edges, intervals = _pulse_stack(rows, stacked)
+    field, envelope, windows = _pulse_stack(rows, stacked)
     on = field("target_qubit", int)[..., None] == (1, 2)
     operators, static, weights = _used(
         np.concatenate([TWO_PI * system.static_lab_matrix()[None], _LAB_DRIVES]),
@@ -370,17 +386,14 @@ def _lab_stack(system, rows, stacked):
     carrier_hz, phase = field("carrier_hz"), field("phase_rad")
     carrier = TWO_PI * carrier_hz
     fastest_hz = carrier_hz.max() if carrier_hz.size else system.omega1_hz
-    per_pulse = (...,) + (None,) * carrier.ndim
 
     def func(t):
         t = np.asarray(t, dtype=float)
-        drive = envelope(t) * np.sin(carrier * t[per_pulse] + phase)
+        drive = envelope(t) * np.sin(carrier * t[..., None] + phase)
         return static + _contract(drive, weights)
 
-    return TimeDependentHamiltonian(
-        func, operators, edges, intervals,
-        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz),
-    )
+    return _hamiltonian(func, operators, windows,
+                        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz))
 
 
 def _frame_levels(system, f1_hz, f2_hz):
@@ -406,7 +419,7 @@ def _carrier_frame(system, pulses):
 
 def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange=True):
     # the levels in the qubits' own frame, then _ROTATING_OPERATORS (the exchange's two if on)
-    field, envelope, edges, intervals = _pulse_stack(rows, stacked)
+    field, envelope, windows = _pulse_stack(rows, stacked)
     frames = np.array([_carrier_frame(system, row) if frame_freqs_hz is None
                        else frame_freqs_hz for row in rows], dtype=float)
     f1, f2 = (frames if stacked else frames[0]).T
@@ -424,13 +437,12 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
     own = TWO_PI * np.diag(_frame_levels(system, system.omega1_hz, system.omega2_hz))
     operators, static, weights = _used(np.concatenate([own[None], _ROTATING_OPERATORS[:m - 1]]),
                                        static, weights, always=range(7, m))
-    per_point = (...,) + (None,) * np.ndim(delta_d)
 
     def func(t):
         t = np.asarray(t, dtype=float)
         c = static + _contract(envelope(t), weights)
         if exchange_on:
-            turn = TWO_PI * delta_d * t[per_point]
+            turn = TWO_PI * delta_d * t
             c[..., -2] = jpm * np.cos(turn)
             c[..., -1] = jpm * np.sin(turn)
         return c
@@ -441,11 +453,9 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
     exchange_turns = exchange_on and bool(np.any(delta_d != 0))
     rate_hz = max(np.abs(delta_d).max(), np.abs(levels).max(), abs(jpm),
                   field("amplitude_hz").sum(axis=-1).max(initial=0.0))
-    return TimeDependentHamiltonian(
-        func, operators, edges, intervals,
-        always_time_dependent=exchange_turns,
-        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None,
-    )
+    return _hamiltonian(
+        func, operators, windows, always_time_dependent=exchange_turns,
+        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None)
 
 
 def rotating_frame_transform(system, pulses, frame_freqs_hz=None, include_exchange=True):
@@ -506,9 +516,14 @@ def _segments(t0, t1, breakpoints):
 
 
 def _check_grid(grid_s):
+    """One strictly increasing time axis, or (T, K) non-decreasing columns from one start."""
     grid = np.asarray(grid_s, dtype=float)
+    if (grid.ndim == 2 and grid.size and np.all(grid[0] == grid[0, 0])
+            and np.all(np.diff(grid, axis=0) >= 0)):
+        return grid
     if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid_s must be strictly increasing")
+        raise ValueError("grid_s must be strictly increasing, or (T, K) non-decreasing "
+                         "columns from one start")
     return grid
 
 
@@ -614,7 +629,7 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
         j = np.searchsorted(ends, step, side="right")
         h = widths[j]
         left = knots[j] + (step - ends[j] + counts[j]) * h
-        c = ham.func((left[:, None] + h[:, None] * _GAUSS_NODES).ravel())
+        c = ham.func((left[:, None] + h[:, None] * _GAUSS_NODES).reshape(-1, 1))
         n1, n2, n3 = c[0::3], c[1::3], c[2::3]     # node coefficients
         h = h.reshape((-1,) + (1,) * (c.ndim - 1))
         a1, a2, a3 = generator.matrix(h * np.array([
@@ -633,163 +648,276 @@ def _magnus_segment(ham, generator, y, a, times, b, max_step_s):
     return states[:len(times)], v[..., 0].view(complex)
 
 
+def _norm(x):
+    """The 2-norm of each row, rounded as scipy's np.linalg.norm rounds one row (a dot)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.shape[-1] ** 0.5
 
 
-def _dop853_segment(ham, generator, y, a, times, b, rtol, atol):
-    """Adaptive DOP853 propagation of y over [a, b], one ham.func call per step.
+def _min_step(t):
+    """scipy's smallest step from t: 10 ulp."""
+    return 10 * np.abs(np.nextafter(t, np.inf) - t)
 
-    Returns the states at times (sorted, inside (a, b]) and at b.  This is
-    scipy's DOP853 (scipy.integrate.DOP853: its tableau, initial step, step
-    control, E5/E3 error norm, 10 ulp minimum step and rtol floor), operation
-    for operation on the float view of the stack, with one change: all of a
-    step's stage times t + C_i h are known before it starts, so each step
-    attempt takes its 11 inner stages and its t + h stage from one call of
-    ham.func, and only the generator products run stage by stage.  A time
-    inside the segment is read from the step that ends at or after it,
-    through scipy's DOP853 dense output, whose 3 extra stages also come from
-    one call; steps that hold no such time skip it.  Raises StiffnessError
-    when the step falls below the minimum.
+
+_STEP, _DONE, _PROBE, _SIZE, _JUMP = range(5)     # a point's action in a DOP853 round
+
+
+def _schedules(ham, grid):
+    """Each point's own segments over its grid column: (starts, ends, driven) (K, S), counts.
+
+    A point's segments run between its own breakpoints (ham.points, one
+    protocol's for each of K states) inside its time span, and neighbouring
+    drive-free ones merge into one stretch.  Rows past a point's count are
+    padding.
     """
-    shape = y.shape
+    windows = ham.points * (grid.shape[1] if len(ham.points) == 1 else 1)
+    table = []
+    for (edges, intervals), t0, t1 in zip(windows, grid[0], grid[-1]):
+        row = []
+        for a, b in _segments(t0, t1, edges):
+            driven = not ham.is_static_on(a, b, intervals)
+            if row and not driven and not row[-1][2]:
+                row[-1] = (row[-1][0], b, False)
+            else:
+                row.append((a, b, driven))
+        table.append(row)
+    count = np.array([len(row) for row in table])
+    padded = np.zeros((len(table), max(1, count.max()), 3))
+    for cells, row in zip(padded, table):
+        cells[:len(row)] = row
+    return padded[..., 0], padded[..., 1], padded[..., 2] > 0, count
+
+
+def _dop853(ham, generator, y0, grid, rtol, atol):
+    """DOP853 on every point's own clock: the (K, n) stack y0 at its (T, K) grid times.
+
+    This is scipy's DOP853 (scipy.integrate.DOP853: its tableau, initial
+    step, step control, E5/E3 error norm, 10 ulp minimum step and rtol
+    floor), run for each point k from grid[0, k] to grid[-1, k] as solve_ivp
+    would run it alone over each of its own driven segments (_schedules):
+    every point keeps its own time, step size, rejection and error norm (the
+    RMS over its own components), and starts each driven segment with
+    scipy's initial-step probe.  A drive-free stretch is one exact
+    exponential (_expm_real) per point to each grid time inside it and to
+    its end.  The points advance together in rounds, each point taking one
+    action a round (a step attempt, one of the probe's two evaluations, or a
+    wait once it is done): all stage times of a round go to ham.func in one
+    (12, K) call, idle slots NaN, and each stage is one right-hand side over
+    the whole stack.  A point that reaches a drive-free stretch jumps it at
+    the start of the next round, its coefficients from that call's last
+    row, and probes the segment after it in the same round.  A grid time
+    inside a step is read from scipy's dense output, whose 3 extra stages
+    come from one more call; a time within 1e-18 of a segment's end is read
+    at that end.  Raises StiffnessError when a point's step falls below its
+    minimum.
+    """
     rtol = max(rtol, RTOL_FLOOR)
-    n_stages = DOP853.n_stages
-    a_mat, b_vec, e3, e5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
+    n_stages, a_mat, b_vec = DOP853.n_stages, DOP853.A, DOP853.B
+    starts, ends, driven, count = _schedules(ham, grid)
+    points, rows = np.arange(len(y0)), np.arange(len(grid))[:, None]
+    interior = np.any((grid > grid[0] + 1e-18) & (grid < grid[-1] - 1e-18))  # dense output
+    filled = np.zeros(len(y0), dtype=int)          # each point's grid rows already read
 
-    def rhs(c, v):
-        return generator.apply(c, v.reshape(shape[:-1] + (-1,))).reshape(-1)
+    def reached(mask):
+        """(row, point) pairs of the grid times mask newly reaches, marked read."""
+        nonlocal filled
+        mask = mask & (rows >= filled)
+        filled = filled + mask.sum(axis=0)
+        return np.nonzero(mask)
 
-    v = np.ascontiguousarray(y).reshape(-1).view(float)
-    k = np.empty((DOP853.A_EXTRA.shape[1], v.size))    # a step's stages, then its dense output's
-    f = rhs(ham.func(a), v)
-    # scipy's select_initial_step
-    scale = atol + np.abs(v) * rtol
-    d0, d1 = _rms(v / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, b - a)
-    d2 = _rms((rhs(ham.func(a + h0), v + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-    h_abs = min(100 * h0, h1, b - a)
-    end = np.searchsorted(times, b - 1e-18)      # times[end:] are read at b itself
-    states, first = [], 0
-    t = a
-    while t < b:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
+    def bounds():
+        """Each point's current segment (a, b); a finished point keeps its last."""
+        current = np.minimum(seg, starts.shape[1] - 1)
+        return starts[points, current], ends[points, current]
+
+    v = np.ascontiguousarray(y0).view(float).copy()
+    width = v.shape[-1]
+    out = np.empty((len(grid),) + v.shape)
+    j, p = reached(grid <= grid[0] + 1e-18)
+    out[j, p] = v[p]
+    t, seg = grid[0].copy(), np.zeros(len(y0), dtype=int)
+    a, b = bounds()
+    mode = np.where(count == 0, _DONE, np.where(driven[:, 0], _PROBE, _JUMP))
+    f = np.zeros_like(v)
+    h_abs, h0, d1 = np.zeros(len(y0)), np.zeros(len(y0)), np.zeros(len(y0))
+    rejected = np.zeros(len(y0), dtype=bool)
+    k = np.empty((DOP853.A_EXTRA.shape[1],) + v.shape)   # a step's stages, then its dense output's
+    # previous[s] holds every point's first s stages, so np.dot(previous[s], w) forms
+    # sum_j w[j] k[j] as scipy's rk_step forms it for one state, and rounds it alike
+    previous = [k.reshape(len(k), -1)[:s].T for s in range(n_stages + 2)]
+    changed = True
+    with np.errstate(divide="ignore", invalid="ignore"):      # idle points run on NaN
         while True:
-            if h_abs < min_step:
-                raise StiffnessError(f"integration failed on [{a:.3e}, {b:.3e}]: "
-                                     "Required step size is less than spacing between numbers.")
-            t_new = min(t + h_abs, b)
-            h = t_new - t
-            h_abs = np.abs(h)
-            c = ham.func(t + h * _STAGE_TIMES)
+            if changed:     # the points' actions, anew after any point started or ended one
+                step, changed = mode == _STEP, False
+                stepping, starting = step.any(), np.any(mode > _DONE)
+                if not (stepping or starting):
+                    break
+                if starting:
+                    jump, size = mode == _JUMP, mode == _SIZE
+                    probe = (mode == _PROBE) | (jump & (seg + 1 < count))
+            # a point's h_abs only steers its steps: probes set it anew
+            t_new = np.minimum(t + h_abs * step, b)
+            h_abs = h = t_new - t
+            times = np.where(step, t + h * _STAGE_TIMES, np.nan)
+            if starting:
+                times[0] = np.where(probe, np.where(jump, b, a), np.where(size, a + h0, times[0]))
+                times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
+            c = ham.func(times)
+            if starting and jump.any():
+                which = np.flatnonzero(jump)
+                g = generator.matrix(c[-1, which])
+                j, p = reached(jump & (grid <= b + 1e-18))
+                offsets = np.concatenate([grid[j, p] - a[p], (b - a)[which]])
+                slot = np.concatenate([np.searchsorted(which, p), np.arange(len(which))])
+                u = _expm_real(g[slot] * offsets[:, None, None])
+                y = (u @ v[np.concatenate([p, which])][..., None])[..., 0]
+                out[j, p], v[which] = y[:len(j)], y[len(j):]
+                t[which], seg[which] = b[which], seg[which] + 1
+                mode[which] = np.where(seg[which] < count[which], _PROBE, _DONE)
+                a, b = bounds()
             k[0] = f
-            for s in range(1, n_stages):
-                k[s] = rhs(c[s - 1], v + np.dot(k[:s].T, a_mat[s, :s]) * h)
-            v_new = v + h * np.dot(k[:n_stages].T, b_vec)
-            f_new = k[n_stages] = rhs(c[-1], v_new)
+            hc = h[:, None]
+            # scipy's rk_step; the probes need stage 1 only
+            for s in range(1, n_stages if stepping else 2):
+                y = v + np.dot(previous[s], a_mat[s, :s]).reshape(v.shape) * hc
+                if s == 1 and starting:   # the probe's second evaluation: f(a + h0, y + h0 f)
+                    y[size] = v[size] + h0[size, None] * f[size]
+                k[s] = generator.apply(c[s - 1], y)
+
+            if starting:   # scipy's select_initial_step: f(a, y) and h0, then f(a + h0, ...),
+                # for the points that probe; every point's action may change
+                scale = atol + np.abs(v) * rtol
+                f = np.where(probe[:, None], k[1], f)
+                d0, d1_new = _rms(v / scale), _rms(k[1] / scale)
+                guess = np.where((d0 < 1e-5) | (d1_new < 1e-5), 1e-6, 0.01 * d0 / d1_new)
+                h0 = np.where(probe, np.minimum(guess, b - a), h0)
+                d1 = np.where(probe, d1_new, d1)
+                d2 = _rms((k[1] - f) / scale) / h0
+                h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                              (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
+                first = np.minimum(np.minimum(100 * h0, h1), b - a)
+                h_abs = np.where(size, np.maximum(first, _min_step(t)), h_abs)
+                mode = np.where(probe, _SIZE, np.where(size, _STEP, mode))
+                changed = True
+            if not stepping:
+                continue
+            v_new = v + hc * np.dot(previous[n_stages], b_vec).reshape(v.shape)
+            k[n_stages] = generator.apply(c[-1], v_new)
             scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
-            err5 = np.dot(k[:n_stages + 1].T, e5) / scale
-            err3 = np.dot(k[:n_stages + 1].T, e3) / scale
-            err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
-            error = (0.0 if err5_2 == 0 and err3_2 == 0 else
-                     np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale)))
-            if error < 1:
-                factor = _MAX_FACTOR if error == 0 else min(
-                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        last = min(np.searchsorted(times, t_new, side="right"), end)
-        if last > first:
-            states.extend(_dop853_dense(ham, rhs, k, t, v, h, v_new, f_new, times[first:last])
-                          .view(complex).reshape((-1,) + shape))
-            first = last
-        t, v, f = t_new, v_new, f_new
-    y = v.view(complex).reshape(shape)
-    return states + [y] * (len(times) - end), y
+            err5, err3 = (_norm(np.dot(previous[n_stages + 1], e).reshape(v.shape) / scale) ** 2
+                          for e in (DOP853.E5, DOP853.E3))
+            mix = err5 + 0.01 * err3
+            error = np.where(mix == 0, 0.0, h * err5 / np.sqrt(mix * width))
+            factor = _SAFETY * error ** _ERROR_EXPONENT
+            accept = step & (error < 1)
+            grow = np.minimum(np.where(rejected, 1, _MAX_FACTOR), factor)
+            h_abs = h_abs * np.where(accept, grow, np.where(step, np.fmax(_MIN_FACTOR, factor), 1))
+            rejected = step ^ accept
+            if interior:
+                j, p = reached(accept & (grid <= t_new) & (grid < b - 1e-18))
+                if len(j):
+                    out[j, p] = _dop853_dense(ham, generator, k, t, v, h, v_new, grid[j, p], p)
+            v = np.where(accept[:, None], v_new, v)
+            f = np.where(accept[:, None], k[n_stages], f)
+            t = np.where(accept, t_new, t)
+            # a step starts at least 10 ulp of t long, and a retry below that fails
+            min_step = _min_step(t)
+            stuck = np.flatnonzero(rejected & (h_abs < min_step))
+            if len(stuck):
+                q = stuck[0]
+                raise StiffnessError(f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
+                                     "Required step size is less than spacing between numbers.")
+            h_abs = np.maximum(h_abs, min_step)
+            ended = accept & (t_new == b)
+            if ended.any():
+                j, p = reached(ended & (grid <= b + 1e-18))
+                out[j, p] = v[p]
+                seg = seg + ended
+                a, b = bounds()
+                after = np.where(driven[points, np.minimum(seg, starts.shape[1] - 1)],
+                                 _PROBE, _JUMP)
+                mode = np.where(ended, np.where(seg < count, after, _DONE), mode)
+                changed = True
+    return out.view(complex)
 
 
-def _dop853_dense(ham, rhs, k, t, v, h, v_new, f_new, times):
-    """scipy's DOP853 dense output of the step from (t, v) to (t + h, v_new) at times."""
-    c = ham.func(t + h * DOP853.C_EXTRA)
-    for s, (row, c_s) in enumerate(zip(DOP853.A_EXTRA, c), start=DOP853.n_stages + 1):
-        k[s] = rhs(c_s, v + np.dot(k[:s].T, row[:s]) * h)
+def _dop853_dense(ham, generator, k, t, v, h, v_new, times, p):
+    """scipy's DOP853 dense output at times, each in the step of its point p, (t, v) -> v_new.
+
+    The 3 extra stages of every point come from one ham.func call, NaN for
+    the points that read no time.
+    """
+    stage = np.full((len(DOP853.C_EXTRA), len(v)), np.nan)
+    stage[:, p] = (t + h * DOP853.C_EXTRA[:, None])[:, p]
+    flat, hc = k.reshape(len(k), -1), h[:, None]
+    for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, ham.func(stage)), start=DOP853.n_stages + 1):
+        k[s] = generator.apply(c, v + np.dot(flat[:s].T, row[:s]).reshape(v.shape) * hc)
     dv = v_new - v
-    poly = np.empty((3 + len(DOP853.D), v.size))
-    poly[0] = dv
-    poly[1] = h * k[0] - dv
-    poly[2] = 2 * dv - h * (f_new + k[0])
-    poly[3:] = h * np.dot(DOP853.D, k)
-    x = ((times - t) / h)[:, None]
-    out = np.zeros((len(x), v.size))
-    for i, p in enumerate(reversed(poly)):
-        out += p
+    poly = [dv, hc * k[0] - dv, 2 * dv - hc * (k[DOP853.n_stages] + k[0]),
+            *hc * np.dot(DOP853.D, flat).reshape((-1,) + v.shape)]
+    x = ((times - t[p]) / h[p])[:, None]
+    out = np.zeros((len(p), v.shape[-1]))
+    for i, q in enumerate(reversed(poly)):
+        out += q[p]
         out *= x if i % 2 == 0 else 1 - x
-    return out + v
+    return out + v[p]
 
 
 def _propagate(ham, generator, y0, grid, rtol, atol):
     """States y(t) on grid for dy/dt = G(t) y with y(grid[0]) = y0.
 
     G(t) contracts ham.func with the generator basis (_schrodinger or
-    _lindblad).  y0 is one state or a stack of them, and out[i] is the state
-    or stack at grid[i].  The time axis is split at every breakpoint.  A
-    static segment takes exact exponentials of its real-form generator
-    (_expm_real), one stack over the grid offsets inside it and its end, each
-    applied to the state's float view; a driven one of a Hamiltonian
-    that sets max_step_s takes fixed Magnus steps (_magnus_segment), any
-    other DOP853 (_dop853_segment: scipy's DOP853 tableau and step control,
-    one coefficient evaluation per step), its steps sized by its embedded
-    error estimate alone, its inner grid times read from the dense output.
-    rtol and atol steer DOP853, scaled by 1/sqrt(K) for a stack of K states:
-    the error norm, the RMS over every real component of the stack, dilutes
-    one state's error by sqrt(K).  The sixth-order Magnus steps have no error
-    control: at RTOL_DEFAULT they are max_step_s long, and a tighter rtol
-    shortens them by (rtol / RTOL_DEFAULT)^(1/6), so that their global error,
-    of order h^6, falls in proportion to rtol.
+    _lindblad).  y0 is one state or a (K, n) stack of them, and grid one
+    time axis or a (T, K) stack of them, column k point k's own; out[i] is
+    the state or stack at grid[i].  A Hamiltonian that sets max_step_s runs
+    every point on one clock over all the grid's times, split at every
+    breakpoint: a static segment takes exact exponentials of its real-form
+    generator (_expm_real), one stack over the times inside it and its end,
+    and a driven one fixed sixth-order Magnus steps (_magnus_segment), which
+    have no error control: at RTOL_DEFAULT they are max_step_s long, and a
+    tighter rtol shortens them by (rtol / RTOL_DEFAULT)^(1/6), so that their
+    global error, of order h^6, falls in proportion to rtol.  Any other runs
+    DOP853 with one clock per point (_dop853), so rtol and atol hold each
+    point of a stack to the bound it gets alone.
     """
-    shape = y0.shape
-    per_state = 1.0 / np.sqrt(np.prod(shape[:-1]))     # DOP853 tolerance scale, see above
-    y = np.array(y0, dtype=complex)
-    out = np.empty((len(grid),) + shape, dtype=complex)
-    out[0] = y0
-    for a, b in _segments(grid[0], grid[-1], ham.breakpoints):
-        mask = (grid > a + 1e-18) & (grid <= b + 1e-18)
+    y = np.array(y0, dtype=complex).reshape(-1, y0.shape[-1])
+    times = np.broadcast_to(grid.reshape(len(grid), -1), (len(grid), len(y)))
+    if not ham.max_step_s:
+        return _dop853(ham, generator, y, times, rtol, atol).reshape((len(grid),) + y0.shape)
+    axis = np.unique(times)
+    out = np.empty((len(axis),) + y.shape, dtype=complex)
+    out[0] = y
+    step_s = ham.max_step_s * min(1.0, max(rtol, RTOL_FLOOR) / RTOL_DEFAULT) ** (1.0 / 6.0)
+    for a, b in _segments(axis[0], axis[-1], ham.breakpoints):
+        mask = (axis > a + 1e-18) & (axis <= b + 1e-18)
         if ham.is_static_on(a, b):
-            g = generator.matrix(ham.func(0.5 * (a + b)))
-            offsets = np.append(grid[mask], b) - a
+            g = generator.matrix(ham.func(np.array([0.5 * (a + b)])))
+            offsets = np.append(axis[mask], b) - a
             u = _expm_real(g * offsets.reshape((-1,) + (1,) * g.ndim))
             states = (u @ y.view(float)[..., None])[..., 0].view(complex)
             out[mask], y = states[:-1], states[-1]
             continue
-        if ham.max_step_s:
-            tighter = max(rtol, RTOL_FLOOR) / RTOL_DEFAULT
-            step_s = ham.max_step_s * min(1.0, tighter) ** (1.0 / 6.0)
-            states, y = _magnus_segment(ham, generator, y, a, grid[mask], b, step_s)
-        else:
-            states, y = _dop853_segment(ham, generator, y, a, grid[mask], b,
-                                        rtol * per_state, atol * per_state)
+        states, y = _magnus_segment(ham, generator, y, a, axis[mask], b, step_s)
         if states:
             out[mask] = states
-    return out
+    out = out[np.searchsorted(axis, times), np.arange(len(y))]
+    return out.reshape((len(grid),) + y0.shape)
 
 
 def evolve_schrodinger(ham, psi0, grid_s, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
                        keep_states=False):
     """Integrate the Schrodinger equation on [grid[0], grid[-1]].
 
-    Propagation runs through the shared segment loop with generator -i H.
+    Propagation runs through the shared core (_propagate) with generator -i H.
     psi0 is one state, or a (K, 4) stack propagated together under a stacked
     Hamiltonian; populations and states then hold the stack axis after the
-    time axis.  rtol and atol steer the DOP853 segments (scipy's DOP853
-    tableau and step control, one coefficient evaluation per step) and
+    time axis, and grid_s may then be (T, K), one time axis per point
+    (non-decreasing columns from one start).  rtol and atol steer DOP853
+    (scipy's DOP853 tableau and step control, on each point's own clock) and
     shorten the fixed sixth-order Magnus steps by (rtol / RTOL_DEFAULT)^(1/6)
     (see _propagate).  A norm drift beyond 1e-6 in any state triggers one
     retry with 100x tighter tolerances before raising StiffnessError.
@@ -842,16 +970,17 @@ def evolve_lindblad(ham, rho0, dissipation, grid_s, rtol=RTOL_DEFAULT,
                     atol=ATOL_DEFAULT, keep_states=False):
     """Master-equation evolution with per-qubit relaxation and pure dephasing.
 
-    Propagates vec(rho) through the shared segment loop with the Liouvillian
-    generator (_lindblad); drive-free segments therefore use the exact
-    exponential of the static Liouvillian, which makes long free decays cheap,
-    through the same real-form Taylor exponential as closed systems
+    Propagates vec(rho) through the shared core (_propagate) with the
+    Liouvillian generator (_lindblad); drive-free stretches therefore use the
+    exact exponential of the static Liouvillian, which makes long free decays
+    cheap, through the same real-form Taylor exponential as closed systems
     (_expm_real: within 6e-14 of scipy's expm for chip1 at 10 us).
     rho0 is one density matrix, or a (K, 4, 4) stack propagated together
-    under a stacked Hamiltonian.  rtol and atol steer the DOP853 segments
-    (scipy's DOP853 tableau and step control, one coefficient evaluation per
-    step) and shorten the fixed sixth-order Magnus steps by
-    (rtol / RTOL_DEFAULT)^(1/6) (see _propagate).  Trace is
+    under a stacked Hamiltonian, with grid_s one time axis or (T, K) as in
+    evolve_schrodinger.  rtol and atol steer DOP853 (scipy's DOP853 tableau
+    and step control, on each point's own clock) and shorten the fixed
+    sixth-order Magnus steps by (rtol / RTOL_DEFAULT)^(1/6) (see
+    _propagate).  Trace is
     monitored to 1e-6 and every state is checked for negative eigenvalues
     below -1e-8.
     """
@@ -905,9 +1034,10 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
 
     A sequence of K protocols, in one frame and with equally many pulses,
     gives one Hamiltonian whose func returns the (..., K, M) stack of their
-    coefficients over one operator basis: every protocol keeps its own pulse
-    clock, targets, phases and frame, and the breakpoints are the union of
-    all pulse edges and gaussian peaks.
+    coefficients over one operator basis, taking per-point times on a
+    trailing K axis: every protocol keeps its own pulse clock, targets,
+    phases and frame.  The breakpoints and active intervals are those of all
+    points, and points holds each point's own.
     """
     stacked = not isinstance(protocol, ProtocolSpec)
     protocols = tuple(protocol) if stacked else (protocol,)
@@ -957,14 +1087,16 @@ def run_blockade_grid(system, protocols, dissipation=None):
     equally many pulses) are propagated as one (K, 4) state, or (K, 16) with a
     DissipationSpec, under their stacked Hamiltonian by one evolve_schrodinger
     or evolve_lindblad call, whose norm-drift retry or trace and positivity
-    checks cover every point.  Each point is read at a segment boundary: where
-    the Hamiltonian is static after a point's last pulse edge (it is not
-    always_time_dependent), at that edge, then taken over the rest of its time
-    by one exact exponential; otherwise at its readout instant, total_time_s,
-    the last grid time of run_blockade_protocol, the per-point path, with which
-    each point agrees to 1e-9 on DOP853 segments however many points the grid
-    has (see _propagate).  Returns a SimulationResult with the readout
-    instants as times_s and one population per point.
+    checks cover every point.  Each point runs on its own time axis from the
+    grid's start: where the Hamiltonian is static after a point's last pulse
+    edge (it is not always_time_dependent), to that edge, then over the rest
+    of its time by one exact exponential; otherwise to its readout instant,
+    total_time_s.  On DOP853 every point keeps its own clock (see _dop853),
+    and the grid holds every point to rtol GRID_RTOL = RTOL_DEFAULT / 10, so
+    each lies within 2e-10 of a far tighter run of run_blockade_protocol, the
+    per-point path, and within 1e-9 of its default-tolerance run, however many
+    points the grid has.  Returns a SimulationResult with the readout instants
+    as times_s and one population per point.
     """
     protocols = tuple(protocols)
     ham = build_protocol_hamiltonian(system, protocols)
@@ -973,23 +1105,22 @@ def run_blockade_grid(system, protocols, dissipation=None):
     if not ham.always_time_dependent:
         last_edge = [max((q.end_time_s for q in p.pulses), default=0.0) for p in protocols]
         stop = np.minimum(last_edge, readout)
-    ham = replace(ham, breakpoints=tuple(sorted({*ham.breakpoints, *stop.tolist()})))
-    grid = np.unique(np.append(stop, 0.0))
-    points = (np.searchsorted(grid, stop), np.arange(len(protocols)))
+    grid = np.array([np.full(len(stop), min(0.0, stop.min())), stop])
+    rtol = RTOL_DEFAULT if ham.max_step_s else GRID_RTOL     # Magnus steps: one clock, no norm
     if dissipation is None:
         psi0 = np.zeros((len(protocols), 4), dtype=complex)
         psi0[:, 0] = 1.0
-        result = evolve_schrodinger(ham, psi0, grid, keep_states=True)
-        generator, y = _schrodinger(ham), result.states[points]
+        result = evolve_schrodinger(ham, psi0, grid, rtol=rtol, keep_states=True)
+        generator, y = _schrodinger(ham), result.states[-1]
     else:
         rho0 = np.zeros((len(protocols), 4, 4), dtype=complex)
         rho0[:, 0, 0] = 1.0
-        result = evolve_lindblad(ham, rho0, dissipation, grid, keep_states=True)
-        generator, y = _lindblad(ham, dissipation), result.states[points].reshape(-1, 16)
+        result = evolve_lindblad(ham, rho0, dissipation, grid, rtol=rtol, keep_states=True)
+        generator, y = _lindblad(ham, dissipation), result.states[-1].reshape(-1, 16)
     tail = readout - stop
     if tail.any():
-        # past every pulse edge, each point's Hamiltonian is the static one of its tail
-        g = generator.matrix(ham.func(max(ham.breakpoints) + tail.max()))
+        # at its readout, past its last pulse edge, each point's Hamiltonian is static
+        g = generator.matrix(ham.func(readout))
         y = (_expm_real(g * tail[:, None, None]) @ y.view(float)[..., None])[..., 0].view(complex)
     if dissipation is None:
         pops = np.abs(y) ** 2
@@ -1096,27 +1227,31 @@ def run_conditional_ramsey(system, spectator_state, free_time_grid_s, drive_offs
     The drive sits drive_offset_hz below the spectator-in-ground transition
     (default 1.5 |zeta| + 5 MHz so both conditional fringes stay on the same
     side); the fitted fringe frequency is |transition - drive|.  The qubit-2
-    exchange terms are dropped (dispersive operation).  Run with spectator 0
-    and 1 and subtract to read off zeta.
+    exchange terms are dropped (dispersive operation).  spectator_state 0 or
+    1 gives one fringe; a sequence of them, such as (0, 1), gives the list of
+    their fringes from one pi/2 propagator and one phase table.  Subtract the
+    spectator-0 and spectator-1 fringes to read off zeta.
     """
-    if spectator_state not in (0, 1):
+    states = [spectator_state] if np.ndim(spectator_state) == 0 else list(spectator_state)
+    if any(state not in (0, 1) for state in states):
         raise ValueError("spectator_state must be 0 or 1")
     if drive_offset_hz is None:
         drive_offset_hz = 1.5 * abs(system.zeta_hz) + 5e6
     f_drive = system.omega1_hz - drive_offset_hz
     u_half = _half_pi_propagator(system, f_drive)
 
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[1 if spectator_state else 0] = 1.0
-    psi1 = u_half @ psi0
-
     # free evolution is diagonal in this frame (exchange dropped)
     energies = _frame_levels(system, f_drive, system.omega2_hz)
     grid = np.asarray(free_time_grid_s, dtype=float)
     phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
-    states = (phases * psi1[None, :]) @ u_half.T
-    p1 = np.abs(states[:, 2]) ** 2 + np.abs(states[:, 3]) ** 2
-    return _fit_fringe(grid, p1)
+    fringes = []
+    for state in states:
+        psi0 = np.zeros(4, dtype=complex)
+        psi0[1 if state else 0] = 1.0
+        psi1 = u_half @ psi0
+        final = (phases * psi1[None, :]) @ u_half.T
+        fringes.append(_fit_fringe(grid, np.abs(final[:, 2]) ** 2 + np.abs(final[:, 3]) ** 2))
+    return fringes[0] if np.ndim(spectator_state) == 0 else fringes
 
 
 def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s):

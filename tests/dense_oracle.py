@@ -10,8 +10,9 @@ of protocols; the tests hold it to these matrices.
 
 solve_ivp_segment is the old DOP853 segment: scipy's solve_ivp, which asks
 for the coefficients one stage time at a time.  zzkit.dynamics runs the same
-algorithm with one coefficient evaluation per step; the tests hold it to
-solve_ivp's states and step counts.
+algorithm on every point's own clock with one coefficient evaluation per
+round; the tests hold each point, segment by segment, to solve_ivp's states
+and step counts.
 
 dense_hamiltonian is the old truncated two-mode matrix in the full product
 basis.  dense_labeling is the old dressed spectrum: one eigh of that whole
@@ -193,7 +194,7 @@ def liouvillian(h, c_ops):
 
 
 def solve_ivp_segment(ham, generator, y, a, times, b, rtol, atol):
-    """_dop853_segment through solve_ivp: (states at times, state at b, SegmentCounts).
+    """One DOP853 segment through solve_ivp: (states at times, state at b, SegmentCounts).
 
     A time within 1e-18 of b takes the state at b; every other time is read
     from solve_ivp's dense output.  The counts are solve_ivp's: 2 initial

@@ -1,6 +1,7 @@
 import functools
 import gc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -474,11 +475,16 @@ class TestStackedHamiltonian:
         singles = [build_protocol_hamiltonian(system, p) for p in prots]
         times = np.linspace(-5e-9, max(p.total_time_s for p in prots) + 5e-9, 29)
         want = np.stack([h.matrix(times) for h in singles], axis=1)
-        np.testing.assert_allclose(stacked.matrix(times), want, rtol=1e-14,
+        np.testing.assert_allclose(stacked.matrix(times[:, None]), want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
         np.testing.assert_allclose(stacked.matrix(times[7]), want[7], rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
+        # a trailing K axis gives every point its own time
+        own = 4 * np.arange(len(prots))
+        np.testing.assert_allclose(stacked.matrix(times[own]), want[own, np.arange(len(prots))],
+                                   rtol=1e-14, atol=1e-14 * np.abs(want).max())
         assert set(stacked.breakpoints) == {e for h in singles for e in h.breakpoints}
+        assert stacked.points == tuple((h.breakpoints, h.active_intervals) for h in singles)
         steps = [h.max_step_s for h in singles]
         assert stacked.max_step_s == (None if None in steps else min(steps))
 
@@ -490,7 +496,7 @@ class TestStackedHamiltonian:
         stacked = build_protocol_hamiltonian(SYSTEM, prots)
         times = np.linspace(0.0, 50e-9, 23)
         for k, p in enumerate(shapes):
-            np.testing.assert_array_equal(stacked.matrix(times)[:, k, 2, 0].real,
+            np.testing.assert_array_equal(stacked.matrix(times[:, None])[:, k, 2, 0].real,
                                           TWO_PI * 0.5 * p.envelope(times))
 
     def test_mixed_frames_and_pulse_counts_rejected(self):
@@ -620,7 +626,7 @@ class TestOperatorBasis:
         want = np.array([[h(t) for h in dense] for t in times])
         tol = 1e-12 * np.abs(want).max()
         ham = build_protocol_hamiltonian(system, prots)
-        np.testing.assert_allclose(ham.matrix(times), want, rtol=0, atol=tol)
+        np.testing.assert_allclose(ham.matrix(times[:, None]), want, rtol=0, atol=tol)
         for k, prot in enumerate(prots):
             single = build_protocol_hamiltonian(system, prot)
             np.testing.assert_allclose(single.matrix(times), want[:, k], rtol=0, atol=tol)
@@ -719,15 +725,30 @@ class TestBlockadeGrid:
         want = per_point_populations(SYSTEM, prots, dissipation)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("dissipation", [None, CHIP1_DISSIPATION], ids=["closed", "lindblad"])
+    @pytest.mark.parametrize("shape,delays,lengths", [
+        ("rectangular", (-60e-9, -20e-9, 0.0, 25e-9, 70e-9), (20e-9, 50e-9)),
+        ("truncated_cosine", (-90e-9, -30e-9, 0.0, 12e-9, 30e-9, 75e-9), (30e-9, 45e-9)),
+    ], ids=["rectangular", "overlapping-and-separated"])
+    def test_edge_case_grid_matches_per_point(self, shape, delays, lengths, dissipation):
+        # rectangular pulses switch the right-hand side at every edge, and
+        # overlapping, touching and separated pulses give every point its own
+        # mix of driven segments and drive-free stretches: each point of the
+        # grid still steps as it does alone at the grid's tolerance
+        prots = grid_protocols(SYSTEM, delays, lengths, shape=shape, readout_pad_s=10e-9)
+        got = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
+        want = per_point_populations(SYSTEM, prots, dissipation, n_grid=2,
+                                     rtol=dynamics.GRID_RTOL)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("delays,lengths,dissipation,readout_pad_s", [
         (BENCH_DELAYS, BENCH_LENGTHS, None, 0.0),
         (BENCH_OPEN_DELAYS, BENCH_OPEN_LENGTHS, CHIP1_DISSIPATION, 200e-9),
     ], ids=["closed-52", "lindblad-20"])
     def test_every_point_of_a_stack_keeps_one_point_tolerance(self, delays, lengths,
                                                                dissipation, readout_pad_s):
-        # DOP853's RMS error norm over K stacked states dilutes one point's
-        # error by sqrt(K); the scaled tolerances hold each point to what the
-        # per-point path reaches alone, here against a far tighter per-point run
+        # every point keeps its own clock and error norm, held to GRID_RTOL:
+        # here against a far tighter per-point run
         prots = grid_protocols(SYSTEM, 1e-9 * np.array(delays), 1e-9 * np.array(lengths),
                                readout_pad_s=readout_pad_s)
         got = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
@@ -765,47 +786,110 @@ class TestBlockadeGrid:
                 run_blockade_grid(SYSTEM, prots, dissipation)
 
 
-def stepper_counts(calls):
-    """SegmentCounts of one _dop853_segment call, from the times its func saw."""
-    attempts = np.array([t for t in calls if t.shape == (DOP853.n_stages,)])
-    h = (attempts[:, -1] - attempts[:, 0]) / (1.0 - DOP853.C[1])
-    start = attempts[:, -1] - h
-    # a rejected attempt is retried from its own start, an accepted one continued from its end
-    accepted = 1 + np.count_nonzero(np.diff(start) > 0.5 * h[:-1])
-    return dense_oracle.SegmentCounts(sum(t.ndim == 0 for t in calls), len(attempts), accepted,
-                                      sum(t.shape == DOP853.C_EXTRA.shape for t in calls))
+def point_events(calls, k):
+    """What each func call did for point k of a _dop853 run, from the times it saw.
 
-
-def stepper_and_oracle(monkeypatch, run):
-    """run() through _dop853_segment, then through solve_ivp_segment, segment by segment.
-
-    Returns two lists, one entry per DOP853 segment: (states, end state,
-    SegmentCounts, func calls) from the stepper and (states, end state,
-    SegmentCounts) from solve_ivp.
+    A round's (12, K) call holds a step attempt's stage times (all finite),
+    or one probe evaluation in its first row (its last row finite too when
+    the point jumped a drive-free stretch just before), or a jump alone in
+    its last row; a (3, K) call holds a dense output's extra stage times.
+    Returns ("attempt", start, h), ("probe", time), ("dense",), ("jump",) or
+    ("idle",) per call.
     """
-    got, want = [], []
-    stepper = dynamics._dop853_segment
+    events = []
+    for times in calls:
+        col = times[:, k]
+        if len(col) == len(DOP853.C_EXTRA):
+            events.append(("dense",) if np.isfinite(col).all() else ("idle",))
+        elif np.isfinite(col).all():
+            h = (col[-1] - col[0]) / (1.0 - DOP853.C[1])
+            events.append(("attempt", col[-1] - h, h))
+        elif np.isfinite(col[0]):
+            events.append(("probe", col[0]))
+        else:
+            events.append(("jump",) if np.isfinite(col[-1]) else ("idle",))
+    return events
 
-    def counted(ham, *args):
+
+def segment_counts(events):
+    """SegmentCounts of each driven segment in turn: a pair of probes opens the next one."""
+    segments = []
+    for event in events:
+        if event[0] == "probe" and (not segments or segments[-1]["probes"] == 2):
+            segments.append({"probes": 0, "attempts": [], "dense": 0})
+        if event[0] == "probe":
+            segments[-1]["probes"] += 1
+        elif event[0] == "attempt":
+            segments[-1]["attempts"].append(event[1:])
+        elif event[0] == "dense":
+            segments[-1]["dense"] += 1
+    counts = []
+    for segment in segments:
+        start, h = np.array(segment["attempts"]).T
+        # a rejected attempt is retried from its own start, an accepted one continued from its end
+        accepted = 1 + np.count_nonzero(np.diff(start) > 0.5 * h[:-1])
+        counts.append(dense_oracle.SegmentCounts(segment["probes"], len(start), accepted,
+                                                 segment["dense"]))
+    return counts
+
+
+def per_point_oracle(ham, generator, y0, grid, rtol, atol):
+    """Each point of a _dop853 call alone, through solve_ivp_segment on its own segments.
+
+    Point k's Hamiltonian is column k of the stack's, its right-hand side
+    its row of the stack's, its segments run between its own breakpoints
+    (ham.points[k]) from grid[0, k] to grid[-1, k], and a drive-free one is
+    scipy's expm.  Returns the states at the grid times and, per point, the
+    SegmentCounts of its driven segments.
+    """
+    windows = ham.points if len(ham.points) == len(y0) else ham.points * len(y0)
+    out = np.empty(grid.shape + y0.shape[-1:], dtype=complex)
+    counts = []
+    for k, ((edges, intervals), y) in enumerate(zip(windows, y0)):
+        def func(t, k=k):
+            return ham.func(np.full(len(y0), t))[k]
+
+        def apply(c, v, k=k):
+            # point k's row of the product over the whole stack, rounded as the stack rounds it
+            stack = np.zeros((len(y0),) + v.shape)
+            stack[k] = v
+            return generator.apply(np.broadcast_to(c, (len(y0),) + c.shape), stack)[k]
+        single, times = replace(ham, func=func), grid[:, k]
+        out[times <= times[0] + 1e-18, k] = y
+        counts.append([])
+        for a, b in dynamics._segments(times[0], times[-1], edges):
+            inside = (times > a + 1e-18) & (times <= b + 1e-18)
+            if not ham.is_static_on(a, b, intervals):
+                states, y, segment = dense_oracle.solve_ivp_segment(
+                    single, SimpleNamespace(apply=apply), y, a, times[inside], b, rtol, atol)
+                if states:
+                    out[inside, k] = states
+                counts[-1].append(segment)
+                continue
+            g = generator.matrix(func(0.5 * (a + b)))
+            for i in np.flatnonzero(inside):
+                out[i, k] = (expm(g * (times[i] - a)) @ y.view(float)).view(complex)
+            y = (expm(g * (b - a)) @ y.view(float)).view(complex)
+    return out, counts
+
+
+def record_stepper(monkeypatch, run):
+    """run() with every _dop853 call recorded: (func calls, arguments, states) per call."""
+    records = []
+    stepper = dynamics._dop853
+
+    def recorded(ham, *args):
         calls = []
 
         def func(t):
             calls.append(np.array(t, dtype=float))
             return ham.func(t)
-        states, y = stepper(replace(ham, func=func), *args)
-        got.append((states, y, stepper_counts(calls), len(calls)))
-        return states, y
-
-    def oracle(*args):
-        states, y, counts = dense_oracle.solve_ivp_segment(*args)
-        want.append((states, y, counts))
-        return states, y
-
-    monkeypatch.setattr(dynamics, "_dop853_segment", counted)
+        out = stepper(replace(ham, func=func), *args)
+        records.append((calls, (ham,) + args, out))
+        return out
+    monkeypatch.setattr(dynamics, "_dop853", recorded)
     run()
-    monkeypatch.setattr(dynamics, "_dop853_segment", oracle)
-    run()
-    return got, want
+    return records
 
 
 ORACLE_RUNS = {
@@ -825,29 +909,74 @@ ORACLE_RUNS = {
 }
 
 
+def counted_calls(monkeypatch, run):
+    """The number of func calls of the Hamiltonians run() builds."""
+    calls = []
+    build = dynamics.build_protocol_hamiltonian
+
+    def counting_build(*args, **kwargs):
+        ham = build(*args, **kwargs)
+
+        def counted(t):
+            calls.append(t)
+            return ham.func(t)
+        return replace(ham, func=counted)
+    monkeypatch.setattr(dynamics, "build_protocol_hamiltonian", counting_build)
+    run()
+    monkeypatch.setattr(dynamics, "build_protocol_hamiltonian", build)
+    return len(calls)
+
+
 class TestDop853Stepper:
-    """The in-core DOP853 stepper against scipy's solve_ivp, the old solver."""
+    """The in-core DOP853 stepper against scipy's solve_ivp, the old solver, point by point."""
 
     @pytest.mark.parametrize("name", list(ORACLE_RUNS))
     def test_matches_solve_ivp_step_for_step(self, monkeypatch, name):
-        got, want = stepper_and_oracle(monkeypatch, ORACLE_RUNS[name])
-        assert len(got) == len(want) > 0
-        for (states, y, counts, _), (want_states, want_y, want_counts) in zip(got, want):
-            assert counts == want_counts
-            np.testing.assert_allclose(np.array(states), np.array(want_states), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-13)
+        # every point of a stack steps as solve_ivp steps it alone, over its own segments
+        records = record_stepper(monkeypatch, ORACLE_RUNS[name])
+        assert len(records) == 1
+        (calls, args, out), = records
+        want, want_counts = per_point_oracle(*args)
+        assert sum(map(len, want_counts)) > 0
+        for k, counts in enumerate(want_counts):
+            assert segment_counts(point_events(calls, k)) == counts
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dissipation", [None, CHIP1_DISSIPATION], ids=["closed", "lindblad"])
     def test_one_func_call_per_step_attempt(self, monkeypatch, dissipation):
         # every stage time of a step attempt goes to func in one call, and the
         # dense output's three in one more: a stepper that went back to one
-        # call per stage would call func about twelve times as often
+        # call per stage would call func about twelve times as often.  A point
+        # alone does one thing per call: an attempt, a probe evaluation, a
+        # dense output or a jump over its drive-free readout stretch
         prot = make_blockade_protocol(SYSTEM, 60e-9, 20e-9)
-        got, want = stepper_and_oracle(
+        (calls, args, _), = record_stepper(
             monkeypatch, lambda: run_blockade_protocol(SYSTEM, prot, dissipation))
-        for (*_, calls), (*_, counts) in zip(got, want):
-            assert calls == counts.attempts + counts.probes + counts.dense
-        assert all(counts.dense for *_, counts in want)
+        events = point_events(calls, 0)
+        assert [kind for kind, *_ in events].count("jump") == 1
+        assert all(kind != "idle" for kind, *_ in events)
+        _, (want_counts,) = per_point_oracle(*args)
+        got = segment_counts(events)
+        assert got == want_counts
+        assert len(calls) == 1 + sum(c.probes + c.attempts + c.dense for c in got)
+        assert all(counts.dense for counts in got)
+
+    @pytest.mark.parametrize("delays,lengths,dissipation,readout_pad_s", [
+        (BENCH_DELAYS, BENCH_LENGTHS, None, 0.0),
+        (BENCH_OPEN_DELAYS, BENCH_OPEN_LENGTHS, CHIP1_DISSIPATION, 200e-9),
+    ], ids=["closed-52", "lindblad-20"])
+    def test_a_grid_costs_about_its_slowest_point(self, monkeypatch, delays, lengths,
+                                                  dissipation, readout_pad_s):
+        # each point keeps its own clock, so a grid takes about as many rounds
+        # as its slowest point alone (75 and 76 calls here); a stepper that
+        # restarted every point at the union of all points' edges called func
+        # 350 and 197 times on these grids
+        prots = grid_protocols(SYSTEM, 1e-9 * np.array(delays), 1e-9 * np.array(lengths),
+                               readout_pad_s=readout_pad_s)
+        grid = counted_calls(monkeypatch, lambda: run_blockade_grid(SYSTEM, prots, dissipation))
+        alone = max(counted_calls(monkeypatch, lambda: run_blockade_grid(SYSTEM, [p], dissipation))
+                    for p in prots)
+        assert grid <= 1.25 * alone
 
     def test_rtol_below_the_floor_reaches_the_stepper_as_the_floor(self):
         assert dynamics.RTOL_FLOOR == 100 * np.finfo(float).eps
@@ -857,31 +986,38 @@ class TestDop853Stepper:
             calls = []
 
             def func(t):
-                calls.append(np.atleast_1d(t))
+                calls.append(np.array(t, dtype=float))
                 return ham.func(t)
-            _, y = dynamics._dop853_segment(replace(ham, func=func), dynamics._schrodinger(ham),
-                                            ground_state(), 0.0, np.array([10e-9]), 30e-9,
-                                            rtol, 1e-16)
-            runs.append((np.concatenate(calls), y))
-        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+            out = dynamics._dop853(replace(ham, func=func), dynamics._schrodinger(ham),
+                                   ground_state()[None], np.array([[0.0], [10e-9], [30e-9]]),
+                                   rtol, 1e-16)
+            runs.append((calls, out))
+
+        def same_calls(x, y):
+            return len(x) == len(y) and all(
+                a.shape == b.shape and np.array_equal(a, b, equal_nan=True) for a, b in zip(x, y))
+        assert same_calls(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
-        assert len(runs[2][0]) != len(runs[1][0]) or np.any(runs[2][0] != runs[1][0])
+        assert not same_calls(runs[2][0], runs[1][0])
 
     def test_a_step_below_the_minimum_raises(self):
         # ten ulp of t = 1 s are 2.2e-15 s, and a 1e25 Hz ZZ term needs steps
         # ten orders shorter: the step control shrinks the step below the minimum
         system = TwoQubitSystem(6.3e9, 4.5e9, 1e25)
-        ham = build_protocol_hamiltonian(system, make_blockade_protocol(system, 30e-9, 0.0))
-        args = (ham, dynamics._schrodinger(ham), np.full(4, 0.5, dtype=complex), 1.0,
-                np.array([]), 1.001, 1e-9, 1e-12)
-        for segment in (dynamics._dop853_segment, dense_oracle.solve_ivp_segment):
-            with pytest.raises(StiffnessError, match=r"failed on \[1\.000e\+00, 1\.001e\+00\]: "
-                                                     "Required step size"):
-                segment(*args)
+        pulse = pi_pulse("truncated_cosine", 1e-3, system.omega1_hz, start_time_s=1.0)
+        ham = build_protocol_hamiltonian(system, dynamics.ProtocolSpec((pulse,), 1.001))
+        generator, y = dynamics._schrodinger(ham), np.full(4, 0.5, dtype=complex)
+        message = r"failed on \[1\.000e\+00, 1\.001e\+00\]: Required step size"
+        with pytest.raises(StiffnessError, match=message):
+            dynamics._dop853(ham, generator, y[None], np.array([[1.0], [pulse.end_time_s]]),
+                             1e-9, 1e-12)
+        with pytest.raises(StiffnessError, match=message):
+            dense_oracle.solve_ivp_segment(ham, generator, y, 1.0, np.array([]),
+                                           pulse.end_time_s, 1e-9, 1e-12)
 
     def test_a_stacked_lindblad_grid_leaves_no_garbage(self):
         # the stepper holds no solver object and makes no reference cycle, so
-        # no segment's stage arrays wait for the cycle collector
+        # no round's stage arrays wait for the cycle collector
         prots = grid_protocols(SYSTEM, 1e-9 * np.array(BENCH_OPEN_DELAYS),
                                1e-9 * np.array(BENCH_OPEN_LENGTHS), readout_pad_s=200e-9)
         gc.collect()

@@ -18,6 +18,7 @@ from zzkit import (
 from zzkit.circuit import foster_impedance
 from zzkit.cli import main
 from zzkit.dynamics import (
+    GRID_RTOL,
     DissipationSpec,
     TwoQubitSystem,
     make_blockade_protocol,
@@ -560,7 +561,7 @@ class TestBlockadeCommand:
                              ids=["closed", "lindblad"])
     def test_protocol_file_row_is_the_protocol_run_readout(self, tmp_path, dissipation):
         # a protocol file runs as a one-point grid: in the rotating frame its row
-        # is the per-point run's last population
+        # is the per-point run's last population at the grid's tolerance
         protocol = {"delay_s": 40e-9, "pulses": [
             {"shape": "truncated_cosine", "amplitude_hz": 1.0 / 20e-9, "duration_s": 20e-9,
              "carrier_hz": 4.498e9, "target_qubit": 2},
@@ -577,7 +578,7 @@ class TestBlockadeCommand:
         assert main(["--config", cfg, "--out", out, "blockade"]) == 0
         row, = read_blockade_csv(out)
         spec, dissipation, _ = load_protocol_file(ppath)
-        want = run_blockade_protocol(system, spec, dissipation)
+        want = run_blockade_protocol(system, spec, dissipation, rtol=GRID_RTOL)
         assert (row["delay_s"], row["pulse_len_s"]) == (40e-9, 20e-9)
         assert row["p1_e"] == pytest.approx(want.p_excited(1)[-1], abs=1e-12)
         assert row["p2_e"] == pytest.approx(want.p_excited(2)[-1], abs=1e-12)

@@ -687,7 +687,8 @@ def _schedules(ham, grid):
     count = np.array([len(row) for row in table])
     padded = np.zeros((len(table), max(1, count.max()), 3))
     for cells, row in zip(padded, table):
-        cells[:len(row)] = row
+        if row:
+            cells[:len(row)] = row
     return padded[..., 0], padded[..., 1], padded[..., 2] > 0, count
 
 

@@ -756,6 +756,16 @@ class TestBlockadeGrid:
                                      atol=1e-15)
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-10)
 
+    def test_readout_before_the_first_drive_reads_the_initial_state(self):
+        # a protocol file may read out at or before t = 0: that point has no
+        # segment to run, and the others of its grid still step
+        pulse = pi_pulse("rectangular", 10e-9, SYSTEM.omega1_hz)
+        prots = [dynamics.ProtocolSpec((pulse,), total) for total in (-5e-9, 0.0, 5e-9, 30e-9)]
+        got = readout_populations(run_blockade_grid(SYSTEM, prots))
+        np.testing.assert_array_equal(got[:2], [[1.0, 0.0, 0.0, 0.0]] * 2)
+        want = per_point_populations(SYSTEM, prots[2:], rtol=dynamics.GRID_RTOL)
+        np.testing.assert_allclose(got[2:], want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("sigma_fraction", [100, 1000])
     def test_narrow_gaussian_is_never_stepped_over(self, sigma_fraction):
         # a gaussian far narrower than its window leaves the state at rest at

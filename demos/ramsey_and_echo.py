@@ -24,7 +24,7 @@ print(f"model zeta = {system.zeta_hz / 1e6:.4f} MHz "
       f"(4 x beta_5 from the device decomposition)")
 
 grid = np.linspace(0.0, 2e-6, 4001)
-f0, f1 = run_conditional_ramsey(system, (0, 1), grid)
+f0, f1 = run_conditional_ramsey(system, grid)
 print(f"fringe with spectator |0>: {f0 / 1e6:.4f} MHz")
 print(f"fringe with spectator |1>: {f1 / 1e6:.4f} MHz")
 print(f"difference: {abs(f1 - f0) / 1e6:.4f} MHz\n")

@@ -358,7 +358,7 @@ def cmd_ramsey(cfg, out):
     cfg = zio.parse(cfg, RAMSEY_FIELDS, "ramsey")
     with zio.config_errors("ramsey"):
         system = _blockade_system(cfg)
-    fringes = run_conditional_ramsey(system, (0, 1), cfg["free_time_s"],
+    fringes = run_conditional_ramsey(system, cfg["free_time_s"],
                                      drive_offset_hz=cfg["drive_offset_hz"])
     zio.write_csv(out, zio.RAMSEY_HEADER, enumerate(fringes))
     inferred = abs(fringes[1] - fringes[0])

@@ -280,24 +280,32 @@ class TimeDependentHamiltonian:
 
     func: object                # t -> (..., M) real c_m (c_0 = 1); stacks: (..., K) -> (..., K, M)
     operators: np.ndarray       # (M, dim, dim) Hermitian O_m, in rad/s per unit coefficient
-    breakpoints: tuple          # envelope support edges and gaussian peaks, of every point
-    active_intervals: tuple     # (start, end) windows in which drives are on, of every point
+    points: tuple               # each protocol's (edges, intervals): its envelope support edges
+                                # and gaussian peaks, and the (start, end) windows of its drives
     always_time_dependent: bool = False
     max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
-    points: tuple = ()          # each protocol's own (breakpoints, active_intervals)
 
     @property
     def dim(self):
         return self.operators.shape[-1]
 
+    @property
+    def breakpoints(self):
+        """The edges of every point."""
+        return tuple(sorted({e for edges, _ in self.points for e in edges}))
+
+    @property
+    def active_intervals(self):
+        """The drive windows of every point."""
+        return tuple(sorted({iv for _, intervals in self.points for iv in intervals}))
+
     def matrix(self, t):
         return _combine(self.func(t), self.operators)
 
-    def is_static_on(self, a, b, intervals=None):
-        """Whether no drive is on inside (a, b): of any point, or of the given intervals."""
+    def is_static_on(self, a, b, intervals):
+        """Whether H is static inside (a, b) when its drives are on in intervals only."""
         if self.always_time_dependent:
             return False
-        intervals = self.active_intervals if intervals is None else intervals
         return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in intervals)
 
 
@@ -354,13 +362,6 @@ def _pulse_stack(rows, stacked):
     return field, envelope, tuple(window(row) for row in rows)
 
 
-def _hamiltonian(func, operators, windows, **kw):
-    """A TimeDependentHamiltonian whose breakpoints and intervals are those of every point."""
-    return TimeDependentHamiltonian(
-        func, operators, tuple(sorted({e for edges, _ in windows for e in edges})),
-        tuple(sorted({iv for _, intervals in windows for iv in intervals})), points=windows, **kw)
-
-
 def _used(operators, static, weights, always=()):
     """Drop the operators no point reaches (static (..., M) and pulse weights (..., J, M) zero)."""
     used = static.reshape(-1, len(operators)).any(0) | weights.reshape(-1, len(operators)).any(0)
@@ -392,8 +393,8 @@ def _lab_stack(system, rows, stacked):
         drive = envelope(t) * np.sin(carrier * t[..., None] + phase)
         return static + _contract(drive, weights)
 
-    return _hamiltonian(func, operators, windows,
-                        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz))
+    return TimeDependentHamiltonian(func, operators, windows,
+                                    max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz))
 
 
 def _frame_levels(system, f1_hz, f2_hz):
@@ -453,7 +454,7 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
     exchange_turns = exchange_on and bool(np.any(delta_d != 0))
     rate_hz = max(np.abs(delta_d).max(), np.abs(levels).max(), abs(jpm),
                   field("amplitude_hz").sum(axis=-1).max(initial=0.0))
-    return _hamiltonian(
+    return TimeDependentHamiltonian(
         func, operators, windows, always_time_dependent=exchange_turns,
         max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None)
 
@@ -893,9 +894,10 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     out = np.empty((len(axis),) + y.shape, dtype=complex)
     out[0] = y
     step_s = ham.max_step_s * min(1.0, max(rtol, RTOL_FLOOR) / RTOL_DEFAULT) ** (1.0 / 6.0)
+    intervals = ham.active_intervals
     for a, b in _segments(axis[0], axis[-1], ham.breakpoints):
         mask = (axis > a + 1e-18) & (axis <= b + 1e-18)
-        if ham.is_static_on(a, b):
+        if ham.is_static_on(a, b, intervals):
             g = generator.matrix(ham.func(np.array([0.5 * (a + b)])))
             offsets = np.append(axis[mask], b) - a
             u = _expm_real(g * offsets.reshape((-1,) + (1,) * g.ndim))
@@ -1037,8 +1039,8 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
     gives one Hamiltonian whose func returns the (..., K, M) stack of their
     coefficients over one operator basis, taking per-point times on a
     trailing K axis: every protocol keeps its own pulse clock, targets,
-    phases and frame.  The breakpoints and active intervals are those of all
-    points, and points holds each point's own.
+    phases and frame, and points holds each protocol's own edges and drive
+    windows.
     """
     stacked = not isinstance(protocol, ProtocolSpec)
     protocols = tuple(protocol) if stacked else (protocol,)
@@ -1089,47 +1091,30 @@ def run_blockade_grid(system, protocols, dissipation=None):
     DissipationSpec, under their stacked Hamiltonian by one evolve_schrodinger
     or evolve_lindblad call, whose norm-drift retry or trace and positivity
     checks cover every point.  Each point runs on its own time axis from the
-    grid's start: where the Hamiltonian is static after a point's last pulse
-    edge (it is not always_time_dependent), to that edge, then over the rest
-    of its time by one exact exponential; otherwise to its readout instant,
-    total_time_s.  On DOP853 every point keeps its own clock (see _dop853),
-    and the grid holds every point to rtol GRID_RTOL = RTOL_DEFAULT / 10, so
-    each lies within 2e-10 of a far tighter run of run_blockade_protocol, the
-    per-point path, and within 1e-9 of its default-tolerance run, however many
-    points the grid has.  Returns a SimulationResult with the readout instants
-    as times_s and one population per point.
+    grid's start to its readout instant, total_time_s.  On DOP853 every point
+    keeps its own clock and jumps its drive-free stretch before the readout
+    by one exact exponential (see _dop853), and the grid holds every point
+    to rtol GRID_RTOL = RTOL_DEFAULT / 10, so each lies within 2e-10 of a far
+    tighter run of run_blockade_protocol, the per-point path, and within
+    1e-9 of its default-tolerance run, however many points the grid has.
+    Magnus stacks run one clock over every point's readout (see _propagate).
+    Returns a SimulationResult with the readout instants as times_s and one
+    population per point.
     """
     protocols = tuple(protocols)
     ham = build_protocol_hamiltonian(system, protocols)
     readout = np.array([p.total_time_s for p in protocols], dtype=float)
-    stop = readout
-    if not ham.always_time_dependent:
-        last_edge = [max((q.end_time_s for q in p.pulses), default=0.0) for p in protocols]
-        stop = np.minimum(last_edge, readout)
-    grid = np.array([np.full(len(stop), min(0.0, stop.min())), stop])
+    grid = np.array([np.full(len(readout), min(0.0, readout.min())), readout])
     rtol = RTOL_DEFAULT if ham.max_step_s else GRID_RTOL     # Magnus steps: one clock, no norm
     if dissipation is None:
         psi0 = np.zeros((len(protocols), 4), dtype=complex)
         psi0[:, 0] = 1.0
-        result = evolve_schrodinger(ham, psi0, grid, rtol=rtol, keep_states=True)
-        generator, y = _schrodinger(ham), result.states[-1]
+        result = evolve_schrodinger(ham, psi0, grid, rtol=rtol)
     else:
         rho0 = np.zeros((len(protocols), 4, 4), dtype=complex)
         rho0[:, 0, 0] = 1.0
-        result = evolve_lindblad(ham, rho0, dissipation, grid, rtol=rtol, keep_states=True)
-        generator, y = _lindblad(ham, dissipation), result.states[-1].reshape(-1, 16)
-    tail = readout - stop
-    if tail.any():
-        # at its readout, past its last pulse edge, each point's Hamiltonian is static
-        g = generator.matrix(ham.func(readout))
-        y = (_expm_real(g * tail[:, None, None]) @ y.view(float)[..., None])[..., 0].view(complex)
-    if dissipation is None:
-        pops = np.abs(y) ** 2
-    else:
-        rho = y.reshape(-1, 4, 4)
-        _density_drift(rho)
-        pops = np.einsum("kii->ki", rho).real
-    return SimulationResult(readout, {lab: pops[:, k] for k, lab in enumerate(BASIS_LABELS)},
+        result = evolve_lindblad(ham, rho0, dissipation, grid, rtol=rtol)
+    return SimulationResult(readout, {lab: pops[-1] for lab, pops in result.populations.items()},
                             norm_drift=result.norm_drift)
 
 
@@ -1222,20 +1207,17 @@ def _half_pi_propagator(system, drive_freq_hz):
     return u[0::2, 0::2] + 1j * u[1::2, 0::2]
 
 
-def run_conditional_ramsey(system, spectator_state, free_time_grid_s, drive_offset_hz=None):
-    """Fringe frequency of a pi/2 - wait - pi/2 sequence on qubit 1.
+def run_conditional_ramsey(system, free_time_grid_s, drive_offset_hz=None):
+    """Fringe frequencies (f0, f1) of a pi/2 - wait - pi/2 sequence on qubit 1.
 
-    The drive sits drive_offset_hz below the spectator-in-ground transition
-    (default 1.5 |zeta| + 5 MHz so both conditional fringes stay on the same
-    side); the fitted fringe frequency is |transition - drive|.  The qubit-2
-    exchange terms are dropped (dispersive operation).  spectator_state 0 or
-    1 gives one fringe; a sequence of them, such as (0, 1), gives the list of
-    their fringes from one pi/2 propagator and one phase table.  Subtract the
-    spectator-0 and spectator-1 fringes to read off zeta.
+    f0 is the fringe with the spectator (qubit 2) in |0>, f1 with it in |1>;
+    both come from one pi/2 propagator and one phase table.  The drive sits
+    drive_offset_hz below the spectator-in-ground transition (default
+    1.5 |zeta| + 5 MHz so both conditional fringes stay on the same side); a
+    fitted fringe frequency is |transition - drive|.  The qubit-2 exchange
+    terms are dropped (dispersive operation).  Subtract f0 from f1 to read
+    off zeta.
     """
-    states = [spectator_state] if np.ndim(spectator_state) == 0 else list(spectator_state)
-    if any(state not in (0, 1) for state in states):
-        raise ValueError("spectator_state must be 0 or 1")
     if drive_offset_hz is None:
         drive_offset_hz = 1.5 * abs(system.zeta_hz) + 5e6
     f_drive = system.omega1_hz - drive_offset_hz
@@ -1246,13 +1228,13 @@ def run_conditional_ramsey(system, spectator_state, free_time_grid_s, drive_offs
     grid = np.asarray(free_time_grid_s, dtype=float)
     phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
     fringes = []
-    for state in states:
+    for spectator in (0, 1):
         psi0 = np.zeros(4, dtype=complex)
-        psi0[1 if state else 0] = 1.0
+        psi0[spectator] = 1.0                # |0, spectator>
         psi1 = u_half @ psi0
         final = (phases * psi1[None, :]) @ u_half.T
         fringes.append(_fit_fringe(grid, np.abs(final[:, 2]) ** 2 + np.abs(final[:, 3]) ** 2))
-    return fringes[0] if np.ndim(spectator_state) == 0 else fringes
+    return tuple(fringes)
 
 
 def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s):

@@ -351,7 +351,7 @@ class TestCarrierResolvedSegments:
         generator = dynamics._schrodinger(ham)
         errors = {1: [], 2: []}
         for a, b in dynamics._segments(grid[0], grid[-1], ham.breakpoints):
-            if ham.is_static_on(a, b):
+            if ham.is_static_on(a, b, ham.active_intervals):
                 continue
             start, end = np.searchsorted(times, (a, b))
             for halving in errors:
@@ -1130,8 +1130,7 @@ class TestConditionalRamsey:
     def test_zero_zeta_equal_fringes(self):
         system = TwoQubitSystem(6.307e9, 4.498e9, 0.0)
         grid = np.linspace(0, 1e-6, 2001)
-        f0 = run_conditional_ramsey(system, 0, grid)
-        f1 = run_conditional_ramsey(system, 1, grid)
+        f0, f1 = run_conditional_ramsey(system, grid)
         assert f1 == pytest.approx(f0, rel=1e-9)
 
     # SYSTEM is chip1's blockade point; the 33.5 MHz windows of 401 points are
@@ -1145,7 +1144,7 @@ class TestConditionalRamsey:
     ])
     def test_fringe_at_drive_detuning(self, window_s, n_points, offset_hz, spectator):
         grid = np.linspace(0, window_s, n_points)
-        f = run_conditional_ramsey(SYSTEM, spectator, grid, drive_offset_hz=offset_hz)
+        f = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)[spectator]
         assert f == pytest.approx(offset_hz + spectator * SYSTEM.zeta_hz, rel=1e-3)
 
     # zzbench's ramsey inputs: 19 windows of 401 points at a 33.5 MHz offset, and
@@ -1156,10 +1155,10 @@ class TestConditionalRamsey:
         (np.linspace(0.0, 1e-6, 101), None),
     ], ids=[*(f"window-{k}00ns" for k in range(2, 21)), "warm-up"])
     def test_linear_prediction_matches_curve_fit_oracle(self, monkeypatch, grid, offset_hz):
-        new = [run_conditional_ramsey(SYSTEM, s, grid, drive_offset_hz=offset_hz) for s in (0, 1)]
+        new = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)
         monkeypatch.setattr(dynamics, "_fit_fringe",
                             lambda t, x: dense_oracle.curve_fit_fringe(t, x)[0])
-        old = [run_conditional_ramsey(SYSTEM, s, grid, drive_offset_hz=offset_hz) for s in (0, 1)]
+        old = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)
         assert new == pytest.approx(old, rel=1e-12, abs=0)
 
     def test_non_uniform_grid_raises(self):
@@ -1168,7 +1167,7 @@ class TestConditionalRamsey:
         grid = np.linspace(0.0, 200e-9, 401)
         uneven = np.sort(np.concatenate([grid[::2], grid[1:100:2] + 0.3e-9]))
         with pytest.raises(ValueError, match="evenly spaced"):
-            run_conditional_ramsey(SYSTEM, 1, uneven, drive_offset_hz=33.5e6)
+            run_conditional_ramsey(SYSTEM, uneven, drive_offset_hz=33.5e6)
 
     @pytest.mark.parametrize("n_points", [2, 3])
     def test_fit_needs_four_samples(self, n_points):
@@ -1205,8 +1204,7 @@ class TestConditionalRamsey:
     def test_beta_table_model_fringe_difference(self, chip1):
         system = TwoQubitSystem.from_pauli_decomposition(chip1.beta)
         grid = np.linspace(0, 2e-6, 4001)
-        f0 = run_conditional_ramsey(system, 0, grid)
-        f1 = run_conditional_ramsey(system, 1, grid)
+        f0, f1 = run_conditional_ramsey(system, grid)
         assert abs(f1 - f0) == pytest.approx(abs(system.zeta_hz), rel=1e-3)
         assert abs(system.zeta_hz) == pytest.approx(15.25e6, rel=1e-4)
 

@@ -660,7 +660,7 @@ def _rms(x):
 
 def _min_step(t):
     """scipy's smallest step from t: 10 ulp."""
-    return 10 * np.abs(np.nextafter(t, np.inf) - t)
+    return 10 * (np.nextafter(t, np.inf) - t)
 
 
 _STEP, _DONE, _PROBE, _SIZE, _JUMP = range(5)     # a point's action in a DOP853 round
@@ -708,9 +708,14 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     action a round (a step attempt, one of the probe's two evaluations, or a
     wait once it is done): all stage times of a round go to ham.func in one
     (12, K) call, idle slots NaN, and each stage is one right-hand side over
-    the whole stack.  A point that reaches a drive-free stretch jumps it at
-    the start of the next round, its coefficients from that call's last
-    row, and probes the segment after it in the same round.  A grid time
+    the whole stack.  A point that reaches a drive-free stretch between two
+    driven segments jumps it at the start of the next round, its
+    coefficients from that call's last row, and probes the segment after it
+    in the same round; the stretches that end the points' runs (a readout
+    after the last pulse) are jumped together after the last round, from
+    one more (1, K) call.  A round in which every point steps skips the
+    masks of idle points, and one in which every attempt passes takes the
+    new states whole.  A grid time
     inside a step is read from scipy's dense output, whose 3 extra stages
     come from one more call; a time within 1e-18 of a segment's end is read
     at that end.  Raises StiffnessError when a point's step falls below its
@@ -735,6 +740,18 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
         current = np.minimum(seg, starts.shape[1] - 1)
         return starts[points, current], ends[points, current]
 
+    def leap(mask, g):
+        """The points of mask over their drive-free segments (a, b), by the exact
+        exponentials of their generator matrices g, with the grid times inside."""
+        which = np.flatnonzero(mask)
+        j, p = reached(mask & (grid <= b + 1e-18))
+        offsets = np.concatenate([grid[j, p] - a[p], (b - a)[which]])
+        slot = np.concatenate([np.searchsorted(which, p), np.arange(len(which))])
+        u = _expm_real(g[slot] * offsets[:, None, None])
+        y = (u @ v[np.concatenate([p, which])][..., None])[..., 0]
+        out[j, p], v[which] = y[:len(j)], y[len(j):]
+        t[which], seg[which] = b[which], seg[which] + 1
+
     v = np.ascontiguousarray(y0).view(float).copy()
     width = v.shape[-1]
     out = np.empty((len(grid),) + v.shape)
@@ -742,7 +759,10 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     out[j, p] = v[p]
     t, seg = grid[0].copy(), np.zeros(len(y0), dtype=int)
     a, b = bounds()
-    mode = np.where(count == 0, _DONE, np.where(driven[:, 0], _PROBE, _JUMP))
+    # a point whose run ends in a drive-free stretch stops before it, for one jump of all
+    final = (count > 0) & ~driven[points, np.maximum(count - 1, 0)]
+    stops = count - final
+    mode = np.where(stops == 0, _DONE, np.where(driven[:, 0], _PROBE, _JUMP))
     f = np.zeros_like(v)
     h_abs, h0, d1 = np.zeros(len(y0)), np.zeros(len(y0)), np.zeros(len(y0))
     rejected = np.zeros(len(y0), dtype=bool)
@@ -750,6 +770,7 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     # previous[s] holds every point's first s stages, so np.dot(previous[s], w) forms
     # sum_j w[j] k[j] as scipy's rk_step forms it for one state, and rounds it alike
     previous = [k.reshape(len(k), -1)[:s].T for s in range(n_stages + 2)]
+    err = np.empty((2,) + v.shape)                       # a step's E5 and E3 estimates
     changed = True
     with np.errstate(divide="ignore", invalid="ignore"):      # idle points run on NaN
         while True:
@@ -758,28 +779,22 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
                 stepping, starting = step.any(), np.any(mode > _DONE)
                 if not (stepping or starting):
                     break
+                every = bool(step.all())     # no point idle: no NaN slot, no masked update
                 if starting:
                     jump, size = mode == _JUMP, mode == _SIZE
-                    probe = (mode == _PROBE) | (jump & (seg + 1 < count))
+                    probe = (mode == _PROBE) | jump
             # a point's h_abs only steers its steps: probes set it anew
-            t_new = np.minimum(t + h_abs * step, b)
+            t_new = np.minimum(t + (h_abs if every else h_abs * step), b)
             h_abs = h = t_new - t
-            times = np.where(step, t + h * _STAGE_TIMES, np.nan)
+            times = t + h * _STAGE_TIMES
+            if not every:
+                times[:, ~step] = np.nan
             if starting:
                 times[0] = np.where(probe, np.where(jump, b, a), np.where(size, a + h0, times[0]))
                 times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
             c = ham.func(times)
             if starting and jump.any():
-                which = np.flatnonzero(jump)
-                g = generator.matrix(c[-1, which])
-                j, p = reached(jump & (grid <= b + 1e-18))
-                offsets = np.concatenate([grid[j, p] - a[p], (b - a)[which]])
-                slot = np.concatenate([np.searchsorted(which, p), np.arange(len(which))])
-                u = _expm_real(g[slot] * offsets[:, None, None])
-                y = (u @ v[np.concatenate([p, which])][..., None])[..., 0]
-                out[j, p], v[which] = y[:len(j)], y[len(j):]
-                t[which], seg[which] = b[which], seg[which] + 1
-                mode[which] = np.where(seg[which] < count[which], _PROBE, _DONE)
+                leap(jump, generator.matrix(c[-1, jump]))
                 a, b = bounds()
             k[0] = f
             hc = h[:, None]
@@ -810,30 +825,39 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
             v_new = v + hc * np.dot(previous[n_stages], b_vec).reshape(v.shape)
             k[n_stages] = generator.apply(c[-1], v_new)
             scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
-            err5, err3 = (_norm(np.dot(previous[n_stages + 1], e).reshape(v.shape) / scale) ** 2
-                          for e in (DOP853.E5, DOP853.E3))
+            for e, row in zip((DOP853.E5, DOP853.E3), err.reshape(2, -1)):
+                np.dot(previous[n_stages + 1], e, out=row)
+            err5, err3 = _norm(err / scale) ** 2
             mix = err5 + 0.01 * err3
             error = np.where(mix == 0, 0.0, h * err5 / np.sqrt(mix * width))
-            factor = _SAFETY * error ** _ERROR_EXPONENT
-            accept = step & (error < 1)
-            grow = np.minimum(np.where(rejected, 1, _MAX_FACTOR), factor)
-            h_abs = h_abs * np.where(accept, grow, np.where(step, np.fmax(_MIN_FACTOR, factor), 1))
+            accept = error < 1 if every else step & (error < 1)
+            # scipy's factor: min(10, 0.9 error^(-1/8)) on acceptance, at most 1 just after
+            # a rejection, and max(0.2, 0.9 error^(-1/8)) on rejection, 0.2 for a NaN error
+            limit = np.where(rejected, 1.0, _MAX_FACTOR)
+            factor = np.fmin(np.fmax(_SAFETY * error ** _ERROR_EXPONENT, _MIN_FACTOR), limit)
+            h_abs = h_abs * factor if every else np.where(step, h_abs * factor, h_abs)
             rejected = step ^ accept
             if interior:
                 j, p = reached(accept & (grid <= t_new) & (grid < b - 1e-18))
                 if len(j):
                     out[j, p] = _dop853_dense(ham, generator, k, t, v, h, v_new, grid[j, p], p)
-            v = np.where(accept[:, None], v_new, v)
-            f = np.where(accept[:, None], k[n_stages], f)
-            t = np.where(accept, t_new, t)
+            if accept.all():
+                t, v, f = t_new, v_new, k[n_stages].copy()
+            else:
+                t = np.where(accept, t_new, t)
+                v = np.where(accept[:, None], v_new, v)
+                f = np.where(accept[:, None], k[n_stages], f)
             # a step starts at least 10 ulp of t long, and a retry below that fails
             min_step = _min_step(t)
-            stuck = np.flatnonzero(rejected & (h_abs < min_step))
-            if len(stuck):
-                q = stuck[0]
-                raise StiffnessError(f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
-                                     "Required step size is less than spacing between numbers.")
-            h_abs = np.maximum(h_abs, min_step)
+            short = h_abs < min_step
+            if short.any():
+                stuck = np.flatnonzero(rejected & short)
+                if len(stuck):
+                    q = stuck[0]
+                    raise StiffnessError(
+                        f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
+                        "Required step size is less than spacing between numbers.")
+                h_abs = np.maximum(h_abs, min_step)
             ended = accept & (t_new == b)
             if ended.any():
                 j, p = reached(ended & (grid <= b + 1e-18))
@@ -842,8 +866,11 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
                 a, b = bounds()
                 after = np.where(driven[points, np.minimum(seg, starts.shape[1] - 1)],
                                  _PROBE, _JUMP)
-                mode = np.where(ended, np.where(seg < count, after, _DONE), mode)
+                mode = np.where(ended, np.where(seg < stops, after, _DONE), mode)
                 changed = True
+    if final.any():
+        c = ham.func(np.where(final, 0.5 * (a + b), np.nan)[None])[0]
+        leap(final, generator.matrix(c[final]))
     return out.view(complex)
 
 
@@ -856,8 +883,10 @@ def _dop853_dense(ham, generator, k, t, v, h, v_new, times, p):
     stage = np.full((len(DOP853.C_EXTRA), len(v)), np.nan)
     stage[:, p] = (t + h * DOP853.C_EXTRA[:, None])[:, p]
     flat, hc = k.reshape(len(k), -1), h[:, None]
-    for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, ham.func(stage)), start=DOP853.n_stages + 1):
-        k[s] = generator.apply(c, v + np.dot(flat[:s].T, row[:s]).reshape(v.shape) * hc)
+    for s, (row, g) in enumerate(zip(DOP853.A_EXTRA, generator.matrix(ham.func(stage))),
+                                 start=DOP853.n_stages + 1):
+        y = v + np.dot(flat[:s].T, row[:s]).reshape(v.shape) * hc
+        np.matmul(g, y[..., None], out=k[s, ..., None])
     dv = v_new - v
     poly = [dv, hc * k[0] - dv, 2 * dv - hc * (k[DOP853.n_stages] + k[0]),
             *hc * np.dot(DOP853.D, flat).reshape((-1,) + v.shape)]

@@ -801,15 +801,18 @@ def point_events(calls, k):
 
     A round's (12, K) call holds a step attempt's stage times (all finite),
     or one probe evaluation in its first row (its last row finite too when
-    the point jumped a drive-free stretch just before), or a jump alone in
-    its last row; a (3, K) call holds a dense output's extra stage times.
+    the point jumped a drive-free stretch just before); a (3, K) call holds
+    a dense output's extra stage times, and the last, (1, K) call the
+    midpoints of the drive-free stretches that end the points' runs.
     Returns ("attempt", start, h), ("probe", time), ("dense",), ("jump",) or
     ("idle",) per call.
     """
     events = []
     for times in calls:
         col = times[:, k]
-        if len(col) == len(DOP853.C_EXTRA):
+        if len(col) == 1:
+            events.append(("jump",) if np.isfinite(col[0]) else ("idle",))
+        elif len(col) == len(DOP853.C_EXTRA):
             events.append(("dense",) if np.isfinite(col).all() else ("idle",))
         elif np.isfinite(col).all():
             h = (col[-1] - col[0]) / (1.0 - DOP853.C[1])
@@ -817,7 +820,7 @@ def point_events(calls, k):
         elif np.isfinite(col[0]):
             events.append(("probe", col[0]))
         else:
-            events.append(("jump",) if np.isfinite(col[-1]) else ("idle",))
+            events.append(("idle",))
     return events
 
 

@@ -715,11 +715,10 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     after the last pulse) are jumped together after the last round, from
     one more (1, K) call.  A round in which every point steps skips the
     masks of idle points, and one in which every attempt passes takes the
-    new states whole.  A grid time
-    inside a step is read from scipy's dense output, whose 3 extra stages
-    come from one more call; a time within 1e-18 of a segment's end is read
-    at that end.  Raises StiffnessError when a point's step falls below its
-    minimum.
+    new states whole.  A grid time inside a step is read from scipy's dense
+    output, whose 3 extra stages come from one more call; a time within
+    1e-18 of a segment's end is read at that end.  Raises StiffnessError
+    when a point's step falls below its minimum.
     """
     rtol = max(rtol, RTOL_FLOOR)
     n_stages, a_mat, b_vec = DOP853.n_stages, DOP853.A, DOP853.B
@@ -741,8 +740,8 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
         return starts[points, current], ends[points, current]
 
     def leap(mask, g):
-        """The points of mask over their drive-free segments (a, b), by the exact
-        exponentials of their generator matrices g, with the grid times inside."""
+        """Carry the points of mask across their drive-free segments (a, b) by the
+        exact exponentials of their generator matrices g, reading the grid times inside."""
         which = np.flatnonzero(mask)
         j, p = reached(mask & (grid <= b + 1e-18))
         offsets = np.concatenate([grid[j, p] - a[p], (b - a)[which]])

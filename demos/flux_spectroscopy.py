@@ -18,13 +18,15 @@ q1 = chip.qubits[0].transmon(0.5)
 q2 = chip.qubits[1].transmon()
 coupling = chip.coupling()
 
-# both qubits over the whole grid in one solve, as flux-spectroscopy does
+# qubit 1 solved once at its bias, qubit 2 over the whole grid in one solve, as
+# flux-spectroscopy does
+s1 = transmon_spectrum(q1)
 fluxes = np.linspace(-0.2, -0.01, 61)
-bare2, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
+bare2, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
 lower, upper = pairs.T
 
-j, flux_min = refine_crossing(q1, q2, coupling, fluxes, upper - lower)
-omega1 = transmon_spectrum(q1).omega01_hz
+j, flux_min = refine_crossing(s1, q2, coupling, fluxes, upper - lower)
+omega1 = s1.omega01_hz
 print(f"qubit 1 parked at {omega1 / 1e9:.4f} GHz")
 print(f"minimum splitting 2J = {2 * j / 1e6:.1f} MHz at flux "
       f"{flux_min:.4f} Phi0")

@@ -8,7 +8,9 @@ where the left-hand side is either a pair of SQUID transmons with an explicit
 coupling capacitance, or a Foster network (series of parallel LC(R) stages)
 with junction participations.  All energies are stored as E/h in Hz.
 A transmon pair has one reduction, transmon_pair, to the (omega01, alpha, g)
-columns of dressed_blocks: the optimizer, flux scan and circuit files share it.
+columns of dressed_blocks: the optimizer and circuit files share it.  The flux
+scan, whose qubit 1 sits at one bias, solves that qubit once and qubit 2 over
+the grid by transmon_levels.
 The CLI exits 2 naming the field for a circuit file's C12 outside [0, min
 C_sigma), and for a circuit-file qubit or flux-spectroscopy bias with E_J/E_C < 1.
 """

@@ -127,7 +127,7 @@ def cmd_zz_sweep(cfg, out):
                zeta_series_high_detuning(g, deltas, alpha1, alpha2, order=cfg["series_order"])]
     # a NaN (no exact value, a point by a pole or outside the series' domain) is an empty cell
     columns = [np.where(np.isnan(c), None, c).tolist() for c in columns]
-    zio.write_csv(out, zio.ZZ_SWEEP_HEADER, zip(deltas.tolist(), *columns, flags.tolist()))
+    zio.write_csv(out, zio.ZZ_SWEEP_HEADER, [deltas, *columns, flags.tolist()])
 
     if cfg["spectrum_json"]:
         params = KerrParams(np.array([omega1, omega2[0]]), np.array([alpha1, alpha2]),
@@ -186,16 +186,16 @@ def cmd_blockade(cfg, out):
                 readout_pad_s=cfg["readout_pad_s"]))
                 for delay in cfg["delays_s"] for length in lengths]
 
-    rows = []
+    header = zio.BLOCKADE_HEADER + (zio.BLOCKADE_MEASURED if readout is not None else [])
+    columns = [()] * len(header)
     if points:
         result = run_blockade_grid(system, [protocol for *_, protocol in points], dissipation)
         p = [result.p_excited(1), result.p_excited(2)]
         if readout is not None:
             # each qubit's (P(g), P(e)) through its confusion matrix: the measured P(e)
             p += [(np.stack([1 - pq, pq], -1) @ m)[:, 1] for pq, m in zip(p, readout)]
-        rows = np.column_stack([[point[:2] for point in points], *p]).tolist()
-    zio.write_csv(out, zio.BLOCKADE_HEADER + (zio.BLOCKADE_MEASURED if readout is not None
-                                              else []), rows)
+        columns = [*np.array([point[:2] for point in points], dtype=float).T, *p]
+    zio.write_csv(out, header, columns)
 
     spectral = cfg["spectral"]
     if spectral is not None:
@@ -204,7 +204,7 @@ def cmd_blockade(cfg, out):
         fractions = [pulse_spectral_power(pi_pulse(shape, ln, system.omega1_hz, target_qubit=1,
                                                    gaussian_sigma_s=sigma),
                                           offset, spectral["window_hz"]) for ln in lengths]
-        zio.write_csv(spath, zio.SPECTRAL_HEADER, zip(lengths, fractions))
+        zio.write_csv(spath, zio.SPECTRAL_HEADER, [lengths, fractions])
     return EXIT_OK
 
 
@@ -228,14 +228,14 @@ def cmd_flux_spectroscopy(cfg, out):
     with zio.config_errors("flux-spectroscopy:q1_flux_phi0"):
         s1 = transmon_spectrum(q1)
     with zio.config_errors("flux-spectroscopy:flux_phi0"):
-        omega2, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
-    zio.write_csv(out, zio.FLUX_HEADER, np.column_stack(
-        [fluxes, np.full_like(fluxes, s1.omega01_hz), omega2, pairs]).tolist())
+        omega2, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
+    zio.write_csv(out, zio.FLUX_HEADER,
+                  [fluxes, np.full_like(fluxes, s1.omega01_hz), omega2, *pairs.T])
 
     summary = {"q1_flux_phi0": q1_flux, "omega1_bare_hz": float(s1.omega01_hz)}
     try:
         # the rows' own gaps: the grid is solved once
-        j, flux_min = refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
+        j, flux_min = refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
         summary.update({"two_j_hz": 2.0 * float(j), "flux_at_min_phi0": float(flux_min)})
     except ZZKitError as exc:
         summary.update({"two_j_hz": None, "flux_at_min_phi0": None,
@@ -315,8 +315,9 @@ def cmd_optimize(cfg, out, seed_override=None):
         "seed": problem.de_params.seed,
     }
     zio.write_json(out, payload)
+    # the header names GenerationRecord's fields
     zio.write_csv(str(out) + ".history.csv", zio.HISTORY_HEADER,
-                  [(h.generation, h.best_zeta_hz, h.n_feasible) for h in history])
+                  [[getattr(h, name) for h in history] for name in zio.HISTORY_HEADER])
     print(json.dumps({"zeta_hz": best.zeta_hz, "feasible": bool(best.feasible)},
                      sort_keys=True))
     return EXIT_OK
@@ -360,7 +361,7 @@ def cmd_ramsey(cfg, out):
         system = _blockade_system(cfg)
     fringes = run_conditional_ramsey(system, cfg["free_time_s"],
                                      drive_offset_hz=cfg["drive_offset_hz"])
-    zio.write_csv(out, zio.RAMSEY_HEADER, enumerate(fringes))
+    zio.write_csv(out, zio.RAMSEY_HEADER, [range(len(fringes)), fringes])
     inferred = abs(fringes[1] - fringes[0])
     print(json.dumps({"zeta_inferred_hz": inferred,
                       "zeta_model_hz": system.zeta_hz}, sort_keys=True))

@@ -7,14 +7,19 @@ number, keys that exclude each other (a OneOf row) are not given together,
 and each error is a ConfigError naming the field path, such as
 `blockade:spectral:window_hz` or `circuit.json:qubits[1]:ec_hz`.  Every
 CSV output goes through write_csv, which writes numbers with shortest
-round-trip float formatting, so reruns are byte identical.
+round-trip float formatting, so reruns are byte identical.  It formats a
+column at a time, one pass per column, and writes the file in one call; a
+str cell holding a comma, a double quote, CR or LF is quoted as csv.writer
+quotes it.  Response samples are parsed by numpy's C reader.
 """
 
 import csv
 import functools
 import json
+import re
 import reprlib
 import sys
+import warnings
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -313,40 +318,96 @@ def load_protocol_file(path, field="protocol"):
 # -------------------------------------------------------------- data files
 
 def load_admittance_csv(path, field="samples_csv"):
-    """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers."""
+    """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers.
+
+    numpy's C reader parses the rows: blank lines are skipped and a quoted cell
+    is read as its number.  A cell that is no number, or a row of another
+    length, is a ConfigError naming its line of the file.  Undecodable bytes
+    and an oversized header field are ConfigErrors too.
+    """
     with _open(path, field, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ADMITTANCE_HEADER:
-            raise ConfigError(
-                f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
         try:
-            table = np.array(list(reader), dtype=float)
-        except ValueError as exc:       # a cell that is no number, or rows of unequal length
-            raise ConfigError(f"{path}: {exc}") from exc
-    if table.ndim != 2 or table.shape[1] != 3 or not np.isfinite(table).all():
+            header = next(csv.reader(fh), None)
+            if header != ADMITTANCE_HEADER:
+                raise ConfigError(
+                    f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
+            with warnings.catch_warnings():     # no rows: reported below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path}: {_at_line(path, str(exc))}") from exc
+    if table.size == 0 or table.shape[1] != 3 or not np.isfinite(table).all():
         raise ConfigError(f"{path}: samples must be rows of 3 finite numbers")
     return table[:, 0], table[:, 1:].copy().view(complex)[:, 0]    # (re, im) bit for bit
+
+
+def _at_line(path, message):
+    """A loadtxt error about the rows below path's header, its row as a line of the file.
+
+    loadtxt counts the rows it reads, blank lines not among them, from 0 when
+    a cell is no number and from 1 when the column count changes.
+    """
+    found = re.search(r" at row (\d+)(, column \d+)?", message)
+    if found is None:
+        return message
+    with open(path, errors="replace") as fh:     # undecodable bytes past the bad row
+        lines = [k for k, line in enumerate(fh.read().split("\n")[1:], 2) if line]
+    row = int(found[1]) - (found[2] is None)
+    if row >= len(lines):
+        return message
+    return f"line {lines[row]}{found[2] or ''}: {message[:found.start()]}"
+
+
+_QUOTED = re.compile('[,"\r\n]')      # the characters csv.writer quotes a cell for
+
+
+def _text(s):
+    """A str cell or header name as csv.writer writes it: quoted when it holds , " CR or LF."""
+    s = str(s)
+    return '"' + s.replace('"', '""') + '"' if _QUOTED.search(s) else s
 
 
 def _cell(x):
     if x is None:
         return ""
-    if isinstance(x, (str, int)):
+    if isinstance(x, str):
+        return _text(x)
+    if isinstance(x, int):
         return str(x)
     return repr(float(x))
 
 
-def write_csv(path, header, rows):
-    """Write header, then rows of cells.
+def _column(values):
+    """The cells of one column by the cell rule, formatted in one pass."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        values = values.tolist()        # Python floats, whose repr is repr(float(x))
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map(repr, values))
+    if kinds <= {float, type(None)}:
+        return ["" if x is None else repr(x) for x in values]
+    return list(map(_cell, values))
 
-    None is an empty cell, a str is written as it is, an int as an int, and any
-    other number as repr(float(x)), so NaN is `nan`.
+
+def write_csv(path, header, columns):
+    """Write header, then one row per entry of the columns, in one write.
+
+    columns are sequences of equal length, one per header name.  Every cell
+    follows one rule: None is an empty cell, a str is written as it is, an int
+    as an int, and any other number as repr(float(x)), so NaN is `nan`.  Each
+    column is formatted in one pass, an all-float one by map(repr).  The bytes
+    are csv.writer's: CRLF line ends, and a str holding a comma, a double
+    quote, CR or LF quoted, its double quotes doubled.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lines = [",".join(map(_text, header)),
+             *map(",".join, zip(*map(_column, columns), strict=True))]
+    if len(header) == 1:        # csv.writer quotes a row that is one empty cell
+        lines = [line or '""' for line in lines]
+    lines.append("")            # the last line's end
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_cell(x) for x in row] for row in rows)
+        fh.write("\r\n".join(lines))
 
 
 def _read_csv(path, *headers, str_cols=()):

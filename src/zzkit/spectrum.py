@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import check_transmon, transmon_pair
+from .circuit import check_transmon, transmon_levels
 from .errors import (
     AmbiguousLabelError,
     DomainError,
@@ -321,27 +321,28 @@ def conditional_frequencies(decomp):
     return w1_0, w1_1, w2_0, w2_1
 
 
-def single_excitation_scan(q1, q2, coupling, fluxes):
+def single_excitation_scan(s1, q2, coupling, fluxes):
     """Qubit 2's bare frequencies and the dressed one-excitation pairs over a flux grid.
 
-    q1 and q2 are TransmonSpecs: qubit 1 stays at its own bias, qubit 2 sits at
-    each of fluxes, and transmon_pair solves both over the grid.  Returns omega2
-    (K,) and ascending pairs (K, 2).  check_transmon at the flux of qubit 2's
-    lowest E_J/E_C raises below 1 and warns once below 20.
+    s1 is qubit 1's TransmonSpectrum at its own bias, solved once by the caller
+    (transmon_spectrum); q2 is qubit 2's TransmonSpec, which sits at each of
+    fluxes, and one transmon_levels call solves it over the grid.  Returns
+    omega2 (K,) and ascending pairs (K, 2).  check_transmon at the flux of
+    qubit 2's lowest E_J/E_C raises below 1 and warns once below 20.
     """
     fluxes = np.asarray(fluxes, dtype=float)
     ej2 = q2.at_flux(fluxes).ej_hz
     check_transmon(q2.at_flux(fluxes[np.argmin(ej2)]))
-    ej = np.stack(np.broadcast_arrays(q1.ej_hz, ej2))
-    omega, alpha, g = transmon_pair(ej, [[q1.ec_hz], [q2.ec_hz]], coupling)
-    _, pairs, _ = dressed_blocks(*omega, *alpha, g)
-    return omega[1], pairs
+    omega2, alpha2 = transmon_levels(ej2, q2.ec_hz)
+    _, pairs, _ = dressed_blocks(s1.omega01_hz, omega2, s1.anharmonicity_hz, alpha2,
+                                 coupling.g_at(s1.omega01_hz, omega2))
+    return omega2, pairs
 
 
-def refine_crossing(q1, q2, coupling, fluxes, gaps):
+def refine_crossing(s1, q2, coupling, fluxes, gaps):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
-    gaps[k] is the splitting at fluxes[k], and q1, q2 are as in
+    gaps[k] is the splitting at fluxes[k], and s1, q2 are as in
     single_excitation_scan.  A stacked zoom: each of ZOOM_ROUNDS rounds scans
     ZOOM_POINTS fluxes across the neighbours of the last minimum, the grid's
     first, and the best point seen, the grid's included, is returned.  Raises
@@ -356,7 +357,7 @@ def refine_crossing(q1, q2, coupling, fluxes, gaps):
         warnings.simplefilter("ignore", UserWarning)
         for _ in range(ZOOM_ROUNDS):
             zoom = np.linspace(lo, hi, ZOOM_POINTS)
-            pairs = single_excitation_scan(q1, q2, coupling, zoom)[1]
+            pairs = single_excitation_scan(s1, q2, coupling, zoom)[1]
             gap = pairs[:, 1] - pairs[:, 0]
             i = int(np.argmin(gap))
             best = min(best, (float(gap[i]), float(zoom[i])))

@@ -45,13 +45,19 @@ class RationalFit:
         return _model(s, self.poles, self.residues, self.direct_term)
 
 
+def _conjugates(a, b):
+    """Whether a is close to conj(b): np.isclose(a, conj(b))'s test, on Python complexes."""
+    return abs(a - b.conjugate()) <= 1e-8 + 1e-5 * abs(b)
+
+
 def _pair_index(poles):
     """Classify poles: 0 real, 1 first of a conjugate pair, 2 second."""
     idx = np.zeros(len(poles), dtype=int)
+    poles = np.asarray(poles, dtype=complex).tolist()
     i = 0
     while i < len(poles):
         if abs(poles[i].imag) > 0:
-            if i + 1 >= len(poles) or not np.isclose(poles[i + 1], np.conj(poles[i])):
+            if i + 1 >= len(poles) or not _conjugates(poles[i + 1], poles[i]):
                 raise ValueError("complex poles must come in adjacent conjugate pairs")
             idx[i], idx[i + 1] = 1, 2
             i += 2
@@ -244,7 +250,8 @@ def foster_from_fit(fit):
     modes = []
     res_scale = float(np.max(np.abs(fit.residues))) if len(fit.residues) else 1.0
     seen = set()
-    for k, (p, r) in enumerate(zip(fit.poles, fit.residues)):
+    poles = fit.poles.tolist()
+    for k, (p, r) in enumerate(zip(poles, fit.residues.tolist())):
         if k in seen:
             continue
         if abs(p.imag) <= 1e-12 * max(abs(p), 1.0):
@@ -256,8 +263,8 @@ def foster_from_fit(fit):
             continue
         # locate the conjugate partner
         partner = None
-        for j in range(k + 1, len(fit.poles)):
-            if j not in seen and np.isclose(fit.poles[j], np.conj(p)):
+        for j in range(k + 1, len(poles)):
+            if j not in seen and _conjugates(poles[j], p):
                 partner = j
                 break
         if partner is None:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zzkit import SquidSpec, TransmonSpec, load_fixture
+from zzkit import SquidSpec, TransmonSpec, load_fixture, transmon_spectrum
 from zzkit.spectrum import refine_crossing, single_excitation_scan
 
 
@@ -28,8 +28,9 @@ def make_transmon(ej_hz, ec_hz, d=0.0, flux=0.0):
 
 def crossing(q1, q2, coupling, fluxes):
     """(J, flux at the minimum gap) of qubit 2's flux scan, as flux-spectroscopy finds them."""
-    _, pairs = single_excitation_scan(q1, q2, coupling, fluxes)
-    return refine_crossing(q1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
+    s1 = transmon_spectrum(q1)
+    _, pairs = single_excitation_scan(s1, q2, coupling, fluxes)
+    return refine_crossing(s1, q2, coupling, fluxes, pairs[:, 1] - pairs[:, 0])
 
 
 @pytest.fixture(autouse=True)

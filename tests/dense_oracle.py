@@ -31,8 +31,14 @@ scipy curve_fit.  echo_phase_loop is the old echo: both spectator branches
 stepped through a Python loop of diagonal exponentials, the coherence phase
 unwrapped.  zzkit.dynamics reads the fringe frequency by linear prediction
 and writes the echo phase in closed form; the tests hold them to these.
+
+csv_module_write and csv_module_load are the old data files: rows of cells
+through csv.writer, one cell-rule call per cell, and csv.reader's rows made
+one float array.  zzkit.io formats a column at a time and parses with numpy's
+reader; the tests hold it to these bytes and values.
 """
 
+import csv
 import itertools
 import warnings
 from collections import namedtuple
@@ -42,7 +48,14 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
 
 from zzkit.dynamics import _frame_levels, _half_pi_propagator
-from zzkit.errors import FitError, NoCrossingError, StiffnessError, TruncationError
+from zzkit.errors import (
+    ConfigError,
+    FitError,
+    NoCrossingError,
+    StiffnessError,
+    TruncationError,
+)
+from zzkit.io import ADMITTANCE_HEADER
 from zzkit.spectrum import (
     AMBIGUITY_THRESHOLD,
     LabeledSpectrum,
@@ -121,7 +134,7 @@ def dense_labeling(ham):
     return spec, np.sort(evals[np.isclose(number, 1.0, atol=1e-6)])
 
 
-def brent_crossing(q1, q2, coupling, fluxes, gaps):
+def brent_crossing(s1, q2, coupling, fluxes, gaps):
     """Refine the minimum of a scanned single-excitation gap: (J, flux at minimum).
 
     Bounded Brent iteration minimizes the squared gap between the grid
@@ -136,7 +149,7 @@ def brent_crossing(q1, q2, coupling, fluxes, gaps):
     def gap_squared(flux):
         with warnings.catch_warnings():     # the scan of the grid has warned
             warnings.simplefilter("ignore", UserWarning)
-            (lower, upper), = single_excitation_scan(q1, q2, coupling, [flux])[1]
+            (lower, upper), = single_excitation_scan(s1, q2, coupling, [flux])[1]
         return (upper - lower) ** 2
 
     best = minimize_scalar(gap_squared, bounds=(fluxes[k - 1], fluxes[k + 1]), method="bounded",
@@ -306,3 +319,36 @@ def echo_phase_loop(system, spectator_flip_time_s, total_free_time_s,
         return unwrapped[-1] - unwrapped[0]
 
     return branch_phase(1) - branch_phase(0)
+
+
+def _cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, (str, int)):
+        return str(x)
+    return repr(float(x))
+
+
+def csv_module_write(path, header, rows):
+    """Write header, then rows of cells by the cell rule, through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
+def csv_module_load(path):
+    """(frequencies, complex values) of a response-samples CSV, csv.reader's rows as floats."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ADMITTANCE_HEADER:
+            raise ConfigError(
+                f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
+        try:
+            table = np.array(list(reader), dtype=float)
+        except ValueError as exc:       # a cell that is no number, or rows of unequal length
+            raise ConfigError(f"{path}: {exc}") from exc
+    if table.ndim != 2 or table.shape[1] != 3 or not np.isfinite(table).all():
+        raise ConfigError(f"{path}: samples must be rows of 3 finite numbers")
+    return table[:, 0], table[:, 1:].copy().view(complex)[:, 0]

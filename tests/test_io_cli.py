@@ -1,9 +1,14 @@
 import copy
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzkit import (
     FosterMode,
@@ -40,6 +45,7 @@ from zzkit.io import (
 )
 
 from conftest import crossing
+from dense_oracle import csv_module_load, csv_module_write
 
 
 # a valid zz-sweep system and grid, for the inline cases of test_config_error_exit_code
@@ -66,7 +72,7 @@ def write_json(path, payload):
 
 
 def write_admittance_csv(path, omegas, values):
-    write_csv(path, ADMITTANCE_HEADER, zip(omegas, values.real, values.imag))
+    write_csv(path, ADMITTANCE_HEADER, [omegas, values.real, values.imag])
 
 
 DESIGN_VARIABLES = [{"name": "ej1_hz", "low": 12e9, "high": 35e9},
@@ -163,6 +169,96 @@ class TestAdmittanceCsv:
         with pytest.raises(ConfigError, match="header"):
             load_admittance_csv(p)
 
+    # finite tables written by repr and by %.17g: numpy's reader gives float()'s values
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=1, max_size=40),
+           st.sampled_from([repr, "%.17g".__mod__]))
+    def test_values_equal_the_csv_module_loaders(self, rows, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.csv"
+            path.write_text(",".join(ADMITTANCE_HEADER) + "\r\n" + "".join(
+                ",".join(map(fmt, row)) + "\r\n" for row in rows), newline="")
+            got, want = load_admittance_csv(path), csv_module_load(path)
+        for g, w in zip(got, want):
+            g, w = (np.concatenate([a.real, a.imag]).tolist() for a in (g, w))
+            assert list(map(float.hex, g)) == list(map(float.hex, w))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("freq_rad_s,re_y,im_y\n\n1,2,3\r\n\r\n4,5,6\n\n")
+        omegas, values = load_admittance_csv(path)
+        assert omegas.tolist() == [1.0, 4.0]
+        assert values.tolist() == [2 + 3j, 5 + 6j]
+
+    def test_quoted_cells_are_numbers(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text('freq_rad_s,re_y,im_y\n"1.5e9","2",-3\n')
+        omegas, values = load_admittance_csv(path)
+        assert omegas.tolist() == [1.5e9] and values.tolist() == [2 - 3j]
+
+    # the line counts the header and blank lines; the column counts from 1.  numpy's
+    # reader takes no digit-group underscores and no non-ASCII digits, which float() took
+    @pytest.mark.parametrize("body,where", [
+        ("1,2,3\n\n4,x,6\n", "line 4, column 2"),
+        ("1,2,3\n4,5\n", "line 3: the number of columns changed from 3 to 2"),
+        ("1,2,3\n# 4,5,6\n", "line 3, column 1"),
+        ("1,2,3\n1_0,2,3\n", "line 3, column 1"),
+        ("1,2,\u0663\n", "line 2, column 3"),
+    ], ids=["bad-cell", "short-row", "comment", "underscore", "non-ascii-digit"])
+    def test_bad_rows_exit_2_naming_the_line(self, tmp_path, capsys, body, where):
+        path = tmp_path / "y.csv"
+        path.write_text("freq_rad_s,re_y,im_y\n" + body, encoding="utf-8")
+        assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(path),
+                     "--n-poles", "1"]) == 2
+        assert f"{path}: {where}" in capsys.readouterr().err
+
+    # the first two ended in a traceback before: the header was read outside the error
+    # handling.  The bytes 0xff 0xfe do not decode as UTF-8; a locale that decodes them
+    # meets a cell that is no number instead.  In the third, the bad cell is reported
+    # before the reader reaches the undecodable bytes, and its line is still found
+    @pytest.mark.parametrize("content", [
+        b"freq_rad_s,re_y,im_y\n1,2,3\n\xff\xfe,1,2\n",
+        b"freq_rad_s" + b"x" * 200_000 + b",re_y,im_y\n1,2,3\n",
+        b"freq_rad_s,re_y,im_y\n4,x,6\n" + b"1,2,3\n" * 3000 + b"\xff\xfe,1,2\n",
+    ], ids=["undecodable-bytes", "oversized-header-field", "bad-cell-then-undecodable-bytes"])
+    def test_unreadable_text_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "y.csv"
+        path.write_bytes(content)
+        assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(path),
+                     "--n-poles", "1"]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_header_only_exits_2_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        path.write_text("freq_rad_s,re_y,im_y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(path),
+                         "--n-poles", "1"]) == 2
+        assert "samples must be rows of 3 finite numbers" in capsys.readouterr().err
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+TOKENS = st.text(alphabet='ab:_-1., "\r\n', max_size=6)     # some need quotes
+CELLS = {"float": FLOATS, "float-or-empty": st.one_of(FLOATS, st.none()),
+         "np.float64": FLOATS.map(np.float64), "int": st.integers(-2 ** 70, 2 ** 70),
+         "str": TOKENS,
+         "mixed": st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.none(), TOKENS)}
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): 2 to 8 columns of one cell kind each, 0 to 60 rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=2, max_size=8))
+    n_rows = draw(st.integers(0, 60))
+    columns = [draw(st.lists(CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    # a float column also as the array a command passes
+    columns = [np.array(c, dtype=float) if k in ("float", "np.float64") and draw(st.booleans())
+               else c for k, c in zip(kinds, columns)]
+    return draw(st.lists(TOKENS, min_size=len(kinds), max_size=len(kinds))), columns
+
 
 def _same_cell(got, written):
     """Whether a read cell is the written one bit for bit: None for None, NaN for NaN."""
@@ -195,7 +291,7 @@ class TestCsvWriter:
             for _ in range(20)]
         rows[-1][0] = 7       # an int cell reads back as that number
         path = tmp_path / "t.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, list(zip(*rows)))
         assert path.read_text().splitlines()[0] == ",".join(header)
         got = reader(str(path))
         assert len(got) == len(rows)
@@ -210,8 +306,37 @@ class TestCsvWriter:
     def test_cell_rule(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b", "c", "d", "e", "f"],
-                  [(None, "error:X", 3, np.float64(2.5), np.nan, 1e-7)])
+                  list(zip(*[(None, "error:X", 3, np.float64(2.5), np.nan, 1e-7)])))
         assert path.read_text().splitlines()[1] == ",error:X,3,2.5,nan,1e-07"
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(tables())
+    def test_bytes_equal_the_csv_module_writers(self, table):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_csv(got, header, columns)
+            csv_module_write(want, header, zip(*columns))
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_quoting_is_the_csv_modules(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b,c"], [['x,y', 'say "hi"'], ['two\nlines', 'cr\r']])
+        assert path.read_bytes() == (b'a,"b,c"\r\n"x,y","two\nlines"\r\n'
+                                     b'"say ""hi""","cr\r"\r\n')
+
+    def test_one_column_of_empty_cells_is_the_csv_modules(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        column = [None, "", 1.0, math.nan]
+        write_csv(got, ["a"], [column])
+        csv_module_write(want, ["a"], zip(column))
+        assert got.read_bytes() == want.read_bytes() == b'a\r\n""\r\n""\r\n1.0\r\nnan\r\n'
+
+    def test_columns_must_match_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="2 header names for 1 columns"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
 
     def test_reader_names_either_blockade_header(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -246,7 +246,7 @@ class TestDressedBlocks:
         q2 = chip1.qubits[1].transmon()
         fluxes = np.linspace(-0.2, -0.01, 9)
         s1 = transmon_spectrum(q1)
-        omega2, pairs = single_excitation_scan(q1, q2, chip1.coupling(), fluxes)
+        omega2, pairs = single_excitation_scan(s1, q2, chip1.coupling(), fluxes)
         for flux, w2, pair in zip(fluxes, omega2, pairs):
             # the oracle: one scalar transmon_spectrum per flux
             s2 = transmon_spectrum(q2.at_flux(flux))
@@ -478,10 +478,11 @@ class TestAvoidedCrossing:
         q1f, q2f = chip1.qubits
         q1, q2 = q1f.transmon(float(q1f.default_flux_phi0)), q2f.transmon()
         fluxes = np.linspace(*span, num)
-        _, pairs = single_excitation_scan(q1, q2, chip1.coupling(), fluxes)
+        s1 = transmon_spectrum(q1)
+        _, pairs = single_excitation_scan(s1, q2, chip1.coupling(), fluxes)
         gaps = pairs[:, 1] - pairs[:, 0]
-        j, flux_min = refine_crossing(q1, q2, chip1.coupling(), fluxes, gaps)
-        want_j, want_flux = brent_crossing(q1, q2, chip1.coupling(), fluxes, gaps)
+        j, flux_min = refine_crossing(s1, q2, chip1.coupling(), fluxes, gaps)
+        want_j, want_flux = brent_crossing(s1, q2, chip1.coupling(), fluxes, gaps)
         fine = num == 400
         assert j == pytest.approx(want_j, rel=0, abs=1e-5 if fine else 1e-3)
         assert flux_min == pytest.approx(want_flux, rel=0, abs=1e-7 if fine else 1e-6)

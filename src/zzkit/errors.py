@@ -49,10 +49,6 @@ class PositivityError(ZZKitError):
     """Density matrix developed a significantly negative eigenvalue."""
 
 
-class ResolutionError(ZZKitError):
-    """Pulse record cannot support the requested spectral resolution."""
-
-
 class FitError(ZZKitError):
     """Fringe fit failed (too few samples, contrast too low or no oscillation found)."""
 

@@ -321,9 +321,9 @@ def load_admittance_csv(path, field="samples_csv"):
     """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers.
 
     numpy's C reader parses the rows: blank lines are skipped and a quoted cell
-    is read as its number.  A cell that is no number, or a row of another
-    length, is a ConfigError naming its line of the file.  Undecodable bytes
-    and an oversized header field are ConfigErrors too.
+    is read as its number.  A line that leaves a quote open (an odd count of "),
+    a cell that is no number or a row of another length is a ConfigError naming
+    its line of the file; so are undecodable bytes and an oversized header field.
     """
     with _open(path, field, newline="") as fh:
         try:
@@ -331,6 +331,12 @@ def load_admittance_csv(path, field="samples_csv"):
             if header != ADMITTANCE_HEADER:
                 raise ConfigError(
                     f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
+            with open(path, "rb") as raw:     # numpy's reader would run a quote on to the end
+                text = raw.read()
+            odd = b'"' in text and [k for k, line in enumerate(text.split(b"\n"), 1)
+                                    if line.count(b'"') % 2]
+            if odd:
+                raise ConfigError(f"{path}: line {odd[0]}: unclosed quote")
             with warnings.catch_warnings():     # no rows: reported below
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')

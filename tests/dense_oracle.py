@@ -32,6 +32,12 @@ stepped through a Python loop of diagonal exponentials, the coherence phase
 unwrapped.  zzkit.dynamics reads the fringe frequency by linear prediction
 and writes the echo phase in closed form; the tests hold them to these.
 
+dft_spectral_fraction is a pulse's power share in a spectral window by brute
+force: a direct DFT of PulseSpec.envelope on a fine time grid, its squared
+magnitude integrated on a fine frequency grid.  sinc_spectral_fraction is the
+rectangular pulse's share from the sine integral.  zzkit.dynamics integrates
+each shape's closed-form transform; the tests hold it to these.
+
 csv_module_write and csv_module_load are the old data files: rows of cells
 through csv.writer, one cell-rule call per cell, and csv.reader's rows made
 one float array.  zzkit.io formats a column at a time and parses with numpy's
@@ -46,6 +52,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
+from scipy.special import sici
 
 from zzkit.dynamics import _frame_levels, _half_pi_propagator
 from zzkit.errors import (
@@ -319,6 +326,45 @@ def echo_phase_loop(system, spectator_flip_time_s, total_free_time_s,
         return unwrapped[-1] - unwrapped[0]
 
     return branch_phase(1) - branch_phase(0)
+
+
+def _legendre_panels(a, b, panels):
+    """Nodes and weights of 16-node Gauss-Legendre on each of equal panels of [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel(), (half * w).ravel()
+
+
+def dft_spectral_fraction(pulse, center_offset_hz, window_hz):
+    """Share of the baseband envelope's power in [offset -+ window/2], by brute force.
+
+    The transform is a direct DFT of the complex envelope (PulseSpec.envelope
+    times e^{i phase}) on Gauss-Legendre panels of its support, at most half a
+    turn of the fastest frequency in the window each; its squared magnitude is
+    integrated on panels of at most a quarter of 1/T and divided by the
+    envelope's power in time (Parseval).  For gaussians with sigma >= T/20.
+    """
+    length = pulse.duration_s
+    lo, hi = center_offset_hz - 0.5 * window_hz, center_offset_hz + 0.5 * window_hz
+    reach = max(abs(lo), abs(hi)) * length
+    t, wt = _legendre_panels(pulse.start_time_s, pulse.end_time_s, int(16 + 2 * reach))
+    e = pulse.envelope(t) * np.exp(1j * pulse.phase_rad)
+    f, wf = _legendre_panels(lo, hi, int(np.ceil(4 * (hi - lo) * length)) + 1)
+    spectrum = np.abs(np.exp(-1j * TWO_PI * np.outer(f, t)) @ (wt * e)) ** 2
+    return float(wf @ spectrum / (wt @ np.abs(e) ** 2))
+
+
+def sinc_spectral_fraction(length_s, center_offset_hz, window_hz):
+    """A rectangular pulse's power share in [offset -+ window/2], from the sine integral.
+
+    The integral of sinc^2 from 0 to y is (Si(2 pi y) - sin^2(pi y) / (pi y)) / pi.
+    """
+    def cumulative(y):
+        return 0.0 if y == 0 else (sici(TWO_PI * y)[0] - np.sin(np.pi * y) ** 2 / (np.pi * y)) / np.pi
+
+    return (cumulative((center_offset_hz + 0.5 * window_hz) * length_s)
+            - cumulative((center_offset_hz - 0.5 * window_hz) * length_s))
 
 
 def _cell(x):

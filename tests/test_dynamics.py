@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.linalg import expm
+from scipy.special import erf
 
 import dense_oracle
 from zzkit import dynamics
@@ -39,7 +40,6 @@ from zzkit.dynamics import (
 )
 from zzkit.errors import (
     FitError,
-    ResolutionError,
     StiffnessError,
 )
 
@@ -1100,11 +1100,13 @@ class TestBlockadeProtocol:
 
 
 class TestSpectralPower:
-    def test_full_band_fraction_is_one(self):
-        # a window covering the whole sampled band captures all the power
+    def test_full_band_fraction_is_the_sici_value(self):
+        # +-500 GHz about a 50 ns pulse holds all but 4.05e-6 of its power
         p = pi_pulse("rectangular", 50e-9, 6e9)
         frac = pulse_spectral_power(p, 0.0, 1e12)
-        assert frac == pytest.approx(1.0, abs=1e-12)
+        assert frac == pytest.approx(0.999995947152655, abs=1e-10)
+        assert frac == pytest.approx(dense_oracle.sinc_spectral_fraction(50e-9, 0.0, 1e12),
+                                     abs=1e-10)
 
     def test_rectangular_sinc_null(self):
         duration = 100e-9
@@ -1122,11 +1124,63 @@ class TestSpectralPower:
                                     19e6, window)
         assert short > 10 * long
 
-    def test_resolution_cap(self):
-        # a 0.5 mHz bin under a 1 ns pulse needs about 2**59 samples
+    def test_narrow_window_on_a_short_pulse_is_the_sici_value(self):
+        # a 1e-2 Hz window on a 1 ns pulse: 1e-11 of the sinc's main lobe
         p = pi_pulse("rectangular", 1e-9, 6e9)
-        with pytest.raises(ResolutionError):
-            pulse_spectral_power(p, 0.0, 1e-2)
+        assert pulse_spectral_power(p, 0.0, 1e-2) == pytest.approx(
+            dense_oracle.sinc_spectral_fraction(1e-9, 0.0, 1e-2), rel=1e-9)
+
+    @pytest.mark.parametrize("length", [1e-9, 16e-9, 1e-6])
+    @pytest.mark.parametrize("window", [1e4, 1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("offset", [0.0, 19e6, 1e9])
+    def test_rectangular_is_the_sici_value(self, length, window, offset):
+        p = pi_pulse("rectangular", length, 6e9)
+        assert pulse_spectral_power(p, offset, window) == pytest.approx(
+            dense_oracle.sinc_spectral_fraction(length, offset, window), abs=1e-10)
+
+    # sigma far below T/64: the spectrum is the untruncated gaussian's, many lobes wide
+    @pytest.mark.parametrize("s", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("lo,hi", [(-10.0, 10.0), (100.0, 2000.0), (-5e4, 3e3), (1e5, 3e5)])
+    def test_narrow_gaussian_is_the_untruncated_one(self, s, lo, hi):
+        p = pi_pulse("gaussian", 100e-9, 6e9, gaussian_sigma_s=s * 100e-9)
+        frac = pulse_spectral_power(p, 0.5 * (lo + hi) / 100e-9, (hi - lo) / 100e-9)
+        assert frac == pytest.approx(0.5 * (erf(TWO_PI * s * hi) - erf(TWO_PI * s * lo)),
+                                     abs=1e-12)
+
+    # windows in units of 1/T: the oracle's within 20 of the carrier, and three cuts
+    # on a dyadic grid up to 3x the quadrature's reach, over a length 2^-k s, so that
+    # adjacent windows share their edge bit for bit; past the reach a rectangular
+    # window's edges off the sinc nulls test the closed-form tail against Si
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from(dynamics.PULSE_SHAPES), k=st.integers(20, 30),
+           s=st.floats(1 / 20, 2.0), phase=st.floats(-10.0, 10.0),
+           start=st.floats(-1e-6, 1e-6), center=st.floats(-20.0, 20.0),
+           span=st.floats(-8.0, 1.3),
+           cuts=st.lists(st.integers(-3 * 2**20, 3 * 2**20), min_size=3, max_size=3,
+                         unique=True))
+    def test_fraction_properties(self, shape, k, s, phase, start, center, span, cuts):
+        length = 2.0**-k
+        p = dynamics.calibrated_pulse(shape, length, 6e9, phase_rad=phase, start_time_s=start,
+                                      gaussian_sigma_s=s * length)
+
+        def fraction(lo, hi):
+            return pulse_spectral_power(p, 0.5 * (lo + hi) / length, (hi - lo) / length)
+
+        width = 10.0**span
+        frac = fraction(center - 0.5 * width, center + 0.5 * width)
+        assert 0.0 <= frac <= 1.0
+        assert fraction(-center - 0.5 * width, -center + 0.5 * width) == pytest.approx(
+            frac, abs=1e-12)
+        assert frac == pytest.approx(dense_oracle.dft_spectral_fraction(
+            p, center / length, width / length), abs=1e-8)
+        x0, x1, x2 = sorted(c * dynamics._SPECTRAL_PANELS / 2**20 for c in cuts)
+        whole = fraction(x0, x2)
+        assert 0.0 <= whole <= 1.0
+        assert fraction(x0, x1) + fraction(x1, x2) == pytest.approx(whole, abs=1e-12)
+        assert fraction(-x2, -x0) == pytest.approx(whole, abs=1e-12)
+        if shape == "rectangular":
+            assert whole == pytest.approx(dense_oracle.sinc_spectral_fraction(
+                length, 0.5 * (x0 + x2) / length, (x2 - x0) / length), abs=1e-10)
 
 
 class TestConditionalRamsey:

@@ -197,6 +197,21 @@ class TestAdmittanceCsv:
         omegas, values = load_admittance_csv(path)
         assert omegas.tolist() == [1.5e9] and values.tolist() == [2 - 3j]
 
+    # numpy's reader runs an unclosed quote on to the end of the file, and reads a
+    # quoted line break as blank: the first two files loaded as 6.0 and 3.0 cells
+    @pytest.mark.parametrize("body,line", [
+        ('1,2,3\n4,5,"6\n', 3), ('1,2,"3\n"\n', 2), ('"1",2,3\n\n4,"5,6\n', 4),
+    ], ids=["unclosed-at-the-end", "line-break-in-a-cell", "after-a-closed-quote"])
+    def test_unclosed_quote_names_its_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "y.csv"
+        path.write_text("freq_rad_s,re_y,im_y\n" + body)
+        with pytest.raises(ConfigError, match=f"line {line}: unclosed quote") as info:
+            load_admittance_csv(path)
+        assert str(path) in str(info.value)
+        assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(path),
+                     "--n-poles", "1"]) == 2
+        assert f"config error: {path}: line {line}: unclosed quote" in capsys.readouterr().err
+
     # the line counts the header and blank lines; the column counts from 1.  numpy's
     # reader takes no digit-group underscores and no non-ASCII digits, which float() took
     @pytest.mark.parametrize("body,where", [
@@ -864,6 +879,18 @@ class TestBlockadeCommand:
         rows = read_spectral_csv(spath)
         by_len = {r["pulse_len_s"]: r["spectral_fraction"] for r in rows}
         assert by_len[16e-9] > by_len[200e-9]
+
+    def test_spectral_sidecar_takes_any_positive_window(self, tmp_path):
+        # a 1 Hz window at |zeta| = 19 MHz on a 16 ns pulse holds 1.2e-8 of its power
+        cfg = write_json(tmp_path / "cfg.json", {
+            "fixture": "chip1", "pulse_lengths_s": [16e-9], "delays_s": [0.0],
+            "spectral": {"window_hz": 1.0}})
+        out = str(tmp_path / "w.csv")
+        assert main(["--config", cfg, "--out", out, "blockade"]) == 0
+        from zzkit.io import read_spectral_csv
+        row, = read_spectral_csv(out + ".spectral.csv")
+        assert row["pulse_len_s"] == 16e-9
+        assert 0.0 < row["spectral_fraction"] < 1e-7
 
 
 class TestFluxSpectroscopyCommand:

@@ -49,7 +49,6 @@ from .optimize import (
     ConstraintSet,
     DEParams,
     OptimizationProblem,
-    evaluate_candidate,
     evaluate_population,
     optimize,
 )

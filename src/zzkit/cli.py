@@ -156,7 +156,8 @@ SEQUENCE_FIELDS = (
     Field("carrier_convention", zio.choice("dressed", "shifted"), "dressed"),
     zio.DISSIPATION, zio.READOUT_MATRIX,
     Field("spectral", zio.record(SPECTRAL_FIELDS), None),
-    Field("gaussian_sigma_s", zio.optional(zio.number), None),
+    Field("gaussian_sigma_s", zio.optional(zio.number), None,
+          (lambda sigma: sigma is None or sigma > 0, "must be positive")),
     Field("readout_pad_s", zio.number, 0.0, (lambda t: t >= 0, "must be non-negative")),
 )
 BLOCKADE_FIELDS = SYSTEM_FIELDS + SEQUENCE_FIELDS + (

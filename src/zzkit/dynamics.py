@@ -40,7 +40,10 @@ tableau and step control) with one clock per point: each point keeps its
 own time, step size and error norm, restarts at its own pulse edges and
 gaussian peaks, and jumps its own drive-free stretches by exact
 exponentials, while all points advance together, one coefficient
-evaluation per round.
+evaluation per round.  Each point's action code (step, probe, size, jump,
+done) sets its stage times, and every round runs one fixed sequence of
+whole-stack operations, each update of a point's state taken where its
+code asks for it.
 """
 
 import functools
@@ -173,7 +176,9 @@ class PulseSpec:
             raise ValueError("amplitude_hz must be non-negative")
         if self.target_qubit not in (1, 2):
             raise ValueError("target_qubit must be 1 or 2")
-        if self.shape == "gaussian" and not self.gaussian_sigma_s:
+        if self.gaussian_sigma_s is not None and self.gaussian_sigma_s <= 0:
+            raise ValueError("gaussian_sigma_s must be positive")
+        if self.shape == "gaussian" and self.gaussian_sigma_s is None:
             raise ValueError("gaussian pulses need gaussian_sigma_s")
 
     @property
@@ -678,34 +683,37 @@ def _min_step(t):
     return 10 * (np.nextafter(t, np.inf) - t)
 
 
-_STEP, _DONE, _PROBE, _SIZE, _JUMP = range(5)     # a point's action in a DOP853 round
+_STEP, _DONE, _SIZE, _PROBE, _JUMP = range(5)     # a point's action in a DOP853 round
 
 
 def _schedules(ham, grid):
-    """Each point's own segments over its grid column: (starts, ends, driven) (K, S), counts.
+    """Each point's own segments over its grid column: (starts, ends, opens), each (K, S + 1).
 
     A point's segments run between its own breakpoints (ham.points, one
     protocol's for each of K states) inside its time span, and neighbouring
-    drive-free ones merge into one stretch.  Rows past a point's count are
-    padding.
+    drive-free ones merge into one stretch.  opens is the action a segment
+    starts with: a probe when driven, a jump for a drive-free stretch between
+    two driven ones, and done for one that ends the run and for the padding
+    (starts = ends = 0) past a point's last segment.
     """
     windows = ham.points * (grid.shape[1] if len(ham.points) == 1 else 1)
     table = []
     for (edges, intervals), t0, t1 in zip(windows, grid[0], grid[-1]):
         row = []
         for a, b in _segments(t0, t1, edges):
-            driven = not ham.is_static_on(a, b, intervals)
-            if row and not driven and not row[-1][2]:
-                row[-1] = (row[-1][0], b, False)
+            opens = _JUMP if ham.is_static_on(a, b, intervals) else _PROBE
+            if row and opens == row[-1][2] == _JUMP:
+                row[-1] = (row[-1][0], b, _JUMP)
             else:
-                row.append((a, b, driven))
-        table.append(row)
-    count = np.array([len(row) for row in table])
-    padded = np.zeros((len(table), max(1, count.max()), 3))
+                row.append((a, b, opens))
+        if row and row[-1][2] == _JUMP:
+            row[-1] = row[-1][:2] + (_DONE,)
+        table.append(np.reshape(row, (-1, 3)))
+    padded = np.zeros((len(table), 1 + max(map(len, table)), 3))
+    padded[..., 2] = _DONE
     for cells, row in zip(padded, table):
-        if row:
-            cells[:len(row)] = row
-    return padded[..., 0], padded[..., 1], padded[..., 2] > 0, count
+        cells[:len(row)] = row
+    return padded[..., 0], padded[..., 1], padded[..., 2].astype(int)
 
 
 def _dop853(ham, generator, y0, grid, rtol, atol):
@@ -719,25 +727,27 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     RMS over its own components), and starts each driven segment with
     scipy's initial-step probe.  A drive-free stretch is one exact
     exponential (_expm_real) per point to each grid time inside it and to
-    its end.  The points advance together in rounds, each point taking one
-    action a round (a step attempt, one of the probe's two evaluations, or a
-    wait once it is done): all stage times of a round go to ham.func in one
-    (12, K) call, idle slots NaN, and each stage is one right-hand side over
-    the whole stack.  A point that reaches a drive-free stretch between two
-    driven segments jumps it at the start of the next round, its
-    coefficients from that call's last row, and probes the segment after it
-    in the same round; the stretches that end the points' runs (a readout
-    after the last pulse) are jumped together after the last round, from
-    one more (1, K) call.  A round in which every point steps skips the
-    masks of idle points, and one in which every attempt passes takes the
-    new states whole.  A grid time inside a step is read from scipy's dense
-    output, whose 3 extra stages come from one more call; a time within
-    1e-18 of a segment's end is read at that end.  Raises StiffnessError
-    when a point's step falls below its minimum.
+    its end.  The points advance together in rounds, each point taking the
+    one action its code names: a step attempt, the probe's f(a, y), its
+    sizing f(a + h0, y + h0 f), a jump across a drive-free stretch and then
+    that probe at the stretch's end, or done.  The codes give the round's
+    (12, K) stage times, one ham.func call: a step's 12 times, a probe's in
+    the first row, a jumping point's stretch midpoint in the last, idle
+    slots NaN.  Every round then runs one sequence over the whole stack,
+    whatever its mix of actions: 12 stages and the new state, each one
+    right-hand side (generator.apply); the probe's and the step's updates,
+    each point's derivative, step size, h0, rejection and time changed
+    only where its code takes that update; the next codes.  The stretches
+    that end the points' runs (a readout after the last pulse) are jumped
+    together after the last round, from one more (1, K) call.  A grid time
+    inside a step is read from scipy's dense output, whose 3 extra stages
+    come from one more call and go through generator.apply as well; a time
+    within 1e-18 of a segment's end is read at that end.  Raises
+    StiffnessError when a point's step falls below its minimum.
     """
     rtol = max(rtol, RTOL_FLOOR)
     n_stages, a_mat, b_vec = DOP853.n_stages, DOP853.A, DOP853.B
-    starts, ends, driven, count = _schedules(ham, grid)
+    starts, ends, opens = _schedules(ham, grid)
     points, rows = np.arange(len(y0)), np.arange(len(grid))[:, None]
     interior = np.any((grid > grid[0] + 1e-18) & (grid < grid[-1] - 1e-18))  # dense output
     filled = np.zeros(len(y0), dtype=int)          # each point's grid rows already read
@@ -749,22 +759,18 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
         filled = filled + mask.sum(axis=0)
         return np.nonzero(mask)
 
-    def bounds():
-        """Each point's current segment (a, b); a finished point keeps its last."""
-        current = np.minimum(seg, starts.shape[1] - 1)
-        return starts[points, current], ends[points, current]
-
-    def leap(mask, g):
-        """Carry the points of mask across their drive-free segments (a, b) by the
-        exact exponentials of their generator matrices g, reading the grid times inside."""
+    def leap(mask, c):
+        """Carry the points of mask across their drive-free segments (a, b) by the exact
+        exponentials of their coefficients c, reading the grid times inside."""
         which = np.flatnonzero(mask)
         j, p = reached(mask & (grid <= b + 1e-18))
         offsets = np.concatenate([grid[j, p] - a[p], (b - a)[which]])
         slot = np.concatenate([np.searchsorted(which, p), np.arange(len(which))])
-        u = _expm_real(g[slot] * offsets[:, None, None])
+        u = _expm_real(generator.matrix(c[which])[slot] * offsets[:, None, None])
         y = (u @ v[np.concatenate([p, which])][..., None])[..., 0]
         out[j, p], v[which] = y[:len(j)], y[len(j):]
         t[which], seg[which] = b[which], seg[which] + 1
+        return starts[points, seg], ends[points, seg]
 
     v = np.ascontiguousarray(y0).view(float).copy()
     width = v.shape[-1]
@@ -772,119 +778,92 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     j, p = reached(grid <= grid[0] + 1e-18)
     out[j, p] = v[p]
     t, seg = grid[0].copy(), np.zeros(len(y0), dtype=int)
-    a, b = bounds()
-    # a point whose run ends in a drive-free stretch stops before it, for one jump of all
-    final = (count > 0) & ~driven[points, np.maximum(count - 1, 0)]
-    stops = count - final
-    mode = np.where(stops == 0, _DONE, np.where(driven[:, 0], _PROBE, _JUMP))
+    a, b, act = starts[:, 0], ends[:, 0], opens[:, 0]
+    following = np.array([_STEP, _DONE, _STEP, _SIZE, _SIZE])   # each action's next, mid-segment
     f = np.zeros_like(v)
-    h_abs, h0, d1 = np.zeros(len(y0)), np.zeros(len(y0)), np.zeros(len(y0))
+    h_abs, h0 = np.zeros(len(y0)), np.zeros(len(y0))
     rejected = np.zeros(len(y0), dtype=bool)
     k = np.empty((DOP853.A_EXTRA.shape[1],) + v.shape)   # a step's stages, then its dense output's
     # previous[s] holds every point's first s stages, so np.dot(previous[s], w) forms
     # sum_j w[j] k[j] as scipy's rk_step forms it for one state, and rounds it alike
     previous = [k.reshape(len(k), -1)[:s].T for s in range(n_stages + 2)]
     err = np.empty((2,) + v.shape)                       # a step's E5 and E3 estimates
-    changed = True
-    with np.errstate(divide="ignore", invalid="ignore"):      # idle points run on NaN
-        while True:
-            if changed:     # the points' actions, anew after any point started or ended one
-                step, changed = mode == _STEP, False
-                stepping, starting = step.any(), np.any(mode > _DONE)
-                if not (stepping or starting):
-                    break
-                every = bool(step.all())     # no point idle: no NaN slot, no masked update
-                if starting:
-                    jump, size = mode == _JUMP, mode == _SIZE
-                    probe = (mode == _PROBE) | jump
-            # a point's h_abs only steers its steps: probes set it anew
-            t_new = np.minimum(t + (h_abs if every else h_abs * step), b)
+    with np.errstate(divide="ignore", invalid="ignore"):      # idle slots run on NaN
+        while not (act == _DONE).all():
+            step, size, jump, probe = act == _STEP, act == _SIZE, act == _JUMP, act >= _PROBE
+            t_new = np.minimum(t + h_abs * step, b)
             h_abs = h = t_new - t
-            times = t + h * _STAGE_TIMES
-            if not every:
-                times[:, ~step] = np.nan
-            if starting:
-                times[0] = np.where(probe, np.where(jump, b, a), np.where(size, a + h0, times[0]))
-                times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
+            # the stage times by action: a step's 12, or in the first row a probe's f(a, y),
+            # its sizing's f(a + h0, y + h0 f) or a jump's probe at the stretch's end (the
+            # stretch's midpoint in the last row); NaN in every idle slot
+            times = t + np.where(step, h, np.nan) * _STAGE_TIMES
+            times[0] = np.array([times[0], times[0], a + h0, a, b])[act, points]
+            times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
             c = ham.func(times)
-            if starting and jump.any():
-                leap(jump, generator.matrix(c[-1, jump]))
-                a, b = bounds()
-            k[0] = f
+            if jump.any():
+                a, b = leap(jump, c[-1])
             hc = h[:, None]
-            # scipy's rk_step; the probes need stage 1 only
-            for s in range(1, n_stages if stepping else 2):
+            # scipy's rk_step; stage 1 is also the probe's: f(a, y) at h = 0, f(a + h0, y + h0 f)
+            k[0] = f
+            k[1] = generator.apply(c[0], v + np.where(size[:, None], h0[:, None] * f,
+                                                      f * a_mat[1, 0] * hc))
+            for s in range(2, n_stages):
                 y = v + np.dot(previous[s], a_mat[s, :s]).reshape(v.shape) * hc
-                if s == 1 and starting:   # the probe's second evaluation: f(a + h0, y + h0 f)
-                    y[size] = v[size] + h0[size, None] * f[size]
                 k[s] = generator.apply(c[s - 1], y)
-
-            if starting:   # scipy's select_initial_step: f(a, y) and h0, then f(a + h0, ...),
-                # for the points that probe; every point's action may change
-                scale = atol + np.abs(v) * rtol
-                f = np.where(probe[:, None], k[1], f)
-                d0, d1_new = _rms(v / scale), _rms(k[1] / scale)
-                guess = np.where((d0 < 1e-5) | (d1_new < 1e-5), 1e-6, 0.01 * d0 / d1_new)
-                h0 = np.where(probe, np.minimum(guess, b - a), h0)
-                d1 = np.where(probe, d1_new, d1)
-                d2 = _rms((k[1] - f) / scale) / h0
-                h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                              (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
-                first = np.minimum(np.minimum(100 * h0, h1), b - a)
-                h_abs = np.where(size, np.maximum(first, _min_step(t)), h_abs)
-                mode = np.where(probe, _SIZE, np.where(size, _STEP, mode))
-                changed = True
-            if not stepping:
-                continue
             v_new = v + hc * np.dot(previous[n_stages], b_vec).reshape(v.shape)
             k[n_stages] = generator.apply(c[-1], v_new)
+
+            # scipy's select_initial_step: the probe takes f0 = f(a, y) (k[1]) and h0, sizing
+            # f(a + h0, y + h0 f0) (k[1], with f0 now in f)
+            scale = atol + np.abs(v) * rtol
+            d0, d1_probe, d1, d2 = _rms(np.array([v, k[1], f, k[1] - f]) / scale)
+            guess = np.where(np.minimum(d0, d1_probe) < 1e-5, 1e-6, 0.01 * d0 / d1_probe)
+            h0 = np.where(probe, np.minimum(guess, b - a), h0)
+            d = np.maximum(d1, d2 / h0)
+            h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d) ** -_ERROR_EXPONENT)
+            # raised to 10 ulp of t below, as every step is
+            h_abs = np.where(size, np.minimum(np.minimum(100 * h0, h1), b - a), h_abs)
+
+            # the step's error norm and scipy's factor: min(10, 0.9 error^(-1/8)) on
+            # acceptance, at most 1 just after a rejection, and max(0.2, 0.9 error^(-1/8))
+            # on rejection, 0.2 for a NaN error
             scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
             for e, row in zip((DOP853.E5, DOP853.E3), err.reshape(2, -1)):
                 np.dot(previous[n_stages + 1], e, out=row)
             err5, err3 = _norm(err / scale) ** 2
             mix = err5 + 0.01 * err3
             error = np.where(mix == 0, 0.0, h * err5 / np.sqrt(mix * width))
-            accept = error < 1 if every else step & (error < 1)
-            # scipy's factor: min(10, 0.9 error^(-1/8)) on acceptance, at most 1 just after
-            # a rejection, and max(0.2, 0.9 error^(-1/8)) on rejection, 0.2 for a NaN error
+            accept = step & (error < 1)
             limit = np.where(rejected, 1.0, _MAX_FACTOR)
             factor = np.fmin(np.fmax(_SAFETY * error ** _ERROR_EXPONENT, _MIN_FACTOR), limit)
-            h_abs = h_abs * factor if every else np.where(step, h_abs * factor, h_abs)
-            rejected = step ^ accept
+            h_abs = np.where(step, h_abs * factor, h_abs)
+            rejected = step & ~accept
             if interior:
                 j, p = reached(accept & (grid <= t_new) & (grid < b - 1e-18))
                 if len(j):
                     out[j, p] = _dop853_dense(ham, generator, k, t, v, h, v_new, grid[j, p], p)
-            if accept.all():
-                t, v, f = t_new, v_new, k[n_stages].copy()
-            else:
-                t = np.where(accept, t_new, t)
-                v = np.where(accept[:, None], v_new, v)
-                f = np.where(accept[:, None], k[n_stages], f)
+            t = np.where(accept, t_new, t)
+            v = np.where(accept[:, None], v_new, v)
+            f = np.where(probe[:, None], k[1], np.where(accept[:, None], k[n_stages], f))
             # a step starts at least 10 ulp of t long, and a retry below that fails
             min_step = _min_step(t)
-            short = h_abs < min_step
-            if short.any():
-                stuck = np.flatnonzero(rejected & short)
-                if len(stuck):
-                    q = stuck[0]
-                    raise StiffnessError(
-                        f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
-                        "Required step size is less than spacing between numbers.")
-                h_abs = np.maximum(h_abs, min_step)
+            stuck = rejected & (h_abs < min_step)
+            if stuck.any():
+                q = stuck.argmax()
+                raise StiffnessError(
+                    f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
+                    "Required step size is less than spacing between numbers.")
+            h_abs = np.maximum(h_abs, min_step)
             ended = accept & (t_new == b)
             if ended.any():
                 j, p = reached(ended & (grid <= b + 1e-18))
                 out[j, p] = v[p]
-                seg = seg + ended
-                a, b = bounds()
-                after = np.where(driven[points, np.minimum(seg, starts.shape[1] - 1)],
-                                 _PROBE, _JUMP)
-                mode = np.where(ended, np.where(seg < stops, after, _DONE), mode)
-                changed = True
+            seg = seg + ended
+            a, b = starts[points, seg], ends[points, seg]
+            act = np.where(ended, opens[points, seg], following[act])
+    final = b > a       # the points whose run ends in a drive-free stretch
     if final.any():
-        c = ham.func(np.where(final, 0.5 * (a + b), np.nan)[None])[0]
-        leap(final, generator.matrix(c[final]))
+        leap(final, ham.func(np.where(final, 0.5 * (a + b), np.nan)[None])[0])
     return out.view(complex)
 
 
@@ -897,10 +876,8 @@ def _dop853_dense(ham, generator, k, t, v, h, v_new, times, p):
     stage = np.full((len(DOP853.C_EXTRA), len(v)), np.nan)
     stage[:, p] = (t + h * DOP853.C_EXTRA[:, None])[:, p]
     flat, hc = k.reshape(len(k), -1), h[:, None]
-    for s, (row, g) in enumerate(zip(DOP853.A_EXTRA, generator.matrix(ham.func(stage))),
-                                 start=DOP853.n_stages + 1):
-        y = v + np.dot(flat[:s].T, row[:s]).reshape(v.shape) * hc
-        np.matmul(g, y[..., None], out=k[s, ..., None])
+    for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, ham.func(stage)), start=DOP853.n_stages + 1):
+        k[s] = generator.apply(c, v + np.dot(flat[:s].T, row[:s]).reshape(v.shape) * hc)
     dv = v_new - v
     poly = [dv, hc * k[0] - dv, 2 * dv - hc * (k[DOP853.n_stages] + k[0]),
             *hc * np.dot(DOP853.D, flat).reshape((-1,) + v.shape)]
@@ -1161,7 +1138,7 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz):
     """
     if window_hz <= 0:
         raise ValueError("window_hz must be positive")
-    shape, s = pulse.shape, abs(pulse.gaussian_sigma_s or 0.0) / pulse.duration_s
+    shape, s = pulse.shape, (pulse.gaussian_sigma_s or 0.0) / pulse.duration_s
     width = max(1.0, 1.0 / (64.0 * s)) if shape == "gaussian" else 1.0
     cap = _SPECTRAL_PANELS * width
     lo, hi = pulse.duration_s * (center_offset_hz + np.array([-0.5, 0.5]) * window_hz)

@@ -291,7 +291,9 @@ PULSE_FIELDS = (
     Field("shape", choice(*PULSE_SHAPES)), Field("amplitude_hz", number),
     Field("duration_s", number), Field("carrier_hz", number),
     Field("phase_rad", number, 0.0), Field("start_time_s", number, 0.0),
-    Field("gaussian_sigma_s", optional(number), None), Field("target_qubit", integer, 1),
+    Field("gaussian_sigma_s", optional(number), None,
+          (lambda sigma: sigma is None or sigma > 0, "must be positive")),
+    Field("target_qubit", integer, 1),
 )
 # in a protocol file and the blockade config; a null t2_s entry: no pure dephasing
 DISSIPATION = Field("dissipation", record((

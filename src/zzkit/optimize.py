@@ -215,11 +215,6 @@ def evaluate_population(xs, problem):
                       tuple(slacks), slack)
 
 
-def evaluate_candidate(x, problem):
-    """One design point through evaluate_population."""
-    return evaluate_population(np.asarray(x, dtype=float)[None], problem)[0]
-
-
 @dataclass(frozen=True)
 class GenerationRecord:
     generation: int

@@ -172,21 +172,16 @@ def _initial_poles(omegas, n_poles):
 
 
 def vector_fit(samples, n_poles):
-    """Fit sampled (omega_rad_s, complex response) data with n_poles poles.
+    """Fit sampled response data with n_poles poles.
 
-    samples may be an (N, 2)-like sequence of (omega, value) pairs or a tuple
-    of two arrays.  Needs n_poles >= 1 and at least 4*n_poles samples on a
-    strictly increasing frequency grid.  Raises FitDivergedError when no
-    relocation round improves on the first one and the residual is still
-    large, and IllConditionedError for a rank-deficient normal system.
+    samples is the pair (omegas, values) of arrays: the angular frequencies
+    in rad/s and the complex response at each.  Needs n_poles >= 1 and at
+    least 4*n_poles samples on a strictly increasing frequency grid.  Raises
+    FitDivergedError when no relocation round improves on the first one and
+    the residual is still large, and IllConditionedError for a rank-deficient
+    normal system.
     """
-    if isinstance(samples, tuple) and len(samples) == 2:
-        omegas = np.asarray(samples[0], dtype=float)
-        values = np.asarray(samples[1], dtype=complex)
-    else:
-        arr = list(samples)
-        omegas = np.array([p[0] for p in arr], dtype=float)
-        values = np.array([p[1] for p in arr], dtype=complex)
+    omegas, values = np.asarray(samples[0], dtype=float), np.asarray(samples[1], dtype=complex)
     if n_poles < 1:
         raise ValueError(f"need at least one pole, got {n_poles}")
     if len(omegas) < 4 * n_poles:

@@ -144,6 +144,12 @@ class TestPulses:
         with pytest.raises(ValueError):
             PulseSpec("square", 1e6, 1e-9, 6e9)
 
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    @pytest.mark.parametrize("sigma", [-5e-9, 0.0])
+    def test_non_positive_sigma_rejected(self, shape, sigma):
+        with pytest.raises(ValueError, match="gaussian_sigma_s must be positive"):
+            PulseSpec(shape, 1e6, 20e-9, 5e9, gaussian_sigma_s=sigma)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["amplitude_hz", "duration_s", "carrier_hz",
                                        "phase_rad", "start_time_s", "gaussian_sigma_s"])
@@ -915,6 +921,12 @@ ORACLE_RUNS = {
         SYSTEM, make_blockade_protocol(SYSTEM, 60e-9, 20e-9), n_grid=121),
     "protocol-121-lindblad": lambda: run_blockade_protocol(
         SYSTEM, make_blockade_protocol(SYSTEM, 60e-9, 20e-9), CHIP1_DISSIPATION, n_grid=121),
+    # a drive-free gap from 30 to 80 ns holding 53 grid times: a mid-run jump that
+    # reads inside its stretch, and the probe that follows it in the same round
+    "gap-121": lambda: run_blockade_protocol(
+        SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 80e-9), n_grid=121),
+    "gap-121-lindblad": lambda: run_blockade_protocol(
+        SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 80e-9), CHIP1_DISSIPATION, n_grid=121),
     "gaussian-L/1000": lambda: run_blockade_grid(SYSTEM, grid_protocols(
         SYSTEM, (0.0, 1e-9, 30e-9), (40e-9,), shape="gaussian", gaussian_sigma_s=40e-12)),
     "rtol-floor": lambda: run_blockade_protocol(

@@ -447,6 +447,10 @@ class TestZZSweepCommand:
         ("blockade", {"dissipation": {"t1_s": [float("nan"), 1e-6]}}, "t1_s"),
         ("blockade", {"readout_pad_s": "x"}, "readout_pad_s"),
         ("blockade", {"readout_pad_s": -1e-9}, "readout_pad_s"),
+        # a gaussian's width is positive: a negative one once ran as its mirror image
+        ("blockade", {"shape": "gaussian", "gaussian_sigma_s": -10e-9}, "gaussian_sigma_s"),
+        ("blockade", {"shape": "gaussian", "gaussian_sigma_s": 0.0}, "gaussian_sigma_s"),
+        ("blockade", {"gaussian_sigma_s": -10e-9}, "gaussian_sigma_s"),
         ("blockade", {"frame": "sideways"}, "frame"),
         ("blockade", {"shape": "square"}, "shape"),
         ("blockade", {"carrier_convention": "mirrored"}, "carrier_convention"),
@@ -534,7 +538,8 @@ class TestZZSweepCommand:
          "got ['circuit', 'inline']"),
     ], ids=["missing-grid", "num-not-integer", "levels-not-pair", "length-not-number",
             "length-nan", "length-negative", "delay-infinite", "t1-not-pair",
-            "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "unknown-frame",
+            "t1-negative", "t1-nan", "pad-not-number", "pad-negative", "sigma-negative",
+            "sigma-zero", "sigma-negative-not-gaussian", "unknown-frame",
             "unknown-shape", "unknown-carrier-convention", "window-not-number",
             "window-missing", "window-negative", "spectral-not-object", "spectral-offset-nan",
             "spectral-out-not-path", "inline-omega-not-number", "inline-g-nan",
@@ -567,6 +572,15 @@ class TestZZSweepCommand:
         assert main(["--config", bad, "--out", str(tmp_path / "x.csv"), *flags,
                      command]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", [-10e-9, 0.0])
+    def test_protocol_pulse_sigma_must_be_positive(self, tmp_path, capsys, sigma):
+        pulse = {"shape": "gaussian", "amplitude_hz": 50e6, "duration_s": 40e-9,
+                 "carrier_hz": 6.307e9, "gaussian_sigma_s": sigma}
+        ppath = write_json(tmp_path / "protocol.json", {"pulses": [pulse]})
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip1", "protocol": str(ppath)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"), "blockade"]) == 2
+        assert "pulses[0]:gaussian_sigma_s must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["zz-sweep", "blockade", "flux-spectroscopy",
                                          "optimize", "ramsey"])

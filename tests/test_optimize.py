@@ -11,7 +11,6 @@ from zzkit import (
     KerrParams,
     OptimizationProblem,
     diagonalize_and_label,
-    evaluate_candidate,
     optimize,
     transmon_spectrum,
     zeta_exact,
@@ -21,6 +20,11 @@ from zzkit.errors import AmbiguousLabelError, NoFeasibleCandidateError
 from zzkit.optimize import Population, evaluate_population
 
 from test_circuit import charge_basis_levels
+
+
+def evaluate_one(x, problem):
+    """One design point, as the one row of a population."""
+    return evaluate_population(np.asarray(x)[None], problem)[0]
 
 CHIP1_LIKE = (
     ("ej1_hz", 10e9, 40e9),
@@ -97,7 +101,7 @@ def dense_candidate(x, problem):
 class TestEvaluateCandidate:
     def test_transmon_ratio_violation_flagged(self):
         # small junction energy with a big capacitor breaks C4 on qubit 1
-        cand = evaluate_candidate(
+        cand = evaluate_one(
             np.array([10e9, 30e9, 90e-15, 50e-15, 1e-15]),
             OptimizationProblem(CHIP1_LIKE, ConstraintSet(min_ej_ec_ratio=80.0),
                                 n_exc=3))
@@ -106,7 +110,7 @@ class TestEvaluateCandidate:
         assert slack["C4_q1_ej_ec"] > 0
 
     def test_degenerate_qubits_marked_infeasible_with_cause(self):
-        cand = evaluate_candidate(
+        cand = evaluate_one(
             np.array([10e9, 10e9, 90e-15, 90e-15, 1e-15]),
             OptimizationProblem(CHIP1_LIKE, n_exc=3))
         assert not cand.feasible
@@ -129,7 +133,7 @@ class TestEvaluateCandidate:
                           min_abs_anharmonicity_hz=200e6,
                           min_ej_ec_ratio=20.0, max_j_over_delta=5.0),
             n_exc=4)
-        cand = evaluate_candidate(x, problem)
+        cand = evaluate_one(x, problem)
         assert cand.feasible, cand.violations
         # cross-check zeta against the spectrum pipeline at the same point
         s1, s2 = transmon_spectrum(q1f.transmon(0.5)), transmon_spectrum(q2f.transmon(0.0))
@@ -166,7 +170,7 @@ class TestEvaluateCandidate:
         problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
         xs = np.array([[20e9, 18e9, 60e-15, 65e-15, 5e-15], [25e9, 15e9, 70e-15, 55e-15, 3e-15]])
         for x, cand in zip(xs, evaluate_population(xs, problem)):
-            one = evaluate_candidate(x, problem)
+            one = evaluate_one(x, problem)
             assert (one.zeta_hz, one.violations) == (cand.zeta_hz, cand.violations)
 
     def test_n_exc_below_two_rejected(self):
@@ -176,8 +180,8 @@ class TestEvaluateCandidate:
     def test_deterministic(self):
         problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
         x = np.array([20e9, 18e9, 60e-15, 65e-15, 5e-15])
-        c1 = evaluate_candidate(x, problem)
-        c2 = evaluate_candidate(x, problem)
+        c1 = evaluate_one(x, problem)
+        c2 = evaluate_one(x, problem)
         assert c1.zeta_hz == c2.zeta_hz
         assert c1.violations == c2.violations
 
@@ -250,7 +254,7 @@ class TestOptimize:
             de_params=DEParams(population=12, generations=8, seed=7),
             n_exc=3)
         best, _ = optimize(problem)
-        recheck = evaluate_candidate(best.x, problem)
+        recheck = evaluate_one(best.x, problem)
         assert recheck.feasible
         assert recheck.zeta_hz == pytest.approx(best.zeta_hz, rel=1e-12)
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import io as zio
 from .circuit import Coupling, KerrParams, transmon_pair, transmon_spectrum
 from .dynamics import (
+    END_PAD_S,
     FRAMES,
     PULSE_SHAPES,
     TwoQubitSystem,
@@ -179,6 +180,11 @@ def cmd_blockade(cfg, out):
         points = [(protocol.delay_s, max(p.duration_s for p in protocol.pulses), protocol)]
     else:
         dissipation, readout = cfg["dissipation"], cfg["readout_matrix"]
+        # each point's pulses end by |delay| + length, and the shorter is length long
+        ends = np.abs(cfg["delays_s"])[:, None] + lengths
+        zio.check_resolved("blockade:delays_s", ends, lengths)
+        zio.check_resolved("blockade:readout_pad_s", ends + END_PAD_S + cfg["readout_pad_s"],
+                           lengths)
         with zio.config_errors("blockade"):
             # every protocol is built, and so checked, before any is simulated
             points = [(delay, length, make_blockade_protocol(

@@ -41,9 +41,8 @@ own time, step size and error norm, restarts at its own pulse edges and
 gaussian peaks, and jumps its own drive-free stretches by exact
 exponentials, while all points advance together, one coefficient
 evaluation per round.  Each point's action code (step, probe, size, jump,
-done) sets its stage times, and every round runs one fixed sequence of
-whole-stack operations, each update of a point's state taken where its
-code asks for it.
+done) sets its stage times; the stages run in fixed buffers with scipy's
+own arithmetic, and only rounds where a point probes run the probe's part.
 """
 
 import functools
@@ -370,7 +369,7 @@ def _pulse_stack(rows, stacked):
     kinds = [(kind, shapes == kind) for kind in sorted(set(shapes.ravel()))]
 
     def envelope(t):
-        tau = t[..., None] - start
+        tau = np.repeat(t[..., None], start.shape[-1], axis=-1) - start   # whole rows: faster
         if len(kinds) == 1:
             shape = _pulse_shape(kinds[0][0], tau, duration, sigma)
         else:
@@ -389,11 +388,14 @@ def _used(operators, static, weights, always=()):
     return operators[used], static[..., used], weights[..., used]
 
 
-def _contract(drive, weights):
-    """sum_j drive[..., k, j] weights[k, j], one product per point over all times (axis 0)."""
-    if drive.ndim == weights.ndim:
-        return np.swapaxes(np.swapaxes(drive, 0, -2) @ weights, 0, -2)
-    return (drive[..., None, :] @ weights)[..., 0, :]
+def _contract(static, drive, weights):
+    """static + sum_j drive[..., k, j] weights[k, j], one product per point over all times."""
+    if drive.ndim != weights.ndim:
+        return static + (drive[..., None, :] @ weights)[..., 0, :]
+    c = np.empty(drive.shape[:-1] + weights.shape[-1:])
+    np.matmul(np.swapaxes(drive, 0, -2), weights, out=np.swapaxes(c, 0, -2))
+    c += static
+    return c
 
 
 def _lab_stack(system, rows, stacked):
@@ -411,7 +413,7 @@ def _lab_stack(system, rows, stacked):
     def func(t):
         t = np.asarray(t, dtype=float)
         drive = envelope(t) * np.sin(carrier * t[..., None] + phase)
-        return static + _contract(drive, weights)
+        return _contract(static, drive, weights)
 
     return TimeDependentHamiltonian(func, operators, windows,
                                     max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * fastest_hz))
@@ -461,7 +463,7 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
 
     def func(t):
         t = np.asarray(t, dtype=float)
-        c = static + _contract(envelope(t), weights)
+        c = _contract(static, envelope(t), weights)
         if exchange_on:
             turn = TWO_PI * delta_d * t
             c[..., -2] = jpm * np.cos(turn)
@@ -591,7 +593,7 @@ class _Generator:
     Re B_m x 1 + Im B_m x [[0, -1], [1, 0]], so that B y is real(B) v and
     exp(B) is exp(real(B)).  matrix(c) = sum_m c_m real(B_m) feeds the Magnus
     steps and the exact exponentials (_expm_real); apply(c, v) is G y for a
-    whole stack, on the float view that DOP853 integrates.
+    whole stack, which DOP853's rounds form the same way in fixed buffers.
     """
 
     def __init__(self, basis):
@@ -674,15 +676,6 @@ def _norm(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def _rms(x):
-    return _norm(x) / x.shape[-1] ** 0.5
-
-
-def _min_step(t):
-    """scipy's smallest step from t: 10 ulp."""
-    return 10 * (np.nextafter(t, np.inf) - t)
-
-
 _STEP, _DONE, _SIZE, _PROBE, _JUMP = range(5)     # a point's action in a DOP853 round
 
 
@@ -698,7 +691,7 @@ def _schedules(ham, grid):
     """
     windows = ham.points * (grid.shape[1] if len(ham.points) == 1 else 1)
     table = []
-    for (edges, intervals), t0, t1 in zip(windows, grid[0], grid[-1]):
+    for (edges, intervals), t0, t1 in zip(windows, grid[0].tolist(), grid[-1].tolist()):
         row = []
         for a, b in _segments(t0, t1, edges):
             opens = _JUMP if ham.is_static_on(a, b, intervals) else _PROBE
@@ -708,11 +701,9 @@ def _schedules(ham, grid):
                 row.append((a, b, opens))
         if row and row[-1][2] == _JUMP:
             row[-1] = row[-1][:2] + (_DONE,)
-        table.append(np.reshape(row, (-1, 3)))
-    padded = np.zeros((len(table), 1 + max(map(len, table)), 3))
-    padded[..., 2] = _DONE
-    for cells, row in zip(padded, table):
-        cells[:len(row)] = row
+        table.append(row)
+    width = 1 + max(map(len, table))
+    padded = np.array([row + [(0.0, 0.0, _DONE)] * (width - len(row)) for row in table])
     return padded[..., 0], padded[..., 1], padded[..., 2].astype(int)
 
 
@@ -733,20 +724,18 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     that probe at the stretch's end, or done.  The codes give the round's
     (12, K) stage times, one ham.func call: a step's 12 times, a probe's in
     the first row, a jumping point's stretch midpoint in the last, idle
-    slots NaN.  Every round then runs one sequence over the whole stack,
-    whatever its mix of actions: 12 stages and the new state, each one
-    right-hand side (generator.apply); the probe's and the step's updates,
-    each point's derivative, step size, h0, rejection and time changed
-    only where its code takes that update; the next codes.  The stretches
-    that end the points' runs (a readout after the last pulse) are jumped
-    together after the last round, from one more (1, K) call.  A grid time
-    inside a step is read from scipy's dense output, whose 3 extra stages
-    come from one more call and go through generator.apply as well; a time
-    within 1e-18 of a segment's end is read at that end.  Raises
-    StiffnessError when a point's step falls below its minimum.
+    slots NaN.  The 12 stages and new state go into fixed buffers by scipy's
+    rk_step arithmetic (np.dot stage sums, times h, plus y): each point's
+    states are bit for bit solve_ivp's.  Only rounds where a point probes,
+    sizes or jumps fill those slots and run scipy's select_initial_step.
+    The stretches that end the points' runs (a readout after the last
+    pulse) are jumped together after the last round, from one (1, K) call.
+    A grid time inside a step is read from scipy's dense output (3 extra
+    stages, one more call), one within 1e-18 of a segment's end at that
+    end.  Raises StiffnessError when a point's step falls below its minimum.
     """
     rtol = max(rtol, RTOL_FLOOR)
-    n_stages, a_mat, b_vec = DOP853.n_stages, DOP853.A, DOP853.B
+    n_stages, a_mat = DOP853.n_stages, DOP853.A
     starts, ends, opens = _schedules(ham, grid)
     points, rows = np.arange(len(y0)), np.arange(len(grid))[:, None]
     interior = np.any((grid > grid[0] + 1e-18) & (grid < grid[-1] - 1e-18))  # dense output
@@ -780,87 +769,98 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
     t, seg = grid[0].copy(), np.zeros(len(y0), dtype=int)
     a, b, act = starts[:, 0], ends[:, 0], opens[:, 0]
     following = np.array([_STEP, _DONE, _STEP, _SIZE, _SIZE])   # each action's next, mid-segment
-    f = np.zeros_like(v)
-    h_abs, h0 = np.zeros(len(y0)), np.zeros(len(y0))
-    rejected = np.zeros(len(y0), dtype=bool)
+    f, stage, v_new = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    h_abs, h0, rejected = np.zeros(len(y0)), np.zeros(len(y0)), np.zeros(len(y0), dtype=bool)
     k = np.empty((DOP853.A_EXTRA.shape[1],) + v.shape)   # a step's stages, then its dense output's
-    # previous[s] holds every point's first s stages, so np.dot(previous[s], w) forms
-    # sum_j w[j] k[j] as scipy's rk_step forms it for one state, and rounds it alike
-    previous = [k.reshape(len(k), -1)[:s].T for s in range(n_stages + 2)]
     err = np.empty((2,) + v.shape)                       # a step's E5 and E3 estimates
+    outer = np.empty((len(v), len(generator.real), width))   # a right-hand side's c_m y
+    products = outer.reshape(len(v), -1)
+    # np.dot(first[s], w) = sum_j w[j] k[j] as rk_step forms it: stages 2-11, v_new, E5, E3
+    first = [k.reshape(len(k), -1)[:s].T for s in range(n_stages + 2)]
+    sums = [(first[s], a_mat[s, :s], stage, stage.reshape(-1)) for s in range(2, n_stages)]
+    sums.append((first[n_stages], DOP853.B, v_new, v_new.reshape(-1)))
     with np.errstate(divide="ignore", invalid="ignore"):      # idle slots run on NaN
         while not (act == _DONE).all():
-            step, size, jump, probe = act == _STEP, act == _SIZE, act == _JUMP, act >= _PROBE
+            step, jump, probing = act == _STEP, act == _JUMP, act.max() >= _SIZE
             t_new = np.minimum(t + h_abs * step, b)
-            h_abs = h = t_new - t
-            # the stage times by action: a step's 12, or in the first row a probe's f(a, y),
-            # its sizing's f(a + h0, y + h0 f) or a jump's probe at the stretch's end (the
-            # stretch's midpoint in the last row); NaN in every idle slot
-            times = t + np.where(step, h, np.nan) * _STAGE_TIMES
-            times[0] = np.array([times[0], times[0], a + h0, a, b])[act, points]
-            times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
-            c = ham.func(times)
-            if jump.any():
-                a, b = leap(jump, c[-1])
+            h = t_new - t
             hc = h[:, None]
-            # scipy's rk_step; stage 1 is also the probe's: f(a, y) at h = 0, f(a + h0, y + h0 f)
+            times = t + np.where(step, h, np.nan) * _STAGE_TIMES
+            np.multiply(f * a_mat[1, 0], hc, out=stage)
+            if probing:
+                # in the first row a probe's f(a, y), its sizing's f(a + h0, y + h0 f) or a
+                # jump's probe at the stretch's end (the stretch's midpoint in the last row)
+                size = act == _SIZE
+                times[0] = np.array([times[0], times[0], a + h0, a, b])[act, points]
+                times[-1] = np.where(jump, 0.5 * (a + b), times[-1])
+                np.copyto(stage, h0[:, None] * f, where=size[:, None])
+            c = ham.func(times)[..., None]
+            if jump.any():
+                a, b = leap(jump, c[-1, ..., 0])
+            # scipy's rk_step, G y as generator.apply forms it; stage 1 is also the probe's
             k[0] = f
-            k[1] = generator.apply(c[0], v + np.where(size[:, None], h0[:, None] * f,
-                                                      f * a_mat[1, 0] * hc))
-            for s in range(2, n_stages):
-                y = v + np.dot(previous[s], a_mat[s, :s]).reshape(v.shape) * hc
-                k[s] = generator.apply(c[s - 1], y)
-            v_new = v + hc * np.dot(previous[n_stages], b_vec).reshape(v.shape)
-            k[n_stages] = generator.apply(c[-1], v_new)
-
-            # scipy's select_initial_step: the probe takes f0 = f(a, y) (k[1]) and h0, sizing
-            # f(a + h0, y + h0 f0) (k[1], with f0 now in f)
-            scale = atol + np.abs(v) * rtol
-            d0, d1_probe, d1, d2 = _rms(np.array([v, k[1], f, k[1] - f]) / scale)
-            guess = np.where(np.minimum(d0, d1_probe) < 1e-5, 1e-6, 0.01 * d0 / d1_probe)
-            h0 = np.where(probe, np.minimum(guess, b - a), h0)
-            d = np.maximum(d1, d2 / h0)
-            h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d) ** -_ERROR_EXPONENT)
-            # raised to 10 ulp of t below, as every step is
-            h_abs = np.where(size, np.minimum(np.minimum(100 * h0, h1), b - a), h_abs)
-
+            stage += v
+            np.multiply(c[0], stage[:, None, :], out=outer)
+            np.matmul(products, generator.stacked, out=k[1])
+            for s, (previous, w, y, flat) in enumerate(sums, start=2):
+                np.dot(previous, w, out=flat)
+                y *= hc
+                y += v
+                np.multiply(c[s - 1], y[:, None, :], out=outer)
+                np.matmul(products, generator.stacked, out=k[s])
             # the step's error norm and scipy's factor: min(10, 0.9 error^(-1/8)) on
             # acceptance, at most 1 just after a rejection, and max(0.2, 0.9 error^(-1/8))
             # on rejection, 0.2 for a NaN error
             scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
             for e, row in zip((DOP853.E5, DOP853.E3), err.reshape(2, -1)):
-                np.dot(previous[n_stages + 1], e, out=row)
-            err5, err3 = _norm(err / scale) ** 2
+                np.dot(first[n_stages + 1], e, out=row)
+            err /= scale
+            err5, err3 = _norm(err) ** 2
             mix = err5 + 0.01 * err3
             error = np.where(mix == 0, 0.0, h * err5 / np.sqrt(mix * width))
             accept = step & (error < 1)
-            limit = np.where(rejected, 1.0, _MAX_FACTOR)
-            factor = np.fmin(np.fmax(_SAFETY * error ** _ERROR_EXPONENT, _MIN_FACTOR), limit)
-            h_abs = np.where(step, h_abs * factor, h_abs)
-            rejected = step & ~accept
+            factor = np.fmin(np.fmax(_SAFETY * error ** _ERROR_EXPONENT, _MIN_FACTOR),
+                             np.where(rejected, 1.0, _MAX_FACTOR))
+            h_abs = h * factor      # every point that steps next is sized first
+            rejected = step ^ accept
+            if probing:
+                # scipy's select_initial_step: the probe takes f0 = f(a, y) (k[1]) and h0,
+                # sizing f(a + h0, y + h0 f0) (k[1], with f0 now in f) and h1; h_abs is
+                # raised to 10 ulp of t below, as every step is
+                probe, span = act >= _PROBE, b - a
+                norms = _norm(np.array([v, k[1], f, k[1] - f]) / (atol + np.abs(v) * rtol))
+                d0, d1_probe, d1, d2 = norms / width ** 0.5     # scipy's RMS norms
+                guess = np.where(np.minimum(d0, d1_probe) < 1e-5, 1e-6, 0.01 * d0 / d1_probe)
+                h0 = np.where(probe, np.minimum(guess, span), h0)
+                d = np.maximum(d1, d2 / h0)
+                h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                              (0.01 / d) ** -_ERROR_EXPONENT)
+                h_abs = np.where(size, np.minimum(np.minimum(100 * h0, h1), span), h_abs)
+                np.copyto(f, k[1], where=probe[:, None])
             if interior:
                 j, p = reached(accept & (grid <= t_new) & (grid < b - 1e-18))
                 if len(j):
                     out[j, p] = _dop853_dense(ham, generator, k, t, v, h, v_new, grid[j, p], p)
-            t = np.where(accept, t_new, t)
-            v = np.where(accept[:, None], v_new, v)
-            f = np.where(probe[:, None], k[1], np.where(accept[:, None], k[n_stages], f))
-            # a step starts at least 10 ulp of t long, and a retry below that fails
-            min_step = _min_step(t)
+            np.copyto(t, t_new, where=accept)
+            np.copyto(v, v_new, where=accept[:, None])
+            np.copyto(f, k[n_stages], where=accept[:, None])
+            # a step starts at least 10 ulp of t long (scipy's minimum), and a retry below fails
+            min_step = 10 * (np.nextafter(t, np.inf) - t)
             stuck = rejected & (h_abs < min_step)
             if stuck.any():
                 q = stuck.argmax()
                 raise StiffnessError(
                     f"integration failed on [{a[q]:.3e}, {b[q]:.3e}]: "
                     "Required step size is less than spacing between numbers.")
-            h_abs = np.maximum(h_abs, min_step)
+            np.maximum(h_abs, min_step, out=h_abs)
+            act = following[act]
             ended = accept & (t_new == b)
             if ended.any():
                 j, p = reached(ended & (grid <= b + 1e-18))
                 out[j, p] = v[p]
-            seg = seg + ended
-            a, b = starts[points, seg], ends[points, seg]
-            act = np.where(ended, opens[points, seg], following[act])
+                seg = seg + ended
+                a, b = starts[points, seg], ends[points, seg]
+                act = np.where(ended, opens[points, seg], act)
     final = b > a       # the points whose run ends in a drive-free stretch
     if final.any():
         leap(final, ham.func(np.where(final, 0.5 * (a + b), np.nan)[None])[0])
@@ -870,8 +870,7 @@ def _dop853(ham, generator, y0, grid, rtol, atol):
 def _dop853_dense(ham, generator, k, t, v, h, v_new, times, p):
     """scipy's DOP853 dense output at times, each in the step of its point p, (t, v) -> v_new.
 
-    The 3 extra stages of every point come from one ham.func call, NaN for
-    the points that read no time.
+    The 3 extra stages come from one ham.func call, NaN where no time is read.
     """
     stage = np.full((len(DOP853.C_EXTRA), len(v)), np.nan)
     stage[:, p] = (t + h * DOP853.C_EXTRA[:, None])[:, p]

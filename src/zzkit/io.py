@@ -31,6 +31,7 @@ from .dynamics import (
     END_PAD_S,
     FRAMES,
     PULSE_SHAPES,
+    RTOL_DEFAULT,
     DissipationSpec,
     ProtocolSpec,
     PulseSpec,
@@ -281,9 +282,30 @@ def load_circuit_file(path, field="circuit"):
 
 # --------------------------------------------------------- protocol file
 
-def _protocol(pulses, total_time_s, dissipation, readout_matrix, **spec):
+def check_resolved(path, times, shortest):
+    """Raise a ConfigError naming path unless every time is resolved for its shortest pulse.
+
+    A pulse edge or readout instant t is resolved when the float spacing at t
+    is at most RTOL_DEFAULT times the shortest pulse; where floats are coarser,
+    rounding moves a pulse by more than the solvers' tolerance, or drops it.
+    times and shortest broadcast together: one shortest pulse per grid point.
+    """
+    times, shortest = np.broadcast_arrays(np.abs(np.asarray(times, dtype=float)), shortest)
+    coarse = np.flatnonzero(~(np.spacing(times) <= RTOL_DEFAULT * shortest))
+    if len(coarse):
+        k = coarse[0]
+        raise ConfigError(f"{path}: the time {times.flat[k]:.3g} s is not resolved to "
+                          f"{RTOL_DEFAULT:g} of the shortest pulse ({shortest.flat[k]:.3g} s)")
+
+
+def _protocol(path, pulses, total_time_s, dissipation, readout_matrix, **spec):
+    shortest = min(p.duration_s for p in pulses)
+    for k, p in enumerate(pulses):
+        check_resolved(f"{path}:pulses[{k}]:start_time_s", p.start_time_s, shortest)
+        check_resolved(f"{path}:pulses[{k}]:duration_s", p.end_time_s, shortest)
     if total_time_s is None:
         total_time_s = max(p.end_time_s for p in pulses) + END_PAD_S
+    check_resolved(f"{path}:total_time_s", total_time_s, shortest)
     return ProtocolSpec(pulses, total_time_s, **spec), dissipation, readout_matrix
 
 
@@ -314,7 +336,7 @@ def load_protocol_file(path, field="protocol"):
 
     Returns (ProtocolSpec, DissipationSpec or None, readout matrices or None).
     """
-    return parse(read_json(path, field), PROTOCOL_FIELDS, path, _protocol)
+    return parse(read_json(path, field), PROTOCOL_FIELDS, path, functools.partial(_protocol, path))
 
 
 # -------------------------------------------------------------- data files

@@ -20,6 +20,7 @@ from zzkit import (
     TwoQubitSystem,
     evolve_lindblad,
     evolve_schrodinger,
+    load_fixture,
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
@@ -461,6 +462,8 @@ def per_point_populations(system, protocols, dissipation=None, **kw):
                       for p in protocols)])
 
 
+CHIP1_POINT = TwoQubitSystem(*(load_fixture("chip1").blockade_point[k]
+                                for k in ("omega1_hz", "omega2_hz", "zeta_hz")))
 CHIP1_DISSIPATION = DissipationSpec((7.8e-6, 8.8e-6), (5.0e-6, 1.1e-6))
 # the closed (13 x 4) and Lindblad (5 x 4) blockade grids of zzbench's seed 11, in ns
 BENCH_DELAYS = (-98.035, -84.658, -66.999, -48.642, -35.091, -17.091, 1.293, 16.634, 32.71,
@@ -929,6 +932,10 @@ ORACLE_RUNS = {
         SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 80e-9), CHIP1_DISSIPATION, n_grid=121),
     "gaussian-L/1000": lambda: run_blockade_grid(SYSTEM, grid_protocols(
         SYSTEM, (0.0, 1e-9, 30e-9), (40e-9,), shape="gaussian", gaussian_sigma_s=40e-12)),
+    # lab_frame's rotating twin: its two points share every edge, so most of its rounds
+    # have no point probing or sizing
+    "twin-2": lambda: run_blockade_grid(CHIP1_POINT, grid_protocols(
+        CHIP1_POINT, (-10e-9, 10e-9), (16e-9,))),
     "rtol-floor": lambda: run_blockade_protocol(
         SYSTEM, make_blockade_protocol(SYSTEM, 30e-9, 10e-9), n_grid=9, rtol=1e-16, atol=1e-16),
 }

@@ -582,6 +582,44 @@ class TestZZSweepCommand:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"), "blockade"]) == 2
         assert "pulses[0]:gaussian_sigma_s must be positive" in capsys.readouterr().err
 
+    # pulse timings the float grid cannot resolve to 1e-9 of the shortest pulse: at
+    # 1e300 s the exponential's scaling overflowed, and at +-1e10 s (float spacing
+    # 1.9e-6 s) a 16 ns pulse vanished and its qubit read 0
+    @pytest.mark.parametrize("extra,field", [
+        ({"delays_s": [1e300]}, "blockade:delays_s"),
+        ({"readout_pad_s": 1e300}, "blockade:readout_pad_s"),
+        ({"pulse_lengths_s": [16e-9], "delays_s": [1e10]}, "blockade:delays_s"),
+        ({"pulse_lengths_s": [16e-9], "delays_s": [-1e10]}, "blockade:delays_s"),
+    ], ids=["delay-1e300", "pad-1e300", "delay-1e10", "delay-minus-1e10"])
+    def test_unresolved_timing_exit_code(self, tmp_path, capsys, extra, field):
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip1", **extra})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"), "blockade"]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: the time" in err and "not resolved" in err
+        assert "Traceback" not in err
+
+    def test_unresolved_protocol_pulse_exit_code(self, tmp_path, capsys):
+        # a pulse at 1e12 s once ran as no pulse: both populations read 0
+        pulse = {**PROTOCOL["pulses"][0], "start_time_s": 1e12}
+        ppath = write_json(tmp_path / "protocol.json", {"pulses": [pulse]})
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip1", "protocol": str(ppath)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"), "blockade"]) == 2
+        err = capsys.readouterr().err
+        assert "pulses[0]:start_time_s: the time 1e+12 s is not resolved" in err
+        assert "Traceback" not in err
+
+    def test_resolved_late_pulse_runs(self, tmp_path):
+        # 1 ms after the qubit-2 pulse, floats resolve a 16 ns pulse to 1.4e-11 of it:
+        # the point reads as the same sequence 100 ns apart (the wait between is free)
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip1", "pulse_lengths_s": [16e-9],
+                                                 "delays_s": [100e-9, 1e-3]})
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", cfg, "--out", out, "blockade"]) == 0
+        near, late = read_blockade_csv(out)
+        assert late["p2_e"] > 0.99
+        for key in ("p1_e", "p2_e"):
+            assert late[key] == pytest.approx(near[key], abs=1e-9)
+
     @pytest.mark.parametrize("command", ["zz-sweep", "blockade", "flux-spectroscopy",
                                          "optimize", "ramsey"])
     @pytest.mark.parametrize("config", [[], 3])

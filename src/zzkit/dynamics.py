@@ -46,7 +46,8 @@ own arithmetic, and only rounds where a point probes run the probe's part.
 """
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -164,21 +165,24 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        for name in ("amplitude_hz", "duration_s", "carrier_hz", "phase_rad",
-                     "start_time_s", "gaussian_sigma_s"):
+        for name in ("duration_s", "carrier_hz", "phase_rad", "start_time_s",
+                     "gaussian_sigma_s"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if self.amplitude_hz < 0:
-            raise ValueError("amplitude_hz must be non-negative")
         if self.target_qubit not in (1, 2):
             raise ValueError("target_qubit must be 1 or 2")
         if self.gaussian_sigma_s is not None and self.gaussian_sigma_s <= 0:
             raise ValueError("gaussian_sigma_s must be positive")
         if self.shape == "gaussian" and self.gaussian_sigma_s is None:
             raise ValueError("gaussian pulses need gaussian_sigma_s")
+        # last: calibrated_pulse's amplitude is only as good as the fields above
+        if not math.isfinite(self.amplitude_hz):
+            raise ValueError(f"amplitude_hz must be finite, got {self.amplitude_hz!r}")
+        if self.amplitude_hz < 0:
+            raise ValueError("amplitude_hz must be non-negative")
 
     @property
     def end_time_s(self):
@@ -193,12 +197,16 @@ class PulseSpec:
 
     def area(self):
         """Envelope area in cycles (integral of the Hz Rabi rate over time)."""
-        if self.shape == "rectangular":
-            return self.amplitude_hz * self.duration_s
-        if self.shape == "truncated_cosine":
-            return self.amplitude_hz * self.duration_s / 2.0
-        s, half = self.gaussian_sigma_s, 0.5 * self.duration_s
-        return self.amplitude_hz * s * np.sqrt(2 * np.pi) * erf(half / (s * np.sqrt(2)))
+        return _area(self.shape, self.amplitude_hz, self.duration_s, self.gaussian_sigma_s)
+
+
+def _area(shape, amplitude_hz, duration_s, gaussian_sigma_s):
+    if shape == "rectangular":
+        return amplitude_hz * duration_s
+    if shape == "truncated_cosine":
+        return amplitude_hz * duration_s / 2.0
+    s, half = gaussian_sigma_s, 0.5 * duration_s
+    return amplitude_hz * s * np.sqrt(2 * np.pi) * erf(half / (s * np.sqrt(2)))
 
 
 def calibrated_pulse(shape, duration_s, carrier_hz, rotation_cycles=0.5,
@@ -207,11 +215,16 @@ def calibrated_pulse(shape, duration_s, carrier_hz, rotation_cycles=0.5,
     """Pulse with its amplitude set so the envelope area equals rotation_cycles.
 
     rotation_cycles = 1/2 is a pi pulse, 1/4 a pi/2 pulse.  For gaussian
-    shapes the truncated-tail area is inverted numerically via erf.
+    shapes the truncated-tail area is inverted numerically via erf.  The
+    amplitude is rotation_cycles over the unit-amplitude area; a shape,
+    duration or width without one keeps amplitude 1, and PulseSpec names it.
     """
-    probe = PulseSpec(shape, 1.0, duration_s, carrier_hz, phase_rad, start_time_s,
-                      gaussian_sigma_s, target_qubit)
-    return replace(probe, amplitude_hz=rotation_cycles / probe.area())
+    amplitude = 1.0
+    if shape in PULSE_SHAPES and 0 < duration_s < math.inf and (shape != "gaussian" or (
+            gaussian_sigma_s is not None and 0 < gaussian_sigma_s < math.inf)):
+        amplitude = rotation_cycles / _area(shape, 1.0, duration_s, gaussian_sigma_s)
+    return PulseSpec(shape, amplitude, duration_s, carrier_hz, phase_rad, start_time_s,
+                     gaussian_sigma_s, target_qubit)
 
 
 def pi_pulse(shape, duration_s, carrier_hz, **kw):
@@ -1170,13 +1183,16 @@ def _fit_fringe(times, signal, min_contrast=0.1):
     cosine and f = arccos(.) / (2 pi D) in [0, 1/(2D)]: a line above the
     Nyquist frequency 1/(2D) reads as its alias.  A second least-squares
     solve, on cos, sin and 1 at that f, gives the contrast 2|A|.  The fit
-    needs at least four samples on an evenly spaced grid (ValueError
+    needs at least four samples, all finite (FitError otherwise, as when the
+    phases of a long grid overflow), on an evenly spaced grid (ValueError
     otherwise).
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(signal, dtype=float)
     if len(times) < 4:
         raise FitError(f"a fringe fit needs at least 4 samples, got {len(times)}")
+    if not np.isfinite(x).all():
+        raise FitError(f"{np.sum(~np.isfinite(x))} of {len(x)} fringe samples are not finite")
     if not evenly_spaced(times):
         raise ValueError("a fringe fit needs evenly spaced times")
     step = (times[-1] - times[0]) / (len(times) - 1)
@@ -1227,7 +1243,8 @@ def run_conditional_ramsey(system, free_time_grid_s, drive_offset_hz=None):
     # free evolution is diagonal in this frame (exchange dropped)
     energies = _frame_levels(system, f_drive, system.omega2_hz)
     grid = np.asarray(free_time_grid_s, dtype=float)
-    phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
+    with np.errstate(over="ignore", invalid="ignore"):    # NaN samples: _fit_fringe raises
+        phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
     fringes = []
     for spectator in (0, 1):
         psi0 = np.zeros(4, dtype=complex)

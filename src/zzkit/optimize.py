@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Coupling, transmon_pair
+from .circuit import Coupling, transmon_levels
 from .constants import charging_energy_hz
 from .errors import NoFeasibleCandidateError
 from .spectrum import dressed_blocks
@@ -169,50 +169,48 @@ class Population:
 def evaluate_population(xs, problem):
     """Build the circuits of a (K, dim) stack of design points and score C1-C5.
 
-    The design variables decode to node capacitances C_sigma = C_i + C12.
-    transmon_pair and dressed_blocks (N <= 2) solve the physical rows stacked,
-    and the rows come back as one Population.  A point with an unphysical
-    circuit (a non-positive capacitance or energy, E_J/E_C < 1) or ambiguous
-    computational labels is infeasible with one 'evaluation_error' violation.
+    The design variables decode to node capacitances C_sigma = C_i + C12.  One
+    transmon_levels solve, one g_at and one dressed_blocks (N <= 2) call take every
+    row, an unphysical one (C_i <= 0, C12 < 0, E_J/E_C < 1) as an uncoupled stand-in
+    transmon (E_J = E_C = 1 Hz).  That row, or one with ambiguous labels, has no zeta
+    and is infeasible with one 'evaluation_error' violation.
     """
     xs = np.asarray(xs, dtype=float)
     values = problem.decode(xs)
-    missing = [n for n in VARIABLE_ORDER if n not in values]
-    if missing:
+    if missing := [n for n in VARIABLE_ORDER if n not in values]:
         raise ValueError(f"problem does not determine variables: {missing}")
-    v = {n: np.broadcast_to(values[n], xs.shape[:1]) for n in VARIABLE_ORDER}
-    c12 = v["c12_farads"]
-    csig = np.stack([v["c1_farads"] + c12, v["c2_farads"] + c12])
-    ej = np.stack([v["ej1_hz"], v["ej2_hz"]])
-    (w, alpha), g = np.full((2, 2, len(xs)), np.nan), np.full(len(xs), np.nan)
+    v = np.empty((len(VARIABLE_ORDER), len(xs)))
+    for row, name in zip(v, VARIABLE_ORDER):
+        row[...] = values[name]
+    ej, c12, csig = v[:2], v[4], v[2:4] + v[4]
     with np.errstate(divide="ignore", invalid="ignore"):    # in rows that fail `ok`
         ec = charging_energy_hz(csig)
         ratio = ej / ec
-        ok = ((c12 >= 0) & (v["c1_farads"] > 0) & (v["c2_farads"] > 0)
-              & np.all((ec > 0) & (ratio >= 1), axis=0))
-        w[:, ok], alpha[:, ok], g[ok] = transmon_pair(
-            ej[:, ok], ec[:, ok], Coupling(c12_farads=c12[ok], csigma_farads=tuple(csig[:, ok])))
+        ok = (c12 >= 0) & np.all((v[2:4] > 0) & (ec > 0) & (ratio >= 1), axis=0)
+        w, alpha = transmon_levels(*np.where(ok, (ej, ec), 1.0))
+        g = np.where(ok, Coupling(c12_farads=c12, csigma_farads=tuple(csig)).g_at(*w), 0.0)
         delta = np.abs(w[0] - w[1])
         j_over_delta = np.where(delta == 0, np.inf, g / delta)
-    zeta, error = np.full(len(xs), np.nan), np.where(ok, None, "evaluation_error:ValueError")
-    if ok.any():
-        n = min(problem.n_exc + 1, 6)
-        zeta[ok], _, ambiguous = dressed_blocks(*w[:, ok], *alpha[:, ok], g[ok], 0.0, (n, n),
-                                                problem.n_exc)
-        error[np.flatnonzero(ok)[ambiguous.any(axis=1)]] = "evaluation_error:AmbiguousLabelError"
+    zeta, _, ambiguous = dressed_blocks(*w, *alpha, g, 0.0, (min(problem.n_exc + 1, 6),) * 2,
+                                        problem.n_exc)
+    error = np.where(ok, np.where(ambiguous.any(axis=1), "evaluation_error:AmbiguousLabelError",
+                                  None), "evaluation_error:ValueError")
 
+    # the slack table in constraint order, C1 and C3 as max(lo - value, value - hi)
     cons = problem.constraints
-    slacks = {f"C1_q{i + 1}_freq_band": np.maximum(lo - w[i], w[i] - hi)
-              for i, (lo, hi) in enumerate(cons.freq_band_hz)}
-    slacks.update({f"C2_q{i + 1}_anharmonicity": cons.min_abs_anharmonicity_hz
-                   - np.abs(alpha[i]) for i in range(2)})
-    slacks.update({f"C3_{name}": np.maximum(lo - v[name], v[name] - hi)
-                   for name, lo, hi in problem.variables if name.startswith("c")})
-    slacks.update({f"C4_q{i + 1}_ej_ec": cons.min_ej_ec_ratio - ratio[i] for i in range(2)})
-    slacks["C5_j_over_delta"] = j_over_delta - cons.max_j_over_delta
-    slack = np.array(list(slacks.values())).T
-    return Population(xs, zeta, np.equal(error, None) & np.all(slack <= 0, axis=1), error,
-                      tuple(slacks), slack)
+    caps = {name: (lo, hi) for name, lo, hi in problem.variables if name.startswith("c")}
+    band_lo, band_hi = np.reshape(cons.freq_band_hz, (-1, 2)).T[..., None]
+    cap_lo, cap_hi = np.reshape(list(caps.values()), (-1, 2)).T[..., None]
+    w, c = w[:len(band_lo)], v[[VARIABLE_ORDER.index(name) for name in caps]]
+    slack = np.concatenate([np.maximum(band_lo - w, w - band_hi),
+                            cons.min_abs_anharmonicity_hz - np.abs(alpha),
+                            np.maximum(cap_lo - c, c - cap_hi), cons.min_ej_ec_ratio - ratio,
+                            [j_over_delta - cons.max_j_over_delta]]).T
+    names = (*(f"C1_q{i + 1}_freq_band" for i in range(len(band_lo))),
+             "C2_q1_anharmonicity", "C2_q2_anharmonicity", *(f"C3_{name}" for name in caps),
+             "C4_q1_ej_ec", "C4_q2_ej_ec", "C5_j_over_delta")
+    return Population(xs, np.where(ok, zeta, np.nan),
+                      np.equal(error, None) & np.all(slack <= 0, axis=1), error, names, slack)
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,8 @@ def optimize(problem, evaluator=None):
         got = (evaluator or evaluate_population)(xs, problem)
         got = got if isinstance(got, Population) else Population.of_candidates(got)
         zeta = np.abs(got.zeta_hz) if problem.objective == "abs" else got.zeta_hz
-        violation = sum(np.maximum(got.slacks, 0.0).T, np.zeros(len(xs)))  # constraint order
+        total = np.cumsum(np.maximum(got.slacks, 0.0), axis=1)     # in constraint order
+        violation = total[:, -1] if total.size else 0.0
         return got, np.column_stack([got.x, np.where(got.feasible, np.fmax(zeta, -np.inf), np.nan),
                                      np.where(np.equal(got.error, None), violation, 1.0)])
 
@@ -258,11 +257,11 @@ def optimize(problem, evaluator=None):
     for gen in range(problem.de_params.generations):
         # three distinct partners per index, never itself, in uniformly random order
         picks = np.argsort(rng.random((n_pop, n_pop - 1)), axis=1)[:, :3]
-        r1, r2, r3 = (picks + (picks >= rows[:, None])).T
         cross = rng.random((n_pop, dim)) < cr
         cross[rows, rng.integers(dim, size=n_pop)] = True
         x = pop[:, :dim]
-        t = np.mod(np.abs(x[r1] + f * (x[r2] - x[r3]) - lo), period)  # folded back inside
+        x1, x2, x3 = x[(picks + (picks >= rows[:, None])).T]
+        t = np.mod(np.abs(x1 + f * (x2 - x3) - lo), period)    # folded back inside
         record, trial = evaluate(np.where(cross, lo + np.minimum(t, 2 * span - t), x))
         (objective, violation), (was_objective, was_violation) = trial[:, dim:].T, pop[:, dim:].T
         # feasibility first, ties accepted, infeasible pairs on total violation

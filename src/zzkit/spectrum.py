@@ -38,6 +38,8 @@ POLE_GUARD_HZ = 1e6           # the perturbative formula is NaN this close to a 
 ZOOM_ROUNDS, ZOOM_POINTS = 4, 33   # stacked scans of refine_crossing, fluxes in each
 
 COMPUTATIONAL_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the label -> eigenstate assignments _assign scores at once, by block size
+_PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n)))) for n in range(1, 5)}
 
 
 def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
@@ -80,15 +82,14 @@ def _assign(blocks):
     """
     evals, evecs = np.linalg.eigh(blocks)
     overlap = np.abs(evecs) ** 2                      # (K, label, eigenstate)
-    n = blocks.shape[-1]
-    if n <= 4:
-        perms = np.array(list(itertools.permutations(range(n))))
-        cols = perms[np.argmax(overlap[:, np.arange(n), perms].sum(-1), axis=1)]
+    rows, labels = np.arange(len(blocks))[:, None], np.arange(blocks.shape[-1])
+    if len(labels) in _PERMUTATIONS:
+        perms = _PERMUTATIONS[len(labels)]
+        cols = perms[np.argmax(overlap[:, labels, perms].sum(-1), axis=1)]
     else:
         from scipy.optimize import linear_sum_assignment
         cols = np.array([linear_sum_assignment(-o)[1] for o in overlap])
-    return (evals, np.take_along_axis(evals, cols, axis=1),
-            np.take_along_axis(overlap, cols[..., None], axis=2)[..., 0])
+    return evals, evals[rows, cols], overlap[rows, labels, cols]
 
 
 def _blocks(params, levels_per_mode, numbers):

@@ -1117,6 +1117,15 @@ class TestRamseyCommand:
         diff = abs(rows[1]["fringe_hz"] - rows[0]["fringe_hz"])
         assert diff == pytest.approx(15.25e6, rel=1e-3)
 
+    def test_overflowing_phases_exit_numeric(self, tmp_path, capsys):
+        # the free-evolution phases 2 pi E t overflow on a grid reaching 1e300 s
+        cfg = write_json(tmp_path / "cfg.json", {
+            "fixture": "chip1", "free_time_s": {"start": 0.0, "stop": 1e300, "num": 101}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: FitError:" in err and "not finite" in err
+        assert "Traceback" not in err
+
     def test_main_runs_again_after_a_rejected_argv(self, tmp_path, capsys):
         # main() builds its parser once per process: a parse that argparse
         # rejects must leave it whole for the next command

@@ -17,7 +17,7 @@ from zzkit import (
 )
 from zzkit.constants import charging_energy_hz
 from zzkit.errors import AmbiguousLabelError, NoFeasibleCandidateError
-from zzkit.optimize import Population, evaluate_population
+from zzkit.optimize import VARIABLE_ORDER, Population, evaluate_population
 
 from test_circuit import charge_basis_levels
 
@@ -184,6 +184,82 @@ class TestEvaluateCandidate:
         c2 = evaluate_one(x, problem)
         assert c1.zeta_hz == c2.zeta_hz
         assert c1.violations == c2.violations
+
+
+# design values drawn for the oracle comparison: physical ones, and the values that
+# make a row unphysical (E_J/E_C < 1 at any of these capacitances, C_i <= 0, C12 < 0)
+PHYSICAL = {"ej1_hz": st.floats(12e9, 35e9), "ej2_hz": st.floats(12e9, 35e9),
+            "c1_farads": st.floats(45e-15, 90e-15), "c2_farads": st.floats(45e-15, 90e-15),
+            "c12_farads": st.floats(0.5e-15, 8e-15)}
+UNPHYSICAL = {"ej1_hz": [0.05e9, 0.2e9], "ej2_hz": [0.05e9, 0.2e9],
+              "c1_farads": [-10e-15, 0.0], "c2_farads": [-10e-15, 0.0],
+              "c12_farads": [-2e-15, -1e-18]}
+
+
+@st.composite
+def design_values(draw, names, spoil):
+    """Physical values of names; one in `spoil` draws made unphysical."""
+    values = {n: draw(PHYSICAL[n]) for n in names}
+    if names and draw(st.integers(1, spoil)) == spoil:
+        bad = draw(st.sampled_from(names))
+        values[bad] = draw(st.sampled_from(UNPHYSICAL[bad]))
+    return values
+
+
+@st.composite
+def design_population(draw):
+    """A problem with 0 to 3 capacitance variables (the rest fixed) and a stack of
+    rows: physical, unphysical, and mirrored ones (qubit 2 a copy of qubit 1,
+    resonant, whose labels come back ambiguous)."""
+    caps = draw(st.sets(st.sampled_from(("c1_farads", "c2_farads", "c12_farads")), max_size=3))
+    ejs = draw(st.sets(st.sampled_from(("ej1_hz", "ej2_hz")), min_size=0 if caps else 1))
+    names = [n for n in VARIABLE_ORDER if n in caps | ejs]
+    fixed = draw(design_values([n for n in VARIABLE_ORDER if n not in names], spoil=6))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = {**fixed, **draw(design_values(names, spoil=3))}
+        mirror = draw(st.integers(0, 3)) == 3
+        for a, b in (("ej1_hz", "ej2_hz"), ("c1_farads", "c2_farads")) * mirror:
+            if b in names:
+                row[b] = row[a]
+            elif a in names:
+                row[a] = row[b]
+        rows.append([row[n] for n in names])
+    bands = draw(st.sampled_from([((4.0e9, 8.0e9),), ((5.5e9, 7.0e9), (4.0e9, 5.2e9))]))
+    problem = OptimizationProblem(
+        tuple((n, *(CHIP1_LIKE[VARIABLE_ORDER.index(n)][1:])) for n in names),
+        ConstraintSet(freq_band_hz=bands, max_j_over_delta=draw(st.sampled_from([0.05, 0.5]))),
+        n_exc=draw(st.integers(2, 5)), fixed=tuple(fixed.items()))
+    return np.array(rows, dtype=float), problem
+
+
+class TestEvaluatorOracle:
+    """evaluate_population (every row solved, a stand-in where unphysical) against
+    the masked evaluator it replaced, bit for bit."""
+
+    @given(drawn=design_population())
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_matches_masked_evaluator(self, drawn):
+        xs, problem = drawn
+        got, want = evaluate_population(xs, problem), oracle.evaluate_masked(xs, problem)
+        assert got.names == want.names
+        assert got.error.tolist() == want.error.tolist()
+        assert got.feasible.tolist() == want.feasible.tolist()
+        assert got.zeta_hz.tobytes() == want.zeta_hz.tobytes()
+        solved = np.equal(want.error, None)
+        assert got.slacks[solved].tobytes() == want.slacks[solved].tobytes()
+        assert [c.violations for c in got] == [c.violations for c in want]
+
+    def test_all_unphysical_population(self):
+        problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
+        xs = np.array([[20e9, 18e9, 60e-15, 65e-15, -1e-15],      # C12 < 0
+                       [20e9, 18e9, 0.0, 65e-15, 5e-15],          # C1 = 0
+                       [20e9, 18e9, 60e-15, -5e-15, 5e-15],       # C2 < 0
+                       [0.1e9, 18e9, 60e-15, 65e-15, 5e-15]])     # E_J/E_C < 1
+        got = evaluate_population(xs, problem)
+        assert got.error.tolist() == ["evaluation_error:ValueError"] * len(xs)
+        assert not got.feasible.any() and np.isnan(got.zeta_hz).all()
+        assert [c.violations for c in got] == [(("evaluation_error:ValueError", 1.0),)] * 4
 
 
 class TestOptimize:

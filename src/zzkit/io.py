@@ -23,6 +23,7 @@ import warnings
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
@@ -63,10 +64,10 @@ OneOf = namedtuple("OneOf", "groups required", defaults=(False,))
 
 # ------------------------------------------------------------ config schema
 
-def _open(path, field, newline=None):
+def _open(path, field):
     """The file at path, which the config field or flag `field` names, open for reading."""
     try:
-        return open(path, newline=newline)
+        return open(path)
     except OSError as exc:
         raise ConfigError(f"{field}: cannot read {path}: {exc.strerror}") from exc
 
@@ -344,35 +345,38 @@ def load_protocol_file(path, field="protocol"):
 def load_admittance_csv(path, field="samples_csv"):
     """Read sampled response data: header freq_rad_s,re_y,im_y, rows of finite numbers.
 
-    numpy's C reader parses the rows: blank lines are skipped and a quoted cell
-    is read as its number.  A line that leaves a quote open (an odd count of "),
-    a cell that is no number or a row of another length is a ConfigError naming
-    its line of the file; so are undecodable bytes and an oversized header field.
+    The file is read once with universal newlines: CR, LF and CRLF each end a
+    line, as for numpy's C reader, which parses the rows.  Blank lines are
+    skipped and a quoted cell is read as its number.  A line that leaves a quote
+    open (an odd count of "), a cell that is no number or a row of another
+    length is a ConfigError naming its line of the file; so are undecodable
+    bytes and an oversized header field.
     """
-    with _open(path, field, newline="") as fh:
+    lines = []      # none when the text does not decode
+    with _open(path, field) as fh:
         try:
-            header = next(csv.reader(fh), None)
+            text = fh.read()
+            lines = text.split("\n")    # for the quote scan and _at_line
+            stream = StringIO(text)     # for the csv header, then numpy's reader
+            header = next(csv.reader(stream), None)
             if header != ADMITTANCE_HEADER:
                 raise ConfigError(
                     f"{path}: header must be {','.join(ADMITTANCE_HEADER)}, got {header}")
-            with open(path, "rb") as raw:     # numpy's reader would run a quote on to the end
-                text = raw.read()
-            odd = b'"' in text and [k for k, line in enumerate(text.split(b"\n"), 1)
-                                    if line.count(b'"') % 2]
-            if odd:
+            odd = '"' in text and [k for k, line in enumerate(lines, 1) if line.count('"') % 2]
+            if odd:     # numpy's reader would run the quote on to the end
                 raise ConfigError(f"{path}: line {odd[0]}: unclosed quote")
             with warnings.catch_warnings():     # no rows: reported below
                 warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+                table = np.loadtxt(stream, delimiter=",", ndmin=2, comments=None, quotechar='"')
         except (ValueError, csv.Error) as exc:
-            raise ConfigError(f"{path}: {_at_line(path, str(exc))}") from exc
+            raise ConfigError(f"{path}: {_at_line(lines, str(exc))}") from exc
     if table.size == 0 or table.shape[1] != 3 or not np.isfinite(table).all():
         raise ConfigError(f"{path}: samples must be rows of 3 finite numbers")
     return table[:, 0], table[:, 1:].copy().view(complex)[:, 0]    # (re, im) bit for bit
 
 
-def _at_line(path, message):
-    """A loadtxt error about the rows below path's header, its row as a line of the file.
+def _at_line(lines, message):
+    """A loadtxt error about the rows below the header, its row as a line of the file.
 
     loadtxt counts the rows it reads, blank lines not among them, from 0 when
     a cell is no number and from 1 when the column count changes.
@@ -380,12 +384,11 @@ def _at_line(path, message):
     found = re.search(r" at row (\d+)(, column \d+)?", message)
     if found is None:
         return message
-    with open(path, errors="replace") as fh:     # undecodable bytes past the bad row
-        lines = [k for k, line in enumerate(fh.read().split("\n")[1:], 2) if line]
+    rows = [k for k, line in enumerate(lines[1:], 2) if line]
     row = int(found[1]) - (found[2] is None)
-    if row >= len(lines):
+    if row >= len(rows):
         return message
-    return f"line {lines[row]}{found[2] or ''}: {message[:found.start()]}"
+    return f"line {rows[row]}{found[2] or ''}: {message[:found.start()]}"
 
 
 _QUOTED = re.compile('[,"\r\n]')      # the characters csv.writer quotes a cell for

@@ -244,6 +244,21 @@ class TestAdmittanceCsv:
                      "--n-poles", "1"]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    # the file is read once with universal newlines, so CR, LF and CRLF each end a
+    # line for the quote scan and the line lookup as they do for numpy's reader; a
+    # quote across a lone CR loaded as the cell 2.0 before
+    @pytest.mark.parametrize("content,where", [
+        (b"1,2,3\r\n\r\n4,x,6\r\n", "line 4, column 2"),
+        (b"1,2,3\r\r4,x,6\r", "line 4, column 2"),
+        (b'1,"2\r",3\r\n', "line 2: unclosed quote"),
+    ], ids=["crlf-blank-line", "lone-cr", "quote-across-a-cr"])
+    def test_carriage_returns_end_lines(self, tmp_path, capsys, content, where):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"freq_rad_s,re_y,im_y\r\n" + content)
+        assert main(["--out", str(tmp_path / "f.json"), "foster-fit", str(path),
+                     "--n-poles", "1"]) == 2
+        assert f"config error: {path}: {where}" in capsys.readouterr().err
+
     def test_header_only_exits_2_without_a_warning(self, tmp_path, capsys):
         path = tmp_path / "y.csv"
         path.write_text("freq_rad_s,re_y,im_y\n")

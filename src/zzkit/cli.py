@@ -431,7 +431,7 @@ def main(argv=None):
     except NoFeasibleCandidateError as exc:
         print(f"no feasible result: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    except ZZKitError as exc:
+    except (ZZKitError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

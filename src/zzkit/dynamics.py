@@ -43,11 +43,14 @@ exponentials, while all points advance together, one coefficient
 evaluation per round.  Each point's action code (step, probe, size, jump,
 done) sets its stage times; the stages run in fixed buffers with scipy's
 own arithmetic, and only rounds where a point probes run the probe's part.
+
+Ramsey and echo need none of this: with the exchange dropped, each spectator
+state leaves qubit 1 a two-level problem, solved in closed form.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -453,14 +456,14 @@ def _carrier_frame(system, pulses):
             f[1] if f[1] is not None else system.omega2_hz)
 
 
-def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange=True):
+def _rotating_stack(system, rows, stacked, frame_freqs_hz=None):
     # the levels in the qubits' own frame, then _ROTATING_OPERATORS (the exchange's two if on)
     field, envelope, windows = _pulse_stack(rows, stacked)
     frames = np.array([_carrier_frame(system, row) if frame_freqs_hz is None
                        else frame_freqs_hz for row in rows], dtype=float)
     f1, f2 = (frames if stacked else frames[0]).T
     jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
-    exchange_on = include_exchange and abs(jpm) > 0
+    exchange_on = abs(jpm) > 0
     delta_d = f1 - f2
     m = 9 if exchange_on else 7
     on = field("target_qubit", int)[..., None] == (1, 2)
@@ -494,7 +497,7 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None, include_exchange
         max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None)
 
 
-def rotating_frame_transform(system, pulses, frame_freqs_hz=None, include_exchange=True):
+def rotating_frame_transform(system, pulses, frame_freqs_hz=None):
     """Hamiltonian in the frame co-rotating with the drive carriers.
 
     The frame rotates each qubit at frame_freqs_hz (default: the carrier of
@@ -508,7 +511,7 @@ def rotating_frame_transform(system, pulses, frame_freqs_hz=None, include_exchan
     carrier sum and is dropped with the RWA.  Full counter-rotating dynamics
     belongs to the lab frame (build_protocol_hamiltonian).
     """
-    return _rotating_stack(system, [pulses], False, frame_freqs_hz, include_exchange)
+    return _rotating_stack(system, [pulses], False, frame_freqs_hz)
 
 
 @dataclass(frozen=True)
@@ -1055,7 +1058,7 @@ def make_blockade_protocol(system, pulse_length_s, delay_s,
     return ProtocolSpec((p1, p2), total, frame, delay_s)
 
 
-def build_protocol_hamiltonian(system, protocol, include_exchange=True):
+def build_protocol_hamiltonian(system, protocol):
     """The Hamiltonian of a ProtocolSpec in its frame, or the stack of a sequence of them.
 
     A sequence of K protocols, in one frame and with equally many pulses,
@@ -1074,14 +1077,14 @@ def build_protocol_hamiltonian(system, protocol, include_exchange=True):
     rows = [p.pulses for p in protocols]
     if frame == "lab":
         return _lab_stack(system, rows, stacked)
-    if frame == "blockade_effective":
-        return _rotating_stack(system, rows, stacked, (system.omega1_hz, system.omega2_hz),
-                               include_exchange=False)
-    return _rotating_stack(system, rows, stacked, include_exchange=include_exchange)
+    if frame == "blockade_effective":       # the qubits' own frames, the exchange dropped
+        return _rotating_stack(replace(system, jxx_hz=0.0, jyy_hz=0.0), rows, stacked,
+                               (system.omega1_hz, system.omega2_hz))
+    return _rotating_stack(system, rows, stacked)
 
 
 def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
-                          include_exchange=True, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+                          rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """Simulate the two-pulse blockade sequence and return populations in time.
 
     Closed-system propagation unless a DissipationSpec is given.  Populations
@@ -1094,7 +1097,7 @@ def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
     rtol 1e-13.  There a tighter rtol only shortens the steps, by
     (rtol / RTOL_DEFAULT)^(1/6), cutting the error in proportion.
     """
-    ham = build_protocol_hamiltonian(system, protocol, include_exchange)
+    ham = build_protocol_hamiltonian(system, protocol)
     grid = np.unique(np.append(np.linspace(0.0, protocol.total_time_s, n_grid),
                                protocol.total_time_s))
     ground = np.eye(4, dtype=complex)[0]
@@ -1184,8 +1187,8 @@ def _fit_fringe(times, signal, min_contrast=0.1):
     Nyquist frequency 1/(2D) reads as its alias.  A second least-squares
     solve, on cos, sin and 1 at that f, gives the contrast 2|A|.  The fit
     needs at least four samples, all finite (FitError otherwise, as when the
-    phases of a long grid overflow), on an evenly spaced grid (ValueError
-    otherwise).
+    phases of a long grid overflow), on an evenly spaced grid, which the
+    caller checks (evenly_spaced).
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(signal, dtype=float)
@@ -1193,8 +1196,6 @@ def _fit_fringe(times, signal, min_contrast=0.1):
         raise FitError(f"a fringe fit needs at least 4 samples, got {len(times)}")
     if not np.isfinite(x).all():
         raise FitError(f"{np.sum(~np.isfinite(x))} of {len(x)} fringe samples are not finite")
-    if not evenly_spaced(times):
-        raise ValueError("a fringe fit needs evenly spaced times")
     step = (times[-1] - times[0]) / (len(times) - 1)
     mid = x[1:-1]
     (two_cos, _), *_ = np.linalg.lstsq(np.column_stack([mid, np.ones_like(mid)]),
@@ -1212,70 +1213,61 @@ def _fit_fringe(times, signal, min_contrast=0.1):
     return float(freq)
 
 
-def _half_pi_propagator(system, drive_freq_hz):
-    """Propagator of a rectangular pi/2 pulse on qubit 1 in the drive frame."""
-    pulse = calibrated_pulse("rectangular", RAMSEY_PULSE_S, drive_freq_hz,
-                             rotation_cycles=0.25, target_qubit=1)
-    ham = rotating_frame_transform(
-        TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
-        (pulse,), (drive_freq_hz, system.omega2_hz), include_exchange=False)
-    generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
-    u = _expm_real(generator.matrix(ham.func(0.0)) * RAMSEY_PULSE_S)
-    return u[0::2, 0::2] + 1j * u[1::2, 0::2]
+def _half_pi_branches(detuning_hz):
+    """(..., 2, 2) propagators exp(-2 pi i T [[0, r/2], [r/2, d]]) of qubit 1's pi/2 pulse.
+
+    T = RAMSEY_PULSE_S, Rabi rate r = 1/(4 T), d each detuning from the drive.
+    Rabi's formula: e^{-i pi T d} (cos 2 pi T h - i sin(2 pi T h) [[-d, r], [r, d]] / 2h),
+    h = hypot(d, r) / 2.
+    """
+    d = np.asarray(detuning_hz, dtype=float)[..., None, None]
+    r = 0.25 / RAMSEY_PULSE_S
+    h = 0.5 * np.hypot(d, r)
+    turn = TWO_PI * RAMSEY_PULSE_S * h
+    traceless = 0.5 * (r * _SX - d * _SZ)
+    return np.exp(-1j * np.pi * RAMSEY_PULSE_S * d) * (np.cos(turn) * _I2
+                                                       - 1j * np.sin(turn) / h * traceless)
 
 
 def run_conditional_ramsey(system, free_time_grid_s, drive_offset_hz=None):
     """Fringe frequencies (f0, f1) of a pi/2 - wait - pi/2 sequence on qubit 1.
 
-    f0 is the fringe with the spectator (qubit 2) in |0>, f1 with it in |1>;
-    both come from one pi/2 propagator and one phase table.  The drive sits
-    drive_offset_hz below the spectator-in-ground transition (default
-    1.5 |zeta| + 5 MHz so both conditional fringes stay on the same side); a
-    fitted fringe frequency is |transition - drive|.  The qubit-2 exchange
-    terms are dropped (dispersive operation).  Subtract f0 from f1 to read
-    off zeta.
+    f0 is the fringe with the spectator (qubit 2) in |0>, f1 with it in |1>.
+    The drive sits drive_offset_hz below the spectator-in-ground transition
+    (default 1.5 |zeta| + 5 MHz so both fringes stay on the same side).  With
+    the exchange dropped (dispersive operation), branch s is qubit 1 alone,
+    detuned d_s = drive_offset_hz + s zeta: its fringe |<1| U_s diag(1,
+    e^{-2 pi i d_s t}) U_s |0>|^2 (U_s: _half_pi_branches) turns at |d_s|.
+    Subtract f0 from f1 to read off zeta.  An uneven grid raises ValueError.
     """
+    grid = np.asarray(free_time_grid_s, dtype=float)
+    if len(grid) >= 4 and not evenly_spaced(grid):     # fewer samples: _fit_fringe's FitError
+        raise ValueError("a fringe fit needs evenly spaced times")
     if drive_offset_hz is None:
         drive_offset_hz = 1.5 * abs(system.zeta_hz) + 5e6
-    f_drive = system.omega1_hz - drive_offset_hz
-    u_half = _half_pi_propagator(system, f_drive)
-
-    # free evolution is diagonal in this frame (exchange dropped)
-    energies = _frame_levels(system, f_drive, system.omega2_hz)
-    grid = np.asarray(free_time_grid_s, dtype=float)
+    detuning = drive_offset_hz + np.array([0.0, system.zeta_hz])
     with np.errstate(over="ignore", invalid="ignore"):    # NaN samples: _fit_fringe raises
-        phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
-    fringes = []
-    for spectator in (0, 1):
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[spectator] = 1.0                # |0, spectator>
-        psi1 = u_half @ psi0
-        final = (phases * psi1[None, :]) @ u_half.T
-        fringes.append(_fit_fringe(grid, np.abs(final[:, 2]) ** 2 + np.abs(final[:, 3]) ** 2))
-    return tuple(fringes)
+        u = _half_pi_branches(detuning)
+        free = np.exp(-1j * TWO_PI * np.outer(grid, detuning))
+    fringe = np.abs(u[:, 1, 0] * (u[:, 0, 0] + u[:, 1, 1] * free)) ** 2
+    return tuple(_fit_fringe(grid, x) for x in fringe.T)
 
 
 def run_echo_conditional_phase(system, spectator_flip_time_s, total_free_time_s):
     """Conditional phase accumulated over a free window with a spectator flip.
 
-    In the frame of both undriven transitions (_frame_levels), the qubit-1
-    coherence of spectator branch s turns at E_1s - E_0s.  Flipping the
-    spectator at t_flip hands the coherence to the other branch s', so over
-    the window tau it gains 2 pi [(E_1s - E_0s) t_flip + (E_1s' - E_0s')
-    (tau - t_flip)]; no flip (None) is a flip at tau.  The opening pi/2
-    pulse only sets the coherence's starting phase, which this excludes.
-    Returns the branch difference in radians: 2 pi zeta tau without a flip,
-    2 pi zeta (2 t_flip - tau) with one, so a flip at tau/2 echoes the ZZ
-    phase away.
+    In the frame of both undriven transitions, qubit 1's coherence stands still
+    with the spectator in 0 and turns at zeta with it in 1.  A flip at t_flip
+    swaps the branches, so their difference gains 2 pi zeta (2 t_flip - tau)
+    radians over the window tau: no flip (None, a flip at tau) gives 2 pi
+    zeta tau, and a flip at tau/2 echoes it away.  The opening pi/2 pulse's
+    phase is excluded.
     """
     tau = float(total_free_time_s)
     t_flip = tau if spectator_flip_time_s is None else spectator_flip_time_s
     if not 0.0 <= t_flip <= tau:
         raise ValueError("flip time must lie inside the free window")
-    levels = _frame_levels(system, system.omega1_hz, system.omega2_hz)
-    rate = levels[2:] - levels[:2]      # qubit 1's transition with the spectator in 0 and in 1
-    branch = TWO_PI * (rate * t_flip + rate[::-1] * (tau - t_flip))
-    return branch[1] - branch[0]
+    return TWO_PI * system.zeta_hz * (2.0 * t_flip - tau)
 
 
 def check_row_stochastic(fidelity_matrix):

@@ -13,7 +13,7 @@ crossing; the design capacitance is kept alongside for comparison.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .circuit import Coupling, SquidSpec, TransmonSpec
@@ -81,21 +81,8 @@ def load_fixture(name):
     qubits = []
     for q in raw["qubits"]:
         _require_provenance(q, f"{name}:{q['label']}")
-        qubits.append(QubitFixture(
-            label=q["label"],
-            omega_uss_hz=q["omega_uss_hz"],
-            omega_lss_hz=q["omega_lss_hz"],
-            alpha_hz=q["alpha_hz"],
-            alpha_flux_phi0=q["alpha_flux_phi0"],
-            ej_sum_hz=q["ej_sum_hz"],
-            ec_hz=q["ec_hz"],
-            asymmetry_d=q["asymmetry_d"],
-            default_flux_phi0=q["default_flux_phi0"],
-            t1_s=q["t1_s"],
-            t2_star_s=q["t2_star_s"],
-            t2_echo_s=q["t2_echo_s"],
-            provenance=q["provenance"],
-        ))
+        # the file also records fields QubitFixture does not keep (asymmetry_d_reported)
+        qubits.append(QubitFixture(**{f.name: q[f.name] for f in fields(QubitFixture)}))
     _require_provenance(raw["coupling"], f"{name}:coupling")
     _require_provenance(raw["blockade_point"], f"{name}:blockade_point")
     _require_provenance(raw["relaxation_fit"], f"{name}:relaxation_fit")

@@ -28,6 +28,7 @@ from io import StringIO
 import numpy as np
 
 from .circuit import Coupling, SquidSpec, TransmonSpec, check_transmon
+from .constants import capacitance_from_ec
 from .dynamics import (
     END_PAD_S,
     FRAMES,
@@ -83,9 +84,14 @@ def read_json(path, field):
 
 @contextmanager
 def config_errors(context):
-    """Raise a ValueError or TypeError of the block as a ConfigError naming context."""
+    """Raise a ValueError or TypeError of the block as a ConfigError naming context.
+
+    numpy's LinAlgError, a ValueError, is a numeric failure and passes through.
+    """
     try:
         yield
+    except np.linalg.LinAlgError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -264,7 +270,15 @@ def _circuit(path, qubits, coupling):
     return CircuitDescription(qubits, coupling)
 
 
-QUBIT_FIELDS = (Field("ej_sum_hz", number), Field("ec_hz", number),
+def _finite_capacitance(ec_hz):
+    """Whether E_C gives a finite positive node capacitance (2 h E_C may underflow to 0)."""
+    with np.errstate(divide="ignore"):
+        return 0.0 < capacitance_from_ec(np.float64(ec_hz)) < np.inf
+
+
+QUBIT_FIELDS = (Field("ej_sum_hz", number),
+                Field("ec_hz", number, check=(_finite_capacitance, "must give a finite "
+                                              "positive node capacitance e^2 / (2 h E_C)")),
                 Field("asymmetry_d", number, 0.0), Field("flux_phi0", number, 0.0))
 COUPLING_FIELDS = (Field("c12_farads", number, None), Field("g_hz", number, None),
                    OneOf((("c12_farads",), ("g_hz",)), required=True))

@@ -27,9 +27,13 @@ Brent iteration on one scalar flux at a time.  zzkit.spectrum zooms in with
 stacked scans; the tests hold it to these exchange rates and fluxes.
 
 curve_fit_fringe is the old fringe fit: an FFT seed and a four-parameter
-scipy curve_fit.  echo_phase_loop is the old echo: both spectator branches
-stepped through a Python loop of diagonal exponentials, the coherence phase
-unwrapped.  zzkit.dynamics reads the fringe frequency by linear prediction
+scipy curve_fit.  _half_pi_propagator is the old Ramsey pi/2 pulse: a
+stacked rotating-frame Hamiltonian and one exponential of its 8x8 real
+generator, and stacked_ramsey_fringes the old fringes built from it and the
+4x4 levels of the drive frame.  echo_phase_loop is the old echo: both
+spectator branches stepped through a Python loop of diagonal exponentials,
+the coherence phase unwrapped.  zzkit.dynamics reads the fringe frequency by
+linear prediction, takes each spectator branch's pulse from Rabi's formula
 and writes the echo phase in closed form; the tests hold them to these.
 
 dft_spectral_fraction is a pulse's power share in a spectral window by brute
@@ -54,7 +58,15 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
 from scipy.special import sici
 
-from zzkit.dynamics import _frame_levels, _half_pi_propagator
+from zzkit.dynamics import (
+    RAMSEY_PULSE_S,
+    TwoQubitSystem,
+    _expm_real,
+    _frame_levels,
+    _schrodinger,
+    calibrated_pulse,
+    rotating_frame_transform,
+)
 from zzkit.errors import (
     ConfigError,
     FitError,
@@ -276,6 +288,40 @@ def curve_fit_fringe(times, signal, min_contrast=0.1):
     if 2.0 * abs(amp) < min_contrast:
         raise FitError(f"fringe contrast {2 * abs(amp):.3f} below {min_contrast}")
     return freq, popt
+
+
+def _half_pi_propagator(system, drive_freq_hz):
+    """Propagator of a rectangular pi/2 pulse on qubit 1 in the drive frame, exchange dropped."""
+    pulse = calibrated_pulse("rectangular", RAMSEY_PULSE_S, drive_freq_hz,
+                             rotation_cycles=0.25, target_qubit=1)
+    ham = rotating_frame_transform(
+        TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
+        (pulse,), (drive_freq_hz, system.omega2_hz))
+    generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
+    u = _expm_real(generator.matrix(ham.func(0.0)) * RAMSEY_PULSE_S)
+    return u[0::2, 0::2] + 1j * u[1::2, 0::2]
+
+
+def stacked_ramsey_fringes(system, free_time_grid_s, drive_offset_hz=None):
+    """The old Ramsey fringes: P(qubit 1 in |1>) at each time, (T, 2) by spectator state.
+
+    One 4x4 pi/2 propagator, then free evolution under the levels of the frame
+    turning at the drive and at qubit 2's transition, then the pulse again.
+    """
+    if drive_offset_hz is None:
+        drive_offset_hz = 1.5 * abs(system.zeta_hz) + 5e6
+    f_drive = system.omega1_hz - drive_offset_hz
+    u_half = _half_pi_propagator(system, f_drive)
+    energies = _frame_levels(system, f_drive, system.omega2_hz)
+    grid = np.asarray(free_time_grid_s, dtype=float)
+    phases = np.exp(-1j * TWO_PI * np.outer(grid, energies))
+    fringes = []
+    for spectator in (0, 1):
+        psi0 = np.zeros(4, dtype=complex)
+        psi0[spectator] = 1.0                # |0, spectator>
+        final = (phases * (u_half @ psi0)[None, :]) @ u_half.T
+        fringes.append(np.abs(final[:, 2]) ** 2 + np.abs(final[:, 3]) ** 2)
+    return np.column_stack(fringes)
 
 
 def echo_phase_loop(system, spectator_flip_time_s, total_free_time_s,

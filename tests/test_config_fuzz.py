@@ -6,8 +6,8 @@ a value nested wrongly, or NaN/+-Infinity.  The mutations change type, shape
 and finiteness only, never a finite number into another one.  Every blockade
 population written must lie in [0, 1].
 
-Not covered: a grid `num` of 1e12 still ends in a MemoryError from
-np.linspace, as finite sizes are not bounded by the schema.
+A grid `num` of 1e12 exits 2: the schema bounds `num` at 100000.  Finite
+extremes in general (a number scaled by 1e300, say) are not covered.
 """
 
 import copy

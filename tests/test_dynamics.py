@@ -1104,8 +1104,8 @@ class TestBlockadeProtocol:
         system = TwoQubitSystem(7.0e9, 4.5e9, 19e6, jxx_hz=8.05e6, jyy_hz=1.69e6)
         bare = TwoQubitSystem(7.0e9, 4.5e9, 19e6)
         prot = make_blockade_protocol(system, 100e-9, 60e-9)
-        with_j = run_blockade_protocol(system, prot, include_exchange=True)
-        without = run_blockade_protocol(bare, prot, include_exchange=False)
+        with_j = run_blockade_protocol(system, prot)
+        without = run_blockade_protocol(bare, prot)
         assert abs(with_j.p_excited(1)[-1] - without.p_excited(1)[-1]) < 0.01
         assert abs(with_j.p_excited(2)[-1] - without.p_excited(2)[-1]) < 0.01
 
@@ -1223,19 +1223,48 @@ class TestConditionalRamsey:
         f = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)[spectator]
         assert f == pytest.approx(offset_hz + spectator * SYSTEM.zeta_hz, rel=1e-3)
 
-    # zzbench's ramsey inputs: 19 windows of 401 points at a 33.5 MHz offset, and
-    # the warm-up's 101 points over 1 us at the default offset, whose 52.5 MHz
-    # spectator-1 line lies above the 50 MHz Nyquist frequency and reads as its alias
+    # zzbench's ramsey inputs: 19 windows of 401 points at a 33.5 MHz offset (the
+    # 200 ns one is the CI config's), and the warm-up's 101 points over 1 us at the
+    # default offset, whose 52.5 MHz spectator-1 line lies above the 50 MHz Nyquist
+    # frequency and reads as its alias.  Two oracles: the old curve fit on these
+    # fringes, and this fit on the old fringes of the stacked 4x4 propagator
+    @pytest.mark.parametrize("oracle", ["curve-fit", "stacked"])
     @pytest.mark.parametrize("grid,offset_hz", [
         *((np.linspace(0.0, round(0.1e-6 * k, 12), 401), 33.5e6) for k in range(2, 21)),
         (np.linspace(0.0, 1e-6, 101), None),
     ], ids=[*(f"window-{k}00ns" for k in range(2, 21)), "warm-up"])
-    def test_linear_prediction_matches_curve_fit_oracle(self, monkeypatch, grid, offset_hz):
+    def test_linear_prediction_matches_curve_fit_oracle(self, monkeypatch, grid, offset_hz,
+                                                        oracle):
         new = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)
-        monkeypatch.setattr(dynamics, "_fit_fringe",
-                            lambda t, x: dense_oracle.curve_fit_fringe(t, x)[0])
-        old = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)
+        if oracle == "stacked":
+            fringes = dense_oracle.stacked_ramsey_fringes(SYSTEM, grid, offset_hz)
+            old = tuple(_fit_fringe(grid, x) for x in fringes.T)
+        else:
+            monkeypatch.setattr(dynamics, "_fit_fringe",
+                                lambda t, x: dense_oracle.curve_fit_fringe(t, x)[0])
+            old = run_conditional_ramsey(SYSTEM, grid, drive_offset_hz=offset_hz)
         assert new == pytest.approx(old, rel=1e-12, abs=0)
+
+    @given(omega1=st.floats(4e9, 8e9), omega2=st.floats(4e9, 8e9),
+           zeta=st.sampled_from([0.0, 400e6, -400e6]) | st.floats(-400e6, 400e6),
+           offset=st.floats(-100e6, 100e6))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_branch_populations_match_the_stacked_propagator(self, omega1, omega2, zeta, offset):
+        # each spectator branch's pi/2 pulse as run_conditional_ramsey builds it, against
+        # the 4x4 pulse of the stacked rotating-frame Hamiltonian.  Their phases differ
+        # by up to 2.5e-14: the stacked levels cancel GHz-scale energies to reach zeta
+        system = TwoQubitSystem(omega1, omega2, zeta)
+        pulses = []
+        branches = dynamics._half_pi_branches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_half_pi_branches",
+                       lambda d: pulses.append(branches(d)) or pulses[-1])
+            mp.setattr(dynamics, "_fit_fringe", lambda t, x: 0.0)
+            run_conditional_ramsey(system, np.linspace(0.0, 1e-6, 401), offset)
+        stacked = dense_oracle._half_pi_propagator(system, omega1 - offset)
+        for s, u in enumerate(pulses[0]):
+            block = stacked[np.ix_([s, 2 + s], [s, 2 + s])]
+            np.testing.assert_allclose(np.abs(u) ** 2, np.abs(block) ** 2, rtol=0, atol=1e-14)
 
     def test_non_uniform_grid_raises(self):
         # every other point plus the first 50 of the rest moved by 0.3 ns: a fit

@@ -1,3 +1,7 @@
+import json
+from dataclasses import asdict
+from importlib import resources
+
 import pytest
 
 from zzkit import transmon_spectrum
@@ -62,6 +66,15 @@ class TestFixtureLoading:
                 for key in ("omega_uss_hz", "alpha_hz", "ej_sum_hz", "ec_hz",
                             "asymmetry_d", "t1_s", "t2_star_s", "t2_echo_s"):
                     assert key in q.provenance, (fx.name, q.label, key)
+
+    def test_qubits_keep_the_recorded_values(self, chip1, chip2):
+        # every QubitFixture field is the file's value; the file records more
+        for fx in (chip1, chip2):
+            raw = json.loads(resources.files("zzkit.data").joinpath(f"{fx.name}.json").read_text())
+            for q, recorded in zip(fx.qubits, raw["qubits"], strict=True):
+                kept = asdict(q)
+                assert kept == {k: recorded[k] for k in kept}
+                assert set(recorded) - set(kept) == {"asymmetry_d_reported"}
 
     def test_relaxation_fit_values(self, chip1, chip2):
         assert chip1.relaxation_fit["t1_decay_s"] == 7.35e-6

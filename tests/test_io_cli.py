@@ -136,10 +136,15 @@ class TestCircuitFile:
         # C12 must lie in [0, min C_sigma), C_sigma = e^2 / (2 h E_C) = 63 and 74 fF here
         ({"coupling": {"c12_farads": -5e-15}}, "coupling:c12_farads"),
         ({"coupling": {"c12_farads": 500e-15}}, "coupling:c12_farads"),
+        # 2 h E_C underflows to 0: C_sigma was a ZeroDivisionError traceback
+        ({"qubits[0]": {"ec_hz": 3.1e-292}, "coupling": {"c12_farads": 5e-15}},
+         "qubits[0]:ec_hz must give a finite positive node capacitance"),
+        ({"qubits[1]": {"ec_hz": -0.262e9}}, "qubits[1]:ec_hz must give a finite positive"),
     ], ids=["qubits-not-list", "ej-not-number", "ec-boolean", "coupling-not-object",
             "g-not-number", "participation-not-matrix", "foster-l-not-number", "foster",
             "participation",
-            "qubit-not-transmon", "c12-negative", "c12-above-node-capacitance"])
+            "qubit-not-transmon", "c12-negative", "c12-above-node-capacitance",
+            "ec-capacitance-underflows", "ec-negative"])
     def test_circuit_file_error_exit_code(self, tmp_path, capsys, change, field):
         circuit = self.good()
         for key, value in change.items():
@@ -230,8 +235,8 @@ class TestAdmittanceCsv:
 
     # the first two ended in a traceback before: the header was read outside the error
     # handling.  The bytes 0xff 0xfe do not decode as UTF-8; a locale that decodes them
-    # meets a cell that is no number instead.  In the third, the bad cell is reported
-    # before the reader reaches the undecodable bytes, and its line is still found
+    # meets a cell that is no number instead.  In the third, the file is decoded whole
+    # before any row is parsed, so the undecodable bytes are reported, not the bad cell
     @pytest.mark.parametrize("content", [
         b"freq_rad_s,re_y,im_y\n1,2,3\n\xff\xfe,1,2\n",
         b"freq_rad_s" + b"x" * 200_000 + b",re_y,im_y\n1,2,3\n",
@@ -1140,6 +1145,19 @@ class TestRamseyCommand:
         err = capsys.readouterr().err
         assert "numeric failure: FitError:" in err and "not finite" in err
         assert "Traceback" not in err
+
+    # the pi/2 pulse's carrier, omega1 - offset, was a PulseSpec field: an offset of
+    # -1e308 overflowed its cycle count, and zeta 1.5e308 made the default offset and
+    # the carrier infinite (tracebacks).  Each branch's detuning now reaches the fit
+    @pytest.mark.parametrize("system", [
+        {"fixture": "chip1", "drive_offset_hz": -1e308},
+        {"omega1_hz": 6e9, "omega2_hz": 4.5e9, "zeta_hz": 1.5e308},
+    ], ids=["offset-minus-1e308", "zeta-1.5e308"])
+    def test_extreme_detunings_exit_numeric(self, tmp_path, capsys, system):
+        cfg = write_json(tmp_path / "cfg.json", {
+            **system, "free_time_s": {"start": 0.0, "stop": 200e-9, "num": 401}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 4
+        assert capsys.readouterr().err.startswith("numeric failure: FitError:")
 
     def test_main_runs_again_after_a_rejected_argv(self, tmp_path, capsys):
         # main() builds its parser once per process: a parse that argparse

@@ -194,6 +194,20 @@ class TestFosterFitCommand:
         assert "NonPhysicalModeError: " in err and message in err
 
 
+    # numpy's LinAlgError subclasses ValueError, so the config-error wrapper once
+    # reported a solve that did not converge as a config error (exit 2)
+    def test_solve_that_does_not_converge_exits_4(self, tmp_path, capfd, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        assert self.fit_command(tmp_path, sample_grid(1e9, 9e9, 100)) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert "numeric failure: LinAlgError: SVD did not converge" in err
+        assert not (tmp_path / "f.json").exists()
+
+
 class TestFosterElements:
     # Python floats raise on an overflowing power and on a zero divisor; each of
     # these stages was a traceback or a mode with a NaN element before

@@ -124,10 +124,13 @@ def cmd_zz_sweep(cfg, out):
     except ZZKitError as exc:
         zetas, flags = np.full_like(deltas, np.nan), np.full(deltas.shape,
                                                               f"error:{type(exc).__name__}")
-    columns = [zetas, zeta_perturbative(g, deltas, alpha1, alpha2),
-               zeta_series_high_detuning(g, deltas, alpha1, alpha2, order=cfg["series_order"])]
-    # a NaN (no exact value, a point by a pole or outside the series' domain) is an empty cell
-    columns = [np.where(np.isnan(c), None, c).tolist() for c in columns]
+    # an overflow is an infinity, and inf * 0 a NaN: both are empty cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [zetas, zeta_perturbative(g, deltas, alpha1, alpha2),
+                   zeta_series_high_detuning(g, deltas, alpha1, alpha2, order=cfg["series_order"])]
+    # a value that is not finite (no exact value, a point by a pole or outside the series'
+    # domain, an overflow) is an empty cell
+    columns = [np.where(np.isfinite(c), c, None).tolist() for c in columns]
     zio.write_csv(out, zio.ZZ_SWEEP_HEADER, [deltas, *columns, flags.tolist()])
 
     if cfg["spectrum_json"]:
@@ -366,8 +369,12 @@ def cmd_ramsey(cfg, out):
     cfg = zio.parse(cfg, RAMSEY_FIELDS, "ramsey")
     with zio.config_errors("ramsey"):
         system = _blockade_system(cfg)
-    fringes = run_conditional_ramsey(system, cfg["free_time_s"],
-                                     drive_offset_hz=cfg["drive_offset_hz"])
+    offset = cfg["drive_offset_hz"]
+    # the fit reads |offset + s zeta|, which folds at 0 Hz: both branches on one side
+    if offset is not None and (offset == 0 or np.sign(offset) != np.sign(offset + system.zeta_hz)):
+        raise ConfigError(f"ramsey:drive_offset_hz and drive_offset_hz + zeta must be nonzero "
+                          f"and of one sign, got {offset!r} and {offset + system.zeta_hz!r}")
+    fringes = run_conditional_ramsey(system, cfg["free_time_s"], drive_offset_hz=offset)
     zio.write_csv(out, zio.RAMSEY_HEADER, [range(len(fringes)), fringes])
     inferred = abs(fringes[1] - fringes[0])
     print(json.dumps({"zeta_inferred_hz": inferred,

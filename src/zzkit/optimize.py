@@ -21,6 +21,7 @@ generation in one call, as columns or as one Candidate per row.  One
 generator per run makes a run reproducible from its seed.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,25 @@ class OptimizationProblem:
     def bounds(self):
         return np.array([[v[1], v[2]] for v in self.variables], dtype=float)
 
+    @functools.cached_property
+    def _slack_layout(self):
+        """What evaluate_population's slack table takes from the problem, built once:
+        the band bounds (lo, hi) and the capacitance bounds (lo, hi) as columns, the
+        capacitance variables' rows of VARIABLE_ORDER, and the constraint names.
+        Raises ValueError unless the variables and `fixed` determine VARIABLE_ORDER.
+        """
+        determined = {*self.names, *(name for name, _ in self.fixed)}
+        if missing := [n for n in VARIABLE_ORDER if n not in determined]:
+            raise ValueError(f"problem does not determine variables: {missing}")
+        caps = {name: (lo, hi) for name, lo, hi in self.variables if name.startswith("c")}
+        band_lo, band_hi = np.reshape(self.constraints.freq_band_hz, (-1, 2)).T[..., None]
+        cap_lo, cap_hi = np.reshape(list(caps.values()), (-1, 2)).T[..., None]
+        names = (*(f"C1_q{i + 1}_freq_band" for i in range(len(band_lo))),
+                 "C2_q1_anharmonicity", "C2_q2_anharmonicity", *(f"C3_{name}" for name in caps),
+                 "C4_q1_ej_ec", "C4_q2_ej_ec", "C5_j_over_delta")
+        return (band_lo, band_hi, cap_lo, cap_hi,
+                [VARIABLE_ORDER.index(name) for name in caps], names)
+
     def decode(self, x):
         """Name -> value of every variable; a (K, dim) stack gives (K,) columns."""
         values = dict(self.fixed)
@@ -176,9 +196,8 @@ def evaluate_population(xs, problem):
     and is infeasible with one 'evaluation_error' violation.
     """
     xs = np.asarray(xs, dtype=float)
+    band_lo, band_hi, cap_lo, cap_hi, cap_rows, names = problem._slack_layout
     values = problem.decode(xs)
-    if missing := [n for n in VARIABLE_ORDER if n not in values]:
-        raise ValueError(f"problem does not determine variables: {missing}")
     v = np.empty((len(VARIABLE_ORDER), len(xs)))
     for row, name in zip(v, VARIABLE_ORDER):
         row[...] = values[name]
@@ -198,17 +217,11 @@ def evaluate_population(xs, problem):
 
     # the slack table in constraint order, C1 and C3 as max(lo - value, value - hi)
     cons = problem.constraints
-    caps = {name: (lo, hi) for name, lo, hi in problem.variables if name.startswith("c")}
-    band_lo, band_hi = np.reshape(cons.freq_band_hz, (-1, 2)).T[..., None]
-    cap_lo, cap_hi = np.reshape(list(caps.values()), (-1, 2)).T[..., None]
-    w, c = w[:len(band_lo)], v[[VARIABLE_ORDER.index(name) for name in caps]]
+    w, c = w[:len(band_lo)], v[cap_rows]
     slack = np.concatenate([np.maximum(band_lo - w, w - band_hi),
                             cons.min_abs_anharmonicity_hz - np.abs(alpha),
                             np.maximum(cap_lo - c, c - cap_hi), cons.min_ej_ec_ratio - ratio,
                             [j_over_delta - cons.max_j_over_delta]]).T
-    names = (*(f"C1_q{i + 1}_freq_band" for i in range(len(band_lo))),
-             "C2_q1_anharmonicity", "C2_q2_anharmonicity", *(f"C3_{name}" for name in caps),
-             "C4_q1_ej_ec", "C4_q2_ej_ec", "C5_j_over_delta")
     return Population(xs, np.where(ok, zeta, np.nan),
                       np.equal(error, None) & np.all(slack <= 0, axis=1), error, names, slack)
 

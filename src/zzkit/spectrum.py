@@ -19,6 +19,7 @@ dressed_blocks takes N <= 2, all zeta needs, over sweeps, flux scans and optimiz
 populations; diagonalize_and_label takes every N of a truncation, for dumps.
 """
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -42,20 +43,42 @@ COMPUTATIONAL_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n)))) for n in range(1, 5)}
 
 
-def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
-    """H on the product states `labels`, stacked over the parameters' shape: mode
-    energies, self-Kerr and total cross-Kerr -chi n1 n2 on the diagonal, and
-    the flip-flop elements <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
+@functools.cache
+def _kerr_table(labels):
+    """The index table of the product states `labels` (a tuple), read-only: their n1
+    and n2 as float columns, the flat indices in an n x n block of the flip-flop
+    elements <n1+1, n2-1| H |n1, n2> and their transposes, and each one's ladder
+    sqrt((n1+1) n2).
     """
-    index = {lab: k for k, lab in enumerate(labels)}
-    h = np.zeros(np.shape(w1) + (len(labels), len(labels)))
-    for (i, j), k in index.items():
-        h[..., k, k] = (w1 * i + w2 * j + 0.5 * a1 * i * (i - 1) + 0.5 * a2 * j * (j - 1)
-                        - chi * i * j)
-        m = index.get((i + 1, j - 1))
-        if m is not None:
-            h[..., m, k] = h[..., k, m] = g * np.sqrt((i + 1) * j)
-    return h
+    n, index = len(labels), {lab: k for k, lab in enumerate(labels)}
+    pairs = np.array([(index[(i + 1, j - 1)], k, (i + 1) * j) for (i, j), k in index.items()
+                      if (i + 1, j - 1) in index], dtype=int).reshape(-1, 3)
+    m, k, ladder = pairs.T
+    n1, n2 = np.array(labels, dtype=float).reshape(-1, 2).T
+    flat = np.concatenate([m * n + k, k * n + m])
+    table = n1, n2, flat, np.sqrt(np.tile(ladder, 2).astype(float))
+    for column in table:            # every caller shares the cached table
+        column.flags.writeable = False
+    return table
+
+
+def _kerr_matrices(labels, w1, w2, a1, a2, chi, g):
+    """H on the product states `labels`, stacked over w1's shape: mode energies,
+    self-Kerr and total cross-Kerr -chi n1 n2 on the diagonal, and the flip-flop
+    elements <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
+
+    Each term is one expression over all labels at once, the label axis first
+    (numpy's inner loop then runs over the stack, not over n = 2 or 3 labels),
+    written into an (n n, ...) buffer; the result is its (..., n, n) view.
+    """
+    i, j, flat, ladder = _kerr_table(tuple(labels))
+    n, shape = len(i), np.shape(w1)
+    i, j = (c.reshape((n,) + (1,) * len(shape)) for c in (i, j))
+    h = np.zeros((n * n,) + shape)
+    h[::n + 1] = (w1 * i + w2 * j + 0.5 * a1 * i * (i - 1) + 0.5 * a2 * j * (j - 1)
+                  - chi * i * j)
+    h[flat] = g * ladder.reshape((-1,) + (1,) * len(shape))
+    return h.reshape((n, n) + shape).transpose(*range(2, len(shape) + 2), 0, 1)
 
 
 @dataclass(frozen=True)

@@ -191,17 +191,17 @@ def foster_from_fit(fit):
 
     Each conjugate pair maps to one stage read from its upper pole: omega_m =
     |pole|, kappa_m = -2 Re(pole), C_m = 1/(2 Re residue), L_m = 1/(C_m omega_m^2).
-    A pole within 1e-12 max(|pole|, 1) of the real axis counts as real.  Real
-    poles with residues above REAL_POLE_TOL (relative to the largest residue)
-    have no parallel-LC realization and raise NonPhysicalModeError, as does an
-    L, C or R that is not finite and positive (R = inf for a lossless stage).
+    A pole within 1e-12 |pole| of the real axis counts as real, at any frequency
+    scale.  Real poles with residues above REAL_POLE_TOL (relative to the largest
+    residue) have no parallel-LC realization and raise NonPhysicalModeError, as
+    does an L, C or R that is not finite and positive (R = inf for a lossless stage).
     """
     modes = []
     res_scale = float(np.max(np.abs(fit.residues))) if len(fit.residues) else 1.0
     for p, r in zip(fit.poles.tolist(), fit.residues.tolist()):
         if p.imag < 0:      # a pair's second pole: the first made its stage
             continue
-        if abs(p.imag) <= 1e-12 * max(abs(p), 1.0):
+        if abs(p.imag) <= 1e-12 * abs(p):
             if abs(r) > REAL_POLE_TOL * res_scale:
                 raise NonPhysicalModeError(f"real pole {p:.4g} with significant residue "
                                            "cannot form a parallel-LC stage")

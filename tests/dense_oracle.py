@@ -14,11 +14,15 @@ algorithm on every point's own clock with one coefficient evaluation per
 round; the tests hold each point, segment by segment, to solve_ivp's states
 and step counts.
 
+kerr_matrices_loop is the old Kerr block construction: one pass of numpy calls per
+basis label.  zzkit.spectrum writes each term for all labels at once from a
+cached index table; the tests hold it to this loop bit for bit.
+
 dense_hamiltonian is the old truncated two-mode matrix in the full product
-basis.  dense_labeling is the old dressed spectrum: one eigh of that whole
-matrix and the optimal assignment of all its labels at once, by scipy's
-linear_sum_assignment.  block_labeling slices the same matrix into its blocks
-of conserved n1 + n2 and labels each on its own.  zzkit.spectrum builds each
+basis, built by kerr_matrices_loop.  dense_labeling is the old dressed
+spectrum: one eigh of that whole matrix and the optimal assignment of all its
+labels at once, by scipy's linear_sum_assignment.  block_labeling slices the
+same matrix into its blocks of conserved n1 + n2 and labels each on its own.  zzkit.spectrum builds each
 block straight from the Kerr parameters; the tests hold it to these labels,
 flags and energies, and to block_labeling's exactly.
 
@@ -79,7 +83,6 @@ from zzkit.spectrum import (
     AMBIGUITY_THRESHOLD,
     LabeledSpectrum,
     _assign,
-    _kerr_matrices,
     single_excitation_scan,
 )
 
@@ -101,6 +104,22 @@ FLIP_FLOP = np.zeros((4, 4), dtype=complex)
 FLIP_FLOP[2, 1] = 1.0                                  # |10><01|
 
 
+def kerr_matrices_loop(labels, w1, w2, a1, a2, chi, g):
+    """H on the product states `labels`, stacked over w1's shape, one label at a time:
+    the diagonal w1 n1 + w2 n2 + (a1/2) n1 (n1 - 1) + (a2/2) n2 (n2 - 1) - chi n1 n2
+    and the flip-flop elements <n1+1, n2-1| H |n1, n2> = g sqrt((n1+1) n2).
+    """
+    index = {lab: k for k, lab in enumerate(labels)}
+    h = np.zeros(np.shape(w1) + (len(labels), len(labels)))
+    for (i, j), k in index.items():
+        h[..., k, k] = (w1 * i + w2 * j + 0.5 * a1 * i * (i - 1) + 0.5 * a2 * j * (j - 1)
+                        - chi * i * j)
+        m = index.get((i + 1, j - 1))
+        if m is not None:
+            h[..., m, k] = h[..., k, m] = g * np.sqrt((i + 1) * j)
+    return h
+
+
 def dense_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
     """The truncated two-mode Kerr + exchange matrix of a KerrParams, lexicographic basis."""
     if params.n_modes != 2:
@@ -111,8 +130,8 @@ def dense_hamiltonian(params, levels_per_mode=(4, 4), max_total_excitation=4):
     chi = params.cross_kerr_hz[0, 1] + params.bare_cross_kerr_chi_hz
     labels = tuple((i, j) for i in range(n1max) for j in range(n2max)
                    if max_total_excitation is None or i + j <= max_total_excitation)
-    h = _kerr_matrices(labels, *params.mode_freqs_hz, *params.self_kerr_hz, chi,
-                       params.exchange_g_hz)
+    h = kerr_matrices_loop(labels, *params.mode_freqs_hz, *params.self_kerr_hz, chi,
+                           params.exchange_g_hz)
     return DenseHamiltonian(h, labels)
 
 

@@ -453,6 +453,25 @@ class TestZZSweepCommand:
             for row, value in zip(rows, want.tolist()):
                 assert _same_cell(row[column], None if np.isnan(value) else value)
 
+    @pytest.mark.parametrize("alphas", [{}, {"alpha1_hz": 0.0, "alpha2_hz": 0.0}])
+    def test_overflowing_formulas_write_empty_cells(self, tmp_path, capfd, alphas):
+        # g^2 overflows: the formula columns were -inf, with overflow RuntimeWarnings;
+        # with no anharmonicity the overflowed g^2 meets a zero factor, inf * 0 = NaN
+        cfg = write_json(tmp_path / "cfg.json", {
+            "inline": {**INLINE, **alphas, "g_hz": 5e306},
+            "delta_hz": {"start": 1.5e9, "stop": 2.1e9, "num": 7}})
+        out = str(tmp_path / "zz.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", cfg, "--out", out, "zz-sweep"]) == 0
+        assert capfd.readouterr().err == ""
+        assert "inf" not in Path(out).read_text()
+        rows = read_zz_sweep_csv(out)
+        assert len(rows) == 7
+        for r in rows:
+            assert r["zeta_perturbative_hz"] is None and r["zeta_series_hz"] is None
+            assert math.isfinite(r["zeta_exact_hz"])
+
     @pytest.mark.parametrize("command,extra,field", [
         ("zz-sweep", {}, "delta_hz"),
         ("zz-sweep", {"delta_hz": {"start": 0.6e9, "stop": 2.4e9, "num": "x"}}, "delta_hz"),
@@ -1158,6 +1177,33 @@ class TestRamseyCommand:
             **system, "free_time_s": {"start": 0.0, "stop": 200e-9, "num": 401}})
         assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 4
         assert capsys.readouterr().err.startswith("numeric failure: FitError:")
+
+    # the fit reads |offset + s zeta|, which folds at 0 Hz: an offset of -5 MHz with zeta
+    # 19 MHz gave fringes of 5 and 14 MHz and exited 0 with zeta_inferred_hz 9.0e6
+    @pytest.mark.parametrize("system,offset", [
+        ({"fixture": "chip1"}, -5e6), ({"fixture": "chip1"}, -19e6), ({"fixture": "chip1"}, 0.0),
+        ({"omega1_hz": 6.307e9, "omega2_hz": 4.498e9, "zeta_hz": -15e6}, 5e6),
+    ], ids=["chip1-minus-5MHz", "branch-at-0Hz", "offset-0", "negative-zeta"])
+    def test_offset_across_zero_exits_2(self, tmp_path, capsys, system, offset):
+        cfg = write_json(tmp_path / "cfg.json", {
+            **system, "drive_offset_hz": offset, "free_time_s": RAMSEY_GRID.tolist()})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("config error: ramsey:drive_offset_hz ")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("system,offset", [
+        ({"fixture": "chip1"}, -30e6),
+        ({"omega1_hz": 6.307e9, "omega2_hz": 4.498e9, "zeta_hz": -15e6}, -5e6),
+    ], ids=["both-branches-below", "negative-zeta-both-below"])
+    def test_offset_on_one_side_reads_zeta(self, tmp_path, capsys, system, offset):
+        cfg = write_json(tmp_path / "cfg.json", {
+            **system, "drive_offset_hz": offset, "free_time_s": RAMSEY_GRID.tolist()})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.csv"), "ramsey"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["zeta_inferred_hz"] == pytest.approx(abs(summary["zeta_model_hz"]),
+                                                            rel=1e-3)
 
     def test_main_runs_again_after_a_rejected_argv(self, tmp_path, capsys):
         # main() builds its parser once per process: a parse that argparse

@@ -25,10 +25,16 @@ from zzkit.errors import (
     NoCrossingError,
     TruncationError,
 )
-from zzkit.spectrum import dressed_blocks, refine_crossing, single_excitation_scan
+from zzkit.spectrum import _kerr_matrices, dressed_blocks, refine_crossing, single_excitation_scan
 
 from conftest import crossing, make_transmon
-from dense_oracle import block_labeling, brent_crossing, dense_hamiltonian, dense_labeling
+from dense_oracle import (
+    block_labeling,
+    brent_crossing,
+    dense_hamiltonian,
+    dense_labeling,
+    kerr_matrices_loop,
+)
 
 CHIP1_BETA5 = 3.81259047e6
 
@@ -75,6 +81,43 @@ class TestBuildHamiltonian:
         scale = np.linalg.norm(ham.matrix, 2)
         res = np.linalg.norm(ham.matrix @ evecs - evecs * evals, axis=0)
         assert np.max(res) <= 1e-10 * scale
+
+
+class TestKerrMatrices:
+    """The index-table build against the per-label loop it replaced, bit for bit."""
+
+    SCALES = (7e9, 5e9, 4e8, 4e8, 2e7, 3e8)      # w1, w2, a1, a2, chi, g
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_the_loop(self, data):
+        # an N block of levels up to (20, 20), or a whole truncation with a cap
+        levels = data.draw(st.tuples(st.integers(1, 20), st.integers(1, 20)))
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(0, sum(levels) - 2))
+            labels = [(i, n - i) for i in range(n + 1) if i < levels[0] and n - i < levels[1]]
+        else:
+            cap = data.draw(st.integers(0, sum(levels) - 2))
+            labels = [(i, j) for i in range(levels[0]) for j in range(levels[1]) if i + j <= cap]
+        # w1's shape sets the stack's; each other parameter is a scalar or of that shape
+        shape = data.draw(st.sampled_from([(), (1,), (7,), (30,)]))
+        scalar = data.draw(st.lists(st.booleans(), min_size=5, max_size=5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        params = [rng.uniform(-self.SCALES[0], self.SCALES[0], shape)]
+        params += [rng.uniform(-s, s) if flat else rng.uniform(-s, s, shape)
+                   for s, flat in zip(self.SCALES[1:], scalar)]
+        h = _kerr_matrices(labels, *params)
+        assert h.shape == shape + (len(labels), len(labels))
+        assert np.array_equal(h, kerr_matrices_loop(labels, *params))
+
+    def test_python_floats_and_zero_frequencies(self):
+        # Python scalars, and w1 = -0.0 and w2 = 0, whose products keep their signs
+        labels = [(0, 2), (1, 1), (2, 0)]
+        for params in ((6.27e9, 4.27e9, -351e6, -312e6, 3e6, 0.2e9),
+                       (-0.0, 0.0, -351e6, 0.0, -3e6, -0.2e9)):
+            h, want = _kerr_matrices(labels, *params), kerr_matrices_loop(labels, *params)
+            assert h.shape == (3, 3) and np.array_equal(h, want)
+            assert np.array_equal(np.signbit(h), np.signbit(want))
 
 
 class TestLabeling:

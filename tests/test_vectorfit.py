@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,10 +184,10 @@ class TestFosterFitCommand:
         assert not (tmp_path / "f.json").exists()
 
     # at 1e290 the reconstructed L overflowed a Python float power (exit 1, traceback);
-    # at 1e-300 the pair lies within the real-pole tolerance of the real axis
+    # at 1e-300 the pair's L, C and R are out of a float's range
     @pytest.mark.parametrize("scale,message", [
         (1e290, "a reconstructed L, C or R is not finite and positive"),
-        (1e-300, "real pole"),
+        (1e-300, "a reconstructed L, C or R is not finite and positive"),
     ], ids=["times-1e290", "times-1e-300"])
     def test_extreme_frequencies_exit_4(self, tmp_path, capfd, scale, message):
         assert self.fit_command(tmp_path, sample_grid(1e9, 9e9, 100) * scale) == 4
@@ -193,6 +195,14 @@ class TestFosterFitCommand:
         assert out == ""
         assert "NonPhysicalModeError: " in err and message in err
 
+    # the real-pole test had an absolute floor of 1e-12 rad/s: below it, the mode's
+    # pair counted as a real pole with a large residue (exit 4, "real pole")
+    @pytest.mark.parametrize("scale", [1.0, 1e-22, 1e-23, 1e-30])
+    def test_slow_scaled_grids_recover_the_mode(self, tmp_path, capfd, scale):
+        assert self.fit_command(tmp_path, sample_grid(1e9, 9e9, 100) * scale) == 0
+        assert capfd.readouterr().err == ""
+        (mode,) = json.loads((tmp_path / "f.json").read_text())["modes"]
+        assert mode["freq_hz"] == pytest.approx(5e9 * scale, rel=1e-9)
 
     # numpy's LinAlgError subclasses ValueError, so the config-error wrapper once
     # reported a solve that did not converge as a config error (exit 2)

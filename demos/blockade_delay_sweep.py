@@ -12,7 +12,7 @@ Run:  python demos/blockade_delay_sweep.py   (writes blockade_delay_sweep.png)
 
 import numpy as np
 
-from zzkit import TwoQubitSystem, make_blockade_protocol, run_blockade_protocol
+from zzkit import TwoQubitSystem, make_blockade_protocol, run_blockade_grid
 
 system = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
 delays = np.linspace(-250e-9, 250e-9, 26)
@@ -20,12 +20,9 @@ lengths = [16e-9, 52e-9, 100e-9, 200e-9]
 
 curves = {}
 for length in lengths:
-    p1 = []
-    for delay in delays:
-        protocol = make_blockade_protocol(system, length, delay)
-        result = run_blockade_protocol(system, protocol)
-        p1.append(result.p_excited(1)[-1])
-    curves[length] = np.array(p1)
+    # one stacked propagation per curve, read at each point's readout
+    protocols = [make_blockade_protocol(system, length, delay) for delay in delays]
+    p1 = curves[length] = run_blockade_grid(system, protocols).p_excited(1)
     print(f"pulse {length * 1e9:5.0f} ns:  P1(-200 ns) = {p1[2]:.3f}   "
           f"P1(+200 ns) = {p1[-3]:.3f}")
 

@@ -16,7 +16,7 @@ from zzkit import (
     DissipationSpec,
     TwoQubitSystem,
     make_blockade_protocol,
-    run_blockade_protocol,
+    run_blockade_grid,
 )
 
 system = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
@@ -24,12 +24,8 @@ t1 = (7.35e-6, 9.57e-6)
 dissipation = DissipationSpec(t1)
 
 delays = np.concatenate([-np.geomspace(30e-6, 1e-6, 10), np.geomspace(1e-6, 30e-6, 10)])
-p1 = []
-for delay in delays:
-    protocol = make_blockade_protocol(system, 200e-9, delay)
-    result = run_blockade_protocol(system, protocol, dissipation)
-    p1.append(result.p_excited(1)[-1])
-p1 = np.array(p1)
+protocols = [make_blockade_protocol(system, 200e-9, delay) for delay in delays]
+p1 = run_blockade_grid(system, protocols, dissipation).p_excited(1)
 
 model = lambda t, a, tau, c: c + a * np.exp(-t / tau)
 neg = delays < 0

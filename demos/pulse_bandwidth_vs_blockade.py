@@ -17,7 +17,7 @@ from zzkit import (
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
-    run_blockade_protocol,
+    run_blockade_grid,
 )
 
 system = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
@@ -25,15 +25,12 @@ t2_read = 9.1e-6
 window = 1.0 / t2_read
 
 lengths = np.array([16, 28, 52, 100, 148, 200]) * 1e-9
-p1s, fracs = [], []
+protocols = [make_blockade_protocol(system, length, 100e-9) for length in lengths]
+p1s = run_blockade_grid(system, protocols).p_excited(1)
+fracs = [pulse_spectral_power(pi_pulse("truncated_cosine", length, system.omega1_hz),
+                              system.zeta_hz, window) for length in lengths]
 print(f"{'length (ns)':>12} {'P1(e)':>10} {'power fraction':>16}")
-for length in lengths:
-    protocol = make_blockade_protocol(system, length, 100e-9)
-    p1 = run_blockade_protocol(system, protocol).p_excited(1)[-1]
-    pulse = pi_pulse("truncated_cosine", length, system.omega1_hz)
-    frac = pulse_spectral_power(pulse, system.zeta_hz, window)
-    p1s.append(p1)
-    fracs.append(frac)
+for length, p1, frac in zip(lengths, p1s, fracs):
     print(f"{length * 1e9:12.0f} {p1:10.4f} {frac:16.3e}")
 
 rho = spearmanr(p1s, fracs).statistic

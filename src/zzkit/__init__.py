@@ -37,7 +37,6 @@ from .dynamics import (
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
-    rotating_frame_transform,
     run_blockade_grid,
     run_blockade_protocol,
     run_conditional_ramsey,

@@ -8,11 +8,15 @@ where the left-hand side is either a pair of SQUID transmons with an explicit
 coupling capacitance, or a Foster network (series of parallel LC(R) stages)
 with junction participations.  All energies are stored as E/h in Hz.
 A transmon pair has one reduction, transmon_pair, to the (omega01, alpha, g)
-columns of dressed_blocks: the optimizer and circuit files share it.  The flux
-scan, whose qubit 1 sits at one bias, solves that qubit once and qubit 2 over
-the grid by transmon_levels.
+columns of dressed_blocks, which circuit files use.  The optimizer's
+evaluate_population solves a generation's stack by transmon_levels itself, an
+unphysical row as a stand-in.  The flux scan, whose qubit 1 sits at one bias,
+solves that qubit once and qubit 2 over the grid by transmon_levels.
+transmon_levels holds to a charge-basis solve for E_J/E_C from 1 to
+TRANSMON_RATIO_MAX; beyond it scipy's Mathieu values are not to be trusted.
 The CLI exits 2 naming the field for a circuit file's C12 outside [0, min
-C_sigma), and for a circuit-file qubit or flux-spectroscopy bias with E_J/E_C < 1.
+C_sigma), and for a circuit-file qubit or flux-spectroscopy bias with E_J/E_C
+outside [1, TRANSMON_RATIO_MAX].
 """
 
 import warnings
@@ -25,6 +29,9 @@ from .constants import capacitance_from_ec, phase_zpf_from_impedance
 from .errors import DimensionMismatchError
 
 TRANSMON_RATIO_WARN = 20.0      # warn below this E_J/E_C
+# transmon_levels holds within 6e-10 of a charge-basis solve up to this E_J/E_C;
+# scipy's Mathieu values first jump to another branch near 4087
+TRANSMON_RATIO_MAX = 4000.0
 PARTICIPATION_WARN = 0.5        # phi_zpf above this is no longer weakly anharmonic
 COUPLING_FRACTION_WARN = 0.2    # C12 / shunt ratio above which the 2-node reduction degrades
 
@@ -127,11 +134,15 @@ def _characteristic(func, order, q):
 
 
 def check_transmon(spec):
-    """spec, after a ValueError if E_J/E_C < 1 at its flux bias and a warning below 20."""
+    """spec, after a ValueError if E_J/E_C is outside [1, TRANSMON_RATIO_MAX] at its
+    flux bias and a warning below 20."""
     ratio = spec.ej_hz / spec.ec_hz
     if ratio < 1:
         raise ValueError(f"E_J/E_C = {ratio:.2f} < 1 at flux {spec.squid.flux_phi0:g}: "
                          "not a transmon")
+    if ratio > TRANSMON_RATIO_MAX:
+        raise ValueError(f"E_J/E_C = {ratio:.4g} > {TRANSMON_RATIO_MAX:g} at flux "
+                         f"{spec.squid.flux_phi0:g}: beyond the levels' verified range")
     if ratio < TRANSMON_RATIO_WARN:
         warnings.warn(f"E_J/E_C = {ratio:.1f} < {TRANSMON_RATIO_WARN:g} at flux "
                       f"{spec.squid.flux_phi0:g}: outside the transmon regime", stacklevel=3)
@@ -330,9 +341,13 @@ def transmon_pair(ej_hz, ec_hz, coupling):
     """(omega01, alpha, g) of coupled transmons: ej_hz and ec_hz broadcast to (2, ...),
     qubit 1 first, and one transmon_levels call solves both at every point; g is
     coupling.g_at on the solved frequencies.  Raises ValueError, naming the
-    smallest E_J/E_C, when any is below 1."""
+    smallest E_J/E_C, when any is below 1, or the largest, when any is above
+    TRANSMON_RATIO_MAX."""
     ratio = np.asarray(ej_hz, dtype=float) / np.asarray(ec_hz, dtype=float)
     if not np.all(ratio >= 1):
         raise ValueError(f"E_J/E_C = {np.min(ratio):.2f} < 1: not a transmon")
+    if np.any(ratio > TRANSMON_RATIO_MAX):
+        raise ValueError(f"E_J/E_C = {np.max(ratio):.4g} > {TRANSMON_RATIO_MAX:g}: "
+                         "beyond the levels' verified range")
     omega, alpha = transmon_levels(ej_hz, ec_hz)
     return omega, alpha, coupling.g_at(omega[0], omega[1])

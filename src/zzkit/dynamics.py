@@ -50,7 +50,7 @@ state leaves qubit 1 a two-level problem, solved in closed form.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -69,7 +69,7 @@ TWO_PI = 2.0 * np.pi
 
 BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PULSE_SHAPES = ("rectangular", "truncated_cosine", "gaussian")
-FRAMES = ("lab", "rotating", "blockade_effective")
+FRAMES = ("lab", "rotating")
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -442,25 +442,30 @@ def _frame_levels(system, f1_hz, f2_hz):
 
 
 def _carrier_frame(system, pulses):
-    """Each qubit's frame: the carrier of its pulses, or its own transition when undriven."""
-    f = [None, None]
+    """Each qubit's frame: the one carrier of its pulses, or its own transition when undriven."""
+    f = {}
     for p in pulses:
-        q = p.target_qubit - 1
-        if f[q] is not None and not np.isclose(f[q], p.carrier_hz):
-            raise UnsupportedError(
-                "pulses on one qubit carry different carriers; "
-                "pass frame_freqs_hz explicitly"
-            )
-        f[q] = p.carrier_hz
-    return (f[0] if f[0] is not None else system.omega1_hz,
-            f[1] if f[1] is not None else system.omega2_hz)
+        if f.setdefault(p.target_qubit, p.carrier_hz) != p.carrier_hz:
+            raise UnsupportedError("pulses on one qubit carry different carriers; the "
+                                   "rotating frame turns at one carrier per qubit")
+    return f.get(1, system.omega1_hz), f.get(2, system.omega2_hz)
 
 
-def _rotating_stack(system, rows, stacked, frame_freqs_hz=None):
-    # the levels in the qubits' own frame, then _ROTATING_OPERATORS (the exchange's two if on)
+def _rotating_stack(system, rows, stacked):
+    """The Hamiltonian in the frame turning at each qubit's one carrier (_carrier_frame).
+
+    Under the RWA the sigma_y sin-drive becomes Omega/2 on a fixed transverse
+    axis (the 2 omega_d terms are dropped); the axis gauge is chosen so a
+    zero-phase pulse maps to +Omega/2 sigma_x, which differs from the raw
+    sin -> RWA result only by a sigma_z conjugation that populations never
+    see.  The excitation-conserving part of any XX+YY coupling is kept exactly
+    as a difference-frequency term; its double-excitation part rotates at the
+    carrier sum and is dropped with the RWA (the lab frame keeps it).  The
+    operators: the levels in the qubits' own frame, then _ROTATING_OPERATORS
+    (the exchange's two if on).
+    """
     field, envelope, windows = _pulse_stack(rows, stacked)
-    frames = np.array([_carrier_frame(system, row) if frame_freqs_hz is None
-                       else frame_freqs_hz for row in rows], dtype=float)
+    frames = np.array([_carrier_frame(system, row) for row in rows], dtype=float)
     f1, f2 = (frames if stacked else frames[0]).T
     jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
     exchange_on = abs(jpm) > 0
@@ -495,23 +500,6 @@ def _rotating_stack(system, rows, stacked, frame_freqs_hz=None):
     return TimeDependentHamiltonian(
         func, operators, windows, always_time_dependent=exchange_turns,
         max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None)
-
-
-def rotating_frame_transform(system, pulses, frame_freqs_hz=None):
-    """Hamiltonian in the frame co-rotating with the drive carriers.
-
-    The frame rotates each qubit at frame_freqs_hz (default: the carrier of
-    that qubit's pulses, or its own transition when undriven).  Under the RWA
-    the sigma_y sin-drive becomes Omega/2 on a fixed transverse axis (the
-    2 omega_d terms are dropped); the axis gauge is chosen so a zero-phase
-    pulse maps to +Omega/2 sigma_x, which differs from the raw sin -> RWA
-    result only by a sigma_z conjugation that populations never see.  The
-    excitation-conserving part of any XX+YY coupling is kept exactly as a
-    difference-frequency term; its double-excitation part rotates at the
-    carrier sum and is dropped with the RWA.  Full counter-rotating dynamics
-    belongs to the lab frame (build_protocol_hamiltonian).
-    """
-    return _rotating_stack(system, [pulses], False, frame_freqs_hz)
 
 
 @dataclass(frozen=True)
@@ -1077,9 +1065,6 @@ def build_protocol_hamiltonian(system, protocol):
     rows = [p.pulses for p in protocols]
     if frame == "lab":
         return _lab_stack(system, rows, stacked)
-    if frame == "blockade_effective":       # the qubits' own frames, the exchange dropped
-        return _rotating_stack(replace(system, jxx_hz=0.0, jyy_hz=0.0), rows, stacked,
-                               (system.omega1_hz, system.omega2_hz))
     return _rotating_stack(system, rows, stacked)
 
 

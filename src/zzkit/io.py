@@ -314,10 +314,14 @@ def check_resolved(path, times, shortest):
 
 
 def _protocol(path, pulses, total_time_s, dissipation, readout_matrix, **spec):
-    shortest = min(p.duration_s for p in pulses)
+    shortest, carriers = min(p.duration_s for p in pulses), {}
     for k, p in enumerate(pulses):
         check_resolved(f"{path}:pulses[{k}]:start_time_s", p.start_time_s, shortest)
         check_resolved(f"{path}:pulses[{k}]:duration_s", p.end_time_s, shortest)
+        if spec["frame"] == "rotating" and \
+                carriers.setdefault(p.target_qubit, p.carrier_hz) != p.carrier_hz:
+            raise ConfigError(f"{path}:pulses[{k}]:carrier_hz: qubit {p.target_qubit}'s pulses "
+                              "carry two carriers, and a rotating frame turns at one per qubit")
     if total_time_s is None:
         total_time_s = max(p.end_time_s for p in pulses) + END_PAD_S
     check_resolved(f"{path}:total_time_s", total_time_s, shortest)

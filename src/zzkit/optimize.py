@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Coupling, transmon_levels
+from .circuit import TRANSMON_RATIO_MAX, Coupling, transmon_levels
 from .constants import charging_energy_hz
 from .errors import NoFeasibleCandidateError
 from .spectrum import dressed_blocks
@@ -191,9 +191,10 @@ def evaluate_population(xs, problem):
 
     The design variables decode to node capacitances C_sigma = C_i + C12.  One
     transmon_levels solve, one g_at and one dressed_blocks (N <= 2) call take every
-    row, an unphysical one (C_i <= 0, C12 < 0, E_J/E_C < 1) as an uncoupled stand-in
-    transmon (E_J = E_C = 1 Hz).  That row, or one with ambiguous labels, has no zeta
-    and is infeasible with one 'evaluation_error' violation.
+    row, an unphysical one (C_i <= 0, C12 < 0, E_J/E_C outside [1, TRANSMON_RATIO_MAX])
+    as an uncoupled stand-in transmon (E_J = E_C = 1 Hz).  That row, or one with
+    ambiguous labels, has no zeta and is infeasible with one 'evaluation_error'
+    violation.
     """
     xs = np.asarray(xs, dtype=float)
     band_lo, band_hi, cap_lo, cap_hi, cap_rows, names = problem._slack_layout
@@ -202,10 +203,11 @@ def evaluate_population(xs, problem):
     for row, name in zip(v, VARIABLE_ORDER):
         row[...] = values[name]
     ej, c12, csig = v[:2], v[4], v[2:4] + v[4]
-    with np.errstate(divide="ignore", invalid="ignore"):    # in rows that fail `ok`
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # rows failing `ok`
         ec = charging_energy_hz(csig)
         ratio = ej / ec
-        ok = (c12 >= 0) & np.all((v[2:4] > 0) & (ec > 0) & (ratio >= 1), axis=0)
+        ok = (c12 >= 0) & np.all((v[2:4] > 0) & (ec > 0) & (ratio >= 1)
+                                 & (ratio <= TRANSMON_RATIO_MAX), axis=0)
         w, alpha = transmon_levels(*np.where(ok, (ej, ec), 1.0))
         g = np.where(ok, Coupling(c12_farads=c12, csigma_farads=tuple(csig)).g_at(*w), 0.0)
         delta = np.abs(w[0] - w[1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import check_transmon, transmon_levels
+from .circuit import TRANSMON_RATIO_MAX, check_transmon, transmon_levels
 from .errors import (
     AmbiguousLabelError,
     DomainError,
@@ -351,12 +351,15 @@ def single_excitation_scan(s1, q2, coupling, fluxes):
     s1 is qubit 1's TransmonSpectrum at its own bias, solved once by the caller
     (transmon_spectrum); q2 is qubit 2's TransmonSpec, which sits at each of
     fluxes, and one transmon_levels call solves it over the grid.  Returns
-    omega2 (K,) and ascending pairs (K, 2).  check_transmon at the flux of
-    qubit 2's lowest E_J/E_C raises below 1 and warns once below 20.
+    omega2 (K,) and ascending pairs (K, 2).  check_transmon at the fluxes of
+    qubit 2's lowest and highest E_J/E_C raises outside [1, TRANSMON_RATIO_MAX]
+    and warns once below 20.
     """
     fluxes = np.asarray(fluxes, dtype=float)
     ej2 = q2.at_flux(fluxes).ej_hz
     check_transmon(q2.at_flux(fluxes[np.argmin(ej2)]))
+    if np.max(ej2) > TRANSMON_RATIO_MAX * q2.ec_hz:       # raises, naming that flux
+        check_transmon(q2.at_flux(fluxes[np.argmax(ej2)]))
     omega2, alpha2 = transmon_levels(ej2, q2.ec_hz)
     _, pairs, _ = dressed_blocks(s1.omega01_hz, omega2, s1.anharmonicity_hz, alpha2,
                                  coupling.g_at(s1.omega01_hz, omega2))

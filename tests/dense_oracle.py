@@ -64,12 +64,13 @@ from scipy.special import sici
 
 from zzkit.dynamics import (
     RAMSEY_PULSE_S,
+    ProtocolSpec,
     TwoQubitSystem,
     _expm_real,
     _frame_levels,
     _schrodinger,
+    build_protocol_hamiltonian,
     calibrated_pulse,
-    rotating_frame_transform,
 )
 from zzkit.errors import (
     ConfigError,
@@ -197,7 +198,7 @@ def brent_crossing(s1, q2, coupling, fluxes, gaps):
     return 0.5 * float(np.sqrt(best.fun)), float(best.x)
 
 
-def hamiltonian(system, protocol, frame_freqs_hz=None, include_exchange=True):
+def hamiltonian(system, protocol):
     """t -> H(t), the (4, 4) matrix in rad/s of one protocol in its frame, at a scalar t."""
     pulses = protocol.pulses
     if protocol.frame == "lab":
@@ -211,12 +212,8 @@ def hamiltonian(system, protocol, frame_freqs_hz=None, include_exchange=True):
             return h
         return lab
 
-    if protocol.frame == "blockade_effective":
-        frame_freqs_hz, include_exchange = (system.omega1_hz, system.omega2_hz), False
-    if frame_freqs_hz is None:
-        carriers = {p.target_qubit: p.carrier_hz for p in pulses}
-        frame_freqs_hz = (carriers.get(1, system.omega1_hz), carriers.get(2, system.omega2_hz))
-    f1, f2 = frame_freqs_hz
+    carriers = {p.target_qubit: p.carrier_hz for p in pulses}
+    f1, f2 = carriers.get(1, system.omega1_hz), carriers.get(2, system.omega2_hz)
     static = TWO_PI * np.diag(system.energies() - f1 * np.diag(N1) - f2 * np.diag(N2))
     jpm = system.jxx_hz + system.jyy_hz
 
@@ -226,7 +223,7 @@ def hamiltonian(system, protocol, frame_freqs_hz=None, include_exchange=True):
             # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.)
             term = 0.5 * np.exp(1j * p.phase_rad) * SM[p.target_qubit]
             h += TWO_PI * p.envelope(t) * (term + term.conj().T)
-        if include_exchange and jpm:
+        if jpm:
             c = TWO_PI * jpm * np.exp(1j * TWO_PI * (f1 - f2) * t)
             h += c * FLIP_FLOP + np.conj(c) * FLIP_FLOP.T
         return h
@@ -313,9 +310,9 @@ def _half_pi_propagator(system, drive_freq_hz):
     """Propagator of a rectangular pi/2 pulse on qubit 1 in the drive frame, exchange dropped."""
     pulse = calibrated_pulse("rectangular", RAMSEY_PULSE_S, drive_freq_hz,
                              rotation_cycles=0.25, target_qubit=1)
-    ham = rotating_frame_transform(
+    ham = build_protocol_hamiltonian(
         TwoQubitSystem(system.omega1_hz, system.omega2_hz, system.zeta_hz),
-        (pulse,), (drive_freq_hz, system.omega2_hz))
+        ProtocolSpec((pulse,), RAMSEY_PULSE_S))
     generator = _schrodinger(ham)        # the rectangular drive is static during the pulse
     u = _expm_real(generator.matrix(ham.func(0.0)) * RAMSEY_PULSE_S)
     return u[0::2, 0::2] + 1j * u[1::2, 0::2]

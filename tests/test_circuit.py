@@ -19,10 +19,11 @@ from zzkit import (
     transmon_pair,
     transmon_spectrum,
 )
-from zzkit.circuit import transmon_levels
+from zzkit.circuit import TRANSMON_RATIO_MAX, check_transmon, transmon_levels
 from zzkit.cli import main
 from zzkit.errors import DimensionMismatchError
 from zzkit.io import load_circuit_file, read_zz_sweep_csv
+from zzkit.spectrum import single_excitation_scan
 
 from conftest import make_transmon
 
@@ -165,6 +166,31 @@ class TestMathieuLevels:
             assert abs(w01 - want01) <= 2e-11 * want01, ratio
             assert abs(2 * w01 + a - want02) <= 2e-11 * want02, ratio
 
+    def test_matches_charge_basis_solve_up_to_the_bound(self):
+        # a dense scan; scipy's values first jump to another branch near 4087
+        ratios = np.geomspace(1.0, TRANSMON_RATIO_MAX, 4000)
+        omega01, alpha = transmon_levels(ratios, 1.0)
+        want = np.array([charge_basis_levels(r, 1.0, cutoff=60) for r in ratios])
+        np.testing.assert_allclose(omega01, want[:, 0], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(2 * omega01 + alpha, want[:, 1], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("ratio", [4000.001, 1.09e4, 2e4, 1e290])
+    def test_checks_raise_beyond_the_bound(self, ratio):
+        # at 2e4, transmon_levels gives omega01 12x the charge-basis value
+        spec = make_transmon(ratio * 0.2e9, 0.2e9)
+        with pytest.raises(ValueError, match="beyond the levels' verified range"):
+            check_transmon(spec)
+        with pytest.raises(ValueError, match="beyond the levels' verified range"):
+            transmon_pair([20e9, ratio * 0.2e9], 0.2e9, Coupling.fixed(0.1e9))
+        assert check_transmon(make_transmon(TRANSMON_RATIO_MAX * 0.2e9, 0.2e9))
+
+    def test_flux_scan_checks_its_largest_ratio(self):
+        # qubit 2 at 5000 at zero flux and below 4000 at 0.4: its smallest ratio is in range
+        q1, q2 = make_transmon(18e9, 0.3e9), make_transmon(5000 * 0.2e9, 0.2e9, d=0.3)
+        s1 = transmon_spectrum(q1)
+        with pytest.raises(ValueError, match="E_J/E_C = 5000 > 4000 at flux 0:"):
+            single_excitation_scan(s1, q2, Coupling.fixed(0.1e9), [0.4, 0.0])
+
     def test_scipy_nan_points_are_mended(self):
         # SciPy 1.17 returns NaN for a_0 at q = -667.445 and for b_2 at q = -820.5747
         ratios = np.array([1334.89, 1641.1494])
@@ -302,6 +328,19 @@ class TestTwoTransmonKerr:
                                     "coupling": {"c12_farads": 20e-15}}))
         with pytest.warns(UserWarning, match="two-node"):
             load_circuit_file(str(path))
+
+    def test_circuit_beyond_the_levels_range_exit_code(self, tmp_path, capsys):
+        # E_J/E_C = 2e4 once swept with omega01 = 1.02e12 Hz, not 7.98e10
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({
+            "qubits": [{"ej_sum_hz": 18e9, "ec_hz": 0.28e9},
+                       {"ej_sum_hz": 4e12, "ec_hz": 200e6}],
+            "coupling": {"c12_farads": 5e-15}}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"circuit": str(circuit), "delta_hz": [0.5e9, 2e9]}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "zz.csv"), "zz-sweep"]) == 2
+        err = capsys.readouterr().err
+        assert "c.json:qubits[1]: E_J/E_C = 2e+04 > 4000" in err and "Traceback" not in err
 
     def test_no_bare_cross_kerr_at_bilinear_order(self, tmp_path):
         # every ZZ comes through g: an uncoupled circuit file sweeps to zeta = 0

@@ -24,7 +24,6 @@ from zzkit import (
     make_blockade_protocol,
     pi_pulse,
     pulse_spectral_power,
-    rotating_frame_transform,
     run_blockade_grid,
     run_blockade_protocol,
     run_conditional_ramsey,
@@ -33,8 +32,6 @@ from zzkit import (
 from zzkit.dynamics import (
     BASIS_LABELS,
     P11,
-    SX1,
-    SX2,
     TWO_PI,
     _fit_fringe,
     build_protocol_hamiltonian,
@@ -42,6 +39,7 @@ from zzkit.dynamics import (
 from zzkit.errors import (
     FitError,
     StiffnessError,
+    UnsupportedError,
 )
 
 SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
@@ -55,6 +53,11 @@ RESONANT_EXCHANGE = TwoQubitSystem(5.001e9, 5.0e9, 19e6, jxx_hz=8e6)
 def lab_frame(system, pulses):
     """The lab-frame Hamiltonian of pulses, through a protocol in that frame."""
     return build_protocol_hamiltonian(system, dynamics.ProtocolSpec(pulses, 100e-9, "lab"))
+
+
+def rotating_frame(system, pulses):
+    """The rotating-frame Hamiltonian of pulses, through a protocol in that frame."""
+    return build_protocol_hamiltonian(system, dynamics.ProtocolSpec(pulses, 100e-9))
 
 
 def master_equation_reference(ham, rho0, c_ops, grid):
@@ -180,7 +183,7 @@ class TestHamiltonians:
     def test_rwa_drive_element_is_half_amplitude(self):
         # mid-pulse the flip-flop matrix element is Omega(t)/2 on the target line
         p = pi_pulse("rectangular", 50e-9, SYSTEM.omega1_hz, target_qubit=1)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         h = ham.matrix(25e-9) / TWO_PI
         assert abs(h[2, 0]) == pytest.approx(p.amplitude_hz / 2, rel=1e-12)
 
@@ -200,20 +203,19 @@ class TestHamiltonians:
         shift = SYSTEM.zeta_hz * np.eye(4)
         np.testing.assert_allclose(h_quiet, SYSTEM.zeta_hz * p00 - shift, atol=1e-6)
 
-    def test_blockade_effective_matches_projector_plus_drives(self):
-        prot = make_blockade_protocol(SYSTEM, 200e-9, 100e-9,
-                                      frame="blockade_effective")
-        ham = build_protocol_hamiltonian(SYSTEM, prot)
-        t = 150e-9
-        amp1 = prot.pulses[0].envelope(t)
-        amp2 = prot.pulses[1].envelope(t)
-        want = TWO_PI * (SYSTEM.zeta_hz * P11 + amp1 / 2 * SX1 + amp2 / 2 * SX2)
-        np.testing.assert_allclose(ham.matrix(t), want, atol=1e-6)
+    def test_two_carriers_on_one_qubit_are_unsupported(self):
+        # 50 kHz apart: a frame turning at either one leaves the other pulse
+        # detuned, however close the two are, whichever pulse is listed last
+        pulses = [PulseSpec("rectangular", 5e6, 100e-9, carrier, start_time_s=start)
+                  for carrier, start in ((6.0e9, 0.0), (6.00005e9, 100e-9))]
+        for order in (pulses, pulses[::-1]):
+            with pytest.raises(UnsupportedError, match="one carrier per qubit"):
+                rotating_frame(SYSTEM, order)
+        assert lab_frame(SYSTEM, pulses).matrix(150e-9).shape == (4, 4)
 
     @pytest.mark.parametrize("system,frame", [
         (SYSTEM, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
-        (SYSTEM, "blockade_effective"),
-    ], ids=["lab", "rotating", "exchange", "blockade-effective"])
+    ], ids=["lab", "rotating", "exchange"])
     def test_func_on_times_stacks_scalar_calls(self, system, frame):
         prot = make_blockade_protocol(system, 40e-9, 20e-9, frame=frame)
         ham = build_protocol_hamiltonian(system, prot)
@@ -237,7 +239,7 @@ class TestEvolveSchrodinger:
 
     def test_resonant_pi_pulse_full_transfer(self):
         p = pi_pulse("rectangular", 50e-9, SYSTEM.omega1_hz, target_qubit=1)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         res = evolve_schrodinger(ham, ground_state(), np.array([0, 60e-9]))
         assert res.p_excited(1)[-1] == pytest.approx(1.0, abs=1e-6)
         assert res.norm_drift <= 1e-6
@@ -247,7 +249,7 @@ class TestEvolveSchrodinger:
         omega_r, delta = 8e6, 6e6
         p = PulseSpec("rectangular", omega_r, 2e-6, SYSTEM.omega1_hz - delta,
                       target_qubit=1)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         grid = np.linspace(0, 1.5e-6, 1501)
         res = evolve_schrodinger(ham, ground_state(), grid)
         freq = _fit_fringe(grid, res.p_excited(1))
@@ -257,7 +259,7 @@ class TestEvolveSchrodinger:
         # a pulse far from t=0 must still be resolved by the segmented solver
         p = pi_pulse("truncated_cosine", 16e-9, SYSTEM.omega1_hz, target_qubit=1,
                      start_time_s=500e-9)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         res = evolve_schrodinger(ham, ground_state(), np.array([0, 600e-9]))
         assert res.p_excited(1)[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -265,7 +267,7 @@ class TestEvolveSchrodinger:
 class TestEvolveLindblad:
     def test_t1_decay_efolds_at_t1(self):
         t1 = 7.35e-6
-        ham = rotating_frame_transform(SYSTEM, ())
+        ham = rotating_frame(SYSTEM, ())
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[2, 2] = 1.0     # |10>
         grid = np.array([0.0, t1])
@@ -274,7 +276,7 @@ class TestEvolveLindblad:
 
     def test_infinite_times_match_schrodinger(self):
         p = pi_pulse("truncated_cosine", 60e-9, SYSTEM.omega1_hz, target_qubit=1)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         grid = np.linspace(0, 80e-9, 9)
         closed = evolve_schrodinger(ham, ground_state(), grid)
         rho0 = np.zeros((4, 4), dtype=complex)
@@ -284,7 +286,7 @@ class TestEvolveLindblad:
 
     def test_pure_dephasing_analytic(self):
         t1, t2 = np.inf, 4e-6
-        ham = rotating_frame_transform(SYSTEM, ())
+        ham = rotating_frame(SYSTEM, ())
         plus = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
         rho0 = np.outer(plus, plus.conj())
         grid = np.linspace(0, 6e-6, 7)
@@ -298,7 +300,7 @@ class TestEvolveLindblad:
         # truncated-cosine pi pulse with finite T1 and T2, against the
         # commutator-plus-dissipator master equation integrated directly
         p = pi_pulse("truncated_cosine", 60e-9, SYSTEM.omega1_hz, target_qubit=1)
-        ham = rotating_frame_transform(SYSTEM, (p,))
+        ham = rotating_frame(SYSTEM, (p,))
         diss = DissipationSpec((1e-6, 2e-6), (0.8e-6, 1.5e-6))
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
@@ -476,8 +478,7 @@ BENCH_OPEN_LENGTHS = (39.078, 79.005, 118.435, 162.775)
 class TestStackedHamiltonian:
     @pytest.mark.parametrize("system,frame", [
         (SYSTEM, "lab"), (SYSTEM, "rotating"), (NEAR_EXCHANGE, "rotating"),
-        (SYSTEM, "blockade_effective"),
-    ], ids=["lab", "rotating", "exchange", "blockade-effective"])
+    ], ids=["lab", "rotating", "exchange"])
     def test_stack_matches_each_protocol(self, system, frame):
         prots = grid_protocols(system, (-30e-9, 0.0, 20e-9), (16e-9, 40e-9), frame=frame)
         stacked = build_protocol_hamiltonian(system, prots)
@@ -623,9 +624,8 @@ class TestOperatorBasis:
 
     @pytest.mark.parametrize("system,frame", [
         (SYSTEM, "lab"), (EXCHANGE, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
-        (NEAR_EXCHANGE, "rotating"), (EXCHANGE, "blockade_effective"),
-    ], ids=["lab", "lab-exchange", "rotating", "exchange", "exchange-20MHz",
-            "blockade-effective"])
+        (NEAR_EXCHANGE, "rotating"),
+    ], ids=["lab", "lab-exchange", "rotating", "exchange", "exchange-20MHz"])
     def test_matrix_and_right_hand_sides_match_dense_oracle(self, rng, system, frame):
         prots = random_protocols(rng, system, frame, 6)
         dense = [dense_oracle.hamiltonian(system, p) for p in prots]
@@ -656,18 +656,6 @@ class TestOperatorBasis:
                 got = generator.apply(c, y.view(float)).view(complex)
                 np.testing.assert_allclose(got, rhs, rtol=0,
                                            atol=1e-12 * np.abs(rhs).max())
-
-    @pytest.mark.parametrize("system", [SYSTEM, EXCHANGE], ids=["bare", "exchange"])
-    def test_explicit_frame_matches_dense_oracle(self, rng, system):
-        for prot in random_protocols(rng, system, "rotating", 4):
-            frame = (system.omega1_hz + rng.uniform(-50e6, 50e6),
-                     system.omega2_hz + rng.uniform(-50e6, 50e6))
-            ham = rotating_frame_transform(system, prot.pulses, frame)
-            h = dense_oracle.hamiltonian(system, prot, frame)
-            times = rng.uniform(0.0, prot.total_time_s, 15)
-            want = np.array([h(t) for t in times])
-            np.testing.assert_allclose(ham.matrix(times), want, rtol=0,
-                                       atol=1e-12 * np.abs(want).max())
 
 
 class TestBlockadeGrid:

@@ -647,6 +647,19 @@ class TestZZSweepCommand:
         assert "pulses[0]:start_time_s: the time 1e+12 s is not resolved" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("frame,code", [("rotating", 2), ("lab", 0)])
+    def test_two_carriers_on_one_qubit_exit_code(self, tmp_path, capsys, frame, code):
+        # a rotating frame turns at one carrier per qubit: qubit 1's second pulse,
+        # 50 kHz off its first, once ran at the first one's frequency
+        pulses = [{**PROTOCOL["pulses"][0], "carrier_hz": f, "start_time_s": t}
+                  for f, t in ((6.307e9, 0.0), (6.30705e9, 10e-9))]
+        ppath = write_json(tmp_path / "protocol.json", {"frame": frame, "pulses": pulses})
+        cfg = write_json(tmp_path / "cfg.json", {"fixture": "chip1", "protocol": str(ppath)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"), "blockade"]) == code
+        err = capsys.readouterr().err
+        assert ("protocol.json:pulses[1]:carrier_hz" in err) == (code == 2)
+        assert "Traceback" not in err
+
     def test_resolved_late_pulse_runs(self, tmp_path):
         # 1 ms after the qubit-2 pulse, floats resolve a 16 ns pulse to 1.4e-11 of it:
         # the point reads as the same sequence 100 ns apart (the wait between is free)

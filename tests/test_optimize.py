@@ -262,6 +262,21 @@ class TestEvaluatorOracle:
         assert [c.violations for c in got] == [(("evaluation_error:ValueError", 1.0),)] * 4
 
 
+    def test_rows_beyond_the_levels_range_are_stand_ins(self):
+        # C1 = 90e285 F (a bound's high x1e300) sets E_J/E_C near 1e300: scipy found
+        # no finite Mathieu value, and the generation ended in a traceback
+        problem = OptimizationProblem(CHIP1_LIKE, n_exc=3)
+        physical = [20e9, 18e9, 60e-15, 65e-15, 5e-15]
+        xs = np.array([physical, [20e9, 18e9, 90e285, 65e-15, 5e-15],
+                       [20e9, 18e9, 60e-15, 65e-15, 3e285]])
+        got = evaluate_population(xs, problem)
+        assert got.error.tolist() == [None] + ["evaluation_error:ValueError"] * 2
+        assert np.isnan(got.zeta_hz[1:]).all() and not got.feasible[1:].any()
+        alone = evaluate_population(xs[:1], problem)
+        assert got.zeta_hz[0] == alone.zeta_hz[0]
+        assert got.slacks[0].tobytes() == alone.slacks[0].tobytes()
+
+
 class TestOptimize:
     def test_boundary_optimum_in_exchange_rate(self):
         # |zeta| grows with g^2 in the dispersive regime, so the optimum pins

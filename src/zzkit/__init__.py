@@ -58,7 +58,6 @@ from .spectrum import (
     diagonalize_and_label,
     dressed_blocks,
     pauli_decomposition,
-    schrieffer_wolff_shifts,
     zeta_exact,
     zeta_perturbative,
     zeta_resonant,

@@ -10,17 +10,18 @@ its two neighbor-in-ground transition frequencies, the ZZ strength zeta
 Drives enter the lab frame as Omega_i(t) sin(2 pi f_d t + phi) sigma_y; in
 the frame co-rotating with the carriers the rotating-wave approximation turns
 them into Omega_i(t)/2 on the transverse axis, and driving each qubit at its
-dressed transition leaves exactly zeta |11><11| plus the drives.
+dressed transition leaves exactly zeta |11><11| plus the drives.  With an
+exchange that frame turns over the dressed levels (_rotating_stack).
 
 A Hamiltonian is real coefficients over one fixed basis of Hermitian
 operators, H(t) = sum_m c_m(t) O_m: a static part with coefficient 1, then
-in the rotating frame N1 and N2 (carrying the frame detunings), each qubit's
-two transverse axes (Omega cos phi, Omega sin phi) and the two Hermitian
-parts of the exchange term, in the lab frame sigma_y on each qubit.  Its
-func maps a scalar time or an array of times to the matching stack of
-coefficients.  The K protocols of a stack (build_protocol_hamiltonian) share
-the basis and differ only in their coefficients, and a stack's func takes
-per-point times on a trailing K axis (a shared time t as t[..., None]).
+in the rotating frame N1 and N2 (carrying the frame detunings) and each
+qubit's two transverse axes (Omega cos phi, Omega sin phi), in the lab frame
+sigma_y on each qubit.  Its func maps a scalar time or an array of times to
+the matching stack of coefficients.  The K protocols of a stack
+(build_protocol_hamiltonian) share the basis and differ only in their
+coefficients, and a stack's func takes per-point times on a trailing K axis
+(a shared time t as t[..., None]).
 
 Closed and open evolution share one propagation core for dy/dt = G(t) y.
 Its generator basis (-i O_m, or the superoperators of -i[O_m, .] with the
@@ -28,16 +29,15 @@ dissipator) is built once in real form, on the interleaved (re, im) float
 view of the state, so a right-hand side is one real matrix product over the
 whole stack, and every exponential, closed or open, is one real Taylor
 polynomial with scaling and squaring (_expm_real; within 4e-16 max(1, |A|_1)
-of scipy's expm).  A Hamiltonian that sets max_step_s (lab-frame carriers, a
-rotating-frame exchange term at a nonzero difference frequency) runs every
-point on one clock: the time axis is split at the union of all pulse edges
-and gaussian peaks, drive-free segments take exact exponentials and driven
+of scipy's expm).  The lab frame sets max_step_s and runs every point on
+one clock: the time axis is split at the union of all pulse edges and
+gaussian peaks, drive-free segments take exact exponentials and driven
 ones fixed sixth-order three-node Magnus steps, 16 per period of the fastest
-frequency; at the default tolerances they hold every carrier-resolved test
+carrier; at the default tolerances they hold every carrier-resolved test
 case within 6.4e-7 in population of a DOP853 reference, and the lab-frame
-blockade points within 1.8e-7.  Any other runs DOP853 (scipy's DOP853
-tableau and step control) with one clock per point: each point keeps its
-own time, step size and error norm, restarts at its own pulse edges and
+blockade points within 1.8e-7.  The rotating frame runs DOP853 (scipy's
+DOP853 tableau and step control) with one clock per point: each point keeps
+its own time, step size and error norm, restarts at its own pulse edges and
 gaussian peaks, and jumps its own drive-free stretches by exact
 exponentials, while all points advance together, one coefficient
 evaluation per round.  Each point's action code (step, probe, size, jump,
@@ -94,8 +94,7 @@ DOUBLE_FLIP[3, 0] = 1.0            # |11><00|
 _N1_LEVELS, _N2_LEVELS = np.diag(N1).real, np.diag(N2).real
 _LAB_DRIVES = TWO_PI * np.array([SY1, SY2])
 _ROTATING_OPERATORS = TWO_PI * np.array(
-    [N1, N2] + [0.5 * (sm + sm.T) for sm in (SM1, SM2)] + [0.5j * (sm - sm.T) for sm in (SM1, SM2)]
-    + [FLIP_FLOP + FLIP_FLOP.T, 1j * (FLIP_FLOP - FLIP_FLOP.T)])
+    [N1, N2] + [0.5 * (sm + sm.T) for sm in (SM1, SM2)] + [0.5j * (sm - sm.T) for sm in (SM1, SM2)])
 
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
@@ -317,8 +316,8 @@ class TimeDependentHamiltonian:
     operators: np.ndarray       # (M, dim, dim) Hermitian O_m, in rad/s per unit coefficient
     points: tuple               # each protocol's (edges, intervals): its envelope support edges
                                 # and gaussian peaks, and the (start, end) windows of its drives
-    always_time_dependent: bool = False
     max_step_s: float = None    # resolves H's fastest frequency; set, it selects Magnus steps
+    dressing: tuple = None      # over dressed levels: R (4, 4) and the points' F (..., 4) in Hz
 
     @property
     def dim(self):
@@ -339,8 +338,6 @@ class TimeDependentHamiltonian:
 
     def is_static_on(self, a, b, intervals):
         """Whether H is static inside (a, b) when its drives are on in intervals only."""
-        if self.always_time_dependent:
-            return False
         return not any(s < b - 1e-18 and e > a + 1e-18 for s, e in intervals)
 
 
@@ -397,10 +394,9 @@ def _pulse_stack(rows, stacked):
     return field, envelope, tuple(window(row) for row in rows)
 
 
-def _used(operators, static, weights, always=()):
+def _used(operators, static, weights):
     """Drop the operators no point reaches (static (..., M) and pulse weights (..., J, M) zero)."""
     used = static.reshape(-1, len(operators)).any(0) | weights.reshape(-1, len(operators)).any(0)
-    used[list(always)] = True
     return operators[used], static[..., used], weights[..., used]
 
 
@@ -458,48 +454,49 @@ def _rotating_stack(system, rows, stacked):
     axis (the 2 omega_d terms are dropped); the axis gauge is chosen so a
     zero-phase pulse maps to +Omega/2 sigma_x, which differs from the raw
     sin -> RWA result only by a sigma_z conjugation that populations never
-    see.  The excitation-conserving part of any XX+YY coupling is kept exactly
-    as a difference-frequency term; its double-excitation part rotates at the
-    carrier sum and is dropped with the RWA (the lab frame keeps it).  The
-    operators: the levels in the qubits' own frame, then _ROTATING_OPERATORS
-    (the exchange's two if on).
+    see.  An exchange's double flip goes with the RWA (the lab frame keeps
+    it); its flip-flop block is diagonalized, the frame turns over the dressed
+    levels, and each drive keeps its cos theta share on its own transition.
+    The sin theta share turns at the carriers' difference and goes too:
+    UnsupportedError where |sin theta| (f1 + f2) >= |f1 - f2|, as it would
+    outweigh the terms dropped at the sum.  The operators: the levels in the
+    qubits' own frame, then _ROTATING_OPERATORS.
     """
     field, envelope, windows = _pulse_stack(rows, stacked)
     frames = np.array([_carrier_frame(system, row) for row in rows], dtype=float)
     f1, f2 = (frames if stacked else frames[0]).T
-    jpm = system.jxx_hz + system.jyy_hz          # coefficient of |10><01| + h.c.
-    exchange_on = abs(jpm) > 0
-    delta_d = f1 - f2
-    m = 9 if exchange_on else 7
+    dressing, share = None, 1.0
+    jpm, delta = system.jxx_hz + system.jyy_hz, system.omega1_hz - system.omega2_hz
+    if jpm:
+        # theta = atan(2 jpm / delta) / 2: |01~> = cos|01> - sin|10>, |10~> = sin|01> + cos|10>
+        # (R's columns) keep their bare labels, at w2 - jpm tan theta and w1 + jpm tan theta
+        theta = 0.5 * math.atan2(2.0 * jpm * math.copysign(1.0, delta), abs(delta))
+        share, mix = math.cos(theta), math.sin(theta)
+        if np.any(abs(mix) * np.abs(f1 + f2) >= np.abs(f1 - f2)):
+            raise UnsupportedError(
+                f"carriers {np.abs(f1 - f2).min() / 1e6:.4g} MHz apart: with the exchange mixing "
+                f"the qubits by sin theta = {mix:.3g}, the rotating frame cannot drop the "
+                "drives' terms at the carriers' difference; use the lab frame")
+        r = np.eye(4)
+        r[1:3, 1:3] = [[share, mix], [-mix, share]]
+        dressing = r, np.multiply.outer(f1, _N1_LEVELS) + np.multiply.outer(f2, _N2_LEVELS)
+        shift = jpm * math.tan(theta)
+        system = TwoQubitSystem(system.omega1_hz + shift, system.omega2_hz - shift, system.zeta_hz)
     on = field("target_qubit", int)[..., None] == (1, 2)
     phase = field("phase_rad")[..., None]
-    static = np.zeros(on.shape[:-2] + (m,))
+    static = np.zeros(on.shape[:-2] + (7,))
     static[..., 0] = 1.0
     static[..., 1], static[..., 2] = system.omega1_hz - f1, system.omega2_hz - f2
-    weights = np.zeros(on.shape[:-1] + (m,))
+    weights = np.zeros(on.shape[:-1] + (7,))
     weights[..., 3:5], weights[..., 5:7] = on * np.cos(phase), on * np.sin(phase)
     own = TWO_PI * np.diag(_frame_levels(system, system.omega1_hz, system.omega2_hz))
-    operators, static, weights = _used(np.concatenate([own[None], _ROTATING_OPERATORS[:m - 1]]),
-                                       static, weights, always=range(7, m))
+    operators, static, weights = _used(np.concatenate([own[None], _ROTATING_OPERATORS]),
+                                       static, weights * share)
 
     def func(t):
-        t = np.asarray(t, dtype=float)
-        c = _contract(static, envelope(t), weights)
-        if exchange_on:
-            turn = TWO_PI * delta_d * t
-            c[..., -2] = jpm * np.cos(turn)
-            c[..., -1] = jpm * np.sin(turn)
-        return c
+        return _contract(static, envelope(np.asarray(t, dtype=float)), weights)
 
-    # fixed steps must resolve the fastest frequency in this frame: the exchange
-    # rotation, the frame detunings and zeta, the exchange and the drives
-    levels = _frame_levels(system, f1, f2)
-    exchange_turns = exchange_on and bool(np.any(delta_d != 0))
-    rate_hz = max(np.abs(delta_d).max(), np.abs(levels).max(), abs(jpm),
-                  field("amplitude_hz").sum(axis=-1).max(initial=0.0))
-    return TimeDependentHamiltonian(
-        func, operators, windows, always_time_dependent=exchange_turns,
-        max_step_s=1.0 / (STEPS_PER_CARRIER_PERIOD * rate_hz) if exchange_turns else None)
+    return TimeDependentHamiltonian(func, operators, windows, dressing=dressing)
 
 
 @dataclass(frozen=True)
@@ -898,21 +895,29 @@ def _propagate(ham, generator, y0, grid, rtol, atol):
     G(t) contracts ham.func with the generator basis (_schrodinger or
     _lindblad).  y0 is one state or a (K, n) stack of them, and grid one
     time axis or a (T, K) stack of them, column k point k's own; out[i] is
-    the state or stack at grid[i].  A Hamiltonian that sets max_step_s runs
+    the state or stack at grid[i].  The lab frame sets max_step_s and runs
     every point on one clock over all the grid's times, split at every
     breakpoint: a static segment takes exact exponentials of its real-form
     generator (_expm_real), one stack over the times inside it and its end,
     and a driven one fixed sixth-order Magnus steps (_magnus_segment), which
     have no error control: at RTOL_DEFAULT they are max_step_s long, and a
     tighter rtol shortens them by (rtol / RTOL_DEFAULT)^(1/6), so that their
-    global error, of order h^6, falls in proportion to rtol.  Any other runs
-    DOP853 with one clock per point (_dop853), so rtol and atol hold each
-    point of a stack to the bound it gets alone.
+    global error, of order h^6, falls in proportion to rtol.  The rotating
+    frame runs DOP853 with one clock per point (_dop853), so rtol and atol
+    hold each point of a stack to the bound it gets alone; over dressed
+    levels (ham.dressing) y0 and the states are in the bare basis.
     """
+    if ham.dressing is not None:    # U_ij = R_ij e^{2 pi i (F_i - F_j) t}, dressed to bare, or
+        r, f = ham.dressing         # U x U* on row-major vec(rho), at every grid time
+        t = grid.reshape(grid.shape + (1,) * (y0.ndim - grid.ndim))[..., None, None]
+        u = r * np.exp(1j * TWO_PI * (f[..., :, None] - f[..., None, :]) * t)
+        u = u if y0.shape[-1] == len(r) else _kron(u, u.conj())
+        y0 = (np.swapaxes(u[0].conj(), -1, -2) @ y0[..., None])[..., 0]
     y = np.array(y0, dtype=complex).reshape(-1, y0.shape[-1])
     times = np.broadcast_to(grid.reshape(len(grid), -1), (len(grid), len(y)))
     if not ham.max_step_s:
-        return _dop853(ham, generator, y, times, rtol, atol).reshape((len(grid),) + y0.shape)
+        out = _dop853(ham, generator, y, times, rtol, atol).reshape((len(grid),) + y0.shape)
+        return out if ham.dressing is None else (u @ out[..., None])[..., 0]
     axis = np.unique(times)
     out = np.empty((len(axis),) + y.shape, dtype=complex)
     out[0] = y
@@ -970,11 +975,20 @@ def _kron(a, b):
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*stack, n * m, n * m)
 
 
+def _secular(ops, r):
+    """Collapse operators in the dressed basis R, split by the change (dn1, dn2) their elements
+    make: the parts turn at different carrier combinations, and no cross term is kept."""
+    change = 3 * (_N1_LEVELS[:, None] - _N1_LEVELS) + _N2_LEVELS[:, None] - _N2_LEVELS
+    dressed = [r.T @ c @ r for c in ops]
+    return [np.where(change == k, c, 0.0) for c in dressed for k in np.unique(change[c != 0])]
+
+
 def _lindblad(ham, dissipation):
     """B_m = -i(O_m x I - I x O_m^T) on row-major vec(rho), the dissipator added to B_0."""
     ops, ident = ham.operators, np.eye(ham.dim)
     basis = -1j * (_kron(ops, ident) - _kron(ident, np.swapaxes(ops, -1, -2)))
-    for c in dissipation.collapse_operators() if dissipation is not None else ():
+    c_ops = dissipation.collapse_operators() if dissipation is not None else ()
+    for c in c_ops if ham.dressing is None else _secular(c_ops, ham.dressing[0]):
         cd_c = c.conj().T @ c
         basis[0] += _kron(c, c.conj()) - 0.5 * (_kron(cd_c, ident) + _kron(ident, cd_c.T))
     return _Generator(basis)
@@ -1075,9 +1089,9 @@ def run_blockade_protocol(system, protocol, dissipation=None, n_grid=121,
     Closed-system propagation unless a DissipationSpec is given.  Populations
     are basis-state probabilities; SimulationResult.p_excited(q) reduces them
     per qubit.  The final grid point is the readout instant.  rtol and atol
-    steer the adaptive DOP853 segments.  Lab-frame runs and rotating-frame
-    runs with a detuned exchange term take fixed sixth-order Magnus steps
-    instead, 16 per period of the fastest frequency; at the defaults the 4,
+    steer the adaptive DOP853 segments of the rotating frame, exchange or
+    not (see _rotating_stack).  Lab-frame runs take fixed sixth-order Magnus
+    steps instead, 16 per period of the fastest carrier; at the defaults the 4,
     16 and 50 ns lab points lie within 1.8e-7 in population of DOP853 at
     rtol 1e-13.  There a tighter rtol only shortens the steps, by
     (rtol / RTOL_DEFAULT)^(1/6), cutting the error in proportion.
@@ -1099,12 +1113,13 @@ def run_blockade_grid(system, protocols, dissipation=None):
     DissipationSpec, under their stacked Hamiltonian by one evolve_schrodinger
     or evolve_lindblad call, whose norm-drift retry or trace and positivity
     checks cover every point.  Each point runs on its own time axis from the
-    grid's start to its readout instant, total_time_s.  On DOP853 every point
-    keeps its own clock and jumps its drive-free stretch before the readout
-    by one exact exponential (see _dop853), and the grid holds every point
-    to rtol GRID_RTOL = RTOL_DEFAULT / 10, so each lies within 2e-10 of a far
-    tighter run of run_blockade_protocol, the per-point path, and within
-    1e-9 of its default-tolerance run, however many points the grid has.
+    grid's start to its readout instant, total_time_s.  In the rotating
+    frame, exchange or not, each keeps its own DOP853 clock and jumps its
+    drive-free stretch before the readout by one exact exponential (see
+    _dop853), and the grid holds every point to rtol GRID_RTOL =
+    RTOL_DEFAULT / 10, so each lies within 2e-10 of a far tighter run of
+    run_blockade_protocol, the per-point path, and within 1e-9 of its
+    default-tolerance run, however many points the grid has.  Lab-frame
     Magnus stacks run one clock over every point's readout (see _propagate).
     Returns a SimulationResult with the readout instants as times_s and one
     population per point.
@@ -1136,6 +1151,9 @@ def pulse_spectral_power(pulse, center_offset_hz, window_hz):
     the envelope's edge value J adds its tail J^2 (1/(2 pi^2 y) + sin(2 pi y)/(4 pi^3
     y^2)) beyond y.  At most 2 _SPECTRAL_PANELS panels; within 1e-11 of exact.
     """
+    for name, value in (("center_offset_hz", center_offset_hz), ("window_hz", window_hz)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if window_hz <= 0:
         raise ValueError("window_hz must be positive")
     shape, s = pulse.shape, (pulse.gaussian_sigma_s or 0.0) / pulse.duration_s

@@ -11,8 +11,9 @@ to bare labels by the optimal assignment of squared overlaps; zeta is then
 
     zeta = E_11 - E_10 - E_01 + E_00,
 
-and its perturbative counterparts (second-order elimination of |20>, |02>
-and the high-detuning series) are provided for cross-validation.
+and its perturbative counterparts, zeta_perturbative (the second-order
+elimination of |20> and |02>) and zeta_series_high_detuning (its expansion
+at high detuning), are provided for cross-validation.
 
 _blocks builds and labels each block straight from the Kerr parameters, stacked:
 dressed_blocks takes N <= 2, all zeta needs, over sweeps, flux scans and optimizer
@@ -264,22 +265,6 @@ def zeta_series_high_detuning(g_hz, delta_hz, alpha1_hz, alpha2_hz,
     return -chi_bare_hz - 2.0 * _pow(g_hz, 2) * (a1 + a2) * bracket
 
 
-def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz):
-    """Second-order dressed shifts (dE11, dE10, dE01).
-
-    dE11 = -2g^2/(delta - |a1|) + 2g^2/(delta + |a2|) from the two-excitation
-    manifold, NaN near its poles as zeta_perturbative; the single-excitation states
-    repel each other symmetrically, dE10 = +g^2/delta and dE01 = -g^2/delta, so
-    dE11 - dE10 - dE01 equals the perturbative zeta identically.
-    """
-    g2 = _pow(g_hz, 2)
-    d11 = _off_poles(delta_hz, alpha1_hz, alpha2_hz)
-    de11 = -2.0 * g2 / (d11 - np.abs(alpha1_hz)) + 2.0 * g2 / (d11 + np.abs(alpha2_hz))
-    de10 = g2 / delta_hz
-    de01 = -g2 / delta_hz
-    return de11, de10, de01
-
-
 @dataclass(frozen=True)
 class PauliDecomposition:
     """Coefficients beta_0..beta_5 of the effective two-qubit Hamiltonian
@@ -300,16 +285,6 @@ class PauliDecomposition:
     @property
     def zeta_hz(self):
         return 4.0 * self.beta_hz[5]
-
-    def computational_energies(self):
-        """Diagonal energies E_00, E_01, E_10, E_11 reconstructed from beta."""
-        b0, b1, _, _, b4, b5 = self.beta_hz
-        return {
-            (0, 0): b0 + b1 + b4 + b5,
-            (0, 1): b0 - b1 + b4 - b5,
-            (1, 0): b0 + b1 - b4 - b5,
-            (1, 1): b0 - b1 - b4 + b5,
-        }
 
 
 def pauli_decomposition(spectrum, j_dressed_hz=0.0):

@@ -2,11 +2,17 @@
 
 One protocol's H(t) is built pulse by pulse as a full 4x4 matrix: the static
 part of its frame plus, for every pulse, its envelope (PulseSpec.envelope)
-times that pulse's own drive operator, and in the rotating frame the exchange
-term at the difference frequency.  The open right-hand side is the full
-Liouvillian of H(t), built at every call.  zzkit.dynamics represents the same
-Hamiltonians as real coefficients over one operator basis shared by a stack
-of protocols; the tests hold it to these matrices.
+times that pulse's own drive operator.  hamiltonian's rotating frame keeps
+an exchange exactly, as a term at the carriers' difference frequency in the
+bare basis: integrated at tight tolerance, it is the tests' oracle for the
+dressed frame.  dressed_hamiltonian is that frame built independently: the
+flip-flop block diagonalized by eigh, each drive taken into the dressed
+basis and cut to its own qubit's transitions, and secular_collapse_operators
+splits the collapse operators there by the frequencies their elements turn
+at.  The open right-hand side is the full Liouvillian of H(t), built at
+every call.  zzkit.dynamics represents the same Hamiltonians as real
+coefficients over one operator basis shared by a stack of protocols; the
+tests hold it to these matrices.
 
 solve_ivp_segment is the old DOP853 segment: scipy's solve_ivp, which asks
 for the coefficients one stage time at a time.  zzkit.dynamics runs the same
@@ -46,6 +52,11 @@ magnitude integrated on a fine frequency grid.  sinc_spectral_fraction is the
 rectangular pulse's share from the sine integral.  zzkit.dynamics integrates
 each shape's closed-form transform; the tests hold it to these.
 
+schrieffer_wolff_shifts is the second-order shift of each computational
+level, and computational_energies the four levels a PauliDecomposition's
+betas give back.  zzkit.spectrum keeps only zeta's own formulas and the
+forward decomposition; the tests hold them to these.
+
 csv_module_write and csv_module_load are the old data files: rows of cells
 through csv.writer, one cell-rule call per cell, and csv.reader's rows made
 one float array.  zzkit.io formats a column at a time and parses with numpy's
@@ -84,6 +95,8 @@ from zzkit.spectrum import (
     AMBIGUITY_THRESHOLD,
     LabeledSpectrum,
     _assign,
+    _off_poles,
+    _pow,
     single_excitation_scan,
 )
 
@@ -198,6 +211,33 @@ def brent_crossing(s1, q2, coupling, fluxes, gaps):
     return 0.5 * float(np.sqrt(best.fun)), float(best.x)
 
 
+def schrieffer_wolff_shifts(g_hz, delta_hz, alpha1_hz, alpha2_hz):
+    """Second-order dressed shifts (dE11, dE10, dE01).
+
+    dE11 = -2g^2/(delta - |a1|) + 2g^2/(delta + |a2|) from the two-excitation
+    manifold, NaN near its poles as zeta_perturbative; the single-excitation states
+    repel each other symmetrically, dE10 = +g^2/delta and dE01 = -g^2/delta, so
+    dE11 - dE10 - dE01 equals the perturbative zeta identically.
+    """
+    g2 = _pow(g_hz, 2)
+    d11 = _off_poles(delta_hz, alpha1_hz, alpha2_hz)
+    de11 = -2.0 * g2 / (d11 - np.abs(alpha1_hz)) + 2.0 * g2 / (d11 + np.abs(alpha2_hz))
+    de10 = g2 / delta_hz
+    de01 = -g2 / delta_hz
+    return de11, de10, de01
+
+
+def computational_energies(decomposition):
+    """Diagonal energies E_00, E_01, E_10, E_11 reconstructed from a PauliDecomposition."""
+    b0, b1, _, _, b4, b5 = decomposition.beta_hz
+    return {
+        (0, 0): b0 + b1 + b4 + b5,
+        (0, 1): b0 - b1 + b4 - b5,
+        (1, 0): b0 + b1 - b4 - b5,
+        (1, 1): b0 - b1 - b4 + b5,
+    }
+
+
 def hamiltonian(system, protocol):
     """t -> H(t), the (4, 4) matrix in rad/s of one protocol in its frame, at a scalar t."""
     pulses = protocol.pulses
@@ -217,17 +257,80 @@ def hamiltonian(system, protocol):
     static = TWO_PI * np.diag(system.energies() - f1 * np.diag(N1) - f2 * np.diag(N2))
     jpm = system.jxx_hz + system.jyy_hz
 
+    drives = []
+    for p in pulses:
+        # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.)
+        term = 0.5 * np.exp(1j * p.phase_rad) * SM[p.target_qubit]
+        drives.append((p.envelope, TWO_PI * (term + term.conj().T)))
+
     def rotating(t):
         h = static.astype(complex)
-        for p in pulses:
-            # sin(w t + phi) sigma_y --RWA--> (1/2)(e^{i phi} sigma_- + h.c.)
-            term = 0.5 * np.exp(1j * p.phase_rad) * SM[p.target_qubit]
-            h += TWO_PI * p.envelope(t) * (term + term.conj().T)
+        for envelope, drive in drives:
+            h += envelope(t) * drive
         if jpm:
             c = TWO_PI * jpm * np.exp(1j * TWO_PI * (f1 - f2) * t)
             h += c * FLIP_FLOP + np.conj(c) * FLIP_FLOP.T
         return h
     return rotating
+
+
+def _dressed_frame(system, protocol):
+    """(levels, R, F) of the rotating frame over the dressed levels, by eigh.
+
+    The static lab matrix's |01>, |10> block is diagonalized by eigh, each
+    eigenvector put on the bare label it overlaps most and signed to overlap
+    it positively (R's columns); levels are the dressed energies and F the
+    frame's levels, each qubit turning at its pulses' carrier or, undriven,
+    at its bare transition.
+    """
+    h = system.static_lab_matrix().real
+    energies, vectors = np.linalg.eigh(h[1:3, 1:3])
+    order = np.argsort(np.argmax(np.abs(vectors), axis=0))
+    vectors = vectors[:, order] * np.sign(np.diag(vectors[:, order]))
+    r = np.eye(4)
+    r[1:3, 1:3] = vectors
+    levels = np.array([0.0, *energies[order], h[3, 3]])
+    carriers = {p.target_qubit: p.carrier_hz for p in protocol.pulses}
+    f1, f2 = carriers.get(1, system.omega1_hz), carriers.get(2, system.omega2_hz)
+    return levels, r, f1 * np.diag(N1) + f2 * np.diag(N2)
+
+
+def dressed_hamiltonian(system, protocol):
+    """t -> H(t) of one protocol in the rotating frame over the dressed levels, at a scalar t.
+
+    Each pulse's bare RWA drive is taken into the dressed basis, where it
+    keeps only the elements that flip its own qubit's dressed excitation and
+    leave the partner's: the others turn at the carriers' difference.
+    """
+    levels, r, f = _dressed_frame(system, protocol)
+    static = TWO_PI * np.diag(levels - f)
+    n = {1: np.diag(N1), 2: np.diag(N2)}
+    own = {q: (n[q][:, None] != n[q]) & (n[3 - q][:, None] == n[3 - q]) for q in (1, 2)}
+
+    def dressed(t):
+        h = static.astype(complex)
+        for p in protocol.pulses:
+            term = 0.5 * np.exp(1j * p.phase_rad) * SM[p.target_qubit]
+            drive = r.T @ (term + term.conj().T) @ r
+            h += TWO_PI * p.envelope(t) * np.where(own[p.target_qubit], drive, 0.0)
+        return h
+    return dressed
+
+
+def secular_collapse_operators(system, protocol, c_ops):
+    """c_ops in the dressed basis, each split into the parts whose elements |a><b| turn
+    at one frequency F_a - F_b of the protocol's dressed frame (within 1 Hz)."""
+    _, r, f = _dressed_frame(system, protocol)
+    turn = f[:, None] - f[None, :]
+    parts = []
+    for c in c_ops:
+        dressed = r.T @ c @ r
+        seen = []
+        for w in turn[dressed != 0]:
+            if all(abs(w - x) >= 1.0 for x in seen):
+                seen.append(w)
+                parts.append(np.where(np.abs(turn - w) < 1.0, dressed, 0.0))
+    return parts
 
 
 def liouvillian(h, c_ops):

@@ -37,6 +37,8 @@ from zzkit.circuit import foster_impedance
 from zzkit.cli import main
 from zzkit.io import read_blockade_csv, read_zz_sweep_csv
 
+from dense_oracle import computational_energies
+
 BLOCKADE_SYSTEM = TwoQubitSystem(6.307e9, 4.498e9, 19e6)
 DRIFTS = []
 
@@ -59,7 +61,7 @@ def test_criterion_01_zeta_beta_identity(rng):
     worst = 0.0
     for b in betas:
         d = PauliDecomposition(b)
-        e = d.computational_energies()
+        e = computational_energies(d)
         zeta = e[(1, 1)] - e[(1, 0)] - e[(0, 1)] + e[(0, 0)]
         scale = max(abs(zeta), abs(4 * b[5]), 1.0)
         worst = max(worst, abs(zeta - 4 * b[5]) / scale)

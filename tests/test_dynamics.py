@@ -48,6 +48,8 @@ EXCHANGE = TwoQubitSystem(7.0e9, 4.5e9, 19e6, jxx_hz=8.05e6, jyy_hz=1.69e6)
 NEAR_EXCHANGE = replace(EXCHANGE, omega1_hz=4.52e9)
 # nearly resonant qubits, whose exchange turns far slower than zeta
 RESONANT_EXCHANGE = TwoQubitSystem(5.001e9, 5.0e9, 19e6, jxx_hz=8e6)
+# 0.4 GHz apart with jxx = jyy = 5 MHz: just inside the rotating frame's reach
+BOUNDARY_EXCHANGE = TwoQubitSystem(5.0e9, 4.6e9, 19e6, jxx_hz=5e6, jyy_hz=5e6)
 
 
 def lab_frame(system, pulses):
@@ -387,18 +389,15 @@ class TestCarrierResolvedSegments:
         eye = np.broadcast_to(np.eye(8), got.shape)
         assert np.max(np.abs(got @ np.swapaxes(got, -1, -2) - eye)) <= 1e-13
 
-    @pytest.mark.parametrize("system,length,delay,frame", [
-        (SYSTEM, 4e-9, 0.0, "lab"),
-        (SYSTEM, 16e-9, 10e-9, "lab"),
-        (EXCHANGE, 100e-9, 60e-9, "rotating"),
-        (NEAR_EXCHANGE, 100e-9, 60e-9, "rotating"),
-        (replace(EXCHANGE, omega1_hz=4.51e9), 100e-9, 60e-9, "rotating"),
-        (replace(EXCHANGE, omega1_hz=4.502e9), 100e-9, 60e-9, "rotating"),
-        (RESONANT_EXCHANGE, 200e-9, 60e-9, "rotating"),
-    ], ids=["lab-4ns", "lab-16ns", "exchange-far-detuned", "exchange-20MHz",
-            "exchange-10MHz", "exchange-2MHz", "exchange-1MHz-200ns"])
-    def test_matches_direct_integration(self, system, length, delay, frame):
-        prot = make_blockade_protocol(system, length, delay, frame=frame)
+    @pytest.mark.parametrize("system,length,delay", [
+        (SYSTEM, 4e-9, 0.0),
+        (SYSTEM, 16e-9, 10e-9),
+        (NEAR_EXCHANGE, 16e-9, 10e-9),
+        (RESONANT_EXCHANGE, 16e-9, 10e-9),
+    ], ids=["lab-4ns", "lab-16ns", "lab-exchange-20MHz", "lab-exchange-1MHz"])
+    def test_matches_direct_integration(self, system, length, delay):
+        # the near-resonant exchange systems run only in the lab frame
+        prot = make_blockade_protocol(system, length, delay, frame="lab")
         ham = build_protocol_hamiltonian(system, prot)
         assert ham.max_step_s is not None
         grid = np.linspace(0, prot.total_time_s, 9)
@@ -406,12 +405,11 @@ class TestCarrierResolvedSegments:
         want = schrodinger_reference(ham, ground_state(), grid)
         np.testing.assert_allclose(populations(res.states), populations(want), atol=2e-6)
 
-    @pytest.mark.parametrize("system,length,frame", [
-        (SYSTEM, 4e-9, "lab"), (NEAR_EXCHANGE, 100e-9, "rotating"),
-    ], ids=["lab-4ns", "exchange-20MHz"])
-    def test_tighter_rtol_shortens_steps(self, system, length, frame):
+    @pytest.mark.parametrize("system", [SYSTEM, NEAR_EXCHANGE],
+                             ids=["lab-4ns", "lab-exchange-20MHz"])
+    def test_tighter_rtol_shortens_steps(self, system):
         # the sixth-order error falls with rtol: 100x tighter, 100x closer
-        prot = make_blockade_protocol(system, length, 0.0, frame=frame)
+        prot = make_blockade_protocol(system, 4e-9, 0.0, frame="lab")
         ham = build_protocol_hamiltonian(system, prot)
         grid = np.linspace(0, prot.total_time_s, 9)
         res = evolve_schrodinger(ham, ground_state(), grid, rtol=1e-11, atol=1e-14,
@@ -477,7 +475,7 @@ BENCH_OPEN_LENGTHS = (39.078, 79.005, 118.435, 162.775)
 
 class TestStackedHamiltonian:
     @pytest.mark.parametrize("system,frame", [
-        (SYSTEM, "lab"), (SYSTEM, "rotating"), (NEAR_EXCHANGE, "rotating"),
+        (SYSTEM, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
     ], ids=["lab", "rotating", "exchange"])
     def test_stack_matches_each_protocol(self, system, frame):
         prots = grid_protocols(system, (-30e-9, 0.0, 20e-9), (16e-9, 40e-9), frame=frame)
@@ -497,6 +495,9 @@ class TestStackedHamiltonian:
         assert stacked.points == tuple((h.breakpoints, h.active_intervals) for h in singles)
         steps = [h.max_step_s for h in singles]
         assert stacked.max_step_s == (None if None in steps else min(steps))
+        if stacked.dressing is not None:
+            np.testing.assert_array_equal(stacked.dressing[0], singles[0].dressing[0])
+            np.testing.assert_array_equal(stacked.dressing[1], [h.dressing[1] for h in singles])
 
     def test_mixed_shapes_share_the_pulse_formula(self):
         shapes = [pi_pulse("gaussian", 40e-9, SYSTEM.omega1_hz, gaussian_sigma_s=8e-9),
@@ -624,11 +625,15 @@ class TestOperatorBasis:
 
     @pytest.mark.parametrize("system,frame", [
         (SYSTEM, "lab"), (EXCHANGE, "lab"), (SYSTEM, "rotating"), (EXCHANGE, "rotating"),
-        (NEAR_EXCHANGE, "rotating"),
-    ], ids=["lab", "lab-exchange", "rotating", "exchange", "exchange-20MHz"])
+        (BOUNDARY_EXCHANGE, "rotating"),
+    ], ids=["lab", "lab-exchange", "rotating", "exchange", "exchange-400MHz"])
     def test_matrix_and_right_hand_sides_match_dense_oracle(self, rng, system, frame):
+        # an exchange's rotating frame turns over the dressed levels, with secular
+        # collapse operators: against the oracle's eigh-built dressed frame
         prots = random_protocols(rng, system, frame, 6)
-        dense = [dense_oracle.hamiltonian(system, p) for p in prots]
+        dressed = frame == "rotating" and system.jxx_hz + system.jyy_hz != 0
+        build = dense_oracle.dressed_hamiltonian if dressed else dense_oracle.hamiltonian
+        dense = [build(system, p) for p in prots]
         times = np.concatenate([rng.uniform(-5e-9, 110e-9, 25),
                                 [e for p in prots for q in p.pulses
                                  for e in (q.start_time_s, q.end_time_s)]])
@@ -643,12 +648,15 @@ class TestOperatorBasis:
 
         closed = dynamics._schrodinger(ham)
         opened = dynamics._lindblad(ham, CHIP1_DISSIPATION)
-        c_ops = CHIP1_DISSIPATION.collapse_operators()
+        c_ops = [CHIP1_DISSIPATION.collapse_operators()] * len(prots)
+        if dressed:
+            c_ops = [dense_oracle.secular_collapse_operators(system, p, c_ops[0]) for p in prots]
+            assert len(c_ops[0]) > len(CHIP1_DISSIPATION.collapse_operators())
         psi = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         rho = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
         for t, h in zip(times[:6], want):
             c = ham.func(t)
-            lv = np.array([dense_oracle.liouvillian(h_k, c_ops) for h_k in h])
+            lv = np.array([dense_oracle.liouvillian(h_k, c_k) for h_k, c_k in zip(h, c_ops)])
             for generator, y, g in ((closed, psi, -1j * h), (opened, rho, lv)):
                 np.testing.assert_allclose(generator.matrix(c), real_form(g), rtol=0,
                                            atol=1e-12 * np.abs(g).max())
@@ -695,13 +703,9 @@ class TestBlockadeGrid:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         assert np.ptp(got[:, 2] + got[:, 3]) > 0.3      # the phases show in p1
 
-    @pytest.mark.parametrize("system,delays,lengths,frame", [
-        (SYSTEM, (-1e-9, 2e-9), (4e-9,), "lab"),
-        (NEAR_EXCHANGE, (-40e-9, 60e-9), (60e-9, 100e-9), "rotating"),
-    ], ids=["lab", "exchange-20MHz"])
-    def test_carrier_resolved_grid_matches_direct_integration(self, system, delays, lengths,
-                                                              frame):
-        prots = grid_protocols(system, delays, lengths, frame=frame)
+    @pytest.mark.parametrize("system", [SYSTEM, NEAR_EXCHANGE], ids=["lab", "lab-exchange-20MHz"])
+    def test_carrier_resolved_grid_matches_direct_integration(self, system):
+        prots = grid_protocols(system, (-1e-9, 2e-9), (4e-9,), frame="lab")
         ham = build_protocol_hamiltonian(system, prots)
         assert ham.max_step_s is not None
         got = readout_populations(run_blockade_grid(system, prots))
@@ -791,6 +795,131 @@ class TestBlockadeGrid:
                 run_blockade_protocol(SYSTEM, prots[0], dissipation)
             with pytest.raises(StiffnessError):
                 run_blockade_grid(SYSTEM, prots, dissipation)
+
+
+# chip1's and chip2's beta-table systems: XX+YY exchange 2.8 and 2.3 GHz from resonance
+BETA_SYSTEMS = {chip: TwoQubitSystem.from_pauli_decomposition(load_fixture(chip).beta)
+                for chip in ("chip1", "chip2")}
+
+
+@functools.lru_cache(maxsize=None)
+def exact_exchange_readout(system, protocol, dissipation=None):
+    """Readout populations of the exact exchange model from |00>, by solve_ivp's DOP853.
+
+    The model is dense_oracle.hamiltonian's rotating frame: the flip-flop
+    term turns at the carriers' difference in the bare basis, and the drives
+    act on the bare transitions.  rtol 1e-10, atol 1e-12; with dissipation
+    the commutator plus the dissipator of its collapse operators.
+    """
+    h = dense_oracle.hamiltonian(system, protocol)
+    y0 = ground_state()
+    if dissipation is None:
+        def rhs(t, y):
+            return (-1j * (h(t) @ y.view(complex))).view(float)
+    else:
+        y0 = np.outer(y0, y0).reshape(-1)
+        dissipator = dense_oracle.liouvillian(np.zeros((4, 4)), dissipation.collapse_operators())
+
+        def rhs(t, y):
+            rho, h_t = y.view(complex).reshape(4, 4), h(t)
+            return (-1j * (h_t @ rho - rho @ h_t).reshape(-1)
+                    + dissipator @ y.view(complex)).view(float)
+    sol = solve_ivp(rhs, (0.0, protocol.total_time_s), y0.view(float), method="DOP853",
+                    rtol=1e-10, atol=1e-12)
+    assert sol.success
+    y = sol.y[:, -1].copy().view(complex)
+    return np.abs(y) ** 2 if dissipation is None else np.diag(y.reshape(4, 4)).real
+
+
+def refused_before_propagation(monkeypatch, run):
+    """run() raises UnsupportedError naming the lab frame, and propagates nothing first."""
+    def forbidden(*args):
+        raise AssertionError("propagated before the refusal")
+    monkeypatch.setattr(dynamics, "_propagate", forbidden)
+    with pytest.raises(UnsupportedError, match="use the lab frame"):
+        run()
+
+
+class TestDressedFrame:
+    """An exchange's rotating frame turns over the dressed levels, held to the exact model."""
+
+    @pytest.mark.parametrize("chip,length,delays", [
+        ("chip1", 16e-9, (-50e-9, 0.0, 50e-9)),
+        ("chip2", 16e-9, (-50e-9, 0.0, 50e-9)),
+        ("chip1", 100e-9, (-50e-9, 0.0, 50e-9)),
+        ("chip2", 100e-9, (-100e-9, -50e-9, 0.0, 50e-9, 100e-9)),
+    ], ids=["chip1-16ns", "chip2-16ns", "chip1-100ns", "chip2-100ns"])
+    def test_beta_grid_matches_the_exact_exchange_model(self, chip, length, delays):
+        system = BETA_SYSTEMS[chip]
+        prots = grid_protocols(system, delays, (length,))
+        assert build_protocol_hamiltonian(system, prots).max_step_s is None     # DOP853
+        got = readout_populations(run_blockade_grid(system, prots))
+        want = np.array([exact_exchange_readout(system, p) for p in prots])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+    def test_open_beta_grid_matches_the_exact_exchange_model(self):
+        # the collapse operators' secular parts against the bare ones in the exact model
+        system = BETA_SYSTEMS["chip2"]
+        prots = grid_protocols(system, (-50e-9, 0.0, 50e-9), (100e-9,))
+        got = readout_populations(run_blockade_grid(system, prots, CHIP1_DISSIPATION))
+        want = np.array([exact_exchange_readout(system, p, CHIP1_DISSIPATION) for p in prots])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_boundary_system_is_accepted(self):
+        # 0.4 GHz apart with a 10 MHz flip-flop: |sin theta| (f1 + f2) is 0.24 GHz, inside
+        # the frame's reach, and the dropped terms stay small at readout
+        prots = grid_protocols(BOUNDARY_EXCHANGE, (-10e-9, 0.0, 10e-9), (16e-9,))
+        got = readout_populations(run_blockade_grid(BOUNDARY_EXCHANGE, prots))
+        want = np.array([exact_exchange_readout(BOUNDARY_EXCHANGE, p) for p in prots])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("system", [NEAR_EXCHANGE, RESONANT_EXCHANGE],
+                             ids=["20MHz", "1MHz"])
+    def test_near_resonant_systems_are_refused(self, monkeypatch, system):
+        prots = grid_protocols(system, (0.0, 50e-9), (100e-9,))
+        for run in (lambda: run_blockade_protocol(system, prots[0]),
+                    lambda: run_blockade_grid(system, prots),
+                    lambda: run_blockade_grid(system, prots, CHIP1_DISSIPATION)):
+            refused_before_propagation(monkeypatch, run)
+        lab = [replace(p, frame="lab") for p in prots]
+        assert build_protocol_hamiltonian(system, lab).max_step_s is not None
+
+    def test_equal_carriers_are_refused(self, monkeypatch):
+        # however far the qubits sit apart, one carrier on both leaves no difference to drop
+        pulses = [pi_pulse("truncated_cosine", 40e-9, 5.75e9, target_qubit=q) for q in (1, 2)]
+        prot = dynamics.ProtocolSpec(pulses, 50e-9)
+        refused_before_propagation(monkeypatch, lambda: run_blockade_protocol(EXCHANGE, prot))
+        uncoupled = replace(EXCHANGE, jxx_hz=0.0, jyy_hz=0.0)
+        assert build_protocol_hamiltonian(uncoupled, prot).dressing is None
+
+    @pytest.mark.parametrize("dissipation", [None, CHIP1_DISSIPATION], ids=["closed", "lindblad"])
+    def test_no_flip_flop_runs_the_uncoupled_frame_bit_for_bit(self, dissipation):
+        # jxx + jyy = 0 leaves nothing to diagonalize, and the double flip goes with the RWA
+        coupled = replace(SYSTEM, jxx_hz=4e6, jyy_hz=-4e6)
+        prots = grid_protocols(SYSTEM, (-30e-9, 0.0, 30e-9), (40e-9,))
+        assert build_protocol_hamiltonian(coupled, prots).dressing is None
+        got = readout_populations(run_blockade_grid(coupled, prots, dissipation))
+        want = readout_populations(run_blockade_grid(SYSTEM, prots, dissipation))
+        np.testing.assert_array_equal(got, want)
+
+    def test_states_are_turned_back_to_the_bare_basis(self):
+        # drive-free, the dressed frame drops nothing: from the bare |01>, every kept state
+        # is the exact model's, its flip-flop into |10> and its phases included
+        system = BETA_SYSTEMS["chip2"]
+        prot = dynamics.ProtocolSpec((), 50e-9)
+        psi0 = np.eye(4, dtype=complex)[1]
+        grid = np.linspace(0.0, 50e-9, 6)
+        res = evolve_schrodinger(build_protocol_hamiltonian(system, prot), psi0, grid,
+                                 keep_states=True)
+        want = schrodinger_reference(SimpleNamespace(matrix=dense_oracle.hamiltonian(system, prot)),
+                                     psi0, grid)
+        np.testing.assert_allclose(res.states, want, rtol=0, atol=1e-10)
+        assert np.ptp(populations(want)[:, 2]) > 1e-5
+        rho0 = np.outer(psi0, psi0)
+        opened = evolve_lindblad(build_protocol_hamiltonian(system, prot), rho0,
+                                 DissipationSpec((np.inf, np.inf)), grid, keep_states=True)
+        np.testing.assert_allclose(opened.states, want[:, :, None] * want[:, None, :].conj(),
+                                   rtol=0, atol=1e-10)
 
 
 def point_events(calls, k):
@@ -1130,6 +1259,16 @@ class TestSpectralPower:
         long = pulse_spectral_power(pi_pulse("truncated_cosine", 200e-9, 6e9),
                                     19e6, window)
         assert short > 10 * long
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["center_offset_hz", "window_hz"])
+    def test_non_finite_argument_is_named(self, recwarn, name, value):
+        # an infinite one once gave NaN with a RuntimeWarning, a NaN one numpy's arange error
+        p = pi_pulse("truncated_cosine", 16e-9, 6e9)
+        kwargs = {"center_offset_hz": 0.0, "window_hz": 10e6, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            pulse_spectral_power(p, **kwargs)
+        assert not recwarn.list
 
     def test_narrow_window_on_a_short_pulse_is_the_sici_value(self):
         # a 1e-2 Hz window on a 1 ns pulse: 1e-11 of the sinc's main lobe
